@@ -119,9 +119,6 @@ class GainSet:
     pi: np.ndarray
     margins: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_gain_cache", {})
-
     def g_extremes(self) -> tuple:
         w, _ = sym_eig(self.G)
         return float(w[0]), float(w[-1])

@@ -17,6 +17,16 @@ chatter by one step.
 Which sums apply is decided from message content alone (a sender's message
 shows which agents it estimates and which it can relay), so the update
 never needs non-local knowledge.
+
+Two forms implement the same update. The message form
+(:class:`NeighborMessage`, :func:`compute_xi`, :func:`observer_derivative`)
+follows the protocol agent by agent and is the reference the tests compare
+against. The pair form (:class:`PairLayout`, :func:`pair_derivative`) is
+what the simulator runs: the wiring never changes during a run, so every
+(estimator, target) pair's message-form sum is written down once as an
+ordered row of source indices, and each round becomes a few gathers over
+``(P, N)`` arrays. The rows keep the message form's term order, so both
+forms give the same floating-point result; see :func:`pair_layout`.
 """
 
 from __future__ import annotations
@@ -172,26 +182,6 @@ def compute_rho(
     )
 
 
-def _block_gains(gains: GainSet, nb: KHopNeighborhood, which: str) -> np.ndarray:
-    # Gains are indexed by the *estimated* agent: every estimator of agent l
-    # applies omega_l / theta_l / pi_l on its block for l. Cached per
-    # (agent, gain) pair since the wiring is static for a given gain set.
-    cache = gains.member_gain_cache
-    key = (nb.agent, which, nb.members)
-    out = cache.get(key)
-    if out is not None:
-        return out
-    vals = getattr(gains, which)
-    out = np.array([vals[l - 1] for l in nb.members], dtype=float)
-    if np.any(~np.isfinite(out)):
-        raise ValueError(
-            f"{which} gain missing for a member of agent {nb.agent}'s neighborhood"
-        )
-    out.setflags(write=False)
-    cache[key] = out
-    return out
-
-
 def state_observer_derivative(
     state: ObserverState,
     msgs: Mapping,
@@ -217,8 +207,8 @@ def state_observer_derivative(
         raise NumericalError(f"agent {nb.agent}: non-finite state estimate")
     n_dim = plant.N
     G = gains.G
-    omega = _block_gains(gains, nb, "omega")
-    theta = _block_gains(gains, nb, "theta")
+    omega = gains.omega[np.array(nb.members) - 1]
+    theta = gains.theta[np.array(nb.members) - 1]
     xh = state.x_hat.reshape(nb.eta, n_dim)
     g_xi = xi.reshape(nb.eta, n_dim) @ G.T
     dx = xh @ plant.A.T
@@ -245,7 +235,7 @@ def input_observer_derivative(
     if rho is None:
         rho = compute_rho(state, msgs, nb)
     n_dim = state.u_hat.shape[0] // nb.eta
-    pi = _block_gains(gains, nb, "pi")
+    pi = gains.pi[np.array(nb.members) - 1]
     du = pi[:, None] * sign(rho.reshape(nb.eta, n_dim), boundary_layer)
     return du.reshape(-1)
 
@@ -289,3 +279,124 @@ def error_norms(
     ex = x_truth[members].reshape(-1) - state.x_hat
     eu = u_truth[members].reshape(-1) - state.u_hat
     return float(np.linalg.norm(ex)), float(np.linalg.norm(eu))
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """Every (estimator, target) pair of a network, built once per run.
+
+    Pairs are estimator-major with each agent's members ascending, so agent
+    ``i``'s stacked estimate is the contiguous row block :meth:`rows`, and
+    ``(P, N)`` estimate arrays are the per-agent stacks concatenated. Each
+    pair carries the gains of its target (estimators of agent ``l`` apply
+    ``omega_l``, ``theta_l`` and ``pi_l``) as ``(P, 1)`` columns, so a
+    missing gain shows as NaN.
+
+    Column ``terms[:, p]`` lists, in the message form's summation order,
+    the rows of ``concat(estimates, truth)`` whose differences to pair
+    ``p``'s own estimate make up its correction signal; see
+    :func:`pair_layout`. It is stored term-major, ``(D, P)``, so that each
+    term of every pair is one contiguous gather.
+    """
+
+    n: int
+    estimator: np.ndarray
+    target: np.ndarray
+    offsets: np.ndarray
+    terms: np.ndarray
+    G: np.ndarray
+    omega: np.ndarray
+    theta: np.ndarray
+    pi: np.ndarray
+
+    def rows(self, agent: int) -> slice:
+        """Rows holding ``agent``'s (1-based) stacked estimates."""
+        return slice(int(self.offsets[agent - 1]), int(self.offsets[agent]))
+
+
+def pair_layout(nbs, gains: GainSet) -> PairLayout:
+    """Pair wiring, ordered term table and per-pair gains for neighborhoods
+    ``nbs`` (indexed agent-1 first).
+
+    For pair ``p = (i, l)`` the term list walks ``i``'s 1-hop neighbors
+    ``j`` in ascending order, exactly as :func:`compute_xi` walks its inbox:
+    first ``j``'s own pair ``(j, l)`` if ``j`` estimates ``l``, then the
+    true row of ``l`` if ``j`` can relay it. Lists are padded to a common
+    length with ``p`` itself, whose term ``own - own`` adds ``+0.0`` and
+    leaves the sum unchanged. The order must be kept; the
+    :mod:`khopsim.plant_sim` docstring says why regrouping is unsafe.
+    """
+    n = len(nbs)
+    pos = {}
+    for nb in nbs:
+        for l in nb.members:
+            pos[(nb.agent, l)] = len(pos)
+    size = len(pos)
+    rows = []
+    for nb in nbs:
+        for l in nb.members:
+            row = []
+            for j in nb.one_hop:
+                mine = pos.get((j, l))
+                if mine is not None:
+                    row.append(mine)
+                if l in nbs[j - 1].one_hop:
+                    row.append(size + l - 1)
+            rows.append(row)
+    width = max((len(r) for r in rows), default=0)
+    terms = np.array(
+        [r + [p] * (width - len(r)) for p, r in enumerate(rows)], dtype=np.intp
+    ).reshape(size, width).T.copy()
+    estimator, target = (np.array(list(pos), dtype=np.intp).reshape(size, 2) - 1).T.copy()
+    offsets = np.searchsorted(estimator, np.arange(n + 1))
+    return PairLayout(
+        n=n,
+        estimator=estimator,
+        target=target,
+        offsets=offsets,
+        terms=terms,
+        G=gains.G,
+        omega=gains.omega[target, None],
+        theta=gains.theta[target, None],
+        pi=gains.pi[target, None],
+    )
+
+
+def _pair_signal(terms: np.ndarray, est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    # Term by term in table order, like the message form's ``acc += ...``.
+    parts = np.concatenate((est, truth)).take(terms, axis=0)
+    parts -= est
+    out = np.zeros(est.shape)
+    for part in parts:
+        out += part
+    return out
+
+
+def pair_derivative(
+    layout: PairLayout,
+    plant: PlantModel,
+    x_hat: np.ndarray,
+    u_hat: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    boundary_layer: Optional[float] = None,
+) -> tuple:
+    """Observer derivatives ``(dx_hat, du_hat)`` of every pair at once.
+
+    ``x_hat``/``u_hat`` are ``(P, N)`` pair estimates, ``x``/``u`` the
+    ``(n, N)`` true states and inputs that 1-hop neighbors relay. Per row
+    this is :func:`observer_derivative`'s block update with the same
+    operations in the same order.
+    """
+    xi = _pair_signal(layout.terms, x_hat, x)
+    rho = _pair_signal(layout.terms, u_hat, u)
+    g_xi = xi @ layout.G.T
+    dx = x_hat @ plant.A.T
+    if plant.f is not None:
+        for p in range(dx.shape[0]):
+            dx[p] += plant.f_eval(x_hat[p])
+    dx += layout.omega * g_xi
+    dx += layout.theta * sign(g_xi, boundary_layer)
+    dx += u_hat
+    du = layout.pi * sign(rho, boundary_layer)
+    return dx, du

@@ -10,6 +10,27 @@ discontinuous, so higher-order smooth integrators buy nothing, and the
 residual sign-chattering scales linearly with the step size. Convergence is
 therefore detected as entry into a small ball followed by permanence inside
 the chattering band, never as an exact zero.
+
+The round is evaluated on arrays, not on per-agent message objects. All P
+(estimator, target) pairs are laid out once, estimator-major with members
+ascending (:class:`~khopsim.khop_observer.PairLayout`), so the estimates
+are two ``(P, N)`` arrays and agent ``i``'s stacked estimate is a
+contiguous row block. Each pair's correction signal is the message form's
+sum written down once as an ordered row of source indices into
+``concat(estimates, truth)``: for every 1-hop neighbor ``j`` in ascending
+order, ``j``'s estimate of the same target, then the relayed true value.
+Rows are padded with the pair itself (``own - own = +0.0``), and a step
+adds the columns in table order, so every sum rounds exactly as the
+message form does. The consensus input uses the same trick over
+``concat(x, x_hat)``, and the logged error norms and disturbance are
+gathers plus ``np.bincount`` over the pair index, which also accumulates in
+input order.
+
+Do not regroup these sums. ``sum(estimates) - (deg + c) * own + c * truth``
+is the same sum in exact arithmetic but not in floating point, and because
+``sign(0) = +1`` switches on the sign of tiny differences, a one-ulp change
+in a correction signal flips switching terms and grows into state
+differences of order 1e-3 within a few hundred steps.
 """
 
 from __future__ import annotations
@@ -20,14 +41,15 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .dense_linalg import sym_eig
-from .errors import DivergenceDetected, ProtocolError, StateBoxViolation
+from .errors import (
+    DivergenceDetected,
+    NumericalError,
+    ProtocolError,
+    StateBoxViolation,
+)
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import Graph, all_khop_sets
-from .khop_observer import (
-    NeighborMessage,
-    ObserverState,
-    observer_derivative,
-)
+from .khop_observer import PairLayout, pair_derivative, pair_layout
 
 CONV_EPS_FLOOR = 1e-6
 CONV_EPS_REL = 1e-3
@@ -79,10 +101,12 @@ class SimConfig:
     boundary_layer: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= self.dt:
-            raise ValueError("t_end must exceed dt")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end > self.dt):
+            raise ValueError(
+                f"t_end must be finite and exceed dt, got t_end={self.t_end}, dt={self.dt}"
+            )
         if self.decimate < 1:
             raise ValueError("decimate must be >= 1")
         if self.conv_eps is not None and self.conv_eps <= 0:
@@ -126,29 +150,38 @@ class Telemetry:
     T_u_obs: np.ndarray
     X_obs: float
 
-    @property
-    def T_u_obs_global(self) -> float:
-        vals = self.T_u_obs[np.isfinite(self.T_u_obs)]
-        return float(vals.max()) if vals.size else np.nan
-
 
 @dataclass
 class SimWorld:
+    """Simulation state at time ``t``: true states ``x`` (n, N) and the pair
+    estimates ``x_hat``/``u_hat`` (P, N), laid out by ``structure.pairs``."""
+
     t: float
     x: np.ndarray
-    obs: list
+    x_hat: np.ndarray
+    u_hat: np.ndarray
     structure: "SimStructure"
 
 
 @dataclass(frozen=True)
 class SimStructure:
-    """Static wiring derived once from graph, horizon, and controller."""
+    """Static wiring derived once from graph, horizon, controller and gains.
+
+    ``control_terms`` (``khop_consensus`` only) has one column per agent:
+    the rows of ``concat(x, x_hat)`` its consensus input sums over, in the
+    order :func:`consensus_control` adds them (communication-and-target
+    neighbors, then estimates of target-only neighbors), padded with the
+    agent's own row, stored term-major like ``PairLayout.terms``.
+    ``disturbance_pairs`` are the pairs those estimates come from, and
+    ``disturbance_bins`` their flat ``(estimator, component)`` cells in an
+    ``(n, N)`` array.
+    """
 
     nbs: list
-    one_hop: list              # per agent, tuple of neighbor ids
-    ct_neighbors: list         # per agent, target-and-communication neighbors
-    t_only_neighbors: list     # per agent, target-only neighbors (need estimates)
-    estimators_of: list        # per target agent, list of (estimator_idx, block)
+    pairs: PairLayout
+    control_terms: Optional[np.ndarray]
+    disturbance_pairs: np.ndarray
+    disturbance_bins: np.ndarray
 
 
 def consensus_distance(x: np.ndarray) -> float:
@@ -175,7 +208,11 @@ def consensus_control(
     target_neighbors,
     ct_neighbors,
 ) -> np.ndarray:
-    """Consensus input using true states where available, estimates elsewhere."""
+    """Consensus input using true states where available, estimates elsewhere.
+
+    Reference form of one agent's input; the simulator evaluates all agents
+    at once from ``SimStructure.control_terms`` in the same order.
+    """
     u = np.zeros_like(np.asarray(x_own, dtype=float))
     for j in ct_neighbors:
         u += onehop_states[j] - x_own
@@ -194,187 +231,173 @@ def consensus_control(
 def build_structure(config: SimConfig) -> SimStructure:
     g = config.graph
     nbs = all_khop_sets(g, config.k)
-    one_hop = [nb.one_hop for nb in nbs]
-    ct, t_only = [], []
+    pairs = pair_layout(nbs, config.gains)
+    control_terms = None
+    disturbance = []
     if config.controller.kind == "khop_consensus":
         tg = config.controller.target_graph
         if tg.n != g.n:
             raise ValueError("target graph must cover the same agents")
+        rows = []
         for i in range(1, g.n + 1):
             tn = set(tg.neighbors(i))
             cn = set(g.neighbors(i))
-            ct.append(tuple(sorted(tn & cn)))
-            only = tuple(sorted(tn - cn))
-            for j in only:
-                if j not in nbs[i - 1].members:
+            row = [j - 1 for j in sorted(tn & cn)]
+            members = nbs[i - 1].members
+            for j in sorted(tn - cn):
+                if j not in members:
                     raise ProtocolError(
                         f"agent {i}: target neighbor {j} is neither 1-hop nor "
                         f"within the {config.k}-hop horizon"
                     )
-            t_only.append(only)
-    else:
-        ct = [()] * g.n
-        t_only = [()] * g.n
-    estimators_of = [[] for _ in range(g.n)]
-    for idx, nb in enumerate(nbs):
-        for b, l in enumerate(nb.members):
-            estimators_of[l - 1].append((idx, b))
+                p = pairs.rows(i).start + members.index(j)
+                row.append(g.n + p)
+                disturbance.append(p)
+            rows.append(row)
+        width = max(len(r) for r in rows)
+        control_terms = np.array(
+            [r + [i] * (width - len(r)) for i, r in enumerate(rows)], dtype=np.intp
+        ).T.copy()
+    disturbance = np.array(disturbance, dtype=np.intp)
+    n_dim = config.plant.N
+    bins = pairs.estimator[disturbance, None] * n_dim + np.arange(n_dim)
     return SimStructure(
         nbs=nbs,
-        one_hop=one_hop,
-        ct_neighbors=ct,
-        t_only_neighbors=t_only,
-        estimators_of=estimators_of,
+        pairs=pairs,
+        control_terms=control_terms,
+        disturbance_pairs=disturbance,
+        disturbance_bins=bins.reshape(-1),
     )
+
+
+def _stack_estimates(blocks, nbs, n_dim: int) -> np.ndarray:
+    """Per-agent initial estimate vectors as one (P, N) pair array."""
+    size = sum(nb.eta for nb in nbs)
+    if blocks is None:
+        return np.zeros((size, n_dim))
+    flat = [
+        np.array(blk, dtype=float).reshape(nb.eta * n_dim)
+        for blk, nb in zip(blocks, nbs)
+    ]
+    return np.concatenate(flat).reshape(size, n_dim)
 
 
 def init_world(config: SimConfig) -> SimWorld:
     structure = build_structure(config)
-    n, n_dim = config.graph.n, config.plant.N
-    obs = []
-    for idx, nb in enumerate(structure.nbs):
-        size = nb.eta * n_dim
-        if config.xhat0 is None:
-            xh = np.zeros(size)
-        else:
-            xh = np.array(config.xhat0[idx], dtype=float).reshape(size)
-        if config.uhat0 is None:
-            uh = np.zeros(size)
-        else:
-            uh = np.array(config.uhat0[idx], dtype=float).reshape(size)
-        obs.append(ObserverState(agent=idx + 1, x_hat=xh, u_hat=uh))
-    return SimWorld(t=0.0, x=config.x0.copy(), obs=obs, structure=structure)
+    n_dim = config.plant.N
+    return SimWorld(
+        t=0.0,
+        x=config.x0.copy(),
+        x_hat=_stack_estimates(config.xhat0, structure.nbs, n_dim),
+        u_hat=_stack_estimates(config.uhat0, structure.nbs, n_dim),
+        structure=structure,
+    )
 
 
-def _est_blocks(obs: ObserverState, nb, n_dim: int) -> dict:
-    return {
-        l: obs.x_hat[b * n_dim : (b + 1) * n_dim] for b, l in enumerate(nb.members)
-    }
+def _check_startable(world: SimWorld) -> None:
+    """Refuse to step with a missing gain or a non-finite state estimate."""
+    pairs = world.structure.pairs
+    for which in ("omega", "theta", "pi"):
+        bad = ~np.isfinite(getattr(pairs, which)[:, 0])
+        if bad.any():
+            agent = int(pairs.estimator[np.argmax(bad)]) + 1
+            raise ValueError(
+                f"{which} gain missing for a member of agent {agent}'s neighborhood"
+            )
+    bad = ~np.isfinite(world.x_hat).all(axis=1)
+    if bad.any():
+        agent = int(pairs.estimator[np.argmax(bad)]) + 1
+        raise NumericalError(f"agent {agent}: non-finite state estimate")
 
 
 def _compute_control(world: SimWorld, config: SimConfig) -> np.ndarray:
     s = world.structure
-    n, n_dim = config.graph.n, config.plant.N
-    u = np.zeros((n, n_dim))
+    x = world.x
     kind = config.controller.kind
+    if kind == "khop_consensus":
+        parts = np.concatenate((x, world.x_hat)).take(s.control_terms, axis=0)
+        parts -= x
+        u = np.zeros(x.shape)
+        for part in parts:
+            u += part
+        return u
+    u = np.zeros_like(x)
     if kind == "zero":
         return u
-    for i in range(1, n + 1):
-        onehop = {j: world.x[j - 1] for j in s.one_hop[i - 1]}
-        est = _est_blocks(world.obs[i - 1], s.nbs[i - 1], n_dim)
-        if kind == "khop_consensus":
-            tn = s.ct_neighbors[i - 1] + s.t_only_neighbors[i - 1]
-            u[i - 1] = consensus_control(
-                i, world.x[i - 1], onehop, est, tn, s.ct_neighbors[i - 1]
-            )
-        else:
-            u[i - 1] = np.asarray(
-                config.controller.feedback(i, world.x[i - 1], onehop, est),
-                dtype=float,
-            )
+    for i, nb in enumerate(s.nbs, 1):
+        onehop = {j: x[j - 1] for j in nb.one_hop}
+        own = world.x_hat[s.pairs.rows(i)]
+        est = dict(zip(nb.members, own))
+        u[i - 1] = np.asarray(
+            config.controller.feedback(i, x[i - 1], onehop, est), dtype=float
+        )
     return u
 
 
-def _disturbance(world: SimWorld, config: SimConfig) -> np.ndarray:
-    """Per-agent consensus disturbance: sum of estimate errors the input uses."""
+def _disturbance(world: SimWorld) -> np.ndarray:
+    """Per-agent consensus disturbance: sum of estimate errors the input uses.
+
+    ``np.bincount`` adds each cell's terms in input order, as a loop would.
+    """
     s = world.structure
-    n, n_dim = config.graph.n, config.plant.N
-    v = np.zeros((n, n_dim))
-    if config.controller.kind != "khop_consensus":
-        return v
-    for i in range(n):
-        nb = s.nbs[i]
-        for j in s.t_only_neighbors[i]:
-            b = nb.member_index(j)
-            v[i] += world.x[j - 1] - world.obs[i].x_hat[b * n_dim : (b + 1) * n_dim]
-    return v
+    p = s.disturbance_pairs
+    err = world.x.take(s.pairs.target[p], axis=0) - world.x_hat.take(p, axis=0)
+    v = np.bincount(s.disturbance_bins, weights=err.reshape(-1), minlength=world.x.size)
+    return v.reshape(world.x.shape)
 
 
 def _advance(world: SimWorld, u: np.ndarray, config: SimConfig) -> SimWorld:
     s = world.structure
-    n, n_dim = config.graph.n, config.plant.N
     x = world.x
-    # Outbound messages: states, inputs, 1-hop relays, and estimates, all at
-    # the same instant (zero-delay propagation).
-    msgs = {}
-    for j in range(1, n + 1):
-        nbj = s.nbs[j - 1]
-        msgs[j] = NeighborMessage(
-            sender=j,
-            state=x[j - 1],
-            input=u[j - 1],
-            relayed_states={m: x[m - 1] for m in s.one_hop[j - 1]},
-            relayed_inputs={m: u[m - 1] for m in s.one_hop[j - 1]},
-            est_states=world.obs[j - 1].x_hat,
-            est_inputs=world.obs[j - 1].u_hat,
-            members=nbj.members,
-        )
-    derivs = []
-    for i in range(1, n + 1):
-        inbox = {j: msgs[j] for j in s.one_hop[i - 1]}
-        derivs.append(
-            observer_derivative(
-                world.obs[i - 1],
-                inbox,
-                s.nbs[i - 1],
-                config.plant,
-                config.gains,
-                boundary_layer=config.boundary_layer,
-            )
-        )
+    # Every pair sees its 1-hop neighbors' estimates and relays of the same
+    # instant (zero-delay propagation), as in one message round.
+    dx_hat, du_hat = pair_derivative(
+        s.pairs, config.plant, world.x_hat, world.u_hat, x, u, config.boundary_layer
+    )
     dx = x @ config.plant.A.T + u
     if config.plant.f is not None:
-        for i in range(n):
+        for i in range(x.shape[0]):
             dx[i] += config.plant.f_eval(x[i])
     t_next = world.t + config.dt
     x_next = x + config.dt * dx
-    obs_next = []
-    est_sum = 0.0
-    for i in range(n):
-        o = world.obs[i]
-        xh = o.x_hat + config.dt * derivs[i].dx_hat
-        uh = o.u_hat + config.dt * derivs[i].du_hat
-        est_sum += float(xh.sum()) + float(uh.sum())
-        obs_next.append(ObserverState(agent=i + 1, x_hat=xh, u_hat=uh))
+    x_hat = world.x_hat + config.dt * dx_hat
+    u_hat = world.u_hat + config.dt * du_hat
     if not np.isfinite(float(x_next.sum())):
-        for i in range(n):
-            if not np.all(np.isfinite(x_next[i])):
-                raise DivergenceDetected(t_next, i + 1)
-    if not np.isfinite(est_sum):
-        for i in range(n):
-            if not (
-                np.all(np.isfinite(obs_next[i].x_hat))
-                and np.all(np.isfinite(obs_next[i].u_hat))
-            ):
-                raise DivergenceDetected(t_next, i + 1, "non-finite estimate")
+        bad = ~np.isfinite(x_next).all(axis=1)
+        if bad.any():
+            raise DivergenceDetected(t_next, int(np.argmax(bad)) + 1)
+    if not np.isfinite(float(x_hat.sum()) + float(u_hat.sum())):
+        bad = ~(np.isfinite(x_hat).all(axis=1) & np.isfinite(u_hat).all(axis=1))
+        if bad.any():
+            agent = int(s.pairs.estimator[np.argmax(bad)]) + 1
+            raise DivergenceDetected(t_next, agent, "non-finite estimate")
     if config.state_box is not None:
         lo, hi = config.state_box
         bad = (x_next < lo) | (x_next > hi)
-        if np.any(bad):
+        if bad.any():
             agent = int(np.argwhere(bad)[0][0]) + 1
             value = float(x_next[bad][0])
             raise StateBoxViolation(t_next, agent, value, (lo, hi))
-    return SimWorld(t=t_next, x=x_next, obs=obs_next, structure=s)
+    return SimWorld(t=t_next, x=x_next, x_hat=x_hat, u_hat=u_hat, structure=s)
 
 
 def step(world: SimWorld, config: SimConfig) -> SimWorld:
-    """One synchronous round: control, messages, derivatives, Euler update."""
+    """One synchronous round: control, observer derivatives, Euler update."""
+    _check_startable(world)
     return _advance(world, _compute_control(world, config), config)
 
 
-def _stacked_error_norm(world: SimWorld, truth: np.ndarray, attr: str, n_dim: int) -> np.ndarray:
+# Row-wise dot products with the rounding of ``a @ b`` on each row.
+_row_dot = getattr(np, "vecdot", None) or (
+    lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+)
+
+
+def _stacked_error_norm(pairs: PairLayout, truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Per estimated agent, norm of the stacked errors of all its estimators."""
-    s = world.structure
-    n = len(s.estimators_of)
-    out = np.zeros(n)
-    for l in range(n):
-        sq = 0.0
-        for est_idx, b in s.estimators_of[l]:
-            vec = getattr(world.obs[est_idx], attr)
-            diff = truth[l] - vec[b * n_dim : (b + 1) * n_dim]
-            sq += float(diff @ diff)
-        out[l] = np.sqrt(sq)
-    return out
+    diff = truth.take(pairs.target, axis=0) - est
+    sq = np.bincount(pairs.target, weights=_row_dot(diff, diff), minlength=pairs.n)
+    return np.sqrt(sq)
 
 
 def initial_error_norms(config: SimConfig) -> tuple:
@@ -385,8 +408,9 @@ def initial_error_norms(config: SimConfig) -> tuple:
     """
     world = init_world(config)
     u0 = _compute_control(world, config)
-    x_err0 = _stacked_error_norm(world, world.x, "x_hat", config.plant.N)
-    u_err0 = _stacked_error_norm(world, u0, "u_hat", config.plant.N)
+    pairs = world.structure.pairs
+    x_err0 = _stacked_error_norm(pairs, world.x, world.x_hat)
+    u_err0 = _stacked_error_norm(pairs, u0, world.u_hat)
     return x_err0, u_err0
 
 
@@ -457,6 +481,8 @@ def run(config: SimConfig) -> Telemetry:
     exception as ``partial_telemetry`` so callers can retain them.
     """
     world = init_world(config)
+    _check_startable(world)
+    pairs = world.structure.pairs
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
     sample_ids = list(range(0, n_steps + 1, config.decimate))
@@ -482,10 +508,10 @@ def run(config: SimConfig) -> Telemetry:
                 times[row] = world.t
                 states[row] = world.x
                 inputs[row] = u
-                errx[row] = _stacked_error_norm(world, world.x, "x_hat", n_dim)
-                erru[row] = _stacked_error_norm(world, u, "u_hat", n_dim)
+                errx[row] = _stacked_error_norm(pairs, world.x, world.x_hat)
+                erru[row] = _stacked_error_norm(pairs, u, world.u_hat)
                 cons[row] = consensus_distance(world.x)
-                v_log[row] = _disturbance(world, config)
+                v_log[row] = _disturbance(world)
                 row += 1
             if k == n_steps:
                 break

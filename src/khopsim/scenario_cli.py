@@ -17,6 +17,7 @@ criteria failed, 3 divergence during simulation.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -309,16 +310,19 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
             (float(np.abs(np.asarray(b, dtype=float)).max()) for b in sc.uhat0_spec if len(b)),
             default=0.0,
         )
-    gains, nbs, couplings = tune_gains(
-        sc.graph,
-        sc.k,
-        sc.plant,
-        sc.bounds,
-        g_scale=sc.g_scale,
-        slack=slack,
-        omega_slack=sc.omega_slack,
-        uhat0_mag=uhat0_mag,
-    )
+    try:
+        gains, nbs, couplings = tune_gains(
+            sc.graph,
+            sc.k,
+            sc.plant,
+            sc.bounds,
+            g_scale=sc.g_scale,
+            slack=slack,
+            omega_slack=sc.omega_slack,
+            uhat0_mag=uhat0_mag,
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
     omega = gains.omega.copy()
     theta = gains.theta * sc.theta_scale
     pi = gains.pi * sc.pi_scale
@@ -335,23 +339,26 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
     )
     xhat0 = _resolve_estimate_init(sc.xhat0_spec, nbs, sc.x0, sc.plant.N, True)
     uhat0 = _resolve_estimate_init(sc.uhat0_spec, nbs, sc.x0, sc.plant.N, False)
-    config = SimConfig(
-        graph=sc.graph,
-        k=sc.k,
-        plant=sc.plant,
-        gains=gains,
-        controller=controller,
-        dt=sc.dt,
-        t_end=sc.t_end,
-        x0=sc.x0,
-        xhat0=xhat0,
-        uhat0=uhat0,
-        state_box=sc.state_box,
-        conv_eps=sc.conv_eps,
-        band_scale=sc.band_scale,
-        decimate=decimate_override if decimate_override is not None else sc.decimate,
-        boundary_layer=boundary_layer if boundary_layer is not None else sc.boundary_layer,
-    )
+    try:
+        config = SimConfig(
+            graph=sc.graph,
+            k=sc.k,
+            plant=sc.plant,
+            gains=gains,
+            controller=controller,
+            dt=sc.dt,
+            t_end=sc.t_end,
+            x0=sc.x0,
+            xhat0=xhat0,
+            uhat0=uhat0,
+            state_box=sc.state_box,
+            conv_eps=sc.conv_eps,
+            band_scale=sc.band_scale,
+            decimate=decimate_override if decimate_override is not None else sc.decimate,
+            boundary_layer=boundary_layer if boundary_layer is not None else sc.boundary_layer,
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
     x_err0, u_err0 = plant_sim.initial_error_norms(config)
     cert = None
     infeasible = None
@@ -820,7 +827,11 @@ _SWEEP_KEYS = ("dt", "theta_scale", "pi_scale", "k")
 
 
 def _sweep_cell(raw_scenario: dict, cell: dict) -> dict:
-    """Run one sweep cell; always returns a row, never raises."""
+    """Run one sweep cell; always returns a row, never raises.
+
+    A cell whose parameters are invalid (a bad ``k`` or ``dt``) gets status
+    ``error`` with the reason, and the rest of the grid still runs.
+    """
     raw = json.loads(json.dumps(raw_scenario))
     if "dt" in cell:
         raw["sim"]["dt"] = cell["dt"]
@@ -847,7 +858,7 @@ def _sweep_cell(raw_scenario: dict, cell: dict) -> dict:
             consensus_final=float(tel.cons_dist[-1]),
             error=None,
         )
-    except KhopsimError as exc:
+    except (KhopsimError, ValueError) as exc:
         row.update(
             status="error",
             T_x_obs_max=None,
@@ -885,13 +896,12 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "sweep_summary.csv"
     fields = keys + ["status", "T_x_obs_max", "T_u_obs_max", "X_obs", "consensus_final", "error"]
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(fields) + "\n")
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
+        # csv quotes fields with commas, such as error messages.
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
         for row in rows:
-            fh.write(
-                ",".join("" if row.get(f) is None else str(row.get(f)) for f in fields)
-                + "\n"
-            )
+            writer.writerow(["" if row.get(f) is None else str(row.get(f)) for f in fields])
     for row in rows:
         cell_desc = " ".join(f"{k}={row[k]}" for k in keys)
         print(f"[{row['status']:>5}] {cell_desc}" + (f" ({row['error']})" if row["error"] else ""))

@@ -1,0 +1,204 @@
+"""Pair-array observer engine against the message form.
+
+The simulator evaluates every (estimator, target) pair at once from an
+ordered term table. Its contract is stronger than agreement to round-off:
+with ``A = 0`` and ``G = g I`` (every bundled scenario) each sum is formed
+in the message form's order, so results must be bit-identical, because
+``sign(0) = +1`` turns one-ulp differences into different trajectories.
+The whole-run tests replay the closed loop with per-agent
+``NeighborMessage`` exchanges and demand identical states and inputs.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_messages, inbox
+from khopsim import (
+    Graph,
+    ObserverState,
+    PlantModel,
+    all_khop_sets,
+    consensus_control,
+    run,
+)
+from khopsim.gain_tuning import GainSet
+from khopsim.khop_observer import observer_derivative, pair_derivative, pair_layout
+from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, prepare
+
+
+@st.composite
+def networks(draw):
+    """Connected graph (random spanning tree plus chords), k and N."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    chords = draw(
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n)
+    )
+    edges |= {(min(a, b), max(a, b)) for a, b in chords if a != b}
+    k = draw(st.sampled_from([2, 3, 4]))
+    n_dim = draw(st.sampled_from([1, 2]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Graph(n, frozenset(edges)), k, n_dim, seed
+
+
+def random_round(g, k, n_dim, rng):
+    """Random truth, estimates and positive gains; some estimates exact, so
+    correction signals that are exactly zero (the sign(0) case) occur."""
+    nbs = all_khop_sets(g, k)
+    x = rng.normal(size=(g.n, n_dim))
+    u = rng.normal(size=(g.n, n_dim))
+    obs = []
+    for i, nb in enumerate(nbs):
+        rows = [m - 1 for m in nb.members]
+        exact = rng.random(nb.eta) < 0.3
+        x_hat = np.where(exact[:, None], x[rows], rng.normal(size=(nb.eta, n_dim)))
+        u_hat = np.where(exact[:, None], u[rows], rng.normal(size=(nb.eta, n_dim)))
+        obs.append(ObserverState(i + 1, x_hat.reshape(-1), u_hat.reshape(-1)))
+    return nbs, x, u, obs
+
+
+def both_forms(g, nbs, x, u, obs, plant, gains, boundary_layer):
+    msgs = build_messages(g, nbs, x, u, obs)
+    ref = [
+        observer_derivative(obs[i], inbox(msgs, nbs[i]), nbs[i], plant, gains,
+                            boundary_layer=boundary_layer)
+        for i in range(g.n)
+    ]
+    n_dim = plant.N
+    ref_dx = np.concatenate([r.dx_hat for r in ref]).reshape(-1, n_dim)
+    ref_du = np.concatenate([r.du_hat for r in ref]).reshape(-1, n_dim)
+    x_hat = np.concatenate([o.x_hat for o in obs]).reshape(-1, n_dim)
+    u_hat = np.concatenate([o.u_hat for o in obs]).reshape(-1, n_dim)
+    dx, du = pair_derivative(
+        pair_layout(nbs, gains), plant, x_hat, u_hat, x, u, boundary_layer
+    )
+    return (dx, du), (ref_dx, ref_du)
+
+
+def random_gains(rng, n, G):
+    return GainSet(
+        G=G,
+        omega=rng.uniform(0.5, 3.0, n),
+        theta=rng.uniform(0.1, 4.0, n),
+        pi=rng.uniform(0.1, 10.0, n),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.floats(0.5, 30.0), st.sampled_from([None, 0.05]))
+def test_pair_kernel_bit_identical_for_scalar_design(net, g_val, boundary_layer):
+    g, k, n_dim, seed = net
+    rng = np.random.default_rng(seed)
+    nbs, x, u, obs = random_round(g, k, n_dim, rng)
+    plant = PlantModel(N=n_dim, A=np.zeros((n_dim, n_dim)))
+    gains = random_gains(rng, g.n, g_val * np.eye(n_dim))
+    (dx, du), (ref_dx, ref_du) = both_forms(g, nbs, x, u, obs, plant, gains,
+                                            boundary_layer)
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(du, ref_du)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.booleans())
+def test_pair_kernel_matches_for_general_plant(net, with_f):
+    g, k, n_dim, seed = net
+    rng = np.random.default_rng(seed)
+    nbs, x, u, obs = random_round(g, k, n_dim, rng)
+    sym = rng.normal(size=(n_dim, n_dim))
+    plant = PlantModel(
+        N=n_dim,
+        A=rng.normal(size=(n_dim, n_dim)),
+        f=(lambda v: np.clip(v, -0.5, 0.5)) if with_f else None,
+        l_f=1.0 if with_f else 0.0,
+    )
+    gains = random_gains(rng, g.n, sym + sym.T + 3.0 * n_dim * np.eye(n_dim))
+    (dx, du), (ref_dx, ref_du) = both_forms(g, nbs, x, u, obs, plant, gains, None)
+    assert np.abs(dx - ref_dx).max(initial=0.0) <= 1e-12
+    assert np.array_equal(du, ref_du)
+
+
+def message_form_run(config):
+    """The closed loop with one NeighborMessage per agent per step, as the
+    simulator ran it before the pair engine. Returns (states, inputs)."""
+    g, plant, dt = config.graph, config.plant, config.dt
+    nbs = all_khop_sets(g, config.k)
+    tg = config.controller.target_graph
+    zeros = [np.zeros(nb.eta * plant.N) for nb in nbs]
+    obs = [
+        ObserverState(
+            i + 1,
+            np.array((config.xhat0 or zeros)[i], dtype=float).reshape(-1),
+            np.array((config.uhat0 or zeros)[i], dtype=float).reshape(-1),
+        )
+        for i, nb in enumerate(nbs)
+    ]
+    x = np.array(config.x0, dtype=float)
+    states, inputs = [], []
+    n_steps = int(round(config.t_end / dt))
+    for step_i in range(n_steps + 1):
+        u = np.zeros_like(x)
+        for i, nb in enumerate(nbs, 1):
+            onehop = {j: x[j - 1] for j in nb.one_hop}
+            est = {
+                l: obs[i - 1].x_hat[b * plant.N : (b + 1) * plant.N]
+                for b, l in enumerate(nb.members)
+            }
+            ct = tuple(j for j in tg.neighbors(i) if g.has_edge(i, j))
+            t_only = tuple(j for j in tg.neighbors(i) if not g.has_edge(i, j))
+            u[i - 1] = consensus_control(i, x[i - 1], onehop, est, ct + t_only, ct)
+        states.append(x.copy())
+        inputs.append(u)
+        if step_i == n_steps:
+            break
+        msgs = build_messages(g, nbs, x, u, obs)
+        derivs = [
+            observer_derivative(obs[i], inbox(msgs, nbs[i]), nbs[i], plant,
+                                config.gains, boundary_layer=config.boundary_layer)
+            for i in range(g.n)
+        ]
+        x = x + dt * (x @ plant.A.T + u)
+        obs = [
+            ObserverState(o.agent, o.x_hat + dt * d.dx_hat, o.u_hat + dt * d.du_hat)
+            for o, d in zip(obs, derivs)
+        ]
+    return np.array(states), np.array(inputs)
+
+
+def assert_same_run(raw):
+    ts = prepare(load_scenario(raw))
+    config = dataclasses.replace(ts.config, decimate=1)
+    tel = run(config)
+    states, inputs = message_form_run(config)
+    assert np.array_equal(tel.states, states)
+    assert np.array_equal(tel.inputs, inputs)
+
+
+def test_run_matches_message_form_on_reproduction():
+    raw = dict(REPRODUCTION_SCENARIO, sim=dict(REPRODUCTION_SCENARIO["sim"], t_end=0.3))
+    assert_same_run(raw)
+
+
+def test_run_matches_message_form_on_chorded_ring():
+    # 12-agent ring plus three chords; every agent's target graph adds one
+    # agent two hops away, so each input depends on an estimate.
+    n = 12
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    comm = Graph(n, frozenset(ring + [(1, 5), (3, 9), (6, 11)]))
+    target = set(ring)
+    for i in range(1, n + 1):
+        two_hop = sorted(j for j, d in comm.distances_from(i).items() if d == 2)
+        j = two_hop[i % len(two_hop)]
+        target.add((min(i, j), max(i, j)))
+    rng = np.random.default_rng(3)
+    sim = dict(REPRODUCTION_SCENARIO["sim"], t_end=0.3, state_box=None,
+               x0=rng.uniform(-0.25, 0.25, size=(n, 2)).tolist())
+    raw = dict(
+        REPRODUCTION_SCENARIO,
+        graph={"n": n, "edges": [list(e) for e in sorted(comm.edges)]},
+        target_graph={"n": n, "edges": [list(e) for e in sorted(target)]},
+        sim=sim,
+    )
+    assert_same_run(raw)

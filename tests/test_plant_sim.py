@@ -184,8 +184,8 @@ class TestStep:
 
         assert np.abs(nxt.x - x_next).max() <= 1e-12
         for i in range(1, 5):
-            assert np.abs(nxt.obs[i - 1].x_hat - new_xhat[i]).max() <= 1e-12
-            assert np.abs(nxt.obs[i - 1].u_hat - new_uhat[i]).max() <= 1e-12
+            assert np.abs(nxt.x_hat[nxt.structure.pairs.rows(i)].reshape(-1) - new_xhat[i]).max() <= 1e-12
+            assert np.abs(nxt.u_hat[nxt.structure.pairs.rows(i)].reshape(-1) - new_uhat[i]).max() <= 1e-12
 
 
 class TestRun:

@@ -1,5 +1,6 @@
 """CLI contract tests: scenario parsing, subcommands, exit codes, outputs."""
 
+import csv
 import json
 
 import numpy as np
@@ -165,6 +166,23 @@ class TestSimulate:
         assert len(cols["t"]) > 10
         assert np.all(np.isfinite(cols["x_1_1"]))
 
+    @pytest.mark.parametrize(
+        "sim_patch, reason",
+        [
+            ({"sim.dt": float("nan")}, "dt must be positive and finite"),
+            ({"sim.t_end": 0.001}, "t_end must be finite and exceed dt"),
+        ],
+        ids=["dt_nan", "t_end_not_above_dt"],
+    )
+    def test_bad_step_settings_exit_1_with_one_line(
+        self, tmp_path, capsys, sim_patch, reason
+    ):
+        path, _ = write_scenario(tmp_path, **sim_patch)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and reason in err
+
     def test_boundary_layer_flag(self, tmp_path):
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.3})
         rc = main(
@@ -293,6 +311,21 @@ class TestSweep:
         assert rows[("1.0", "2")] == "error"
         assert rows[("0.5", "3")] in ("pass", "fail")
         assert rows[("1.0", "3")] in ("pass", "fail")
+
+    def test_invalid_cell_fails_alone(self, tmp_path, capsys):
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.2})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"k": [1, 3]}))
+        out = tmp_path / "sweep"
+        rc = main(
+            ["sweep", "--scenario", str(path), "--grid", str(grid), "--out", str(out),
+             "--jobs", "1"]
+        )
+        assert rc == 0
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            rows = {row["k"]: row for row in csv.DictReader(fh)}
+        assert rows["1"]["status"] == "error" and "hop horizon" in rows["1"]["error"]
+        assert rows["3"]["status"] in ("pass", "fail") and rows["3"]["error"] == ""
 
     def test_unknown_grid_key_rejected(self, tmp_path):
         path, _ = write_scenario(tmp_path)
