@@ -25,14 +25,12 @@ from .graph_khop import (
     Graph,
     KHopNeighborhood,
     ObserverCoupling,
-    SelectionMap,
     all_khop_sets,
     check_neighbor_overlap,
     coupling_matrices,
     khop_set,
     reorder_errors,
     reorder_errors_inverse,
-    selection_map,
 )
 from .gain_tuning import (
     BoundSet,
@@ -53,7 +51,6 @@ from .khop_observer import (
     ObserverState,
     compute_rho,
     compute_xi,
-    error_norms,
     input_observer_derivative,
     state_observer_derivative,
 )

@@ -21,7 +21,6 @@ from .errors import NumericalError
 # constants rather than re-inventing thresholds.
 SYMMETRY_RTOL = 1e-12       # allowed |a_ij - a_ji|, relative to max(1, |a_ij|)
 JACOBI_RTOL = 1e-12         # off-diagonal threshold, relative to Frobenius norm
-ORTHONORMALITY_TOL = 1e-10  # contract bound on ||V^T V - I||_max
 DEFINITENESS_TOL = 1e-9     # eigenvalue margin for definiteness decisions
 
 _MAX_SWEEPS = 64

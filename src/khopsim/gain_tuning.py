@@ -19,7 +19,7 @@ follow, together with their network-wide maxima and the composite horizon
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,7 +107,7 @@ class BoundSet:
 
 @dataclass(frozen=True)
 class GainSet:
-    """Design matrix and per-agent gains, with the slack of each inequality.
+    """Design matrix and per-agent gains.
 
     Arrays are agent-indexed (entry 0 is agent 1); agents without a
     multi-hop neighborhood carry NaN since they run no observer.
@@ -117,11 +117,6 @@ class GainSet:
     omega: np.ndarray
     theta: np.ndarray
     pi: np.ndarray
-    margins: dict = field(default_factory=dict)
-
-    def g_extremes(self) -> tuple:
-        w, _ = sym_eig(self.G)
-        return float(w[0]), float(w[-1])
 
 
 @dataclass(frozen=True)
@@ -172,14 +167,6 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
             f"{sym_eig(0.5 * (condition + condition.T))[0][-1]:.6g} not < 0)"
         )
     return G
-
-
-def check_G(plant: PlantModel, G: np.ndarray) -> tuple:
-    """Evaluate the design condition for an arbitrary symmetric ``G``."""
-    G = dense_linalg.SymMatrix(G).entries
-    condition = G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
-    w, _ = sym_eig(0.5 * (condition + condition.T))
-    return bool(w[-1] < -DEFINITENESS_TOL), float(w[-1])
 
 
 def _g_spectrum(G: np.ndarray) -> tuple:
@@ -353,9 +340,6 @@ def tune_gains(
     omega = np.full(n, np.nan)
     theta = np.full(n, np.nan)
     pi = np.full(n, np.nan)
-    m_omega = np.full(n, np.nan)
-    m_theta = np.full(n, np.nan)
-    m_pi = np.full(n, np.nan)
     for idx, cpl in enumerate(couplings):
         if cpl is None:
             continue
@@ -370,14 +354,4 @@ def tune_gains(
             if bounds.d_udot is not None
             else np.nan
         )
-        m_omega[idx] = omega_slack
-        m_theta[idx] = slack
-        m_pi[idx] = slack if bounds.d_udot is not None else np.nan
-    gains = GainSet(
-        G=G,
-        omega=omega,
-        theta=theta,
-        pi=pi,
-        margins={"omega": m_omega, "theta": m_theta, "pi": m_pi},
-    )
-    return gains, nbs, couplings
+    return GainSet(G=G, omega=omega, theta=theta, pi=pi), nbs, couplings

@@ -138,9 +138,6 @@ class KHopNeighborhood:
     def eta(self) -> int:
         return len(self.members)
 
-    def member_index(self, j: int) -> int:
-        return self.members.index(j)
-
 
 @dataclass(frozen=True)
 class ObserverCoupling:
@@ -151,26 +148,6 @@ class ObserverCoupling:
     M: np.ndarray
     lambda_min: float
     lambda_max: float
-
-
-@dataclass(frozen=True)
-class SelectionMap:
-    """Row selections realizing the stacked-state gather operators.
-
-    Stored as index lists; selecting rows of the global stacked state is a
-    numpy gather, so the binary selection matrices are never materialized.
-    """
-
-    agent: int
-    khop_rows: np.ndarray
-    onehop_rows: np.ndarray
-    state_dim: int
-
-    def select_khop(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(-1)[self.khop_rows]
-
-    def select_onehop(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(-1)[self.onehop_rows]
 
 
 def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
@@ -185,21 +162,6 @@ def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
 def all_khop_sets(g: Graph, k: int) -> list:
     """Neighborhoods for every agent, indexed agent-1 first."""
     return [khop_set(g, i, k) for i in range(1, g.n + 1)]
-
-
-def selection_map(nb: KHopNeighborhood, state_dim: int) -> SelectionMap:
-    def rows(agents):
-        return np.array(
-            [state_dim * (a - 1) + c for a in agents for c in range(state_dim)],
-            dtype=int,
-        )
-
-    return SelectionMap(
-        agent=nb.agent,
-        khop_rows=rows(nb.members),
-        onehop_rows=rows(nb.one_hop),
-        state_dim=state_dim,
-    )
 
 
 def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> ObserverCoupling:
@@ -267,7 +229,7 @@ def _induced_components(g: Graph, members: tuple) -> list:
     return comps
 
 
-def check_neighbor_overlap(g: Graph, k: int) -> list:
+def check_neighbor_overlap(g: Graph, nbs) -> list:
     """Verify the neighbor-overlap facts behind positive definiteness of M.
 
     For each agent ``j`` and every member ``i`` of its neighborhood, member
@@ -277,10 +239,10 @@ def check_neighbor_overlap(g: Graph, k: int) -> list:
     the H diagonal its support on the component; in components with two or
     more members it then also touches the neighborhood itself). A failure
     would indicate a bug, since both facts hold on connected graphs.
+    ``nbs`` are the neighborhoods of ``g``, agent-1 first.
     """
     reports = []
-    for j in range(1, g.n + 1):
-        nb = khop_set(g, j, k)
+    for nb in nbs:
         khop = set(nb.members)
         onehop = set(nb.one_hop)
         pairwise = True
@@ -300,7 +262,7 @@ def check_neighbor_overlap(g: Graph, k: int) -> list:
                 comps_ok = False
         reports.append(
             NeighborOverlapReport(
-                agent=j,
+                agent=nb.agent,
                 eta=nb.eta,
                 pairwise_ok=pairwise,
                 components=len(comps),
@@ -323,35 +285,28 @@ def error_permutation(nbs) -> np.ndarray:
     return np.array([pos[pair] for pair in by_target], dtype=int)
 
 
-def reorder_errors(nbs, stacked_by_estimator: np.ndarray) -> np.ndarray:
-    """Regroup a concatenation of per-estimator blocks by estimated agent."""
-    vec = np.asarray(stacked_by_estimator, dtype=float).reshape(-1)
+def _pair_blocks(nbs, stacked: np.ndarray) -> np.ndarray:
+    """A stacked vector as one row per (estimator, target) pair."""
+    vec = np.asarray(stacked, dtype=float).reshape(-1)
     pairs = sum(nb.eta for nb in nbs)
     if pairs == 0:
         if vec.size != 0:
             raise DimensionError(f"expected empty vector, got length {vec.size}")
-        return vec.copy()
+        return vec.reshape(0, 0)
     if vec.size % pairs != 0:
         raise DimensionError(f"length {vec.size} not divisible by {pairs} blocks")
-    n_dim = vec.size // pairs
-    perm = error_permutation(nbs)
-    blocks = vec.reshape(pairs, n_dim)
-    return blocks[perm].reshape(-1)
+    return vec.reshape(pairs, -1)
+
+
+def reorder_errors(nbs, stacked_by_estimator: np.ndarray) -> np.ndarray:
+    """Regroup a concatenation of per-estimator blocks by estimated agent."""
+    blocks = _pair_blocks(nbs, stacked_by_estimator)
+    return blocks[error_permutation(nbs)].reshape(-1)
 
 
 def reorder_errors_inverse(nbs, stacked_by_target: np.ndarray) -> np.ndarray:
     """Inverse of :func:`reorder_errors`."""
-    vec = np.asarray(stacked_by_target, dtype=float).reshape(-1)
-    pairs = sum(nb.eta for nb in nbs)
-    if pairs == 0:
-        if vec.size != 0:
-            raise DimensionError(f"expected empty vector, got length {vec.size}")
-        return vec.copy()
-    if vec.size % pairs != 0:
-        raise DimensionError(f"length {vec.size} not divisible by {pairs} blocks")
-    n_dim = vec.size // pairs
-    perm = error_permutation(nbs)
-    blocks = vec.reshape(pairs, n_dim)
+    blocks = _pair_blocks(nbs, stacked_by_target)
     out = np.empty_like(blocks)
-    out[perm] = blocks
+    out[error_permutation(nbs)] = blocks
     return out.reshape(-1)

@@ -64,9 +64,6 @@ class ObserverState:
     x_hat: np.ndarray
     u_hat: np.ndarray
 
-    def copy(self) -> "ObserverState":
-        return ObserverState(self.agent, self.x_hat.copy(), self.u_hat.copy())
-
 
 @dataclass(frozen=True)
 class NeighborMessage:
@@ -258,27 +255,6 @@ def observer_derivative(
         state, msgs, nb, gains, rho=rho, boundary_layer=boundary_layer
     )
     return ObserverDerivative(dx_hat=dx, du_hat=du, xi=xi, rho=rho)
-
-
-def error_norms(
-    state: ObserverState,
-    x_truth: np.ndarray,
-    u_truth: np.ndarray,
-    nb: KHopNeighborhood,
-) -> tuple:
-    """Euclidean norms of this agent's stacked estimation errors.
-
-    Truth arrays are the harness's global (n, N) views; agents never see
-    them.
-    """
-    if nb.eta == 0:
-        return 0.0, 0.0
-    x_truth = np.asarray(x_truth, dtype=float)
-    u_truth = np.asarray(u_truth, dtype=float)
-    members = [m - 1 for m in nb.members]
-    ex = x_truth[members].reshape(-1) - state.x_hat
-    eu = u_truth[members].reshape(-1) - state.u_hat
-    return float(np.linalg.norm(ex)), float(np.linalg.norm(eu))
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,10 @@ class SimConfig:
             )
         if self.decimate < 1:
             raise ValueError("decimate must be >= 1")
-        if self.conv_eps is not None and self.conv_eps <= 0:
-            raise ValueError("conv_eps must be positive")
+        if self.conv_eps is not None and not self.conv_eps > 0:
+            raise ValueError(f"conv_eps must be positive, got {self.conv_eps!r}")
+        if self.boundary_layer is not None and not self.boundary_layer > 0:
+            raise ValueError(f"boundary_layer must be positive, got {self.boundary_layer!r}")
         x0 = np.array(self.x0, dtype=float)
         if x0.shape != (self.graph.n, self.plant.N):
             raise ValueError(
@@ -184,11 +186,23 @@ class SimStructure:
     disturbance_bins: np.ndarray
 
 
-def consensus_distance(x: np.ndarray) -> float:
-    """Euclidean distance of the stacked state to the consensus set."""
+# Row-wise dot products with the rounding of ``a @ b`` on each row.
+_row_dot = getattr(np, "vecdot", None) or (
+    lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+)
+
+
+def consensus_distance(x: np.ndarray):
+    """Euclidean distance to the consensus set of one stacked state ``(n, N)``
+    (a float), or of every state in a stack ``(S, n, N)`` (an ``(S,)`` array).
+
+    Each state's distance rounds exactly as it would on its own.
+    """
     x = np.asarray(x, dtype=float)
-    centered = x - x.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(centered))
+    centered = x - x.mean(axis=-2, keepdims=True)
+    flat = centered.reshape(-1, x.shape[-2] * x.shape[-1])
+    dist = np.sqrt(_row_dot(flat, flat))
+    return float(dist[0]) if x.ndim == 2 else dist
 
 
 def lambda2(graph: Graph) -> float:
@@ -301,7 +315,7 @@ def _check_startable(world: SimWorld) -> None:
         bad = ~np.isfinite(getattr(pairs, which)[:, 0])
         if bad.any():
             agent = int(pairs.estimator[np.argmax(bad)]) + 1
-            raise ValueError(
+            raise NumericalError(
                 f"{which} gain missing for a member of agent {agent}'s neighborhood"
             )
     bad = ~np.isfinite(world.x_hat).all(axis=1)
@@ -387,12 +401,6 @@ def step(world: SimWorld, config: SimConfig) -> SimWorld:
     return _advance(world, _compute_control(world, config), config)
 
 
-# Row-wise dot products with the rounding of ``a @ b`` on each row.
-_row_dot = getattr(np, "vecdot", None) or (
-    lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-)
-
-
 def _stacked_error_norm(pairs: PairLayout, truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Per estimated agent, norm of the stacked errors of all its estimators."""
     diff = truth.take(pairs.target, axis=0) - est
@@ -429,47 +437,47 @@ def detect_convergence(
     return float(times[int(np.argmax(ok))])
 
 
-def _assemble_telemetry(config, structure, logs, rows) -> Telemetry:
-    times, states, inputs, errx, erru, cons, v_log = (
-        arr[:rows] for arr in logs
-    )
-    n = config.graph.n
-    eta = np.array([nb.eta for nb in structure.nbs], dtype=int)
+def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
+    """Per-agent entry radius: ``conv_eps``, or a fraction of the first logged
+    error floored at ``CONV_EPS_FLOOR``."""
+    if config.conv_eps is not None:
+        return np.full(err.shape[1], float(config.conv_eps))
+    first = err[0] if len(err) else np.zeros(err.shape[1])
+    return np.fmax(CONV_EPS_FLOOR, CONV_EPS_REL * first)
+
+
+def _assemble_telemetry(
+    config: SimConfig, nbs, *, times, states, inputs, errx, erru, cons_dist, v
+) -> Telemetry:
+    """The logged series plus the convergence rule applied to them.
+
+    This is the only place eps, band and detection are decided, whether the
+    series come from :func:`run` or from :func:`telemetry_from_columns`.
+    """
+    eta = np.array([nb.eta for nb in nbs], dtype=int)
     band_x = np.where(eta > 0, config.band_scale * config.gains.theta * config.dt, 0.0)
     band_u = np.where(eta > 0, config.band_scale * config.gains.pi * config.dt, 0.0)
-    eps_x = np.zeros(n)
-    eps_u = np.zeros(n)
-    t_x_obs = np.full(n, np.nan)
-    t_u_obs = np.full(n, np.nan)
-    for l in range(n):
-        eps_x[l] = (
-            config.conv_eps
-            if config.conv_eps is not None
-            else max(CONV_EPS_FLOOR, CONV_EPS_REL * (errx[0, l] if rows else 0.0))
-        )
-        eps_u[l] = (
-            config.conv_eps
-            if config.conv_eps is not None
-            else max(CONV_EPS_FLOOR, CONV_EPS_REL * (erru[0, l] if rows else 0.0))
-        )
-        if rows:
-            t_x_obs[l] = detect_convergence(times, errx[:, l], eps_x[l], band_x[l])
-            t_u_obs[l] = detect_convergence(times, erru[:, l], eps_u[l], band_u[l])
+    eps_x = _conv_eps(config, errx)
+    eps_u = _conv_eps(config, erru)
     return Telemetry(
         times=times,
         states=states,
         inputs=inputs,
         errx=errx,
         erru=erru,
-        cons_dist=cons,
-        v=v_log,
+        cons_dist=cons_dist,
+        v=v,
         eta=eta,
         band_x=band_x,
         band_u=band_u,
         eps_x=eps_x,
         eps_u=eps_u,
-        T_x_obs=t_x_obs,
-        T_u_obs=t_u_obs,
+        T_x_obs=np.array(
+            [detect_convergence(times, s, e, b) for s, e, b in zip(errx.T, eps_x, band_x)]
+        ),
+        T_u_obs=np.array(
+            [detect_convergence(times, s, e, b) for s, e, b in zip(erru.T, eps_u, band_u)]
+        ),
         X_obs=float(errx.max()) if errx.size else 0.0,
     )
 
@@ -482,6 +490,7 @@ def run(config: SimConfig) -> Telemetry:
     """
     world = init_world(config)
     _check_startable(world)
+    nbs = world.structure.nbs
     pairs = world.structure.pairs
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
@@ -489,16 +498,21 @@ def run(config: SimConfig) -> Telemetry:
     if sample_ids[-1] != n_steps:
         sample_ids.append(n_steps)
     n_samples = len(sample_ids)
-    logs = (
-        np.zeros(n_samples),
-        np.zeros((n_samples, n, n_dim)),
-        np.zeros((n_samples, n, n_dim)),
-        np.zeros((n_samples, n)),
-        np.zeros((n_samples, n)),
-        np.zeros(n_samples),
-        np.zeros((n_samples, n, n_dim)),
-    )
-    times, states, inputs, errx, erru, cons, v_log = logs
+    logs = {
+        "times": np.zeros(n_samples),
+        "states": np.zeros((n_samples, n, n_dim)),
+        "inputs": np.zeros((n_samples, n, n_dim)),
+        "errx": np.zeros((n_samples, n)),
+        "erru": np.zeros((n_samples, n)),
+        "v": np.zeros((n_samples, n, n_dim)),
+    }
+    times, states, inputs, errx, erru, v_log = logs.values()
+
+    def telemetry(rows: int) -> Telemetry:
+        logged = {name: arr[:rows] for name, arr in logs.items()}
+        cons = consensus_distance(logged["states"])
+        return _assemble_telemetry(config, nbs, cons_dist=cons, **logged)
+
     sample_set = set(sample_ids)
     row = 0
     try:
@@ -510,43 +524,72 @@ def run(config: SimConfig) -> Telemetry:
                 inputs[row] = u
                 errx[row] = _stacked_error_norm(pairs, world.x, world.x_hat)
                 erru[row] = _stacked_error_norm(pairs, u, world.u_hat)
-                cons[row] = consensus_distance(world.x)
                 v_log[row] = _disturbance(world)
                 row += 1
             if k == n_steps:
                 break
             world = _advance(world, u, config)
     except DivergenceDetected as exc:
-        exc.partial_telemetry = _assemble_telemetry(config, world.structure, logs, row)
+        exc.partial_telemetry = telemetry(row)
         raise
-    return _assemble_telemetry(config, world.structure, logs, row)
+    return telemetry(row)
+
+
+def _column_layout(n: int, n_dim: int) -> list:
+    """``(Telemetry field, per-sample shape, CSV column names)`` in file order.
+
+    A column is its field's prefix plus 1-based indices, agent-major
+    (``x_3_2`` is agent 3's second state component).
+    """
+    layout = []
+    for field, prefix, shape in (
+        ("times", "t", ()),
+        ("states", "x", (n, n_dim)),
+        ("inputs", "u", (n, n_dim)),
+        ("errx", "errx", (n,)),
+        ("erru", "erru", (n,)),
+        ("cons_dist", "consdist", ()),
+        ("v", "v", (n, n_dim)),
+    ):
+        names = ["_".join([prefix, *(str(j + 1) for j in idx)]) for idx in np.ndindex(shape)]
+        layout.append((field, shape, names))
+    return layout
 
 
 def csv_header(n: int, n_dim: int) -> list:
-    cols = ["t"]
-    cols += [f"x_{i}_{c}" for i in range(1, n + 1) for c in range(1, n_dim + 1)]
-    cols += [f"u_{i}_{c}" for i in range(1, n + 1) for c in range(1, n_dim + 1)]
-    cols += [f"errx_{i}" for i in range(1, n + 1)]
-    cols += [f"erru_{i}" for i in range(1, n + 1)]
-    cols += ["consdist"]
-    cols += [f"v_{i}_{c}" for i in range(1, n + 1) for c in range(1, n_dim + 1)]
+    return [name for _, _, names in _column_layout(n, n_dim) for name in names]
+
+
+def telemetry_columns(tel: Telemetry) -> dict:
+    """In-memory Telemetry -> the column-name -> array form of :func:`read_csv`."""
+    n_samples, n, n_dim = tel.states.shape
+    cols = {}
+    for field, _, names in _column_layout(n, n_dim):
+        cols.update(zip(names, getattr(tel, field).reshape(n_samples, len(names)).T))
     return cols
+
+
+def telemetry_from_columns(config: SimConfig, nbs, cols: Mapping) -> Telemetry:
+    """Inverse of :func:`telemetry_columns`: rebuild the record from columns
+    (as :func:`read_csv` returns them) and apply the same convergence rule
+    :func:`run` applies. ``nbs`` are the run's neighborhoods, agent-1 first.
+    """
+    rows = len(cols["t"])
+    logs = {
+        field: np.column_stack([cols[name] for name in names]).reshape((rows, *shape))
+        for field, shape, names in _column_layout(config.graph.n, config.plant.N)
+    }
+    return _assemble_telemetry(config, nbs, **logs)
 
 
 def write_csv(tel: Telemetry, path) -> None:
     """Write telemetry rows; float formatting is shortest round-trip repr."""
-    n_samples, n, n_dim = tel.states.shape
+    cols = telemetry_columns(tel)
+    table = np.column_stack(list(cols.values()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(csv_header(n, n_dim)) + "\n")
-        for r in range(n_samples):
-            row = [tel.times[r]]
-            row += list(tel.states[r].reshape(-1))
-            row += list(tel.inputs[r].reshape(-1))
-            row += list(tel.errx[r])
-            row += list(tel.erru[r])
-            row.append(tel.cons_dist[r])
-            row += list(tel.v[r].reshape(-1))
-            fh.write(",".join(repr(float(val)) for val in row) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path) -> dict:

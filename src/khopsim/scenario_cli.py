@@ -44,7 +44,7 @@ from .gain_tuning import (
     tune_gains,
 )
 from .graph_khop import Graph, check_neighbor_overlap
-from .plant_sim import Controller, SimConfig, Telemetry, detect_convergence, lambda2
+from .plant_sim import Controller, SimConfig, Telemetry, lambda2, telemetry_columns
 
 SCHEMA_VERSION = 1
 ISS_TOL = 1e-6
@@ -176,7 +176,7 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None) -
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         return _build_scenario(raw, base, seed_override)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -194,6 +194,8 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
 
     pl = raw["plant"]
     n_dim = int(pl["N"])
+    if n_dim < 1:
+        raise ScenarioError(f"plant.N must be >= 1, got {n_dim}")
     a_spec = pl.get("A", 0.0)
     a_mat = (
         float(a_spec) * np.eye(n_dim)
@@ -217,14 +219,19 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
     overrides = {}
     for key in ("omega", "theta", "pi"):
         val = gn.get("overrides", {}).get(key) if gn.get("overrides") else None
-        overrides[key] = None if val is None else np.asarray(val, dtype=float)
+        if val is not None:
+            val = np.asarray(val, dtype=float)
+            if val.shape not in ((), (n,)):
+                raise ScenarioError(f"gains.overrides.{key} needs {n} entries, got {val.shape}")
+        overrides[key] = val
 
     sim = raw["sim"]
-    for field_name in ("xhat0", "uhat0"):
+    for field_name, words in (("xhat0", ("zero", "truth")), ("uhat0", ("zero",))):
         spec_val = sim.get(field_name, "zero")
-        if isinstance(spec_val, str) and spec_val not in ("zero", "truth"):
+        if isinstance(spec_val, str) and spec_val not in words:
             raise ScenarioError(
-                f"{field_name} must be 'zero', 'truth', a number, or explicit lists"
+                f"{field_name} must be {' or '.join(map(repr, words))}, a number, "
+                "or explicit lists"
             )
     seed = seed_override if seed_override is not None else sim.get("seed")
     x0_spec = sim["x0"]
@@ -269,13 +276,11 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
     )
 
 
-def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int, truth_ok: bool):
+def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int):
     """Initial estimate vectors per agent from a scenario selector."""
     if spec == "zero" or spec is None:
         return None
     if spec == "truth":
-        if not truth_ok:
-            raise ScenarioError("'truth' initialization is only valid for states")
         return [
             np.array([x0[m - 1] for m in nb.members], dtype=float).reshape(-1)
             for nb in nbs
@@ -300,17 +305,21 @@ class TunedScenario:
 
 def prepare(sc: Scenario, slack_override=None, decimate_override=None,
             boundary_layer=None) -> TunedScenario:
-    """Tune gains, apply scenario scales/overrides, and build the sim config."""
+    """Tune gains, apply scenario scales/overrides, and build the sim config.
+
+    Every scenario value the domain objects reject (with ``ValueError`` or
+    ``TypeError``) surfaces here as one :class:`ScenarioError`.
+    """
     slack = slack_override if slack_override is not None else sc.slack
-    uhat0_mag = 0.0
-    if np.isscalar(sc.uhat0_spec) and sc.uhat0_spec != "zero":
-        uhat0_mag = abs(float(sc.uhat0_spec))
-    elif isinstance(sc.uhat0_spec, list):
-        uhat0_mag = max(
-            (float(np.abs(np.asarray(b, dtype=float)).max()) for b in sc.uhat0_spec if len(b)),
-            default=0.0,
-        )
     try:
+        uhat0_mag = 0.0
+        if np.isscalar(sc.uhat0_spec) and sc.uhat0_spec != "zero":
+            uhat0_mag = abs(float(sc.uhat0_spec))
+        elif isinstance(sc.uhat0_spec, list):
+            uhat0_mag = max(
+                (float(np.abs(np.asarray(b, dtype=float)).max()) for b in sc.uhat0_spec if len(b)),
+                default=0.0,
+            )
         gains, nbs, couplings = tune_gains(
             sc.graph,
             sc.k,
@@ -321,25 +330,19 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
             omega_slack=sc.omega_slack,
             uhat0_mag=uhat0_mag,
         )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
-    omega = gains.omega.copy()
-    theta = gains.theta * sc.theta_scale
-    pi = gains.pi * sc.pi_scale
-    for key, arr in (("omega", omega), ("theta", theta), ("pi", pi)):
-        ov = sc.overrides.get(key)
-        if ov is not None:
-            mask = np.isfinite(ov)
-            arr[mask] = ov[mask]
-    gains = GainSet(G=gains.G, omega=omega, theta=theta, pi=pi, margins=gains.margins)
-
-    controller = Controller(
-        kind=sc.controller_kind,
-        target_graph=sc.target_graph if sc.controller_kind == "khop_consensus" else None,
-    )
-    xhat0 = _resolve_estimate_init(sc.xhat0_spec, nbs, sc.x0, sc.plant.N, True)
-    uhat0 = _resolve_estimate_init(sc.uhat0_spec, nbs, sc.x0, sc.plant.N, False)
-    try:
+        omega = gains.omega.copy()
+        theta = gains.theta * sc.theta_scale
+        pi = gains.pi * sc.pi_scale
+        for key, arr in (("omega", omega), ("theta", theta), ("pi", pi)):
+            ov = sc.overrides.get(key)
+            if ov is not None:
+                mask = np.isfinite(ov)
+                arr[mask] = ov[mask]
+        gains = GainSet(G=gains.G, omega=omega, theta=theta, pi=pi)
+        controller = Controller(
+            kind=sc.controller_kind,
+            target_graph=sc.target_graph if sc.controller_kind == "khop_consensus" else None,
+        )
         config = SimConfig(
             graph=sc.graph,
             k=sc.k,
@@ -349,17 +352,17 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
             dt=sc.dt,
             t_end=sc.t_end,
             x0=sc.x0,
-            xhat0=xhat0,
-            uhat0=uhat0,
+            xhat0=_resolve_estimate_init(sc.xhat0_spec, nbs, sc.x0, sc.plant.N),
+            uhat0=_resolve_estimate_init(sc.uhat0_spec, nbs, sc.x0, sc.plant.N),
             state_box=sc.state_box,
             conv_eps=sc.conv_eps,
             band_scale=sc.band_scale,
             decimate=decimate_override if decimate_override is not None else sc.decimate,
             boundary_layer=boundary_layer if boundary_layer is not None else sc.boundary_layer,
         )
-    except ValueError as exc:
+        x_err0, u_err0 = plant_sim.initial_error_norms(config)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
-    x_err0, u_err0 = plant_sim.initial_error_norms(config)
     cert = None
     infeasible = None
     try:
@@ -433,7 +436,7 @@ def gain_report(ts: TunedScenario) -> dict:
             "u_err0": ts.u_err0[idx],
         }
         per_agent.append(entry)
-    overlap = check_neighbor_overlap(sc.graph, sc.k)
+    overlap = check_neighbor_overlap(sc.graph, ts.nbs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": {"name": sc.name, "hash": sc.hash},
@@ -460,60 +463,20 @@ def _criterion(name, status, **details):
     return entry
 
 
-def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
-    """Recompute every verification criterion from telemetry columns.
+def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
+    """Recompute every verification criterion from one telemetry record.
 
-    ``cols`` maps CSV column names to arrays (as produced by
-    :func:`plant_sim.read_csv`, or assembled in memory from a Telemetry).
-    Each criterion carries the tolerance it was checked at.
+    ``tel`` carries the detection results (eps, band, ``T_x_obs``,
+    ``T_u_obs``) that :mod:`plant_sim` decided; see
+    :func:`plant_sim.telemetry_from_columns`. Each criterion carries the
+    tolerance it was checked at.
     """
     sc = ts.scenario
-    n, n_dim = sc.graph.n, sc.plant.N
-    times = cols["t"]
-    dt = sc.dt
-    errx = np.column_stack([cols[f"errx_{i}"] for i in range(1, n + 1)])
-    erru = np.column_stack([cols[f"erru_{i}"] for i in range(1, n + 1)])
-    consdist = cols["consdist"]
-    states = np.stack(
-        [
-            np.column_stack([cols[f"x_{i}_{c}"] for c in range(1, n_dim + 1)])
-            for i in range(1, n + 1)
-        ],
-        axis=1,
-    )
-    v_stack = np.stack(
-        [
-            np.column_stack([cols[f"v_{i}_{c}"] for c in range(1, n_dim + 1)])
-            for i in range(1, n + 1)
-        ],
-        axis=1,
-    )
-    eta = np.array([nb.eta for nb in ts.nbs])
-    active = eta > 0
-    band_x = np.where(active, sc.band_scale * ts.gains.theta * dt, 0.0)
-    band_u = np.where(active, sc.band_scale * ts.gains.pi * dt, 0.0)
-    eps_x = np.array(
-        [
-            sc.conv_eps
-            if sc.conv_eps is not None
-            else max(plant_sim.CONV_EPS_FLOOR, plant_sim.CONV_EPS_REL * errx[0, i])
-            for i in range(n)
-        ]
-    )
-    eps_u = np.array(
-        [
-            sc.conv_eps
-            if sc.conv_eps is not None
-            else max(plant_sim.CONV_EPS_FLOOR, plant_sim.CONV_EPS_REL * erru[0, i])
-            for i in range(n)
-        ]
-    )
-    t_x_obs = np.array(
-        [detect_convergence(times, errx[:, i], eps_x[i], band_x[i]) for i in range(n)]
-    )
-    t_u_obs = np.array(
-        [detect_convergence(times, erru[:, i], eps_u[i], band_u[i]) for i in range(n)]
-    )
+    n = sc.graph.n
+    times, errx, consdist = tel.times, tel.errx, tel.cons_dist
+    active = tel.eta > 0
+    band_x = tel.band_x
+    t_x_obs, t_u_obs = tel.T_x_obs, tel.T_u_obs
     criteria = []
 
     # Gains certified at all.
@@ -565,7 +528,7 @@ def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
             "state_band_permanence",
             "pass" if entered else "fail",
             band=band_x,
-            conv_eps=eps_x,
+            conv_eps=tel.eps_x,
             T_x_obs=t_x_obs,
         )
     )
@@ -588,7 +551,7 @@ def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
                 "pass" if bounded_ok else "fail",
                 T_u_obs_global=t_u_global,
                 worst_rise=worst_rise,
-                X_obs=float(errx.max()),
+                X_obs=tel.X_obs,
             )
         )
     else:
@@ -597,14 +560,14 @@ def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
                 "error_bounded_after_input_convergence",
                 "fail",
                 detail="input observers never converged",
-                X_obs=float(errx.max()),
+                X_obs=tel.X_obs,
             )
         )
 
     # Stability envelope: decaying initial term plus disturbance gain.
     if sc.target_graph is not None and sc.controller_kind == "khop_consensus":
         lam2 = lambda2(sc.target_graph)
-        v_norm = np.linalg.norm(v_stack.reshape(len(times), -1), axis=1)
+        v_norm = np.linalg.norm(tel.v.reshape(len(times), -1), axis=1)
         run_sup = np.maximum.accumulate(v_norm)
         envelope = (
             np.exp(-lam2 * times) * consdist[0] + run_sup / lam2
@@ -634,7 +597,7 @@ def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
         criteria.append(_criterion("consensus_reached", "skipped"))
 
     # Internal consistency of the CSV itself.
-    recomputed = np.array([plant_sim.consensus_distance(s) for s in states])
+    recomputed = plant_sim.consensus_distance(tel.states)
     cons_err = float(np.max(np.abs(recomputed - consdist)))
     criteria.append(
         _criterion(
@@ -647,21 +610,20 @@ def evaluate_criteria(ts: TunedScenario, cols: dict) -> list:
     return criteria
 
 
-def bound_audit(ts: TunedScenario, cols: dict) -> dict:
+def bound_audit(ts: TunedScenario, tel: Telemetry) -> dict:
     """Observed maxima versus the declared bounds. Informational only: the
     closed-loop input derivative carries the observers' switching terms, so
     a back-inferred derivative bound is routinely exceeded without voiding
     the (sufficient) certificates."""
     sc = ts.scenario
-    n, n_dim = sc.graph.n, sc.plant.N
-    times = cols["t"]
+    times = tel.times
     per_agent = []
-    for i in range(1, n + 1):
-        u = np.column_stack([cols[f"u_{i}_{c}"] for c in range(1, n_dim + 1)])
+    for i in range(1, sc.graph.n + 1):
+        u = tel.inputs[:, i - 1]
         u_norm = np.linalg.norm(u, axis=1)
         du = np.diff(u, axis=0) / np.diff(times)[:, None]
         du_norm = np.linalg.norm(du, axis=1) if len(times) > 1 else np.zeros(0)
-        erru = cols[f"erru_{i}"]
+        erru = tel.erru[:, i - 1]
         entry = {
             "agent": i,
             "max_u_norm": float(u_norm.max()),
@@ -689,26 +651,15 @@ def bound_audit(ts: TunedScenario, cols: dict) -> dict:
     return {"informational": True, "per_agent": per_agent}
 
 
-def telemetry_columns(tel: Telemetry) -> dict:
-    """In-memory Telemetry -> same column dict shape as read_csv."""
-    n_samples, n, n_dim = tel.states.shape
-    cols = {"t": tel.times}
-    for i in range(1, n + 1):
-        for c in range(1, n_dim + 1):
-            cols[f"x_{i}_{c}"] = tel.states[:, i - 1, c - 1]
-            cols[f"u_{i}_{c}"] = tel.inputs[:, i - 1, c - 1]
-            cols[f"v_{i}_{c}"] = tel.v[:, i - 1, c - 1]
-        cols[f"errx_{i}"] = tel.errx[:, i - 1]
-        cols[f"erru_{i}"] = tel.erru[:, i - 1]
-    cols["consdist"] = tel.cons_dist
-    return cols
-
-
 def verification_report(ts: TunedScenario, cols: dict) -> dict:
-    criteria = evaluate_criteria(ts, cols)
+    """Gain report plus criteria and bound audit judged from telemetry
+    columns, as :func:`plant_sim.read_csv` or :func:`telemetry_columns`
+    give them."""
+    tel = plant_sim.telemetry_from_columns(ts.config, ts.nbs, cols)
+    criteria = evaluate_criteria(ts, tel)
     report = gain_report(ts)
     report["criteria"] = _jsonable(criteria)
-    report["bound_audit"] = _jsonable(bound_audit(ts, cols))
+    report["bound_audit"] = _jsonable(bound_audit(ts, tel))
     report["all_pass"] = all(
         c["status"] in ("pass", "skipped") for c in criteria
     )
@@ -936,7 +887,12 @@ def cmd_reproduce_paper(args) -> int:
 def _parse_boundary_layer(value):
     if value is None or value == "off":
         return None
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise ScenarioError(
+            f"--boundary-layer must be a number or 'off', got {value!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

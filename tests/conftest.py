@@ -7,6 +7,7 @@ import pytest
 
 from khopsim import Graph, ObserverState, all_khop_sets, coupling_matrices
 from khopsim.khop_observer import NeighborMessage
+from khopsim.scenario_cli import REPRODUCTION_SCENARIO
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, extra_edge_p=0.3) -> Graph:
@@ -98,6 +99,33 @@ def build_messages(g: Graph, nbs, x, u, obs) -> dict:
 
 def inbox(msgs, nb) -> dict:
     return {j: msgs[j] for j in nb.one_hop}
+
+
+def short_reproduction(t_end=0.3) -> dict:
+    """The bundled reproduction scenario cut to ``t_end`` seconds."""
+    return dict(REPRODUCTION_SCENARIO, sim=dict(REPRODUCTION_SCENARIO["sim"], t_end=t_end))
+
+
+def chorded_ring(t_end=0.3) -> dict:
+    """12-agent ring plus three chords; every agent's target graph adds one
+    agent two hops away, so each input depends on an estimate."""
+    n = 12
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    comm = Graph(n, frozenset(ring + [(1, 5), (3, 9), (6, 11)]))
+    target = set(ring)
+    for i in range(1, n + 1):
+        two_hop = sorted(j for j, d in comm.distances_from(i).items() if d == 2)
+        j = two_hop[i % len(two_hop)]
+        target.add((min(i, j), max(i, j)))
+    rng = np.random.default_rng(3)
+    sim = dict(REPRODUCTION_SCENARIO["sim"], t_end=t_end, state_box=None,
+               x0=rng.uniform(-0.25, 0.25, size=(n, 2)).tolist())
+    return dict(
+        REPRODUCTION_SCENARIO,
+        graph={"n": n, "edges": [list(e) for e in sorted(comm.edges)]},
+        target_graph={"n": n, "edges": [list(e) for e in sorted(target)]},
+        sim=sim,
+    )
 
 
 @pytest.fixture

@@ -29,12 +29,18 @@ from khopsim.errors import (
     CouplingNotPD,
     GainConditionViolated,
 )
-from khopsim.gain_tuning import GainSet, check_G
+from khopsim.dense_linalg import is_negative_definite, sym_eig
+from khopsim.gain_tuning import GainSet
 from khopsim.graph_khop import ObserverCoupling
 
 
 def plant2(a=None, l_f=0.0):
     return PlantModel(N=2, A=np.zeros((2, 2)) if a is None else a, l_f=l_f)
+
+
+def design_condition(plant, G):
+    """``G^T A + A^T G - 2 G^T G``, which the design requires negative definite."""
+    return G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
 
 
 def scalar_coupling(value=1.0):
@@ -48,8 +54,9 @@ class TestDesignG:
     def test_single_integrator_explicit_scale(self):
         G = design_G(plant2(), g_scale=20.0)
         assert np.array_equal(G, 20.0 * np.eye(2))
-        ok, lam = check_G(plant2(), G)
-        assert ok and lam == pytest.approx(-800.0, abs=1e-9)
+        condition = design_condition(plant2(), G)
+        assert is_negative_definite(condition)
+        assert sym_eig(condition)[0][-1] == pytest.approx(-800.0, abs=1e-9)
 
     def test_stable_drift_auto(self):
         G = design_G(PlantModel(N=2, A=-np.eye(2)))
@@ -59,8 +66,7 @@ class TestDesignG:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         G = design_G(PlantModel(N=2, A=a))
         assert np.array_equal(G, 1.5 * np.eye(2))
-        ok, lam = check_G(PlantModel(N=2, A=a), G)
-        assert ok and lam < 0
+        assert is_negative_definite(design_condition(PlantModel(N=2, A=a), G))
 
     def test_violating_scale_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -16,7 +16,6 @@ from khopsim import (
     khop_set,
     reorder_errors,
     reorder_errors_inverse,
-    selection_map,
 )
 from khopsim.dense_linalg import sym_eig
 from khopsim.errors import (
@@ -190,7 +189,7 @@ class TestCouplingMatrices:
 
 class TestNeighborOverlap:
     def test_path_agent1_details(self, path4):
-        rep = check_neighbor_overlap(path4, 3)[0]
+        rep = check_neighbor_overlap(path4, all_khop_sets(path4, 3))[0]
         assert rep.agent == 1 and rep.eta == 2
         assert rep.pairwise_ok and rep.components_ok
         # member 3 carries the diagonal support: common neighbor 2 with
@@ -200,7 +199,7 @@ class TestNeighborOverlap:
 
     def test_star_hub_vacuous(self):
         g = Graph(4, {(1, 2), (1, 3), (1, 4)})
-        rep = check_neighbor_overlap(g, 2)[0]
+        rep = check_neighbor_overlap(g, all_khop_sets(g, 2))[0]
         assert rep.eta == 0 and rep.components == 0 and rep.holds
 
     def test_random_graphs_all_hold(self):
@@ -208,18 +207,7 @@ class TestNeighborOverlap:
         for _ in range(50):
             g = random_connected_graph(rng)
             k = int(rng.integers(2, 5))
-            assert all(r.holds for r in check_neighbor_overlap(g, k))
-
-
-class TestSelectionMap:
-    def test_gather_matches_manual(self, path4):
-        nb = khop_set(path4, 1, 3)
-        sel = selection_map(nb, state_dim=2)
-        x = np.arange(8.0)  # stacked global state, agents 1..4, N = 2
-        assert np.array_equal(sel.select_khop(x), [4.0, 5.0, 6.0, 7.0])
-        assert np.array_equal(sel.select_onehop(x), [2.0, 3.0])
-        assert len(sel.khop_rows) == nb.eta * 2
-        assert len(sel.onehop_rows) == len(nb.one_hop) * 2
+            assert all(r.holds for r in check_neighbor_overlap(g, all_khop_sets(g, k)))
 
 
 class TestReorderErrors:

@@ -22,7 +22,6 @@ from khopsim import (
     compute_rho,
     compute_xi,
     coupling_matrices,
-    error_norms,
     input_observer_derivative,
     reorder_errors,
     state_observer_derivative,
@@ -335,49 +334,6 @@ class TestInputObserver:
                 late_errors.append(abs(e_next))
         assert crossing == pytest.approx(t_star, abs=5 * dt)
         assert max(late_errors) <= (pi_gain + 1.0) * dt + 1e-12
-
-
-class TestErrorNorms:
-    def test_exact_estimates(self):
-        g, plant, gains, nbs, _ = reference_setup()
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(4, 2))
-        u = rng.normal(size=(4, 2))
-        obs = ObserverState(
-            agent=1,
-            x_hat=x[[2, 3]].reshape(-1),
-            u_hat=u[[2, 3]].reshape(-1),
-        )
-        ex, eu = error_norms(obs, x, u, nbs[0])
-        assert ex == 0.0 and eu == 0.0
-
-    def test_unit_offset(self):
-        g, plant, gains, nbs, _ = reference_setup()
-        x = np.zeros((4, 2))
-        u = np.zeros((4, 2))
-        xh = np.zeros(4)
-        xh[0] = 1.0  # e_1 offset on the first component
-        obs = ObserverState(agent=1, x_hat=xh, u_hat=np.zeros(4))
-        ex, eu = error_norms(obs, x, u, nbs[0])
-        assert ex == 1.0 and eu == 0.0
-
-    def test_random_second_path(self):
-        g, plant, gains, nbs, _ = reference_setup()
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(4, 2))
-        u = rng.normal(size=(4, 2))
-        obs = ObserverState(
-            agent=1, x_hat=rng.normal(size=4), u_hat=rng.normal(size=4)
-        )
-        ex, eu = error_norms(obs, x, u, nbs[0])
-        # independent accumulation, scalar by scalar
-        sx = su = 0.0
-        for b, m in enumerate(nbs[0].members):
-            for c in range(2):
-                sx += (x[m - 1, c] - obs.x_hat[2 * b + c]) ** 2
-                su += (u[m - 1, c] - obs.u_hat[2 * b + c]) ** 2
-        assert ex == pytest.approx(np.sqrt(sx), rel=1e-12)
-        assert eu == pytest.approx(np.sqrt(su), rel=1e-12)
 
 
 def test_sign_helper():

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_messages, inbox
+from conftest import build_messages, chorded_ring, inbox, short_reproduction
 from khopsim import (
     Graph,
     ObserverState,
@@ -26,7 +26,7 @@ from khopsim import (
 )
 from khopsim.gain_tuning import GainSet
 from khopsim.khop_observer import observer_derivative, pair_derivative, pair_layout
-from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, prepare
+from khopsim.scenario_cli import load_scenario, prepare
 
 
 @st.composite
@@ -177,28 +177,8 @@ def assert_same_run(raw):
 
 
 def test_run_matches_message_form_on_reproduction():
-    raw = dict(REPRODUCTION_SCENARIO, sim=dict(REPRODUCTION_SCENARIO["sim"], t_end=0.3))
-    assert_same_run(raw)
+    assert_same_run(short_reproduction())
 
 
 def test_run_matches_message_form_on_chorded_ring():
-    # 12-agent ring plus three chords; every agent's target graph adds one
-    # agent two hops away, so each input depends on an estimate.
-    n = 12
-    ring = [(i, i % n + 1) for i in range(1, n + 1)]
-    comm = Graph(n, frozenset(ring + [(1, 5), (3, 9), (6, 11)]))
-    target = set(ring)
-    for i in range(1, n + 1):
-        two_hop = sorted(j for j, d in comm.distances_from(i).items() if d == 2)
-        j = two_hop[i % len(two_hop)]
-        target.add((min(i, j), max(i, j)))
-    rng = np.random.default_rng(3)
-    sim = dict(REPRODUCTION_SCENARIO["sim"], t_end=0.3, state_box=None,
-               x0=rng.uniform(-0.25, 0.25, size=(n, 2)).tolist())
-    raw = dict(
-        REPRODUCTION_SCENARIO,
-        graph={"n": n, "edges": [list(e) for e in sorted(comm.edges)]},
-        target_graph={"n": n, "edges": [list(e) for e in sorted(target)]},
-        sim=sim,
-    )
-    assert_same_run(raw)
+    assert_same_run(chorded_ring())

@@ -1,10 +1,16 @@
 """CLI contract tests: scenario parsing, subcommands, exit codes, outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khopsim.plant_sim import read_csv
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, main
@@ -95,6 +101,10 @@ class TestTune:
         report = json.loads((tmp_path / "out" / "gains.json").read_text())
         assert report["no_observers_needed"] is True
 
+    def test_input_bound_without_derivative_bound_tunes(self, tmp_path):
+        path, _ = write_scenario(tmp_path, bounds={"d_u": 1.0})
+        assert main(["tune", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+
     def test_infeasible_pi_override_exits_2(self, tmp_path, capsys):
         path, _ = write_scenario(
             tmp_path, **{"gains.overrides": {"pi": [0.5, 0.5, 0.5, 0.5]}}
@@ -178,6 +188,37 @@ class TestSimulate:
         self, tmp_path, capsys, sim_patch, reason
     ):
         path, _ = write_scenario(tmp_path, **sim_patch)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and reason in err
+
+    @pytest.mark.parametrize(
+        "patch, reason",
+        [
+            ({"controller.kind": "bogus"}, "unknown controller kind"),
+            ({"controller.kind": "generic_feedback"}, "needs a callable"),
+            ({"target_graph": None}, "needs a target graph"),
+            (
+                {"target_graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}},
+                "target graph must cover the same agents",
+            ),
+            ({"gains.overrides": {"theta": [1.0, 2.0]}}, "needs 4 entries"),
+            ({"sim.xhat0": [[1.0], [2.0], [3.0], [4.0]]}, "cannot reshape"),
+            ({"sim.uhat0": "truth"}, "uhat0 must be"),
+            ({"sim.conv_eps": "tiny"}, "not supported"),
+            ({"sim.boundary_layer": 0.0}, "boundary_layer must be positive"),
+            ({"plant.N": 0}, "plant.N must be >= 1"),
+            ({"bounds": {"d_u": 1.0}}, "pi gain missing"),
+        ],
+        ids=[
+            "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
+            "override_length", "xhat0_block_size", "uhat0_truth", "conv_eps_text",
+            "boundary_layer_zero", "zero_state_dim", "no_derivative_bound",
+        ],
+    )
+    def test_bad_scenario_values_exit_1_with_one_line(self, tmp_path, capsys, patch, reason):
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05}, **patch)
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -340,3 +381,42 @@ class TestSweep:
 def test_usage_error_exit_code(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["tune", "--scenario", str(missing), "--out", str(tmp_path)]) == 1
+
+
+HOSTILE_FIELDS = [
+    ("controller", "kind"),
+    ("target_graph",),
+    ("gains", "overrides"),
+    ("gains", "overrides", "theta"),
+    ("gains", "g"),
+    ("sim", "xhat0"),
+    ("sim", "uhat0"),
+    ("sim", "conv_eps"),
+    ("sim", "boundary_layer"),
+    ("sim", "decimate"),
+    ("sim", "state_box"),
+    ("plant", "N"),
+    ("bounds", "d_udot"),
+    ("k",),
+]
+HOSTILE_VALUES = [None, 0, -1, float("nan"), "bogus", [1.0, 2.0, 3.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(HOSTILE_FIELDS), st.sampled_from(HOSTILE_VALUES))
+def test_simulate_survives_hostile_field_values(field_path, value):
+    raw = json.loads(json.dumps(REPRODUCTION_SCENARIO))
+    raw["sim"]["t_end"] = 0.05
+    section = raw
+    for key in field_path[:-1]:
+        section = section.setdefault(key, {})
+    section[field_path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert err.getvalue().count("\n") == 1
