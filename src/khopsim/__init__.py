@@ -9,7 +9,6 @@ convergence bounds and the closed-loop stability envelope numerically.
 from .errors import (
     CertificateInfeasible,
     CouplingNotPD,
-    DimensionError,
     DivergenceDetected,
     EmptyNeighborhood,
     GainConditionViolated,
@@ -29,8 +28,6 @@ from .graph_khop import (
     check_neighbor_overlap,
     coupling_matrices,
     khop_set,
-    reorder_errors,
-    reorder_errors_inverse,
 )
 from .gain_tuning import (
     BoundSet,

@@ -1,8 +1,8 @@
 """Dense symmetric kernels backing the observer mathematics.
 
-All spectral quantities used by the gain inequalities (lambda_min/lambda_max
-of coupling matrices, norms of Kronecker factors, definiteness tests) are
-computed here so that the numerical tolerances live in exactly one place.
+The spectral quantities used by the gain inequalities (lambda_min/lambda_max
+of coupling matrices, definiteness tests) are computed here so that the
+numerical tolerances live in exactly one place.
 
 The eigensolver is a cyclic Jacobi iteration: the matrices involved are
 small (a handful of rows per agent), symmetric, and Jacobi delivers an
@@ -101,25 +101,6 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; satisfies (A (x) B)(C (x) D) = (AC) (x) (BD)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value. Equals lambda_max for symmetric PSD input."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise NumericalError(f"expected a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix contains non-finite entries")
-    if a.size == 0:
-        return 0.0
-    gram = a.T @ a
-    w, _ = sym_eig(0.5 * (gram + gram.T))
-    return float(np.sqrt(max(w[-1], 0.0)))
 
 
 def is_negative_definite(m, tol: float = DEFINITENESS_TOL) -> bool:

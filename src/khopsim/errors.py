@@ -21,10 +21,6 @@ class EmptyNeighborhood(KhopsimError):
     """Operation needs a non-empty multi-hop neighborhood (eta >= 1)."""
 
 
-class DimensionError(KhopsimError):
-    """Vector or matrix dimensions do not match the expected layout."""
-
-
 class NumericalError(KhopsimError):
     """Non-finite values or a numerical kernel failed to converge."""
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dense_linalg
 from .errors import (
-    DimensionError,
     EmptyNeighborhood,
     GraphNotConnected,
     IndexOutOfRange,
@@ -270,43 +269,3 @@ def check_neighbor_overlap(g: Graph, nbs) -> list:
             )
         )
     return reports
-
-
-def error_permutation(nbs) -> np.ndarray:
-    """Block permutation mapping estimator-grouped stacks to target-grouped ones.
-
-    The input ordering enumerates (estimator, target) pairs estimator-major;
-    the output enumerates the same pairs target-major. Because multi-hop
-    neighborhoods are symmetric, the two enumerations cover the same pairs.
-    """
-    pairs = [(nb.agent, tgt) for nb in nbs for tgt in nb.members]
-    pos = {pair: p for p, pair in enumerate(pairs)}
-    by_target = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
-    return np.array([pos[pair] for pair in by_target], dtype=int)
-
-
-def _pair_blocks(nbs, stacked: np.ndarray) -> np.ndarray:
-    """A stacked vector as one row per (estimator, target) pair."""
-    vec = np.asarray(stacked, dtype=float).reshape(-1)
-    pairs = sum(nb.eta for nb in nbs)
-    if pairs == 0:
-        if vec.size != 0:
-            raise DimensionError(f"expected empty vector, got length {vec.size}")
-        return vec.reshape(0, 0)
-    if vec.size % pairs != 0:
-        raise DimensionError(f"length {vec.size} not divisible by {pairs} blocks")
-    return vec.reshape(pairs, -1)
-
-
-def reorder_errors(nbs, stacked_by_estimator: np.ndarray) -> np.ndarray:
-    """Regroup a concatenation of per-estimator blocks by estimated agent."""
-    blocks = _pair_blocks(nbs, stacked_by_estimator)
-    return blocks[error_permutation(nbs)].reshape(-1)
-
-
-def reorder_errors_inverse(nbs, stacked_by_target: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`reorder_errors`."""
-    blocks = _pair_blocks(nbs, stacked_by_target)
-    out = np.empty_like(blocks)
-    out[error_permutation(nbs)] = blocks
-    return out.reshape(-1)

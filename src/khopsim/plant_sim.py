@@ -36,7 +36,7 @@ differences of order 1e-3 within a few hundred steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -61,25 +61,21 @@ LAPLACIAN_ZERO_TOL = 1e-8
 class Controller:
     """Input law selector.
 
-    ``khop_consensus`` drives agents toward agreement over a target graph
-    whose edges may be absent from the communication graph; every target
-    neighbor not reachable in one hop must be covered by the hop horizon,
-    otherwise the needed estimate does not exist and construction fails.
-    ``generic_feedback`` delegates to a user callable
-    ``feedback(i, x_i, onehop_states, est_states) -> u_i``.
+    ``zero`` applies no input. ``khop_consensus`` drives agents toward
+    agreement over a target graph whose edges may be absent from the
+    communication graph; every target neighbor not reachable in one hop
+    must be covered by the hop horizon, otherwise the needed estimate does
+    not exist and construction fails.
     """
 
     kind: str
     target_graph: Optional[Graph] = None
-    feedback: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "khop_consensus", "generic_feedback"):
+        if self.kind not in ("zero", "khop_consensus"):
             raise ValueError(f"unknown controller kind {self.kind!r}")
         if self.kind == "khop_consensus" and self.target_graph is None:
             raise ValueError("khop_consensus controller needs a target graph")
-        if self.kind == "generic_feedback" and self.feedback is None:
-            raise ValueError("generic_feedback controller needs a callable")
 
 
 @dataclass(frozen=True)
@@ -118,6 +114,8 @@ class SimConfig:
             raise ValueError(
                 f"x0 must be ({self.graph.n}, {self.plant.N}), got {x0.shape}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
         if self.state_box is not None:
             lo, hi = self.state_box
             if np.any(x0 < lo) or np.any(x0 > hi):
@@ -309,7 +307,7 @@ def init_world(config: SimConfig) -> SimWorld:
 
 
 def _check_startable(world: SimWorld) -> None:
-    """Refuse to step with a missing gain or a non-finite state estimate."""
+    """Refuse to step with a missing gain or a non-finite estimate."""
     pairs = world.structure.pairs
     for which in ("omega", "theta", "pi"):
         bad = ~np.isfinite(getattr(pairs, which)[:, 0])
@@ -318,33 +316,22 @@ def _check_startable(world: SimWorld) -> None:
             raise NumericalError(
                 f"{which} gain missing for a member of agent {agent}'s neighborhood"
             )
-    bad = ~np.isfinite(world.x_hat).all(axis=1)
-    if bad.any():
-        agent = int(pairs.estimator[np.argmax(bad)]) + 1
-        raise NumericalError(f"agent {agent}: non-finite state estimate")
+    for which, est in (("state", world.x_hat), ("input", world.u_hat)):
+        bad = ~np.isfinite(est).all(axis=1)
+        if bad.any():
+            agent = int(pairs.estimator[np.argmax(bad)]) + 1
+            raise NumericalError(f"agent {agent}: non-finite {which} estimate")
 
 
 def _compute_control(world: SimWorld, config: SimConfig) -> np.ndarray:
     s = world.structure
     x = world.x
-    kind = config.controller.kind
-    if kind == "khop_consensus":
+    u = np.zeros(x.shape)
+    if config.controller.kind == "khop_consensus":
         parts = np.concatenate((x, world.x_hat)).take(s.control_terms, axis=0)
         parts -= x
-        u = np.zeros(x.shape)
         for part in parts:
             u += part
-        return u
-    u = np.zeros_like(x)
-    if kind == "zero":
-        return u
-    for i, nb in enumerate(s.nbs, 1):
-        onehop = {j: x[j - 1] for j in nb.one_hop}
-        own = world.x_hat[s.pairs.rows(i)]
-        est = dict(zip(nb.members, own))
-        u[i - 1] = np.asarray(
-            config.controller.feedback(i, x[i - 1], onehop, est), dtype=float
-        )
     return u
 
 

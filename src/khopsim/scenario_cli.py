@@ -150,7 +150,6 @@ class Scenario:
     decimate: int
     state_box: Optional[tuple]
     consensus_tol: float
-    seed: Optional[int]
     boundary_layer: Optional[float]
     x0: np.ndarray
     xhat0_spec: object
@@ -267,7 +266,6 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
         decimate=int(sim.get("decimate", 1)),
         state_box=tuple(box) if box is not None else None,
         consensus_tol=float(sim.get("consensus_tol", DEFAULT_CONSENSUS_TOL)),
-        seed=seed,
         boundary_layer=sim.get("boundary_layer"),
         x0=x0,
         xhat0_spec=sim.get("xhat0", "zero"),
@@ -673,6 +671,11 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _write_csv(path: Path, tel: Telemetry) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    plant_sim.write_csv(tel, path)
+
+
 def _print_criteria(criteria) -> None:
     for c in criteria:
         print(f"[{c['status'].upper():>13}] {c['name']}")
@@ -702,26 +705,21 @@ def cmd_tune(args) -> int:
 
 
 def _simulate(ts: TunedScenario, out_dir: Path):
+    """Run, write the CSV and the report. A diverged run keeps the samples
+    it logged as the CSV and re-raises."""
     sc = ts.scenario
-    tel = plant_sim.run(ts.config)
     csv_path = out_dir / sc.outputs.get("csv", "telemetry.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    plant_sim.write_csv(tel, csv_path)
+    try:
+        tel = plant_sim.run(ts.config)
+    except DivergenceDetected as exc:
+        _write_csv(csv_path, exc.partial_telemetry)
+        print(f"partial telemetry retained: {csv_path}", file=sys.stderr)
+        raise
+    _write_csv(csv_path, tel)
     report = verification_report(ts, telemetry_columns(tel))
     report_path = out_dir / sc.outputs.get("report", "report.json")
     _write_json(report_path, report)
-    return tel, report, csv_path, report_path
-
-
-def _retain_partial(exc, ts: TunedScenario, out_dir: Path) -> None:
-    """Keep whatever telemetry a diverged run managed to log."""
-    partial = getattr(exc, "partial_telemetry", None)
-    if partial is None or partial.times.size == 0:
-        return
-    csv_path = out_dir / ts.scenario.outputs.get("csv", "telemetry.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    plant_sim.write_csv(partial, csv_path)
-    print(f"partial telemetry retained: {csv_path}", file=sys.stderr)
+    return report, csv_path, report_path
 
 
 def cmd_simulate(args) -> int:
@@ -743,12 +741,7 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        tel, report, csv_path, report_path = _simulate(ts, out_dir)
-    except DivergenceDetected as exc:
-        _retain_partial(exc, ts, out_dir)
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    report, csv_path, report_path = _simulate(ts, out_dir)
     _print_criteria(report["criteria"])
     print(f"telemetry: {csv_path}")
     print(f"report:    {report_path}")
@@ -865,18 +858,13 @@ def cmd_reproduce_paper(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, REPRODUCTION_SCENARIO)
-    sc = load_scenario(REPRODUCTION_SCENARIO, base_dir=out_dir, seed_override=args.seed)
+    sc = load_scenario(REPRODUCTION_SCENARIO, base_dir=out_dir)
     ts = prepare(sc, slack_override=args.slack, decimate_override=args.decimate)
     _write_json(out_dir / "gains.json", gain_report(ts))
     if ts.infeasible:
         print(f"infeasible gains: {ts.infeasible['inequality']}", file=sys.stderr)
         return 2
-    try:
-        tel, report, csv_path, report_path = _simulate(ts, out_dir)
-    except DivergenceDetected as exc:
-        _retain_partial(exc, ts, out_dir)
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    report, csv_path, report_path = _simulate(ts, out_dir)
     _print_criteria(report["criteria"])
     print(f"scenario:  {scenario_path}")
     print(f"telemetry: {csv_path}")
@@ -902,12 +890,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, seed=True, slack=True):
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--slack", type=float, default=None, help="override gain slack")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        if slack:
+            p.add_argument("--slack", type=float, default=None, help="override gain slack")
 
     p_tune = sub.add_parser("tune", help="design gains and write the gain report")
     common(p_tune)
@@ -929,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
-    common(p_sweep)
+    common(p_sweep, seed=False, slack=False)
     p_sweep.add_argument("--grid", required=True, help="grid JSON path")
     p_sweep.add_argument("--jobs", type=int, default=4, help="parallel workers")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -937,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "reproduce-paper", help="run the bundled 4-agent reproduction scenario"
     )
-    common(p_rep, scenario=False)
+    common(p_rep, scenario=False, seed=False)
     p_rep.add_argument("--decimate", type=int, default=None)
     p_rep.set_defaults(func=cmd_reproduce_paper)
     return parser
@@ -945,7 +935,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a failed run here.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from khopsim import Graph, ObserverState, all_khop_sets, coupling_matrices
+from khopsim.gain_tuning import GainSet
 from khopsim.khop_observer import NeighborMessage
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO
 
@@ -22,6 +23,12 @@ def random_connected_graph(rng, n_min=2, n_max=8, extra_edge_p=0.3) -> Graph:
             if (u, v) not in edges and rng.random() < extra_edge_p:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+def unit_gains(n: int) -> GainSet:
+    """All gains 1 and ``G = [[1]]``, for tests that only need a pair layout."""
+    ones = np.ones(n)
+    return GainSet(G=np.eye(1), omega=ones, theta=ones, pi=ones)
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:

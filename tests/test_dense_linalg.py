@@ -1,4 +1,5 @@
-"""Dense kernel tests: eigensolver, Kronecker products, norms, definiteness.
+"""Dense kernel tests: eigensolver, the spectral norms the gain design uses,
+definiteness.
 
 Expected eigenvalues come from closed-form characteristic polynomials or
 from numpy's independent LAPACK-backed solver, never from the kernel under
@@ -12,8 +13,6 @@ from conftest import random_connected_graph
 from khopsim.dense_linalg import (
     SymMatrix,
     is_negative_definite,
-    kron,
-    spectral_norm,
     sym_eig,
 )
 from khopsim.errors import NumericalError
@@ -80,42 +79,14 @@ class TestSymEig:
             SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestKron:
-    def test_identity_times_scalar(self):
-        assert np.array_equal(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-
-    def test_mixed_product_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        d = np.array([[1.0, 0.0], [0.0, 2.0]])
-        lhs = kron(a, np.eye(2)) @ kron(np.eye(2), d)
-        rhs = kron(a @ np.eye(2), np.eye(2) @ d)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_mixed_product_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.normal(size=(2, 3))
-            b = rng.normal(size=(3, 2))
-            c = rng.normal(size=(3, 2))
-            d = rng.normal(size=(2, 4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_coupling_times_design_block(self):
-        m1 = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        out = kron(m1, 20.0 * np.eye(2))
-        assert out.shape == (4, 4)
-        assert out[0, 0] == 40.0 and out[0, 2] == -20.0 and out[2, 2] == 20.0
-
-
 class TestSpectralNorm:
-    def test_scaled_identity(self):
-        assert spectral_norm(20.0 * np.eye(3)) == pytest.approx(20.0, abs=1e-12)
+    """``tune_omega`` takes ``||M (x) G||`` as ``lambda_max(M) lambda_max(G)``."""
 
     def test_symmetric_psd_equals_lambda_max(self):
         m1 = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        assert spectral_norm(m1) == pytest.approx(GOLDEN[1], abs=1e-10)
+        lam_max = sym_eig(m1)[0][-1]
+        assert lam_max == pytest.approx(GOLDEN[1], abs=1e-10)
+        assert np.linalg.norm(m1, 2) == pytest.approx(lam_max, abs=1e-10)
 
     def test_kron_norm_factorizes(self):
         rng = np.random.default_rng(5)
@@ -124,16 +95,9 @@ class TestSpectralNorm:
             a = 0.5 * (a + a.T)
             b = rng.normal(size=(2, 2))
             b = 0.5 * (b + b.T)
-            assert spectral_norm(kron(a, b)) == pytest.approx(
-                spectral_norm(a) * spectral_norm(b), rel=1e-10
+            assert np.linalg.norm(np.kron(a, b), 2) == pytest.approx(
+                np.linalg.norm(a, 2) * np.linalg.norm(b, 2), rel=1e-10
             )
-
-    def test_rectangular_against_svd(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(4, 6))
-        assert spectral_norm(a) == pytest.approx(
-            np.linalg.svd(a, compute_uv=False)[0], rel=1e-10
-        )
 
 
 class TestNegativeDefinite:

@@ -1,4 +1,4 @@
-"""Graph, neighborhood, coupling-matrix, and error-reordering tests.
+"""Graph, neighborhood, coupling-matrix, and pair-order tests.
 
 Memberships are checked against a brute-force Floyd-Warshall oracle, and
 the coupling matrices against hand-expanded definitions on small graphs.
@@ -7,19 +7,17 @@ the coupling matrices against hand-expanded definitions on small graphs.
 import numpy as np
 import pytest
 
-from conftest import component_count, floyd_warshall, random_connected_graph
+from conftest import component_count, floyd_warshall, random_connected_graph, unit_gains
 from khopsim import (
     Graph,
     all_khop_sets,
     check_neighbor_overlap,
     coupling_matrices,
     khop_set,
-    reorder_errors,
-    reorder_errors_inverse,
 )
 from khopsim.dense_linalg import sym_eig
+from khopsim.khop_observer import pair_layout
 from khopsim.errors import (
-    DimensionError,
     EmptyNeighborhood,
     GraphNotConnected,
     IndexOutOfRange,
@@ -211,19 +209,18 @@ class TestNeighborOverlap:
 
 
 class TestReorderErrors:
-    def test_no_pairs_empty(self):
-        g = Graph(2, {(1, 2)})
-        nbs = all_khop_sets(g, 2)
-        assert reorder_errors(nbs, np.zeros(0)).size == 0
-        with pytest.raises(DimensionError):
-            reorder_errors(nbs, np.ones(3))
+    """Regrouping the pair stack by target, as the structural identity does."""
 
     def test_path_block_placement(self, path4):
         nbs = all_khop_sets(path4, 3)
+        pairs = pair_layout(nbs, unit_gains(4))
         # pairs estimator-major: (1,3) (1,4) (2,4) (3,1) (4,1) (4,2)
+        assert pairs.estimator.tolist() == [0, 0, 1, 2, 3, 3]
+        assert pairs.target.tolist() == [2, 3, 3, 0, 0, 1]
         n_dim = 2
         vec = np.arange(12.0)
-        out = reorder_errors(nbs, vec)
+        order = np.argsort(pairs.target, kind="stable")
+        out = vec.reshape(-1, n_dim)[order].reshape(-1)
         # target-major order: (3,1) (4,1) (4,2) (1,3) (1,4) (2,4)
         # target 1 comes from estimators 3 then 4
         assert np.array_equal(out[0:2], vec[6:8])    # (3,1)
@@ -232,19 +229,3 @@ class TestReorderErrors:
         assert np.array_equal(out[6:8], vec[0:2])    # (1,3)
         assert np.array_equal(out[8:10], vec[2:4])   # (1,4)
         assert np.array_equal(out[10:12], vec[4:6])  # (2,4)
-
-    def test_roundtrip_and_norm_random(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            g = random_connected_graph(rng, n_min=3)
-            k = int(rng.integers(2, 5))
-            nbs = all_khop_sets(g, k)
-            pairs = sum(nb.eta for nb in nbs)
-            if pairs == 0:
-                continue
-            n_dim = int(rng.integers(1, 4))
-            vec = rng.normal(size=pairs * n_dim)
-            out = reorder_errors(nbs, vec)
-            assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(vec), rel=1e-15)
-            back = reorder_errors_inverse(nbs, out)
-            assert np.array_equal(back, vec)

@@ -13,7 +13,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import build_messages, inbox, make_world, random_connected_graph
+from conftest import build_messages, inbox, make_world, random_connected_graph, unit_gains
 from khopsim import (
     BoundSet,
     Graph,
@@ -23,14 +23,12 @@ from khopsim import (
     compute_xi,
     coupling_matrices,
     input_observer_derivative,
-    reorder_errors,
     state_observer_derivative,
     tune_gains,
 )
-from khopsim.dense_linalg import kron
 from khopsim.errors import MissingNeighborData, ProtocolError
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import ObserverState, observer_derivative, sign
+from khopsim.khop_observer import ObserverState, observer_derivative, pair_layout, sign
 
 
 def reference_setup(n_dim=2):
@@ -70,10 +68,11 @@ def structural_identity_max_error(g, k, n_dim, rng):
             for i in range(g.n)
         ]
     )
-    xi_by_target = reorder_errors(nbs, xi_all)
-    rho_by_target = reorder_errors(nbs, rho_all)
-    dev_x_t = reorder_errors(nbs, dev_x)
-    dev_u_t = reorder_errors(nbs, dev_u)
+    # regroup the pair blocks target-major, estimators ascending per target
+    order = np.argsort(pair_layout(nbs, unit_gains(g.n)).target, kind="stable")
+    xi_by_target, rho_by_target, dev_x_t, dev_u_t = (
+        vec.reshape(-1, n_dim)[order].reshape(-1) for vec in (xi_all, rho_all, dev_x, dev_u)
+    )
     worst = 0.0
     offset = 0
     for target in range(1, g.n + 1):
@@ -81,7 +80,7 @@ def structural_identity_max_error(g, k, n_dim, rng):
         if nb.eta == 0:
             continue
         size = nb.eta * n_dim
-        m_big = kron(coupling_matrices(g, nb).M, np.eye(n_dim))
+        m_big = np.kron(coupling_matrices(g, nb).M, np.eye(n_dim))
         sl = slice(offset, offset + size)
         worst = max(worst, np.abs(xi_by_target[sl] + m_big @ dev_x_t[sl]).max())
         worst = max(worst, np.abs(rho_by_target[sl] + m_big @ dev_u_t[sl]).max())

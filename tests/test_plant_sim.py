@@ -281,7 +281,8 @@ class TestRun:
         assert err.value.time > 0
 
     def test_state_box_violation_aborts(self):
-        plant = PlantModel(N=1, A=np.zeros((1, 1)))
+        # x' = x from 0.95 leaves the box at ln(1 / 0.95) ~ 0.0513
+        plant = PlantModel(N=1, A=np.array([[1.0]]))
         g = Graph(2, {(1, 2)})
         bounds = BoundSet(n=2, d_udot=0.0, d_tilde_u=0.0)
         gains, _, _ = tune_gains(g, 2, plant, bounds)
@@ -290,10 +291,7 @@ class TestRun:
             k=2,
             plant=plant,
             gains=gains,
-            controller=Controller(
-                kind="generic_feedback",
-                feedback=lambda i, x, onehop, est: np.ones(1),
-            ),
+            controller=Controller(kind="zero"),
             dt=1e-3,
             t_end=1.0,
             x0=np.array([[0.95], [0.95]]),

@@ -197,7 +197,7 @@ class TestSimulate:
         "patch, reason",
         [
             ({"controller.kind": "bogus"}, "unknown controller kind"),
-            ({"controller.kind": "generic_feedback"}, "needs a callable"),
+            ({"controller.kind": "generic_feedback"}, "unknown controller kind"),
             ({"target_graph": None}, "needs a target graph"),
             (
                 {"target_graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}},
@@ -210,11 +210,17 @@ class TestSimulate:
             ({"sim.boundary_layer": 0.0}, "boundary_layer must be positive"),
             ({"plant.N": 0}, "plant.N must be >= 1"),
             ({"bounds": {"d_u": 1.0}}, "pi gain missing"),
+            ({"sim.uhat0": float("nan")}, "non-finite input estimate"),
+            (
+                {"sim.x0": [[float("nan"), 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]},
+                "x0 must be finite",
+            ),
         ],
         ids=[
             "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
             "override_length", "xhat0_block_size", "uhat0_truth", "conv_eps_text",
             "boundary_layer_zero", "zero_state_dim", "no_derivative_bound",
+            "uhat0_nan", "x0_nan",
         ],
     )
     def test_bad_scenario_values_exit_1_with_one_line(self, tmp_path, capsys, patch, reason):
@@ -378,9 +384,19 @@ class TestSweep:
         assert rc == 1
 
 
-def test_usage_error_exit_code(tmp_path):
+def test_usage_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["tune", "--scenario", str(missing), "--out", str(tmp_path)]) == 1
+    path, _ = write_scenario(tmp_path)
+    for argv in (
+        ["tune", "--out", str(tmp_path)],
+        ["tune", "--scenario", str(path), "--seed", "abc"],
+        ["sweep", "--scenario", str(path), "--grid", str(path), "--slack", "1"],
+        ["reproduce-paper", "--out", str(tmp_path), "--seed", "1"],
+    ):
+        assert main(argv) == 1, argv
+    assert main(["--help"]) == 0
+    assert main(["simulate", "--help"]) == 0
 
 
 HOSTILE_FIELDS = [
