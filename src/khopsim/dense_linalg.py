@@ -4,14 +4,12 @@ The spectral quantities used by the gain inequalities (lambda_min/lambda_max
 of coupling matrices, definiteness tests) are computed here so that the
 numerical tolerances live in exactly one place.
 
-The eigensolver is a cyclic Jacobi iteration: the matrices involved are
-small (a handful of rows per agent), symmetric, and Jacobi delivers an
-orthonormal eigenbasis as a by-product of the rotations.
+The eigensolver is a cyclic Jacobi iteration on the eigenvalues alone: the
+matrices involved are small (a handful of rows per agent) and symmetric,
+and no caller needs the eigenvectors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,47 +24,28 @@ DEFINITENESS_TOL = 1e-9     # eigenvalue margin for definiteness decisions
 _MAX_SWEEPS = 64
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Real symmetric matrix, validated on construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NumericalError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NumericalError("matrix contains non-finite entries")
-        scale = np.maximum(1.0, np.abs(a))
-        if np.any(np.abs(a - a.T) > SYMMETRY_RTOL * scale):
-            raise NumericalError("matrix is not symmetric within tolerance")
-        a = 0.5 * (a + a.T)  # kill representation-level asymmetry
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+def _symmetric(m) -> np.ndarray:
+    """A fresh float copy of ``m``, checked square, finite and symmetric
+    within ``SYMMETRY_RTOL``, with its representation-level asymmetry removed."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix contains non-finite entries")
+    scale = np.maximum(1.0, np.abs(a))
+    if np.any(np.abs(a - a.T) > SYMMETRY_RTOL * scale):
+        raise NumericalError("matrix is not symmetric within tolerance")
+    return 0.5 * (a + a.T)
 
 
-def _as_sym(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
-    return SymMatrix(np.asarray(m, dtype=float)).entries
+def sym_eig(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
-
-def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` sorted ascending and
-    orthonormal eigenvector columns satisfying ``A = V diag(w) V^T``.
-    Iteration stops once every off-diagonal entry is below
-    ``JACOBI_RTOL`` relative to the Frobenius norm of the input.
+    Iteration stops once every off-diagonal entry is below ``JACOBI_RTOL``
+    relative to the Frobenius norm of the input.
     """
-    a = _as_sym(m).copy()
+    a = _symmetric(m)
     n = a.shape[0]
-    v = np.eye(n)
     if n > 1:
         fro = float(np.sqrt(np.sum(a * a)))
         thresh = JACOBI_RTOL * max(fro, np.finfo(float).tiny)
@@ -93,18 +72,13 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
                     cp, cq = a[:, p].copy(), a[:, q].copy()
                     a[:, p] = c * cp - s * cq
                     a[:, q] = s * cp + c * cq
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
         else:
             raise NumericalError("Jacobi iteration did not converge")
     w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[np.argsort(w, kind="stable")]
 
 
 def is_negative_definite(m, tol: float = DEFINITENESS_TOL) -> bool:
     """True iff the symmetric part of ``m`` has lambda_max < -tol."""
     a = np.asarray(m, dtype=float)
-    w, _ = sym_eig(0.5 * (a + a.T))
-    return bool(w[-1] < -tol)
+    return bool(sym_eig(0.5 * (a + a.T))[-1] < -tol)

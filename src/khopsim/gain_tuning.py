@@ -37,7 +37,11 @@ DEFAULT_SLACK = 1e-3
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Per-agent dynamics ``x_dot = f(x) + A x + u`` with Lipschitz ``f``."""
+    """Per-agent dynamics ``x_dot = f(x) + A x + u`` with Lipschitz ``f``.
+
+    ``f`` maps an ``(..., N)`` array row by row, so one call evaluates every
+    agent or every estimate at once.
+    """
 
     N: int
     A: np.ndarray
@@ -54,11 +58,6 @@ class PlantModel:
             raise ValueError("Lipschitz constant must be >= 0")
         a.setflags(write=False)
         object.__setattr__(self, "A", a)
-
-    def f_eval(self, x: np.ndarray) -> np.ndarray:
-        if self.f is None:
-            return np.zeros_like(x)
-        return np.asarray(self.f(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
     rejected if it violates the condition.
     """
     sym_a = 0.5 * (plant.A + plant.A.T)
-    w, _ = sym_eig(sym_a)
+    w = sym_eig(sym_a)
     if g_scale is None:
         g = max(0.0, float(w[-1])) + 1.0
     else:
@@ -163,13 +162,13 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
     if not is_negative_definite(condition):
         raise GainConditionViolated(
             f"g = {g} violates the design condition on G (lambda_max "
-            f"{sym_eig(0.5 * (condition + condition.T))[0][-1]:.6g} not < 0)"
+            f"{sym_eig(0.5 * (condition + condition.T))[-1]:.6g} not < 0)"
         )
     return G
 
 
 def _g_spectrum(G: np.ndarray) -> tuple:
-    w, _ = sym_eig(G)
+    w = sym_eig(G)
     lo, hi = float(w[0]), float(w[-1])
     if lo <= DEFINITENESS_TOL:
         raise GainConditionViolated("G must be symmetric positive definite")
@@ -247,7 +246,7 @@ def verify_gain_inequality(
     a_big = np.kron(np.eye(eta), plant.A)
     norm_mg = np.linalg.norm(mg, 2)
     full = mg @ (a_big - omega_i * mg) + plant.l_f * norm_mg * np.eye(eta * plant.N)
-    w, _ = sym_eig(0.5 * (full + full.T))
+    w = sym_eig(0.5 * (full + full.T))
     return GainInequalityReport(holds=bool(w[-1] < 0.0), lambda_max=float(w[-1]))
 
 

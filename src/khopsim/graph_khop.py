@@ -187,7 +187,7 @@ def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> ObserverCoupling:
     own = set(g.neighbors(nb.agent))
     h = np.diag([float(len(own.intersection(g.neighbors(m)))) for m in nb.members])
     m_mat = lap + h
-    w, _ = dense_linalg.sym_eig(m_mat)
+    w = dense_linalg.sym_eig(m_mat)
     return ObserverCoupling(
         L=lap, H=h, M=m_mat, lambda_min=float(w[0]), lambda_max=float(w[-1])
     )

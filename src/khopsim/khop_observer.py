@@ -117,8 +117,6 @@ class ObserverDerivative:
 
     dx_hat: np.ndarray
     du_hat: np.ndarray
-    xi: np.ndarray
-    rho: np.ndarray
 
 
 def _check_messages(msgs: Mapping, nb: KHopNeighborhood) -> None:
@@ -185,8 +183,6 @@ def state_observer_derivative(
     nb: KHopNeighborhood,
     plant: PlantModel,
     gains: GainSet,
-    u_hat: Optional[np.ndarray] = None,
-    xi: Optional[np.ndarray] = None,
     boundary_layer: Optional[float] = None,
 ) -> np.ndarray:
     """Time derivative of the stacked state estimate of one agent.
@@ -196,10 +192,7 @@ def state_observer_derivative(
     """
     if nb.eta == 0:
         return np.zeros(0)
-    if u_hat is None:
-        u_hat = state.u_hat
-    if xi is None:
-        xi = compute_xi(state, msgs, nb)
+    xi = compute_xi(state, msgs, nb)
     if not np.isfinite(float(state.x_hat.sum())):
         raise NumericalError(f"agent {nb.agent}: non-finite state estimate")
     n_dim = plant.N
@@ -210,11 +203,10 @@ def state_observer_derivative(
     g_xi = xi.reshape(nb.eta, n_dim) @ G.T
     dx = xh @ plant.A.T
     if plant.f is not None:
-        for b in range(nb.eta):
-            dx[b] += plant.f_eval(xh[b])
+        dx += plant.f(xh)
     dx += omega[:, None] * g_xi
     dx += theta[:, None] * sign(g_xi, boundary_layer)
-    dx += u_hat.reshape(nb.eta, n_dim)
+    dx += state.u_hat.reshape(nb.eta, n_dim)
     return dx.reshape(-1)
 
 
@@ -223,14 +215,12 @@ def input_observer_derivative(
     msgs: Mapping,
     nb: KHopNeighborhood,
     gains: GainSet,
-    rho: Optional[np.ndarray] = None,
     boundary_layer: Optional[float] = None,
 ) -> np.ndarray:
     """Time derivative of the stacked input estimate: ``pi_l sign(rho_l)``."""
     if nb.eta == 0:
         return np.zeros(0)
-    if rho is None:
-        rho = compute_rho(state, msgs, nb)
+    rho = compute_rho(state, msgs, nb)
     n_dim = state.u_hat.shape[0] // nb.eta
     pi = gains.pi[np.array(nb.members) - 1]
     du = pi[:, None] * sign(rho.reshape(nb.eta, n_dim), boundary_layer)
@@ -245,16 +235,15 @@ def observer_derivative(
     gains: GainSet,
     boundary_layer: Optional[float] = None,
 ) -> ObserverDerivative:
-    """Both observer derivatives plus the raw correction signals."""
-    xi = compute_xi(state, msgs, nb)
-    rho = compute_rho(state, msgs, nb)
+    """Both observer derivatives of one agent."""
+    _check_messages(msgs, nb)
     dx = state_observer_derivative(
-        state, msgs, nb, plant, gains, xi=xi, boundary_layer=boundary_layer
+        state, msgs, nb, plant, gains, boundary_layer=boundary_layer
     )
     du = input_observer_derivative(
-        state, msgs, nb, gains, rho=rho, boundary_layer=boundary_layer
+        state, msgs, nb, gains, boundary_layer=boundary_layer
     )
-    return ObserverDerivative(dx_hat=dx, du_hat=du, xi=xi, rho=rho)
+    return ObserverDerivative(dx_hat=dx, du_hat=du)
 
 
 @dataclass(frozen=True)
@@ -369,8 +358,7 @@ def pair_derivative(
     g_xi = xi @ layout.G.T
     dx = x_hat @ plant.A.T
     if plant.f is not None:
-        for p in range(dx.shape[0]):
-            dx[p] += plant.f_eval(x_hat[p])
+        dx += plant.f(x_hat)
     dx += layout.omega * g_xi
     dx += layout.theta * sign(g_xi, boundary_layer)
     dx += u_hat

@@ -35,7 +35,7 @@ differences of order 1e-3 within a few hundred steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -80,6 +80,11 @@ class Controller:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's validated inputs plus ``structure``, the wiring built from
+    them once (:func:`build_structure`). ``xhat0``/``uhat0`` are given as
+    per-agent estimate vectors (``None`` means zeros) and kept as read-only
+    ``(P, N)`` pair arrays."""
+
     graph: Graph
     k: int
     plant: PlantModel
@@ -95,6 +100,7 @@ class SimConfig:
     band_scale: float = DEFAULT_BAND_SCALE
     decimate: int = 1
     boundary_layer: Optional[float] = None
+    structure: "SimStructure" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -122,6 +128,26 @@ class SimConfig:
                 raise ValueError("x0 outside the state box")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
+        structure = build_structure(self)
+        object.__setattr__(self, "structure", structure)
+        shape = (structure.pairs.target.size, self.plant.N)
+        for name, which in (("xhat0", "state"), ("uhat0", "input")):
+            est = getattr(self, name)
+            if est is None:
+                est = np.zeros(shape)
+            elif not isinstance(est, np.ndarray):  # per-agent blocks, agent 1 first
+                est = np.concatenate([
+                    np.array(blk, dtype=float).reshape(nb.eta * self.plant.N)
+                    for blk, nb in zip(est, structure.nbs)
+                ])
+            # An ndarray is already stacked, as dataclasses.replace passes it.
+            est = np.array(est, dtype=float).reshape(shape)
+            bad = ~np.isfinite(est).all(axis=1)
+            if bad.any():
+                agent = int(structure.pairs.estimator[np.argmax(bad)]) + 1
+                raise ValueError(f"agent {agent}: non-finite {which} estimate")
+            est.setflags(write=False)
+            object.__setattr__(self, name, est)
 
 
 @dataclass(frozen=True)
@@ -154,18 +180,17 @@ class Telemetry:
 @dataclass
 class SimWorld:
     """Simulation state at time ``t``: true states ``x`` (n, N) and the pair
-    estimates ``x_hat``/``u_hat`` (P, N), laid out by ``structure.pairs``."""
+    estimates ``x_hat``/``u_hat`` (P, N), laid out by ``config.structure.pairs``."""
 
     t: float
     x: np.ndarray
     x_hat: np.ndarray
     u_hat: np.ndarray
-    structure: "SimStructure"
 
 
 @dataclass(frozen=True)
 class SimStructure:
-    """Static wiring derived once from graph, horizon, controller and gains.
+    """Static wiring a :class:`SimConfig` builds once from its graph, k and gains.
 
     ``control_terms`` (``khop_consensus`` only) has one column per agent:
     the rows of ``concat(x, x_hat)`` its consensus input sums over, in the
@@ -205,7 +230,7 @@ def consensus_distance(x: np.ndarray):
 
 def lambda2(graph: Graph) -> float:
     """Smallest Laplacian eigenvalue above the zero tolerance."""
-    w, _ = sym_eig(graph.laplacian())
+    w = sym_eig(graph.laplacian())
     above = w[w > LAPLACIAN_ZERO_TOL]
     if above.size == 0:
         raise ValueError("Laplacian has no positive eigenvalue")
@@ -282,33 +307,18 @@ def build_structure(config: SimConfig) -> SimStructure:
     )
 
 
-def _stack_estimates(blocks, nbs, n_dim: int) -> np.ndarray:
-    """Per-agent initial estimate vectors as one (P, N) pair array."""
-    size = sum(nb.eta for nb in nbs)
-    if blocks is None:
-        return np.zeros((size, n_dim))
-    flat = [
-        np.array(blk, dtype=float).reshape(nb.eta * n_dim)
-        for blk, nb in zip(blocks, nbs)
-    ]
-    return np.concatenate(flat).reshape(size, n_dim)
-
-
 def init_world(config: SimConfig) -> SimWorld:
-    structure = build_structure(config)
-    n_dim = config.plant.N
     return SimWorld(
         t=0.0,
         x=config.x0.copy(),
-        x_hat=_stack_estimates(config.xhat0, structure.nbs, n_dim),
-        u_hat=_stack_estimates(config.uhat0, structure.nbs, n_dim),
-        structure=structure,
+        x_hat=config.xhat0.copy(),
+        u_hat=config.uhat0.copy(),
     )
 
 
-def _check_startable(world: SimWorld) -> None:
-    """Refuse to step with a missing gain or a non-finite estimate."""
-    pairs = world.structure.pairs
+def _check_startable(config: SimConfig) -> None:
+    """Refuse to step with a missing gain."""
+    pairs = config.structure.pairs
     for which in ("omega", "theta", "pi"):
         bad = ~np.isfinite(getattr(pairs, which)[:, 0])
         if bad.any():
@@ -316,15 +326,10 @@ def _check_startable(world: SimWorld) -> None:
             raise NumericalError(
                 f"{which} gain missing for a member of agent {agent}'s neighborhood"
             )
-    for which, est in (("state", world.x_hat), ("input", world.u_hat)):
-        bad = ~np.isfinite(est).all(axis=1)
-        if bad.any():
-            agent = int(pairs.estimator[np.argmax(bad)]) + 1
-            raise NumericalError(f"agent {agent}: non-finite {which} estimate")
 
 
 def _compute_control(world: SimWorld, config: SimConfig) -> np.ndarray:
-    s = world.structure
+    s = config.structure
     x = world.x
     u = np.zeros(x.shape)
     if config.controller.kind == "khop_consensus":
@@ -335,12 +340,12 @@ def _compute_control(world: SimWorld, config: SimConfig) -> np.ndarray:
     return u
 
 
-def _disturbance(world: SimWorld) -> np.ndarray:
+def _disturbance(world: SimWorld, config: SimConfig) -> np.ndarray:
     """Per-agent consensus disturbance: sum of estimate errors the input uses.
 
     ``np.bincount`` adds each cell's terms in input order, as a loop would.
     """
-    s = world.structure
+    s = config.structure
     p = s.disturbance_pairs
     err = world.x.take(s.pairs.target[p], axis=0) - world.x_hat.take(p, axis=0)
     v = np.bincount(s.disturbance_bins, weights=err.reshape(-1), minlength=world.x.size)
@@ -348,7 +353,7 @@ def _disturbance(world: SimWorld) -> np.ndarray:
 
 
 def _advance(world: SimWorld, u: np.ndarray, config: SimConfig) -> SimWorld:
-    s = world.structure
+    s = config.structure
     x = world.x
     # Every pair sees its 1-hop neighbors' estimates and relays of the same
     # instant (zero-delay propagation), as in one message round.
@@ -357,8 +362,7 @@ def _advance(world: SimWorld, u: np.ndarray, config: SimConfig) -> SimWorld:
     )
     dx = x @ config.plant.A.T + u
     if config.plant.f is not None:
-        for i in range(x.shape[0]):
-            dx[i] += config.plant.f_eval(x[i])
+        dx += config.plant.f(x)
     t_next = world.t + config.dt
     x_next = x + config.dt * dx
     x_hat = world.x_hat + config.dt * dx_hat
@@ -379,12 +383,12 @@ def _advance(world: SimWorld, u: np.ndarray, config: SimConfig) -> SimWorld:
             agent = int(np.argwhere(bad)[0][0]) + 1
             value = float(x_next[bad][0])
             raise StateBoxViolation(t_next, agent, value, (lo, hi))
-    return SimWorld(t=t_next, x=x_next, x_hat=x_hat, u_hat=u_hat, structure=s)
+    return SimWorld(t=t_next, x=x_next, x_hat=x_hat, u_hat=u_hat)
 
 
 def step(world: SimWorld, config: SimConfig) -> SimWorld:
     """One synchronous round: control, observer derivatives, Euler update."""
-    _check_startable(world)
+    _check_startable(config)
     return _advance(world, _compute_control(world, config), config)
 
 
@@ -403,7 +407,7 @@ def initial_error_norms(config: SimConfig) -> tuple:
     """
     world = init_world(config)
     u0 = _compute_control(world, config)
-    pairs = world.structure.pairs
+    pairs = config.structure.pairs
     x_err0 = _stacked_error_norm(pairs, world.x, world.x_hat)
     u_err0 = _stacked_error_norm(pairs, u0, world.u_hat)
     return x_err0, u_err0
@@ -434,14 +438,14 @@ def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
 
 
 def _assemble_telemetry(
-    config: SimConfig, nbs, *, times, states, inputs, errx, erru, cons_dist, v
+    config: SimConfig, *, times, states, inputs, errx, erru, cons_dist, v
 ) -> Telemetry:
     """The logged series plus the convergence rule applied to them.
 
     This is the only place eps, band and detection are decided, whether the
     series come from :func:`run` or from :func:`telemetry_from_columns`.
     """
-    eta = np.array([nb.eta for nb in nbs], dtype=int)
+    eta = np.array([nb.eta for nb in config.structure.nbs], dtype=int)
     band_x = np.where(eta > 0, config.band_scale * config.gains.theta * config.dt, 0.0)
     band_u = np.where(eta > 0, config.band_scale * config.gains.pi * config.dt, 0.0)
     eps_x = _conv_eps(config, errx)
@@ -475,10 +479,9 @@ def run(config: SimConfig) -> Telemetry:
     On divergence the samples logged so far are attached to the raised
     exception as ``partial_telemetry`` so callers can retain them.
     """
+    _check_startable(config)
     world = init_world(config)
-    _check_startable(world)
-    nbs = world.structure.nbs
-    pairs = world.structure.pairs
+    pairs = config.structure.pairs
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
     sample_ids = list(range(0, n_steps + 1, config.decimate))
@@ -498,7 +501,7 @@ def run(config: SimConfig) -> Telemetry:
     def telemetry(rows: int) -> Telemetry:
         logged = {name: arr[:rows] for name, arr in logs.items()}
         cons = consensus_distance(logged["states"])
-        return _assemble_telemetry(config, nbs, cons_dist=cons, **logged)
+        return _assemble_telemetry(config, cons_dist=cons, **logged)
 
     sample_set = set(sample_ids)
     row = 0
@@ -511,7 +514,7 @@ def run(config: SimConfig) -> Telemetry:
                 inputs[row] = u
                 errx[row] = _stacked_error_norm(pairs, world.x, world.x_hat)
                 erru[row] = _stacked_error_norm(pairs, u, world.u_hat)
-                v_log[row] = _disturbance(world)
+                v_log[row] = _disturbance(world, config)
                 row += 1
             if k == n_steps:
                 break
@@ -556,17 +559,17 @@ def telemetry_columns(tel: Telemetry) -> dict:
     return cols
 
 
-def telemetry_from_columns(config: SimConfig, nbs, cols: Mapping) -> Telemetry:
+def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     """Inverse of :func:`telemetry_columns`: rebuild the record from columns
     (as :func:`read_csv` returns them) and apply the same convergence rule
-    :func:`run` applies. ``nbs`` are the run's neighborhoods, agent-1 first.
+    :func:`run` applies.
     """
     rows = len(cols["t"])
     logs = {
         field: np.column_stack([cols[name] for name in names]).reshape((rows, *shape))
         for field, shape, names in _column_layout(config.graph.n, config.plant.N)
     }
-    return _assemble_telemetry(config, nbs, **logs)
+    return _assemble_telemetry(config, **logs)
 
 
 def write_csv(tel: Telemetry, path) -> None:

@@ -285,20 +285,23 @@ def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int):
         ]
     if np.isscalar(spec):
         return [np.full(nb.eta * n_dim, float(spec)) for nb in nbs]
-    return [np.asarray(block, dtype=float).reshape(-1) for block in spec]
+    return spec  # explicit per-agent blocks; SimConfig checks and stacks them
 
 
 @dataclass
 class TunedScenario:
     scenario: Scenario
     gains: GainSet
-    nbs: list
     couplings: list
     config: SimConfig
     cert: object          # ConvergenceCertificate or None
     infeasible: Optional[dict]
     x_err0: np.ndarray
     u_err0: np.ndarray
+
+    @property
+    def nbs(self) -> list:
+        return self.config.structure.nbs
 
 
 def prepare(sc: Scenario, slack_override=None, decimate_override=None,
@@ -381,7 +384,6 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
     return TunedScenario(
         scenario=sc,
         gains=gains,
-        nbs=nbs,
         couplings=couplings,
         config=config,
         cert=cert,
@@ -653,7 +655,7 @@ def verification_report(ts: TunedScenario, cols: dict) -> dict:
     """Gain report plus criteria and bound audit judged from telemetry
     columns, as :func:`plant_sim.read_csv` or :func:`telemetry_columns`
     give them."""
-    tel = plant_sim.telemetry_from_columns(ts.config, ts.nbs, cols)
+    tel = plant_sim.telemetry_from_columns(ts.config, cols)
     criteria = evaluate_criteria(ts, tel)
     report = gain_report(ts)
     report["criteria"] = _jsonable(criteria)

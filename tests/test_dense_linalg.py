@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from khopsim.dense_linalg import (
-    SymMatrix,
-    is_negative_definite,
-    sym_eig,
-)
+from khopsim.dense_linalg import is_negative_definite, sym_eig
 from khopsim.errors import NumericalError
 
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
@@ -23,17 +19,16 @@ GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 class TestSymEig:
     def test_char_poly_2x2(self):
         # lambda^2 - 3 lambda + 1 = 0 for [[2,-1],[-1,1]]
-        w, v = sym_eig([[2.0, -1.0], [-1.0, 1.0]])
+        w = sym_eig([[2.0, -1.0], [-1.0, 1.0]])
         assert w == pytest.approx(GOLDEN, abs=1e-12)
-        assert np.abs(v.T @ v - np.eye(2)).max() < 1e-10
 
     def test_identity(self):
-        w, _ = sym_eig(np.eye(3))
+        w = sym_eig(np.eye(3))
         assert w == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_scalar(self):
-        w, v = sym_eig([[7.0]])
-        assert w[0] == 7.0 and v[0, 0] == 1.0
+        w = sym_eig([[7.0]])
+        assert w.shape == (1,) and w[0] == 7.0
 
     def test_prior_full_network_comparison_matrix(self):
         # Documented comparison point: the full-network observer couples
@@ -47,19 +42,18 @@ class TestSymEig:
                 [0.0, 0.0, -1.0, 1.0],
             ]
         )
-        w, _ = sym_eig(0.5 * (m + m.T))
+        w = sym_eig(0.5 * (m + m.T))
         assert w[0] == pytest.approx(0.17, abs=5e-3)
         assert w[-1] == pytest.approx(3.96, abs=5e-3)
 
-    def test_reconstruction_and_orthonormality_random(self):
+    def test_ascending_eigenvalues_random(self):
         rng = np.random.default_rng(7)
         for dim in (2, 3, 5, 8, 13, 21, 32):
             a = rng.normal(size=(dim, dim))
             m = 0.5 * (a + a.T)
-            w, v = sym_eig(m)
-            assert np.abs(v @ np.diag(w) @ v.T - m).max() < 1e-8
-            assert np.abs(v.T @ v - np.eye(dim)).max() < 1e-10
-            assert np.all(np.diff(w) >= -1e-12)
+            w = sym_eig(m)
+            assert w.shape == (dim,)
+            assert np.all(np.diff(w) >= 0.0)
             # independent oracle
             assert w == pytest.approx(np.linalg.eigvalsh(m), abs=1e-9)
 
@@ -67,7 +61,7 @@ class TestSymEig:
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_connected_graph(rng)
-            w, _ = sym_eig(g.laplacian())
+            w = sym_eig(g.laplacian())
             assert w[0] >= -1e-10
 
     def test_nonfinite_rejected(self):
@@ -76,7 +70,7 @@ class TestSymEig:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericalError):
-            SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestSpectralNorm:
@@ -84,7 +78,7 @@ class TestSpectralNorm:
 
     def test_symmetric_psd_equals_lambda_max(self):
         m1 = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        lam_max = sym_eig(m1)[0][-1]
+        lam_max = sym_eig(m1)[-1]
         assert lam_max == pytest.approx(GOLDEN[1], abs=1e-10)
         assert np.linalg.norm(m1, 2) == pytest.approx(lam_max, abs=1e-10)
 
@@ -112,7 +106,7 @@ class TestNegativeDefinite:
         g = 20.0
         a = np.zeros((2, 2))
         cond = g * (a + a.T) - 2.0 * g * g * np.eye(2)
-        w, _ = sym_eig(cond)
+        w = sym_eig(cond)
         assert w[-1] == pytest.approx(-800.0, abs=1e-9)
         assert is_negative_definite(cond)
 

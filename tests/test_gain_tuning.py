@@ -56,7 +56,7 @@ class TestDesignG:
         assert np.array_equal(G, 20.0 * np.eye(2))
         condition = design_condition(plant2(), G)
         assert is_negative_definite(condition)
-        assert sym_eig(condition)[0][-1] == pytest.approx(-800.0, abs=1e-9)
+        assert sym_eig(condition)[-1] == pytest.approx(-800.0, abs=1e-9)
 
     def test_stable_drift_auto(self):
         G = design_G(PlantModel(N=2, A=-np.eye(2)))

@@ -180,7 +180,7 @@ class TestCouplingMatrices:
                 assert np.abs(c.L.sum(axis=1)).max() < 1e-12
                 offdiag = c.L - np.diag(np.diag(c.L))
                 assert set(np.unique(offdiag)) <= {0.0, -1.0}
-                w, _ = sym_eig(c.L)
+                w = sym_eig(c.L)
                 zero_mult = int(np.sum(np.abs(w) < 1e-9))
                 assert zero_mult == component_count(g, nb.members)
 

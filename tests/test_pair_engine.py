@@ -126,12 +126,11 @@ def message_form_run(config):
     g, plant, dt = config.graph, config.plant, config.dt
     nbs = all_khop_sets(g, config.k)
     tg = config.controller.target_graph
-    zeros = [np.zeros(nb.eta * plant.N) for nb in nbs]
     obs = [
         ObserverState(
             i + 1,
-            np.array((config.xhat0 or zeros)[i], dtype=float).reshape(-1),
-            np.array((config.uhat0 or zeros)[i], dtype=float).reshape(-1),
+            np.array(config.xhat0[config.structure.pairs.rows(i + 1)], dtype=float).reshape(-1),
+            np.array(config.uhat0[config.structure.pairs.rows(i + 1)], dtype=float).reshape(-1),
         )
         for i, nb in enumerate(nbs)
     ]

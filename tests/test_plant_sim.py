@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import chorded_ring
 from khopsim import (
     BoundSet,
     Controller,
@@ -22,6 +23,7 @@ from khopsim import (
     detect_convergence,
     init_world,
     lambda2,
+    plant_sim,
     run,
     step,
     tune_gains,
@@ -184,8 +186,8 @@ class TestStep:
 
         assert np.abs(nxt.x - x_next).max() <= 1e-12
         for i in range(1, 5):
-            assert np.abs(nxt.x_hat[nxt.structure.pairs.rows(i)].reshape(-1) - new_xhat[i]).max() <= 1e-12
-            assert np.abs(nxt.u_hat[nxt.structure.pairs.rows(i)].reshape(-1) - new_uhat[i]).max() <= 1e-12
+            assert np.abs(nxt.x_hat[config.structure.pairs.rows(i)].reshape(-1) - new_xhat[i]).max() <= 1e-12
+            assert np.abs(nxt.u_hat[config.structure.pairs.rows(i)].reshape(-1) - new_uhat[i]).max() <= 1e-12
 
 
 class TestRun:
@@ -227,18 +229,17 @@ class TestRun:
         target = Graph(4, {(1, 2), (2, 3), (3, 4), (1, 4)})
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         gains, _, _ = tune_gains(graph, 2, plant, bounds, g_scale=20.0)
-        config = SimConfig(
-            graph=graph,
-            k=2,
-            plant=plant,
-            gains=gains,
-            controller=Controller(kind="khop_consensus", target_graph=target),
-            dt=1e-3,
-            t_end=0.1,
-            x0=np.zeros((4, 1)),
-        )
         with pytest.raises(ProtocolError):
-            run(config)
+            SimConfig(
+                graph=graph,
+                k=2,
+                plant=plant,
+                gains=gains,
+                controller=Controller(kind="khop_consensus", target_graph=target),
+                dt=1e-3,
+                t_end=0.1,
+                x0=np.zeros((4, 1)),
+            )
 
     def test_undersized_switching_gain_reports_nonconvergence(self):
         # theta far below its bound with a frozen, biased input estimate:
@@ -315,6 +316,24 @@ class TestRun:
         assert np.all(tel_a.errx[-1] <= tel_a.band_x)
         assert np.all(tel_b.errx[-1] <= tel_b.band_x)
         assert np.all(tel_b.band_x == tel_a.band_x / 2)
+
+    def test_config_builds_the_wiring_once(self, monkeypatch):
+        # The k-hop sets and the pair layout are fixed by the graph: building
+        # the config derives them once, and nothing downstream rebuilds them.
+        ts = prepare(load_scenario(chorded_ring(t_end=0.05)))
+        calls = {"all_khop_sets": 0, "pair_layout": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(plant_sim, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(plant_sim, name, counted)
+        config = dataclasses.replace(ts.config, decimate=5)
+        assert calls == {"all_khop_sets": 1, "pair_layout": 1}
+        plant_sim.initial_error_norms(config)
+        tel = run(config)
+        plant_sim.telemetry_from_columns(config, plant_sim.telemetry_columns(tel))
+        assert calls == {"all_khop_sets": 1, "pair_layout": 1}
 
 
 class TestDetection:

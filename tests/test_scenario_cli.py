@@ -105,6 +105,28 @@ class TestTune:
         path, _ = write_scenario(tmp_path, bounds={"d_u": 1.0})
         assert main(["tune", "--scenario", str(path), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "patch, reason",
+        [
+            ({"sim.uhat0": float("nan")}, "agent 1: non-finite input estimate"),
+            (
+                {"sim.uhat0": [[0.0] * 4, [0.0] * 2, [float("nan"), 0.0], [0.0] * 4]},
+                "agent 3: non-finite input estimate",
+            ),
+            ({"sim.xhat0": float("nan")}, "agent 1: non-finite state estimate"),
+        ],
+        ids=["uhat0_nan", "uhat0_block_nan", "xhat0_nan"],
+    )
+    def test_nonfinite_initial_estimate_exits_1_with_one_line(
+        self, tmp_path, capsys, patch, reason
+    ):
+        path, _ = write_scenario(tmp_path, **patch)
+        rc = main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and reason in err
+        assert not (tmp_path / "out" / "gains.json").exists()
+
     def test_infeasible_pi_override_exits_2(self, tmp_path, capsys):
         path, _ = write_scenario(
             tmp_path, **{"gains.overrides": {"pi": [0.5, 0.5, 0.5, 0.5]}}

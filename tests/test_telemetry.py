@@ -53,7 +53,7 @@ def test_csv_round_trip_rebuilds_the_run(raw, decimate, tmp_path):
     tel = run(config)
     assert np.isfinite(tel.T_x_obs).any()
     write_csv(tel, tmp_path / "telemetry.csv")
-    back = telemetry_from_columns(config, ts.nbs, read_csv(tmp_path / "telemetry.csv"))
+    back = telemetry_from_columns(config, read_csv(tmp_path / "telemetry.csv"))
     for field in dataclasses.fields(Telemetry):
         want, got = getattr(tel, field.name), getattr(back, field.name)
         assert np.shape(got) == np.shape(want), field.name
