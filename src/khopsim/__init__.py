@@ -36,6 +36,7 @@ from .gain_tuning import (
     PlantModel,
     certificate,
     design_G,
+    g_spectrum,
     tune_gains,
     tune_omega,
     tune_pi,

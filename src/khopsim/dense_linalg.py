@@ -4,9 +4,11 @@ The spectral quantities used by the gain inequalities (lambda_min/lambda_max
 of coupling matrices, definiteness tests) are computed here so that the
 numerical tolerances live in exactly one place.
 
-The eigensolver is a cyclic Jacobi iteration on the eigenvalues alone: the
-matrices involved are small (a handful of rows per agent) and symmetric,
-and no caller needs the eigenvectors.
+The eigensolver is a cyclic Jacobi iteration on the eigenvalues alone. It
+serves only the small matrices whose spectra feed the gains: the coupling
+matrices (``eta_i`` rows), the plant drift in ``design_G`` and ``G``
+(``N`` rows). No caller needs the eigenvectors. The target graph's
+``lambda2``, which feeds no gain, comes from LAPACK instead.
 """
 
 from __future__ import annotations

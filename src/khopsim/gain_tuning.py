@@ -167,7 +167,9 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
     return G
 
 
-def _g_spectrum(G: np.ndarray) -> tuple:
+def g_spectrum(G: np.ndarray) -> tuple:
+    """``(lambda_min(G), lambda_max(G))``, the only facts about ``G`` that the
+    gain bounds and certificates use; ``G`` must be positive definite."""
     w = sym_eig(G)
     lo, hi = float(w[0]), float(w[-1])
     if lo <= DEFINITENESS_TOL:
@@ -178,7 +180,7 @@ def _g_spectrum(G: np.ndarray) -> tuple:
 def tune_omega(
     coupling: ObserverCoupling,
     plant: PlantModel,
-    G: np.ndarray,
+    g_spec: tuple,
     slack: float = 0.0,
 ) -> float:
     """Smallest admissible linear gain for one agent (plus optional slack).
@@ -186,12 +188,13 @@ def tune_omega(
     The bound is
     ``(1/lmin(M)) (1 + l_f ||M (x) G|| / (lmin(M) lmin(G^T G)))``
     and the inequality is non-strict, so slack 0 is legal. The Kronecker
-    norm factorizes as ``||M|| ||G||``, both spectral.
+    norm factorizes as ``||M|| ||G||``, both spectral. ``g_spec`` is
+    :func:`g_spectrum` of ``G``.
     """
     lmin = coupling.lambda_min
     if lmin <= DEFINITENESS_TOL:
         raise CouplingNotPD(f"lambda_min(M) = {lmin:.3g} not positive")
-    g_lo, g_hi = _g_spectrum(G)
+    g_lo, g_hi = g_spec
     norm_mg = coupling.lambda_max * g_hi
     lmin_gtg = g_lo * g_lo
     return float((1.0 / lmin) * (1.0 + plant.l_f * norm_mg / (lmin * lmin_gtg)) + slack)
@@ -199,16 +202,19 @@ def tune_omega(
 
 def tune_theta(
     coupling: ObserverCoupling,
-    G: np.ndarray,
+    g_spec: tuple,
     d_tilde_u_i: float,
     slack: float = DEFAULT_SLACK,
 ) -> float:
-    """Discontinuous state gain dominating the input-estimation-error bound."""
+    """Discontinuous state gain dominating the input-estimation-error bound.
+
+    ``g_spec`` is :func:`g_spectrum` of ``G``.
+    """
     if d_tilde_u_i < 0:
         raise ValueError("d_tilde_u must be >= 0")
     if slack <= 0:
         raise ValueError("theta inequality is strict; slack must be > 0")
-    g_lo, g_hi = _g_spectrum(G)
+    g_lo, g_hi = g_spec
     ratio = (coupling.lambda_max * g_hi) / (coupling.lambda_min * g_lo)
     return float(ratio * d_tilde_u_i + slack)
 
@@ -269,7 +275,7 @@ def certificate(
     n = len(couplings)
     x_err0 = np.broadcast_to(np.asarray(x_err0, dtype=float), (n,))
     u_err0 = np.broadcast_to(np.asarray(u_err0, dtype=float), (n,))
-    g_lo, g_hi = _g_spectrum(G)
+    g_lo, g_hi = g_spectrum(G)
     have_udot = bounds.d_udot is not None
     phi = np.full(n, np.nan)
     t_x = np.full(n, np.nan)
@@ -330,6 +336,7 @@ def tune_gains(
     with ``None`` for agents without multi-hop neighbors.
     """
     G = design_G(plant, g_scale)
+    g_spec = g_spectrum(G)
     nbs = all_khop_sets(graph, k)
     couplings = [
         coupling_matrices(graph, nb) if nb.eta > 0 else None for nb in nbs
@@ -343,9 +350,9 @@ def tune_gains(
             continue
         agent = idx + 1
         eta = cpl.M.shape[0]
-        omega[idx] = tune_omega(cpl, plant, G, slack=omega_slack)
+        omega[idx] = tune_omega(cpl, plant, g_spec, slack=omega_slack)
         theta[idx] = tune_theta(
-            cpl, G, bounds.tilde_u(agent, eta, uhat0_mag), slack=slack
+            cpl, g_spec, bounds.tilde_u(agent, eta, uhat0_mag), slack=slack
         )
         pi[idx] = (
             tune_pi(cpl, eta, float(bounds.d_udot[idx]), slack=slack)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -106,11 +107,14 @@ class Graph:
         if not (1 <= i <= self.n):
             raise IndexOutOfRange(f"agent index {i} outside 1..{self.n}")
 
-    def _bfs(self, start: int) -> dict:
+    def _bfs(self, start: int, max_depth: Optional[int] = None) -> dict:
+        """Distances from ``start``, to every agent or only up to ``max_depth``."""
         dist = {start: 0}
         queue = deque([start])
         while queue:
             u = queue.popleft()
+            if dist[u] == max_depth:
+                continue
             for w in self._adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
@@ -153,9 +157,10 @@ def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
     """Agents with a shortest path of length p, 2 <= p <= k, from agent ``i``."""
     if k < 2:
         raise ValueError(f"hop horizon must be >= 2, got k={k}")
-    dist = g.distances_from(i)
-    members = tuple(sorted(j for j, d in dist.items() if 2 <= d <= k))
-    return KHopNeighborhood(agent=i, k=k, members=members, one_hop=g.neighbors(i))
+    one_hop = g.neighbors(i)
+    dist = g._bfs(i, max_depth=k)
+    members = tuple(sorted(j for j, d in dist.items() if d >= 2))
+    return KHopNeighborhood(agent=i, k=k, members=members, one_hop=one_hop)
 
 
 def all_khop_sets(g: Graph, k: int) -> list:

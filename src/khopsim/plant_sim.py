@@ -40,7 +40,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dense_linalg import sym_eig
 from .errors import (
     DivergenceDetected,
     NumericalError,
@@ -229,8 +228,14 @@ def consensus_distance(x: np.ndarray):
 
 
 def lambda2(graph: Graph) -> float:
-    """Smallest Laplacian eigenvalue above the zero tolerance."""
-    w = sym_eig(graph.laplacian())
+    """Smallest Laplacian eigenvalue above the zero tolerance.
+
+    The spectrum comes from LAPACK (``np.linalg.eigvalsh``): ``lambda2``
+    feeds only the ISS envelope check, never a gain, and the Laplacian is
+    exactly symmetric with integer entries, so it needs neither the Jacobi
+    solver's bits nor its symmetry checks.
+    """
+    w = np.linalg.eigvalsh(graph.laplacian())
     above = w[w > LAPLACIAN_ZERO_TOL]
     if above.size == 0:
         raise ValueError("Laplacian has no positive eigenvalue")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from khopsim import Graph, ObserverState, all_khop_sets, coupling_matrices
 from khopsim.gain_tuning import GainSet
@@ -22,6 +23,17 @@ def random_connected_graph(rng, n_min=2, n_max=8, extra_edge_p=0.3) -> Graph:
         for v in range(u + 1, n + 1):
             if (u, v) not in edges and rng.random() < extra_edge_p:
                 edges.add((u, v))
+    return Graph(n, frozenset(edges))
+
+
+@st.composite
+def connected_graphs(draw, max_n=30) -> Graph:
+    """Hypothesis strategy: a random spanning tree on 2..``max_n`` agents plus
+    up to ``n`` extra edges, so graphs run from long paths to chorded cycles."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
     return Graph(n, frozenset(edges))
 
 

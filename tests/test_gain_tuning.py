@@ -9,7 +9,7 @@ matrix assembly.
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import chorded_ring, random_connected_graph
 from khopsim import (
     BoundSet,
     Graph,
@@ -18,6 +18,8 @@ from khopsim import (
     certificate,
     coupling_matrices,
     design_G,
+    g_spectrum,
+    gain_tuning,
     tune_gains,
     tune_omega,
     tune_pi,
@@ -32,6 +34,7 @@ from khopsim.errors import (
 from khopsim.dense_linalg import is_negative_definite, sym_eig
 from khopsim.gain_tuning import GainSet
 from khopsim.graph_khop import ObserverCoupling
+from khopsim.scenario_cli import load_scenario
 
 
 def plant2(a=None, l_f=0.0):
@@ -82,13 +85,13 @@ class TestTuneOmega:
     def test_path_agents(self, path4, path4_couplings):
         _, cpls = path4_couplings
         G = 20.0 * np.eye(2)
-        assert tune_omega(cpls[0], plant2(), G) == pytest.approx(2.62, abs=0.01)
-        assert tune_omega(cpls[1], plant2(), G) == pytest.approx(1.0, abs=1e-12)
+        assert tune_omega(cpls[0], plant2(), g_spectrum(G)) == pytest.approx(2.62, abs=0.01)
+        assert tune_omega(cpls[1], plant2(), g_spectrum(G)) == pytest.approx(1.0, abs=1e-12)
 
     def test_lipschitz_term(self):
         # 1 * (1 + 1*1/(1*1)) = 2
         plant = PlantModel(N=1, A=np.zeros((1, 1)), l_f=1.0)
-        assert tune_omega(scalar_coupling(), plant, np.eye(1)) == pytest.approx(2.0)
+        assert tune_omega(scalar_coupling(), plant, g_spectrum(np.eye(1))) == pytest.approx(2.0)
 
     def test_zero_lipschitz_is_inverse_lambda_min(self):
         rng = np.random.default_rng(17)
@@ -98,7 +101,7 @@ class TestTuneOmega:
                 if nb.eta == 0:
                     continue
                 c = coupling_matrices(g, nb)
-                got = tune_omega(c, plant2(), 5.0 * np.eye(2))
+                got = tune_omega(c, plant2(), g_spectrum(5.0 * np.eye(2)))
                 assert got == pytest.approx(1.0 / c.lambda_min, rel=1e-12)
 
     def test_singular_coupling_rejected(self):
@@ -110,27 +113,27 @@ class TestTuneOmega:
             lambda_max=0.0,
         )
         with pytest.raises(CouplingNotPD):
-            tune_omega(c, plant2(), np.eye(2))
+            tune_omega(c, plant2(), g_spectrum(np.eye(2)))
 
 
 class TestTuneThetaPi:
     def test_reference_design_values(self, path4_couplings):
         _, cpls = path4_couplings
         G = 20.0 * np.eye(2)
-        assert tune_theta(cpls[1], G, 0.5, slack=1e-9) == pytest.approx(0.5, abs=1e-6)
-        assert tune_theta(cpls[0], G, 0.496, slack=1e-9) == pytest.approx(3.4, abs=0.01)
+        assert tune_theta(cpls[1], g_spectrum(G), 0.5, slack=1e-9) == pytest.approx(0.5, abs=1e-6)
+        assert tune_theta(cpls[0], g_spectrum(G), 0.496, slack=1e-9) == pytest.approx(3.4, abs=0.01)
         assert tune_pi(cpls[0], 2, 1.0, slack=1e-9) == pytest.approx(9.7, abs=0.01)
         assert tune_pi(cpls[1], 1, 1.0, slack=1e-9) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_bound_gives_slack(self):
         c = scalar_coupling()
-        assert tune_theta(c, np.eye(2), 0.0, slack=0.25) == 0.25
+        assert tune_theta(c, g_spectrum(np.eye(2)), 0.0, slack=0.25) == 0.25
         assert tune_pi(c, 1, 0.0, slack=0.25) == 0.25
 
     def test_slack_must_be_positive(self):
         c = scalar_coupling()
         with pytest.raises(ValueError):
-            tune_theta(c, np.eye(2), 1.0, slack=0.0)
+            tune_theta(c, g_spectrum(np.eye(2)), 1.0, slack=0.0)
         with pytest.raises(ValueError):
             tune_pi(c, 1, 1.0, slack=-1.0)
 
@@ -140,7 +143,7 @@ class TestGainInequality:
         _, cpls = path4_couplings
         G = 20.0 * np.eye(2)
         for cpl in cpls:
-            omega = tune_omega(cpl, plant2(), G)
+            omega = tune_omega(cpl, plant2(), g_spectrum(G))
             rep = verify_gain_inequality(cpl, plant2(), G, omega)
             assert rep.holds and rep.lambda_max < 0
 
@@ -165,7 +168,7 @@ class TestGainInequality:
                 if nb.eta == 0:
                     continue
                 cpl = coupling_matrices(g, nb)
-                omega = tune_omega(cpl, plant, G)
+                omega = tune_omega(cpl, plant, g_spectrum(G))
                 rep = verify_gain_inequality(cpl, plant, G, omega)
                 assert rep.holds, (g, k, a, l_f, omega, rep.lambda_max)
                 checked += 1
@@ -270,3 +273,17 @@ class TestTuneGains:
         gains, nbs, cpls = tune_gains(g, 2, plant2(), bounds)
         assert all(c is None for c in cpls)
         assert np.all(np.isnan(gains.omega))
+
+    def test_g_spectrum_computed_once(self, monkeypatch):
+        # Every agent's omega and theta bound uses the same spectrum of G.
+        sc = load_scenario(chorded_ring())
+        real, calls = gain_tuning.g_spectrum, []
+
+        def counted(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(gain_tuning, "g_spectrum", counted)
+        gains, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
+        assert sum(c is not None for c in cpls) == 12
+        assert len(calls) == 1 and calls[0] is gains.G

@@ -4,10 +4,20 @@ Memberships are checked against a brute-force Floyd-Warshall oracle, and
 the coupling matrices against hand-expanded definitions on small graphs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import component_count, floyd_warshall, random_connected_graph, unit_gains
+from conftest import (
+    component_count,
+    connected_graphs,
+    floyd_warshall,
+    random_connected_graph,
+    unit_gains,
+)
 from khopsim import (
     Graph,
     all_khop_sets,
@@ -106,6 +116,29 @@ class TestKhopSet:
                     j for j in range(1, g.n + 1) if 2 <= dist[i - 1, j - 1] <= k
                 )
                 assert khop_set(g, i, k).members == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.sampled_from((2, 3, 4)))
+    def test_bounded_search_matches_full_distances(self, g, k):
+        # khop_set searches only k hops deep; its members are still exactly
+        # the agents the full search puts at distance 2..k.
+        real_bfs = Graph._bfs
+        searched = []
+
+        def recording(self, start, max_depth=None):
+            dist = real_bfs(self, start, max_depth)
+            searched.append(dist)
+            return dist
+
+        for i in range(1, g.n + 1):
+            expected = tuple(
+                sorted(j for j, d in g.distances_from(i).items() if 2 <= d <= k)
+            )
+            searched.clear()
+            with mock.patch.object(Graph, "_bfs", recording):
+                nb = khop_set(g, i, k)
+            assert nb.members == expected
+            assert len(searched) == 1 and max(searched[0].values()) <= k
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(29)

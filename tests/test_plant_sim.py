@@ -8,11 +8,13 @@ consensus.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import chorded_ring
+from conftest import chorded_ring, connected_graphs
 from khopsim import (
     BoundSet,
     Controller,
@@ -20,6 +22,7 @@ from khopsim import (
     PlantModel,
     SimConfig,
     consensus_distance,
+    dense_linalg,
     detect_convergence,
     init_world,
     lambda2,
@@ -28,6 +31,7 @@ from khopsim import (
     step,
     tune_gains,
 )
+from khopsim.dense_linalg import sym_eig
 from khopsim.errors import DivergenceDetected, ProtocolError, StateBoxViolation
 from khopsim.plant_sim import read_csv, write_csv
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, prepare
@@ -73,6 +77,24 @@ def test_lambda2_cycle4():
 def test_lambda2_path4():
     g = Graph(4, {(1, 2), (2, 3), (3, 4)})
     assert lambda2(g) == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_lambda2_matches_jacobi_without_calling_it(g):
+    # lambda2 feeds no gain, so it takes LAPACK's spectrum; the Jacobi
+    # solver stays the reference it must agree with.
+    w = sym_eig(g.laplacian())
+    expected = float(w[w > plant_sim.LAPLACIAN_ZERO_TOL][0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lambda2 called the Jacobi solver")
+
+    with mock.patch.object(dense_linalg, "sym_eig", forbidden), mock.patch.object(
+        plant_sim, "sym_eig", forbidden, create=True
+    ):
+        got = lambda2(g)
+    assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
 
 class TestStep:
