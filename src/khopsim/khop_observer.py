@@ -24,9 +24,12 @@ follows the protocol agent by agent and is the reference the tests compare
 against. The pair form (:class:`PairLayout`, :func:`pair_derivative`) is
 what the simulator runs: the wiring never changes during a run, so every
 (estimator, target) pair's message-form sum is written down once as an
-ordered row of source indices, and each round becomes a few gathers over
-``(P, N)`` arrays. The rows keep the message form's term order, so both
-forms give the same floating-point result; see :func:`pair_layout`.
+ordered row of source indices into ``[estimates; truth]``. A run keeps one
+state array ``z`` of shape ``(2, P + n, N)``: plane 0 is ``[x_hat; x]``
+and plane 1 is ``[u_hat; u]``, so one gather along the row axis yields the
+terms of ``xi`` and ``rho`` together, and one ``sign`` call switches both.
+The rows keep the message form's term order, so both forms give the same
+floating-point result; see :func:`pair_layout`.
 """
 
 from __future__ import annotations
@@ -255,13 +258,15 @@ class PairLayout:
     ``(P, N)`` estimate arrays are the per-agent stacks concatenated. Each
     pair carries the gains of its target (estimators of agent ``l`` apply
     ``omega_l``, ``theta_l`` and ``pi_l``) as ``(P, 1)`` columns, so a
-    missing gain shows as NaN.
+    missing gain shows as NaN. ``switch`` stacks the switching gains
+    ``[theta; pi]`` as ``(2, P, 1)``, one plane per observer, and
+    ``theta``/``pi`` are its planes.
 
     Column ``terms[:, p]`` lists, in the message form's summation order,
-    the rows of ``concat(estimates, truth)`` whose differences to pair
-    ``p``'s own estimate make up its correction signal; see
-    :func:`pair_layout`. It is stored term-major, ``(D, P)``, so that each
-    term of every pair is one contiguous gather.
+    the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
+    own estimate make up its correction signal; see :func:`pair_layout`.
+    It is stored term-major, ``(D, P)``, so that each term of every pair is
+    one contiguous gather.
     """
 
     n: int
@@ -271,8 +276,15 @@ class PairLayout:
     terms: np.ndarray
     G: np.ndarray
     omega: np.ndarray
-    theta: np.ndarray
-    pi: np.ndarray
+    switch: np.ndarray
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.switch[0]
+
+    @property
+    def pi(self) -> np.ndarray:
+        return self.switch[1]
 
     def rows(self, agent: int) -> slice:
         """Rows holding ``agent``'s (1-based) stacked estimates."""
@@ -322,45 +334,50 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
         terms=terms,
         G=gains.G,
         omega=gains.omega[target, None],
-        theta=gains.theta[target, None],
-        pi=gains.pi[target, None],
+        switch=np.stack((gains.theta[target, None], gains.pi[target, None])),
     )
-
-
-def _pair_signal(terms: np.ndarray, est: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    # Term by term in table order, like the message form's ``acc += ...``.
-    parts = np.concatenate((est, truth)).take(terms, axis=0)
-    parts -= est
-    out = np.zeros(est.shape)
-    for part in parts:
-        out += part
-    return out
 
 
 def pair_derivative(
     layout: PairLayout,
     plant: PlantModel,
-    x_hat: np.ndarray,
-    u_hat: np.ndarray,
-    x: np.ndarray,
-    u: np.ndarray,
+    z: np.ndarray,
     boundary_layer: Optional[float] = None,
-) -> tuple:
-    """Observer derivatives ``(dx_hat, du_hat)`` of every pair at once.
+) -> np.ndarray:
+    """Time derivative of a run's whole state array ``z``, ``(2, P + n, N)``.
 
-    ``x_hat``/``u_hat`` are ``(P, N)`` pair estimates, ``x``/``u`` the
-    ``(n, N)`` true states and inputs that 1-hop neighbors relay. Per row
-    this is :func:`observer_derivative`'s block update with the same
-    operations in the same order.
+    Plane 0 of ``z`` is ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``: the
+    ``(P, N)`` pair estimates, then the ``(n, N)`` true states and the
+    inputs that 1-hop neighbors relay. In the result, the pair rows hold the
+    observer derivatives, per row :func:`observer_derivative`'s block update
+    with the same operations in the same order; plane 0's truth rows hold
+    the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
+    the controller sets the inputs afresh every round.
     """
-    xi = _pair_signal(layout.terms, x_hat, x)
-    rho = _pair_signal(layout.terms, u_hat, u)
-    g_xi = xi @ layout.G.T
-    dx = x_hat @ plant.A.T
-    if plant.f is not None:
-        dx += plant.f(x_hat)
-    dx += layout.omega * g_xi
-    dx += layout.theta * sign(g_xi, boundary_layer)
-    dx += u_hat
-    du = layout.pi * sign(rho, boundary_layer)
-    return dx, du
+    p = layout.target.size
+    # Term by term in table order, like the message form's ``acc += ...``.
+    parts = z.take(layout.terms, axis=1)
+    parts -= z[:, None, :p]
+    signal = np.zeros((2, p, z.shape[2]))
+    for d in range(layout.terms.shape[0]):
+        signal += parts[:, d]
+    signal[0] = signal[0] @ layout.G.T  # G xi; plane 1 stays rho
+    switching = layout.switch * sign(signal, boundary_layer)
+    dz = np.empty(z.shape)
+    # One product over estimate and truth rows alike: each block has two or
+    # more rows (P is even, n >= 2), and such products round every row as
+    # the block's own product would.
+    np.matmul(z[0], plant.A.T, out=dz[0])
+    fz = None if plant.f is None else plant.f(z[0])
+    est, plant_rows = dz[0, :p], dz[0, p:]
+    if fz is not None:
+        est += fz[:p]
+    est += layout.omega * signal[0]
+    est += switching[0]
+    est += z[1, :p]
+    plant_rows += z[1, p:]
+    if fz is not None:
+        plant_rows += fz[p:]
+    dz[1, :p] = switching[1]
+    dz[1, p:] = 0.0
+    return dz

@@ -13,18 +13,25 @@ the chattering band, never as an exact zero.
 
 The round is evaluated on arrays, not on per-agent message objects. All P
 (estimator, target) pairs are laid out once, estimator-major with members
-ascending (:class:`~khopsim.khop_observer.PairLayout`), so the estimates
-are two ``(P, N)`` arrays and agent ``i``'s stacked estimate is a
-contiguous row block. Each pair's correction signal is the message form's
-sum written down once as an ordered row of source indices into
-``concat(estimates, truth)``: for every 1-hop neighbor ``j`` in ascending
-order, ``j``'s estimate of the same target, then the relayed true value.
-Rows are padded with the pair itself (``own - own = +0.0``), and a step
-adds the columns in table order, so every sum rounds exactly as the
-message form does. The consensus input uses the same trick over
-``concat(x, x_hat)``, and the logged error norms and disturbance are
-gathers plus ``np.bincount`` over the pair index, which also accumulates in
-input order.
+ascending (:class:`~khopsim.khop_observer.PairLayout`), and a run keeps
+one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
+``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so agent ``i``'s stacked
+estimate is a contiguous row block of each plane. Each pair's correction
+signal is the message form's sum written down once as an ordered row of
+source indices into ``[estimates; truth]``: for every 1-hop neighbor ``j``
+in ascending order, ``j``'s estimate of the same target, then the relayed
+true value. Rows are padded with the pair itself (``own - own = +0.0``),
+and a step adds the columns in table order, so every sum rounds exactly as
+the message form does. The same indices address both planes, so one gather
+yields the state and the input signals together. The consensus input sums
+plane-0 rows of the same kind, and the Euler update is one
+``z + dt * dz`` over the whole array.
+
+The Euler loop only copies each logged ``z`` into a bounded block. The
+logged error norms and disturbance are reduced per block, after the steps
+that produced it: a row-wise dot product and an ``np.bincount`` whose bins
+run sample-major, so every cell accumulates its terms in the same order as
+a per-sample reduction would.
 
 Do not regroup these sums. ``sum(estimates) - (deg + c) * own + c * truth``
 is the same sum in exact arithmetic but not in floating point, and because
@@ -35,6 +42,7 @@ differences of order 1e-3 within a few hundred steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -54,6 +62,10 @@ CONV_EPS_FLOOR = 1e-6
 CONV_EPS_REL = 1e-3
 DEFAULT_BAND_SCALE = 5.0
 LAPLACIAN_ZERO_TOL = 1e-8
+# Bytes of logged state arrays :func:`run` holds before reducing them. A
+# 1 MiB block ran no faster and left a higher peak RSS in the verification
+# that follows the reproduction run (+0.7 MB); 256 KiB did not.
+LOG_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -178,13 +190,29 @@ class Telemetry:
 
 @dataclass
 class SimWorld:
-    """Simulation state at time ``t``: true states ``x`` (n, N) and the pair
-    estimates ``x_hat``/``u_hat`` (P, N), laid out by ``config.structure.pairs``."""
+    """Simulation state at time ``t`` as one array ``z`` of shape
+    ``(2, P + n, N)``: plane 0 is ``[x_hat; x]``, plane 1 is ``[u_hat; u]``.
+
+    The first ``p`` rows of each plane are the pair estimates, laid out by
+    ``config.structure.pairs``; the rest are the true states and the inputs
+    of the last round that computed them.
+    """
 
     t: float
-    x: np.ndarray
-    x_hat: np.ndarray
-    u_hat: np.ndarray
+    z: np.ndarray
+    p: int
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z[0, self.p:]
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        return self.z[0, : self.p]
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        return self.z[1, : self.p]
 
 
 @dataclass(frozen=True)
@@ -192,13 +220,13 @@ class SimStructure:
     """Static wiring a :class:`SimConfig` builds once from its graph, k and gains.
 
     ``control_terms`` (``khop_consensus`` only) has one column per agent:
-    the rows of ``concat(x, x_hat)`` its consensus input sums over, in the
-    order :func:`consensus_control` adds them (communication-and-target
-    neighbors, then estimates of target-only neighbors), padded with the
-    agent's own row, stored term-major like ``PairLayout.terms``.
-    ``disturbance_pairs`` are the pairs those estimates come from, and
-    ``disturbance_bins`` their flat ``(estimator, component)`` cells in an
-    ``(n, N)`` array.
+    the rows of ``[x_hat; x]``, plane 0 of the state array, that its
+    consensus input sums over, in the order :func:`consensus_control` adds
+    them (communication-and-target neighbors, then estimates of target-only
+    neighbors), padded with the agent's own row, stored term-major like
+    ``PairLayout.terms``. ``disturbance_pairs`` are the pairs those
+    estimates come from, and ``disturbance_bins`` their flat
+    ``(estimator, component)`` cells in an ``(n, N)`` array.
     """
 
     nbs: list
@@ -274,6 +302,7 @@ def build_structure(config: SimConfig) -> SimStructure:
     g = config.graph
     nbs = all_khop_sets(g, config.k)
     pairs = pair_layout(nbs, config.gains)
+    n_pairs = pairs.target.size
     control_terms = None
     disturbance = []
     if config.controller.kind == "khop_consensus":
@@ -284,7 +313,7 @@ def build_structure(config: SimConfig) -> SimStructure:
         for i in range(1, g.n + 1):
             tn = set(tg.neighbors(i))
             cn = set(g.neighbors(i))
-            row = [j - 1 for j in sorted(tn & cn)]
+            row = [n_pairs + j - 1 for j in sorted(tn & cn)]
             members = nbs[i - 1].members
             for j in sorted(tn - cn):
                 if j not in members:
@@ -293,12 +322,13 @@ def build_structure(config: SimConfig) -> SimStructure:
                         f"within the {config.k}-hop horizon"
                     )
                 p = pairs.rows(i).start + members.index(j)
-                row.append(g.n + p)
+                row.append(p)
                 disturbance.append(p)
             rows.append(row)
         width = max(len(r) for r in rows)
         control_terms = np.array(
-            [r + [i] * (width - len(r)) for i, r in enumerate(rows)], dtype=np.intp
+            [r + [n_pairs + i] * (width - len(r)) for i, r in enumerate(rows)],
+            dtype=np.intp,
         ).T.copy()
     disturbance = np.array(disturbance, dtype=np.intp)
     n_dim = config.plant.N
@@ -313,12 +343,12 @@ def build_structure(config: SimConfig) -> SimStructure:
 
 
 def init_world(config: SimConfig) -> SimWorld:
-    return SimWorld(
-        t=0.0,
-        x=config.x0.copy(),
-        x_hat=config.xhat0.copy(),
-        u_hat=config.uhat0.copy(),
-    )
+    p = config.structure.pairs.target.size
+    z = np.zeros((2, p + config.graph.n, config.plant.N))
+    z[0, :p] = config.xhat0
+    z[0, p:] = config.x0
+    z[1, :p] = config.uhat0
+    return SimWorld(t=0.0, z=z, p=p)
 
 
 def _check_startable(config: SimConfig) -> None:
@@ -333,75 +363,82 @@ def _check_startable(config: SimConfig) -> None:
             )
 
 
-def _compute_control(world: SimWorld, config: SimConfig) -> np.ndarray:
+def _apply_control(z: np.ndarray, config: SimConfig) -> None:
+    """Set every agent's input, plane 1's truth rows, from plane 0."""
     s = config.structure
-    x = world.x
-    u = np.zeros(x.shape)
+    p = s.pairs.target.size
+    u = z[1, p:]
+    u[...] = 0.0
     if config.controller.kind == "khop_consensus":
-        parts = np.concatenate((x, world.x_hat)).take(s.control_terms, axis=0)
-        parts -= x
+        parts = z[0].take(s.control_terms, axis=0)
+        parts -= z[0, p:]
         for part in parts:
             u += part
-    return u
 
 
-def _disturbance(world: SimWorld, config: SimConfig) -> np.ndarray:
-    """Per-agent consensus disturbance: sum of estimate errors the input uses.
-
-    ``np.bincount`` adds each cell's terms in input order, as a loop would.
-    """
+def _advance(z: np.ndarray, t_next: float, config: SimConfig) -> None:
+    """One Euler step of the whole state array, in place, then the checks."""
     s = config.structure
-    p = s.disturbance_pairs
-    err = world.x.take(s.pairs.target[p], axis=0) - world.x_hat.take(p, axis=0)
-    v = np.bincount(s.disturbance_bins, weights=err.reshape(-1), minlength=world.x.size)
-    return v.reshape(world.x.shape)
-
-
-def _advance(world: SimWorld, u: np.ndarray, config: SimConfig) -> SimWorld:
-    s = config.structure
-    x = world.x
+    p = s.pairs.target.size
     # Every pair sees its 1-hop neighbors' estimates and relays of the same
     # instant (zero-delay propagation), as in one message round.
-    dx_hat, du_hat = pair_derivative(
-        s.pairs, config.plant, world.x_hat, world.u_hat, x, u, config.boundary_layer
-    )
-    dx = x @ config.plant.A.T + u
-    if config.plant.f is not None:
-        dx += config.plant.f(x)
-    t_next = world.t + config.dt
-    x_next = x + config.dt * dx
-    x_hat = world.x_hat + config.dt * dx_hat
-    u_hat = world.u_hat + config.dt * du_hat
-    if not np.isfinite(float(x_next.sum())):
-        bad = ~np.isfinite(x_next).all(axis=1)
+    dz = pair_derivative(s.pairs, config.plant, z, config.boundary_layer)
+    dz *= config.dt
+    z += dz
+    if not math.isfinite(float(z.sum())):
+        bad = ~np.isfinite(z[0, p:]).all(axis=1)
         if bad.any():
             raise DivergenceDetected(t_next, int(np.argmax(bad)) + 1)
-    if not np.isfinite(float(x_hat.sum()) + float(u_hat.sum())):
-        bad = ~(np.isfinite(x_hat).all(axis=1) & np.isfinite(u_hat).all(axis=1))
+        bad = ~np.isfinite(z[:, :p]).all(axis=(0, 2))
         if bad.any():
             agent = int(s.pairs.estimator[np.argmax(bad)]) + 1
             raise DivergenceDetected(t_next, agent, "non-finite estimate")
     if config.state_box is not None:
         lo, hi = config.state_box
-        bad = (x_next < lo) | (x_next > hi)
-        if bad.any():
+        x = z[0, p:]
+        if float(x.min()) < lo or float(x.max()) > hi:
+            bad = (x < lo) | (x > hi)
             agent = int(np.argwhere(bad)[0][0]) + 1
-            value = float(x_next[bad][0])
+            value = float(x[bad][0])
             raise StateBoxViolation(t_next, agent, value, (lo, hi))
-    return SimWorld(t=t_next, x=x_next, x_hat=x_hat, u_hat=u_hat)
 
 
 def step(world: SimWorld, config: SimConfig) -> SimWorld:
     """One synchronous round: control, observer derivatives, Euler update."""
     _check_startable(config)
-    return _advance(world, _compute_control(world, config), config)
+    z = world.z.copy()
+    _apply_control(z, config)
+    t_next = world.t + config.dt
+    _advance(z, t_next, config)
+    return SimWorld(t=t_next, z=z, p=world.p)
 
 
-def _stacked_error_norm(pairs: PairLayout, truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Per estimated agent, norm of the stacked errors of all its estimators."""
-    diff = truth.take(pairs.target, axis=0) - est
-    sq = np.bincount(pairs.target, weights=_row_dot(diff, diff), minlength=pairs.n)
-    return np.sqrt(sq)
+def _error_norms(pairs: PairLayout, logged: np.ndarray) -> np.ndarray:
+    """Per logged state array ``(S, 2, P + n, N)`` and plane, per estimated
+    agent, the norm of the stacked errors of all its estimators: ``(S, 2, n)``.
+
+    Plane 0 gives the state errors, plane 1 the input errors.
+    """
+    p, n = pairs.target.size, pairs.n
+    diff = logged[:, :, p:].take(pairs.target, axis=2) - logged[:, :, :p]
+    flat = diff.reshape(-1, diff.shape[-1])
+    planes = 2 * len(logged)
+    bins = (np.arange(planes)[:, None] * n + pairs.target).reshape(-1)
+    sq = np.bincount(bins, weights=_row_dot(flat, flat), minlength=planes * n)
+    return np.sqrt(sq).reshape(len(logged), 2, n)
+
+
+def _disturbance(s: SimStructure, logged: np.ndarray) -> np.ndarray:
+    """Per logged state array, the per-agent consensus disturbance: the sum
+    of the estimate errors its input uses, ``(S, n, N)``."""
+    p = s.pairs.target.size
+    dp = s.disturbance_pairs
+    x = logged[:, 0, p:]
+    err = x.take(s.pairs.target[dp], axis=1) - logged[:, 0].take(dp, axis=1)
+    cells = x.shape[1] * x.shape[2]
+    bins = (np.arange(len(logged))[:, None] * cells + s.disturbance_bins).reshape(-1)
+    v = np.bincount(bins, weights=err.reshape(-1), minlength=len(logged) * cells)
+    return v.reshape(x.shape)
 
 
 def initial_error_norms(config: SimConfig) -> tuple:
@@ -411,11 +448,9 @@ def initial_error_norms(config: SimConfig) -> tuple:
     run itself initializes the input vector.
     """
     world = init_world(config)
-    u0 = _compute_control(world, config)
-    pairs = config.structure.pairs
-    x_err0 = _stacked_error_norm(pairs, world.x, world.x_hat)
-    u_err0 = _stacked_error_norm(pairs, u0, world.u_hat)
-    return x_err0, u_err0
+    _apply_control(world.z, config)
+    err = _error_norms(config.structure.pairs, world.z[None])
+    return err[0, 0], err[0, 1]
 
 
 def detect_convergence(
@@ -485,8 +520,9 @@ def run(config: SimConfig) -> Telemetry:
     exception as ``partial_telemetry`` so callers can retain them.
     """
     _check_startable(config)
+    s = config.structure
     world = init_world(config)
-    pairs = config.structure.pairs
+    z, t, p = world.z, world.t, world.p
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
     sample_ids = list(range(0, n_steps + 1, config.decimate))
@@ -502,32 +538,45 @@ def run(config: SimConfig) -> Telemetry:
         "v": np.zeros((n_samples, n, n_dim)),
     }
     times, states, inputs, errx, erru, v_log = logs.values()
+    block = np.empty((min(n_samples, max(1, LOG_BLOCK_BYTES // z.nbytes)), *z.shape))
+    row = reduced = 0
 
-    def telemetry(rows: int) -> Telemetry:
-        logged = {name: arr[:rows] for name, arr in logs.items()}
+    def reduce_block() -> None:
+        # Logged rows [reduced, row) sit in ``block``; reduce them together.
+        nonlocal reduced
+        logged = block[: row - reduced]
+        rows = slice(reduced, row)
+        states[rows] = logged[:, 0, p:]
+        inputs[rows] = logged[:, 1, p:]
+        err = _error_norms(s.pairs, logged)
+        errx[rows], erru[rows] = err[:, 0], err[:, 1]
+        v_log[rows] = _disturbance(s, logged)
+        reduced = row
+
+    def telemetry() -> Telemetry:
+        if row > reduced:
+            reduce_block()
+        logged = {name: arr[:row] for name, arr in logs.items()}
         cons = consensus_distance(logged["states"])
         return _assemble_telemetry(config, cons_dist=cons, **logged)
 
-    sample_set = set(sample_ids)
-    row = 0
     try:
         for k in range(n_steps + 1):
-            u = _compute_control(world, config)
-            if k in sample_set:
-                times[row] = world.t
-                states[row] = world.x
-                inputs[row] = u
-                errx[row] = _stacked_error_norm(pairs, world.x, world.x_hat)
-                erru[row] = _stacked_error_norm(pairs, u, world.u_hat)
-                v_log[row] = _disturbance(world, config)
+            _apply_control(z, config)
+            if k == sample_ids[row]:
+                times[row] = t
+                block[row - reduced] = z
                 row += 1
+                if row - reduced == len(block):
+                    reduce_block()
             if k == n_steps:
                 break
-            world = _advance(world, u, config)
+            t += config.dt
+            _advance(z, t, config)
     except DivergenceDetected as exc:
-        exc.partial_telemetry = telemetry(row)
+        exc.partial_telemetry = telemetry()
         raise
-    return telemetry(row)
+    return telemetry()
 
 
 def _column_layout(n: int, n_dim: int) -> list:

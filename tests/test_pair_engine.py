@@ -6,12 +6,14 @@ with ``A = 0`` and ``G = g I`` (every bundled scenario) each sum is formed
 in the message form's order, so results must be bit-identical, because
 ``sign(0) = +1`` turns one-ulp differences into different trajectories.
 The whole-run tests replay the closed loop with per-agent
-``NeighborMessage`` exchanges and demand identical states and inputs.
+``NeighborMessage`` exchanges and demand an identical ``Telemetry``, field
+by field.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,11 @@ from khopsim import (
     Graph,
     ObserverState,
     PlantModel,
+    Telemetry,
     all_khop_sets,
     consensus_control,
+    consensus_distance,
+    plant_sim,
     run,
 )
 from khopsim.gain_tuning import GainSet
@@ -72,10 +77,16 @@ def both_forms(g, nbs, x, u, obs, plant, gains, boundary_layer):
     ref_du = np.concatenate([r.du_hat for r in ref]).reshape(-1, n_dim)
     x_hat = np.concatenate([o.x_hat for o in obs]).reshape(-1, n_dim)
     u_hat = np.concatenate([o.u_hat for o in obs]).reshape(-1, n_dim)
-    dx, du = pair_derivative(
-        pair_layout(nbs, gains), plant, x_hat, u_hat, x, u, boundary_layer
-    )
-    return (dx, du), (ref_dx, ref_du)
+    z = np.stack((np.concatenate((x_hat, x)), np.concatenate((u_hat, u))))
+    dz = pair_derivative(pair_layout(nbs, gains), plant, z, boundary_layer)
+    p = len(x_hat)
+    # The truth rows carry the plant; the input rows are the controller's.
+    plant_dx = x @ plant.A.T + u
+    if plant.f is not None:
+        plant_dx += plant.f(x)
+    assert np.array_equal(dz[0, p:], plant_dx)
+    assert np.all(dz[1, p:] == 0.0)
+    return (dz[0, :p], dz[1, :p]), (ref_dx, ref_du)
 
 
 def random_gains(rng, n, G):
@@ -122,24 +133,42 @@ def test_pair_kernel_matches_for_general_plant(net, with_f):
 
 def message_form_run(config):
     """The closed loop with one NeighborMessage per agent per step, as the
-    simulator ran it before the pair engine. Returns (states, inputs)."""
+    simulator ran it before the pair engine, logging every step.
+
+    Returns the series ``times``, ``states``, ``inputs``, ``errx``, ``erru``
+    and ``v``. The plant steps as ``x + dt * (x A^T + u + f(x))``; the error
+    norms and the disturbance are reduced one step at a time, each cell
+    adding its terms in pair order.
+    """
     g, plant, dt = config.graph, config.plant, config.dt
     nbs = all_khop_sets(g, config.k)
     tg = config.controller.target_graph
+    pairs = config.structure.pairs
     obs = [
         ObserverState(
             i + 1,
-            np.array(config.xhat0[config.structure.pairs.rows(i + 1)], dtype=float).reshape(-1),
-            np.array(config.uhat0[config.structure.pairs.rows(i + 1)], dtype=float).reshape(-1),
+            np.array(config.xhat0[pairs.rows(i + 1)], dtype=float).reshape(-1),
+            np.array(config.uhat0[pairs.rows(i + 1)], dtype=float).reshape(-1),
         )
         for i, nb in enumerate(nbs)
     ]
+    target = np.array([l - 1 for nb in nbs for l in nb.members], dtype=np.intp)
+
+    def error_norm(truth, est):
+        diff = truth[target] - est.reshape(-1, plant.N)
+        sq = np.bincount(target, weights=np.vecdot(diff, diff), minlength=g.n)
+        return np.sqrt(sq)
+
     x = np.array(config.x0, dtype=float)
-    states, inputs = [], []
+    t = 0.0
+    logs = {name: [] for name in ("times", "states", "inputs", "errx", "erru", "v")}
     n_steps = int(round(config.t_end / dt))
     for step_i in range(n_steps + 1):
         u = np.zeros_like(x)
+        v = np.zeros_like(x)
         for i, nb in enumerate(nbs, 1):
+            if tg is None:
+                continue
             onehop = {j: x[j - 1] for j in nb.one_hop}
             est = {
                 l: obs[i - 1].x_hat[b * plant.N : (b + 1) * plant.N]
@@ -148,8 +177,14 @@ def message_form_run(config):
             ct = tuple(j for j in tg.neighbors(i) if g.has_edge(i, j))
             t_only = tuple(j for j in tg.neighbors(i) if not g.has_edge(i, j))
             u[i - 1] = consensus_control(i, x[i - 1], onehop, est, ct + t_only, ct)
-        states.append(x.copy())
-        inputs.append(u)
+            for j in t_only:
+                v[i - 1] += x[j - 1] - est[j]
+        logs["times"].append(t)
+        logs["states"].append(x.copy())
+        logs["inputs"].append(u)
+        logs["errx"].append(error_norm(x, np.concatenate([o.x_hat for o in obs])))
+        logs["erru"].append(error_norm(u, np.concatenate([o.u_hat for o in obs])))
+        logs["v"].append(v)
         if step_i == n_steps:
             break
         msgs = build_messages(g, nbs, x, u, obs)
@@ -158,21 +193,46 @@ def message_form_run(config):
                                 config.gains, boundary_layer=config.boundary_layer)
             for i in range(g.n)
         ]
-        x = x + dt * (x @ plant.A.T + u)
+        dx = x @ plant.A.T + u
+        if plant.f is not None:
+            dx += plant.f(x)
+        x = x + dt * dx
+        t = t + dt
         obs = [
             ObserverState(o.agent, o.x_hat + dt * d.dx_hat, o.u_hat + dt * d.du_hat)
             for o, d in zip(obs, derivs)
         ]
-    return np.array(states), np.array(inputs)
+    return {name: np.array(series) for name, series in logs.items()}
 
 
-def assert_same_run(raw):
+def message_form_telemetry(config):
+    """:func:`message_form_run` sampled at ``config.decimate`` and judged by
+    the simulator's one convergence rule."""
+    series = message_form_run(config)
+    n_steps = len(series["times"]) - 1
+    rows = list(range(0, n_steps + 1, config.decimate))
+    if rows[-1] != n_steps:
+        rows.append(n_steps)
+    logged = {name: arr[rows] for name, arr in series.items()}
+    return plant_sim._assemble_telemetry(
+        config, cons_dist=consensus_distance(logged["states"]), **logged
+    )
+
+
+def assert_same_telemetry(got, want):
+    for f in dataclasses.fields(Telemetry):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+def config_of(raw, **changes):
     ts = prepare(load_scenario(raw))
-    config = dataclasses.replace(ts.config, decimate=1)
-    tel = run(config)
-    states, inputs = message_form_run(config)
-    assert np.array_equal(tel.states, states)
-    assert np.array_equal(tel.inputs, inputs)
+    return dataclasses.replace(ts.config, **{"decimate": 1, **changes})
+
+
+def assert_same_run(raw, **changes):
+    config = config_of(raw, **changes)
+    assert_same_telemetry(run(config), message_form_telemetry(config))
 
 
 def test_run_matches_message_form_on_reproduction():
@@ -181,3 +241,38 @@ def test_run_matches_message_form_on_reproduction():
 
 def test_run_matches_message_form_on_chorded_ring():
     assert_same_run(chorded_ring())
+
+
+def test_run_matches_message_form_decimated_over_small_log_blocks(monkeypatch):
+    # 300 steps at decimate 7 log 44 samples; blocks of 5 leave a partial
+    # last block, so every reduction path runs.
+    config = config_of(chorded_ring(), decimate=7)
+    z_bytes = 2 * (config.structure.pairs.target.size + config.graph.n) * 2 * 8
+    monkeypatch.setattr(plant_sim, "LOG_BLOCK_BYTES", 5 * z_bytes)
+    assert_same_telemetry(run(config), message_form_telemetry(config))
+
+
+@pytest.mark.parametrize(
+    "raw, changes",
+    [
+        (short_reproduction(), {"boundary_layer": 0.05, "decimate": 7}),
+        (dict(chorded_ring(), controller={"kind": "zero"}), {"decimate": 7}),
+    ],
+    ids=["boundary_layer", "zero_controller"],
+)
+def test_run_matches_message_form_on_variant(raw, changes):
+    assert_same_run(raw, **changes)
+
+
+def test_run_matches_message_form_with_saturating_plant():
+    raw = chorded_ring(t_end=0.2)
+    raw["plant"] = {"N": 2, "A": [[-0.2, 0.5], [-0.5, -0.2]], "f": "scalar-saturation"}
+    # Large enough that the saturation clips some states.
+    raw["sim"]["x0"] = (6.0 * np.array(raw["sim"]["x0"])).tolist()
+    config = config_of(raw)
+    # A one-row ``xh @ A.T`` rounds differently from the same row inside a
+    # larger product, so the message form agrees only while every agent
+    # estimates at least two others.
+    assert min(nb.eta for nb in config.structure.nbs) >= 2
+    assert np.abs(config.x0).max() > 1.0
+    assert_same_telemetry(run(config), message_form_telemetry(config))

@@ -324,6 +324,27 @@ class TestRun:
             run(config)
         assert err.value.time == pytest.approx(0.051, abs=2e-3)
 
+    @pytest.mark.parametrize("decimate", [1, 7])
+    def test_partial_telemetry_is_the_run_to_the_last_logged_time(self, decimate, monkeypatch):
+        # The logs are reduced after the steps that produced them, so the
+        # record attached to a violation must still hold exactly the rows
+        # logged before the failing step: those of a run that stops there.
+        raw = chorded_ring(t_end=2.0)
+        raw["plant"] = {"N": 2, "A": 1.0}
+        raw["sim"] = dict(raw["sim"], state_box=[-0.3, 0.3], decimate=decimate)
+        config = prepare(load_scenario(raw)).config
+        # Blocks of 5 samples, so the violation falls inside a block.
+        monkeypatch.setattr(plant_sim, "LOG_BLOCK_BYTES", 5 * init_world(config).z.nbytes)
+        with pytest.raises(StateBoxViolation) as err:
+            run(config)
+        partial = err.value.partial_telemetry
+        assert len(partial.times) > 10 and len(partial.times) % 5 != 0
+        assert partial.times[-1] < err.value.time
+        whole = run(dataclasses.replace(config, t_end=float(partial.times[-1])))
+        for f in dataclasses.fields(whole):
+            a, b = getattr(partial, f.name), getattr(whole, f.name)
+            assert np.array_equal(a, b, equal_nan=True), f.name
+
     def test_euler_consistency_under_dt_halving(self):
         config, _ = repro_config(t_end=3.0)
         tel_a = run(config)
@@ -356,6 +377,23 @@ class TestRun:
         tel = run(config)
         plant_sim.telemetry_from_columns(config, plant_sim.telemetry_columns(tel))
         assert calls == {"all_khop_sets": 1, "pair_layout": 1}
+
+    def test_kernel_runs_once_per_step_and_logs_reduce_after_the_loop(self, monkeypatch):
+        # One observer kernel call per Euler step; the logged error norms and
+        # disturbance are reduced per block of samples, never per step.
+        ts = prepare(load_scenario(chorded_ring(t_end=0.05)))
+        config = dataclasses.replace(ts.config, decimate=1)
+        calls = dict.fromkeys(("pair_derivative", "_error_norms", "_disturbance"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(plant_sim, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(plant_sim, name, counted)
+        tel = run(config)
+        assert len(tel.times) == 51
+        assert 51 * init_world(config).z.nbytes <= plant_sim.LOG_BLOCK_BYTES
+        assert calls == {"pair_derivative": 50, "_error_norms": 1, "_disturbance": 1}
 
 
 class TestDetection:

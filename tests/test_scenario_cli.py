@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khopsim.plant_sim import read_csv
-from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, main
+from khopsim.plant_sim import read_csv, run, write_csv
+from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, main, prepare
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -197,6 +197,11 @@ class TestSimulate:
         cols = read_csv(out / "telemetry.csv")
         assert len(cols["t"]) > 10
         assert np.all(np.isfinite(cols["x_1_1"]))
+        # The retained rows are those of a run that stops at the last one.
+        raw["sim"]["t_end"] = float(cols["t"][-1])
+        with np.errstate(over="ignore"):
+            write_csv(run(prepare(load_scenario(raw)).config), tmp_path / "cut.csv")
+        assert (tmp_path / "cut.csv").read_bytes() == (out / "telemetry.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "sim_patch, reason",
