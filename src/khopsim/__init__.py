@@ -15,7 +15,6 @@ from .errors import (
     GraphNotConnected,
     IndexOutOfRange,
     KhopsimError,
-    MissingNeighborData,
     NumericalError,
     ProtocolError,
     StateBoxViolation,
@@ -41,28 +40,16 @@ from .gain_tuning import (
     tune_omega,
     tune_pi,
     tune_theta,
-    verify_gain_inequality,
-)
-from .khop_observer import (
-    NeighborMessage,
-    ObserverDerivative,
-    ObserverState,
-    compute_rho,
-    compute_xi,
-    input_observer_derivative,
-    state_observer_derivative,
 )
 from .plant_sim import (
     Controller,
     SimConfig,
     Telemetry,
-    consensus_control,
     consensus_distance,
     detect_convergence,
     init_world,
     lambda2,
     run,
-    step,
     write_csv,
 )
 

@@ -45,10 +45,6 @@ class CertificateInfeasible(KhopsimError):
         )
 
 
-class MissingNeighborData(KhopsimError):
-    """A required 1-hop neighbor message is absent."""
-
-
 class ProtocolError(KhopsimError):
     """Message content or controller wiring violates the communication protocol."""
 

@@ -118,12 +118,6 @@ class GainSet:
 
 
 @dataclass(frozen=True)
-class GainInequalityReport:
-    holds: bool
-    lambda_max: float
-
-
-@dataclass(frozen=True)
 class ConvergenceCertificate:
     """Finite-time bounds implied by valid gains and declared error bounds.
 
@@ -155,8 +149,8 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
         g = max(0.0, float(w[-1])) + 1.0
     else:
         g = float(g_scale)
-        if g <= 0.0:
-            raise GainConditionViolated(f"g must be positive, got {g}")
+        if not 0.0 < g < np.inf:
+            raise GainConditionViolated(f"g must be positive and finite, got {g}")
     G = g * np.eye(plant.N)
     condition = G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
     if not is_negative_definite(condition):
@@ -232,28 +226,6 @@ def tune_pi(
         raise ValueError("pi inequality is strict; slack must be > 0")
     ratio = coupling.lambda_max / coupling.lambda_min
     return float(ratio * np.sqrt(eta_i) * d_udot_i + slack)
-
-
-def verify_gain_inequality(
-    coupling: ObserverCoupling,
-    plant: PlantModel,
-    G: np.ndarray,
-    omega_i: float,
-) -> GainInequalityReport:
-    """Directly check the matrix inequality certified by the omega bound.
-
-    Assembles ``(M (x) G)(I (x) A - omega (M (x) G)) + l_f ||M (x) G|| I``,
-    symmetrizes, and reports whether its largest eigenvalue is negative.
-    The omega bound is sufficient, not necessary, so a False answer for
-    hand-picked gains is a valid outcome.
-    """
-    eta = coupling.M.shape[0]
-    mg = np.kron(coupling.M, G)
-    a_big = np.kron(np.eye(eta), plant.A)
-    norm_mg = np.linalg.norm(mg, 2)
-    full = mg @ (a_big - omega_i * mg) + plant.l_f * norm_mg * np.eye(eta * plant.N)
-    w = sym_eig(0.5 * (full + full.T))
-    return GainInequalityReport(holds=bool(w[-1] < 0.0), lambda_max=float(w[-1]))
 
 
 def certificate(

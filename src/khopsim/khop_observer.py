@@ -1,4 +1,4 @@
-"""Per-agent finite-time state and input observers driven by 1-hop messages.
+"""Finite-time state and input observers, evaluated for all agents at once.
 
 Each agent keeps stacked estimates of the states and inputs of its
 multi-hop neighbors, ordered by ascending global index. One update round
@@ -18,30 +18,28 @@ Which sums apply is decided from message content alone (a sender's message
 shows which agents it estimates and which it can relay), so the update
 never needs non-local knowledge.
 
-Two forms implement the same update. The message form
-(:class:`NeighborMessage`, :func:`compute_xi`, :func:`observer_derivative`)
-follows the protocol agent by agent and is the reference the tests compare
-against. The pair form (:class:`PairLayout`, :func:`pair_derivative`) is
-what the simulator runs: the wiring never changes during a run, so every
-(estimator, target) pair's message-form sum is written down once as an
-ordered row of source indices into ``[estimates; truth]``. A run keeps one
-state array ``z`` of shape ``(2, P + n, N)``: plane 0 is ``[x_hat; x]``
-and plane 1 is ``[u_hat; u]``, so one gather along the row axis yields the
-terms of ``xi`` and ``rho`` together, and one ``sign`` call switches both.
-The rows keep the message form's term order, so both forms give the same
-floating-point result; see :func:`pair_layout`.
+The package runs and ships one form of these laws, the pair form
+(:class:`PairLayout`, :func:`pair_derivative`): the wiring never changes
+during a run, so every (estimator, target) pair's message sum is written
+down once as an ordered row of source indices into ``[estimates; truth]``.
+A run keeps one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
+``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so one gather along the row
+axis yields the terms of ``xi`` and ``rho`` together, and one ``sign`` call
+switches both. The rows keep the order in which an agent walks its inbox,
+so each sum rounds as the per-agent message form does; see
+:func:`pair_layout`. That message form, one message object per sender,
+lives in ``tests/reference_form.py`` as the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import MissingNeighborData, NumericalError, ProtocolError
 from .gain_tuning import GainSet, PlantModel
-from .graph_khop import KHopNeighborhood
 
 
 def sign(v: np.ndarray, boundary_layer: Optional[float] = None) -> np.ndarray:
@@ -57,196 +55,6 @@ def sign(v: np.ndarray, boundary_layer: Optional[float] = None) -> np.ndarray:
             raise ValueError("boundary layer width must be positive")
         return np.clip(v / boundary_layer, -1.0, 1.0)
     return np.where(v >= 0.0, 1.0, -1.0)
-
-
-@dataclass
-class ObserverState:
-    """Stacked estimates held by one agent, ordered by its member list."""
-
-    agent: int
-    x_hat: np.ndarray
-    u_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class NeighborMessage:
-    """Everything one agent can tell a 1-hop neighbor in one round.
-
-    ``relayed_states``/``relayed_inputs`` cover exactly the sender's 1-hop
-    neighborhood at the same instant (zero-delay propagation), and
-    ``est_states``/``est_inputs`` are the sender's stacked estimates in the
-    sender's own member ordering, re-indexable via ``members``.
-    """
-
-    sender: int
-    state: np.ndarray
-    input: np.ndarray
-    relayed_states: Mapping
-    relayed_inputs: Mapping
-    est_states: np.ndarray
-    est_inputs: np.ndarray
-    members: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_member_pos", {m: p for p, m in enumerate(self.members)}
-        )
-
-    def estimates_agent(self, l: int) -> bool:
-        return l in self._member_pos
-
-    def est_state_block(self, l: int, n_dim: int) -> np.ndarray:
-        p = self._member_pos[l]
-        blk = self.est_states[p * n_dim : (p + 1) * n_dim]
-        if blk.shape[0] != n_dim:
-            raise ProtocolError(
-                f"sender {self.sender}: estimate block for {l} has wrong size"
-            )
-        return blk
-
-    def est_input_block(self, l: int, n_dim: int) -> np.ndarray:
-        p = self._member_pos[l]
-        blk = self.est_inputs[p * n_dim : (p + 1) * n_dim]
-        if blk.shape[0] != n_dim:
-            raise ProtocolError(
-                f"sender {self.sender}: input-estimate block for {l} has wrong size"
-            )
-        return blk
-
-
-@dataclass(frozen=True)
-class ObserverDerivative:
-    """One round's worth of observer updates for a single agent."""
-
-    dx_hat: np.ndarray
-    du_hat: np.ndarray
-
-
-def _check_messages(msgs: Mapping, nb: KHopNeighborhood) -> None:
-    missing = set(nb.one_hop) - set(msgs.keys())
-    if missing:
-        raise MissingNeighborData(
-            f"agent {nb.agent}: no message from neighbors {sorted(missing)}"
-        )
-
-
-def _consensus_signal(
-    own: np.ndarray,
-    msgs: Mapping,
-    nb: KHopNeighborhood,
-    est_getter,
-    relayed_field: str,
-) -> np.ndarray:
-    eta = nb.eta
-    if eta == 0:
-        return np.zeros(0)
-    n_dim = own.shape[0] // eta
-    out = np.zeros_like(own)
-    for b, l in enumerate(nb.members):
-        own_blk = own[b * n_dim : (b + 1) * n_dim]
-        acc = out[b * n_dim : (b + 1) * n_dim]
-        for j in nb.one_hop:
-            msg = msgs[j]
-            if msg.estimates_agent(l):
-                acc += est_getter(msg, l, n_dim) - own_blk
-            relayed = getattr(msg, relayed_field).get(l)
-            if relayed is not None:
-                rel = np.asarray(relayed, dtype=float)
-                if rel.shape[0] != n_dim:
-                    raise ProtocolError(
-                        f"sender {j}: relayed value for {l} has wrong size"
-                    )
-                acc += rel - own_blk
-    return out
-
-
-def compute_xi(
-    state: ObserverState, msgs: Mapping, nb: KHopNeighborhood
-) -> np.ndarray:
-    """State-correction signal assembled from this round's messages."""
-    _check_messages(msgs, nb)
-    return _consensus_signal(
-        state.x_hat, msgs, nb, NeighborMessage.est_state_block, "relayed_states"
-    )
-
-
-def compute_rho(
-    state: ObserverState, msgs: Mapping, nb: KHopNeighborhood
-) -> np.ndarray:
-    """Input-correction signal; same structure as xi with inputs throughout."""
-    _check_messages(msgs, nb)
-    return _consensus_signal(
-        state.u_hat, msgs, nb, NeighborMessage.est_input_block, "relayed_inputs"
-    )
-
-
-def state_observer_derivative(
-    state: ObserverState,
-    msgs: Mapping,
-    nb: KHopNeighborhood,
-    plant: PlantModel,
-    gains: GainSet,
-    boundary_layer: Optional[float] = None,
-) -> np.ndarray:
-    """Time derivative of the stacked state estimate of one agent.
-
-    Per member block: ``f(xh) + A xh + omega_l G xi_l + theta_l sign(G xi_l)
-    + uh`` where ``uh`` is the agent's own input estimate for that block.
-    """
-    if nb.eta == 0:
-        return np.zeros(0)
-    xi = compute_xi(state, msgs, nb)
-    if not np.isfinite(float(state.x_hat.sum())):
-        raise NumericalError(f"agent {nb.agent}: non-finite state estimate")
-    n_dim = plant.N
-    G = gains.G
-    omega = gains.omega[np.array(nb.members) - 1]
-    theta = gains.theta[np.array(nb.members) - 1]
-    xh = state.x_hat.reshape(nb.eta, n_dim)
-    g_xi = xi.reshape(nb.eta, n_dim) @ G.T
-    dx = xh @ plant.A.T
-    if plant.f is not None:
-        dx += plant.f(xh)
-    dx += omega[:, None] * g_xi
-    dx += theta[:, None] * sign(g_xi, boundary_layer)
-    dx += state.u_hat.reshape(nb.eta, n_dim)
-    return dx.reshape(-1)
-
-
-def input_observer_derivative(
-    state: ObserverState,
-    msgs: Mapping,
-    nb: KHopNeighborhood,
-    gains: GainSet,
-    boundary_layer: Optional[float] = None,
-) -> np.ndarray:
-    """Time derivative of the stacked input estimate: ``pi_l sign(rho_l)``."""
-    if nb.eta == 0:
-        return np.zeros(0)
-    rho = compute_rho(state, msgs, nb)
-    n_dim = state.u_hat.shape[0] // nb.eta
-    pi = gains.pi[np.array(nb.members) - 1]
-    du = pi[:, None] * sign(rho.reshape(nb.eta, n_dim), boundary_layer)
-    return du.reshape(-1)
-
-
-def observer_derivative(
-    state: ObserverState,
-    msgs: Mapping,
-    nb: KHopNeighborhood,
-    plant: PlantModel,
-    gains: GainSet,
-    boundary_layer: Optional[float] = None,
-) -> ObserverDerivative:
-    """Both observer derivatives of one agent."""
-    _check_messages(msgs, nb)
-    dx = state_observer_derivative(
-        state, msgs, nb, plant, gains, boundary_layer=boundary_layer
-    )
-    du = input_observer_derivative(
-        state, msgs, nb, gains, boundary_layer=boundary_layer
-    )
-    return ObserverDerivative(dx_hat=dx, du_hat=du)
 
 
 @dataclass(frozen=True)
@@ -296,9 +104,9 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
     ``nbs`` (indexed agent-1 first).
 
     For pair ``p = (i, l)`` the term list walks ``i``'s 1-hop neighbors
-    ``j`` in ascending order, exactly as :func:`compute_xi` walks its inbox:
-    first ``j``'s own pair ``(j, l)`` if ``j`` estimates ``l``, then the
-    true row of ``l`` if ``j`` can relay it. Lists are padded to a common
+    ``j`` in ascending order, exactly as agent ``i`` walks its inbox: first
+    ``j``'s own pair ``(j, l)`` if ``j`` estimates ``l``, then the true row
+    of ``l`` if ``j`` can relay it. Lists are padded to a common
     length with ``p`` itself, whose term ``own - own`` adds ``+0.0`` and
     leaves the sum unchanged. The order must be kept; the
     :mod:`khopsim.plant_sim` docstring says why regrouping is unsafe.
@@ -349,8 +157,9 @@ def pair_derivative(
     Plane 0 of ``z`` is ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``: the
     ``(P, N)`` pair estimates, then the ``(n, N)`` true states and the
     inputs that 1-hop neighbors relay. In the result, the pair rows hold the
-    observer derivatives, per row :func:`observer_derivative`'s block update
-    with the same operations in the same order; plane 0's truth rows hold
+    observer derivatives, per row the block update
+    ``xh A^T + f(xh) + omega G xi + theta sign(G xi) + uh`` and
+    ``pi sign(rho)``, in the message form's order; plane 0's truth rows hold
     the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
     the controller sets the inputs afresh every round.
     """

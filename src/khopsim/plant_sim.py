@@ -11,7 +11,9 @@ residual sign-chattering scales linearly with the step size. Convergence is
 therefore detected as entry into a small ball followed by permanence inside
 the chattering band, never as an exact zero.
 
-The round is evaluated on arrays, not on per-agent message objects. All P
+The package runs and ships one form of the round, on arrays; the
+per-agent message form, with one message object per sender, lives in
+``tests/reference_form.py`` as the oracle the tests compare against. All P
 (estimator, target) pairs are laid out once, estimator-major with members
 ascending (:class:`~khopsim.khop_observer.PairLayout`), and a run keeps
 one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
@@ -25,7 +27,9 @@ and a step adds the columns in table order, so every sum rounds exactly as
 the message form does. The same indices address both planes, so one gather
 yields the state and the input signals together. The consensus input sums
 plane-0 rows of the same kind, and the Euler update is one
-``z + dt * dz`` over the whole array.
+``z + dt * dz`` over the whole array. :func:`run` is the only way to take
+a step: per round it sets the inputs (``_apply_control``) and advances
+``z`` in place (``_advance``).
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
@@ -188,41 +192,14 @@ class Telemetry:
     X_obs: float
 
 
-@dataclass
-class SimWorld:
-    """Simulation state at time ``t`` as one array ``z`` of shape
-    ``(2, P + n, N)``: plane 0 is ``[x_hat; x]``, plane 1 is ``[u_hat; u]``.
-
-    The first ``p`` rows of each plane are the pair estimates, laid out by
-    ``config.structure.pairs``; the rest are the true states and the inputs
-    of the last round that computed them.
-    """
-
-    t: float
-    z: np.ndarray
-    p: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z[0, self.p:]
-
-    @property
-    def x_hat(self) -> np.ndarray:
-        return self.z[0, : self.p]
-
-    @property
-    def u_hat(self) -> np.ndarray:
-        return self.z[1, : self.p]
-
-
 @dataclass(frozen=True)
 class SimStructure:
     """Static wiring a :class:`SimConfig` builds once from its graph, k and gains.
 
     ``control_terms`` (``khop_consensus`` only) has one column per agent:
     the rows of ``[x_hat; x]``, plane 0 of the state array, that its
-    consensus input sums over, in the order :func:`consensus_control` adds
-    them (communication-and-target neighbors, then estimates of target-only
+    consensus input sums over, in the order one agent adds them
+    (communication-and-target neighbors, then estimates of target-only
     neighbors), padded with the agent's own row, stored term-major like
     ``PairLayout.terms``. ``disturbance_pairs`` are the pairs those
     estimates come from, and ``disturbance_bins`` their flat
@@ -270,34 +247,6 @@ def lambda2(graph: Graph) -> float:
     return float(above[0])
 
 
-def consensus_control(
-    i: int,
-    x_own: np.ndarray,
-    onehop_states: Mapping,
-    est_states: Mapping,
-    target_neighbors,
-    ct_neighbors,
-) -> np.ndarray:
-    """Consensus input using true states where available, estimates elsewhere.
-
-    Reference form of one agent's input; the simulator evaluates all agents
-    at once from ``SimStructure.control_terms`` in the same order.
-    """
-    u = np.zeros_like(np.asarray(x_own, dtype=float))
-    for j in ct_neighbors:
-        u += onehop_states[j] - x_own
-    for j in target_neighbors:
-        if j in ct_neighbors:
-            continue
-        est = est_states.get(j)
-        if est is None:
-            raise ProtocolError(
-                f"agent {i}: controller needs an estimate of agent {j}"
-            )
-        u += est - x_own
-    return u
-
-
 def build_structure(config: SimConfig) -> SimStructure:
     g = config.graph
     nbs = all_khop_sets(g, config.k)
@@ -342,13 +291,17 @@ def build_structure(config: SimConfig) -> SimStructure:
     )
 
 
-def init_world(config: SimConfig) -> SimWorld:
+def init_world(config: SimConfig) -> np.ndarray:
+    """The state array at t = 0, ``(2, P + n, N)``: plane 0 is
+    ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, the pair estimates laid
+    out by ``config.structure.pairs`` first. The inputs start at zero; each
+    round's control sets them."""
     p = config.structure.pairs.target.size
     z = np.zeros((2, p + config.graph.n, config.plant.N))
     z[0, :p] = config.xhat0
     z[0, p:] = config.x0
     z[1, :p] = config.uhat0
-    return SimWorld(t=0.0, z=z, p=p)
+    return z
 
 
 def _check_startable(config: SimConfig) -> None:
@@ -403,16 +356,6 @@ def _advance(z: np.ndarray, t_next: float, config: SimConfig) -> None:
             raise StateBoxViolation(t_next, agent, value, (lo, hi))
 
 
-def step(world: SimWorld, config: SimConfig) -> SimWorld:
-    """One synchronous round: control, observer derivatives, Euler update."""
-    _check_startable(config)
-    z = world.z.copy()
-    _apply_control(z, config)
-    t_next = world.t + config.dt
-    _advance(z, t_next, config)
-    return SimWorld(t=t_next, z=z, p=world.p)
-
-
 def _error_norms(pairs: PairLayout, logged: np.ndarray) -> np.ndarray:
     """Per logged state array ``(S, 2, P + n, N)`` and plane, per estimated
     agent, the norm of the stacked errors of all its estimators: ``(S, 2, n)``.
@@ -447,9 +390,9 @@ def initial_error_norms(config: SimConfig) -> tuple:
     The input error uses the controller's t = 0 output, matching how the
     run itself initializes the input vector.
     """
-    world = init_world(config)
-    _apply_control(world.z, config)
-    err = _error_norms(config.structure.pairs, world.z[None])
+    z = init_world(config)
+    _apply_control(z, config)
+    err = _error_norms(config.structure.pairs, z[None])
     return err[0, 0], err[0, 1]
 
 
@@ -521,8 +464,8 @@ def run(config: SimConfig) -> Telemetry:
     """
     _check_startable(config)
     s = config.structure
-    world = init_world(config)
-    z, t, p = world.z, world.t, world.p
+    z = init_world(config)
+    t, p = 0.0, s.pairs.target.size
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
     sample_ids = list(range(0, n_steps + 1, config.decimate))

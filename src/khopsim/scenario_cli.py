@@ -37,6 +37,7 @@ from .errors import (
     ProtocolError,
 )
 from .gain_tuning import (
+    DEFAULT_SLACK,
     BoundSet,
     GainSet,
     PlantModel,
@@ -175,7 +176,7 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None) -
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         return _build_scenario(raw, base, seed_override)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -253,7 +254,7 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
         bounds=bounds,
         bounds_inferred=bool(bd.get("inferred", False)),
         g_scale=gn.get("g"),
-        slack=float(gn.get("slack", 1e-3)),
+        slack=float(gn.get("slack", DEFAULT_SLACK)),
         omega_slack=float(gn.get("omega_slack", 0.0)),
         theta_scale=float(gn.get("theta_scale", 1.0)),
         pi_scale=float(gn.get("pi_scale", 1.0)),
@@ -309,9 +310,19 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
     """Tune gains, apply scenario scales/overrides, and build the sim config.
 
     Every scenario value the domain objects reject (with ``ValueError`` or
-    ``TypeError``) surfaces here as one :class:`ScenarioError`.
+    ``TypeError``) surfaces here as one :class:`ScenarioError`, and so does
+    a non-finite slack or gain scale, which would otherwise yield gains
+    that no run can use but a certificate that looks valid.
     """
     slack = slack_override if slack_override is not None else sc.slack
+    for name, value in (
+        ("--slack" if slack_override is not None else "gains.slack", slack),
+        ("gains.omega_slack", sc.omega_slack),
+        ("gains.theta_scale", sc.theta_scale),
+        ("gains.pi_scale", sc.pi_scale),
+    ):
+        if not np.isfinite(value):
+            raise ScenarioError(f"{name} must be finite, got {value}")
     try:
         uhat0_mag = 0.0
         if np.isscalar(sc.uhat0_spec) and sc.uhat0_spec != "zero":
@@ -817,6 +828,9 @@ def _sweep_cell(raw_scenario: dict, cell: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 1
     sc_path = Path(args.scenario)
     try:
         raw = json.loads(sc_path.read_text(encoding="utf-8"))
@@ -824,17 +838,24 @@ def cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(grid, dict):
+        print(f"grid must be a JSON object of value lists, got {grid!r}", file=sys.stderr)
+        return 1
     unknown = set(grid) - set(_SWEEP_KEYS)
     if unknown:
         print(f"unsupported sweep keys: {sorted(unknown)}", file=sys.stderr)
         return 1
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            print(f"grid {key!r} must be a non-empty list, got {values!r}", file=sys.stderr)
+            return 1
     keys = [k for k in _SWEEP_KEYS if k in grid]
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    if not cells:
-        print("empty grid", file=sys.stderr)
-        return 1
-    if args.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # Under fork the pool starts every worker up front, so start no more
+    # than there are cells.
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, itertools.repeat(raw), cells))
     else:
         rows = [_sweep_cell(raw, cell) for cell in cells]

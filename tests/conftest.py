@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from khopsim import Graph, ObserverState, all_khop_sets, coupling_matrices
+from khopsim import Graph, all_khop_sets, coupling_matrices
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import NeighborMessage
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO
+from reference_form import NeighborMessage, ObserverState
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, extra_edge_p=0.3) -> Graph:

@@ -24,7 +24,6 @@ from khopsim import (
     tune_omega,
     tune_pi,
     tune_theta,
-    verify_gain_inequality,
 )
 from khopsim.errors import (
     CertificateInfeasible,
@@ -35,6 +34,7 @@ from khopsim.dense_linalg import is_negative_definite, sym_eig
 from khopsim.gain_tuning import GainSet
 from khopsim.graph_khop import ObserverCoupling
 from khopsim.scenario_cli import load_scenario
+from reference_form import verify_gain_inequality
 
 
 def plant2(a=None, l_f=0.0):

@@ -19,16 +19,21 @@ from khopsim import (
     Graph,
     PlantModel,
     all_khop_sets,
-    compute_rho,
-    compute_xi,
     coupling_matrices,
-    input_observer_derivative,
-    state_observer_derivative,
     tune_gains,
 )
-from khopsim.errors import MissingNeighborData, ProtocolError
+from khopsim.errors import ProtocolError
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import ObserverState, observer_derivative, pair_layout, sign
+from khopsim.khop_observer import pair_layout, sign
+from reference_form import (
+    MissingNeighborData,
+    ObserverState,
+    compute_rho,
+    compute_xi,
+    input_observer_derivative,
+    observer_derivative,
+    state_observer_derivative,
+)
 
 
 def reference_setup(n_dim=2):

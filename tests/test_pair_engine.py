@@ -20,18 +20,17 @@ from hypothesis import strategies as st
 from conftest import build_messages, chorded_ring, inbox, short_reproduction
 from khopsim import (
     Graph,
-    ObserverState,
     PlantModel,
     Telemetry,
     all_khop_sets,
-    consensus_control,
     consensus_distance,
     plant_sim,
     run,
 )
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import observer_derivative, pair_derivative, pair_layout
+from khopsim.khop_observer import pair_derivative, pair_layout
 from khopsim.scenario_cli import load_scenario, prepare
+from reference_form import ObserverState, consensus_control, observer_derivative
 
 
 @st.composite

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from khopsim import scenario_cli
 from khopsim.plant_sim import read_csv, run, write_csv
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, main, prepare
 
@@ -125,6 +127,26 @@ class TestTune:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and reason in err
+        assert not (tmp_path / "out" / "gains.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["slack", "omega_slack", "theta_scale", "pi_scale", "--slack"]
+    )
+    def test_nonfinite_gain_setting_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        # Such gains are unusable (NaN or infinite theta, pi or omega), so
+        # tune must not write a certificate for them.
+        if field == "--slack":
+            path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01})
+            extra = ["--slack", str(value)]
+        else:
+            path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01, f"gains.{field}": value})
+            extra = []
+        rc = main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out"), *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        name = field if field == "--slack" else f"gains.{field}"
+        assert err.count("\n") == 1 and f"{name} must be finite" in err
         assert not (tmp_path / "out" / "gains.json").exists()
 
     def test_infeasible_pi_override_exits_2(self, tmp_path, capsys):
@@ -242,17 +264,23 @@ class TestSimulate:
                 {"sim.x0": [[float("nan"), 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]},
                 "x0 must be finite",
             ),
+            ({"k": float("inf")}, "cannot convert float infinity to integer"),
+            ({"plant.N": float("inf")}, "cannot convert float infinity to integer"),
+            ({"sim.decimate": float("inf")}, "cannot convert float infinity to integer"),
+            ({"gains.g": float("inf")}, "g must be positive and finite, got inf"),
         ],
         ids=[
             "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
             "override_length", "xhat0_block_size", "uhat0_truth", "conv_eps_text",
             "boundary_layer_zero", "zero_state_dim", "no_derivative_bound",
-            "uhat0_nan", "x0_nan",
+            "uhat0_nan", "x0_nan", "k_inf", "state_dim_inf", "decimate_inf", "g_inf",
         ],
     )
     def test_bad_scenario_values_exit_1_with_one_line(self, tmp_path, capsys, patch, reason):
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05}, **patch)
-        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second line
+            rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and reason in err
@@ -401,6 +429,67 @@ class TestSweep:
         assert rows["1"]["status"] == "error" and "hop horizon" in rows["1"]["error"]
         assert rows["3"]["status"] in ("pass", "fail") and rows["3"]["error"] == ""
 
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ({"dt": 0.001}, "grid 'dt' must be a non-empty list"),
+            ({"k": []}, "grid 'k' must be a non-empty list"),
+            (5, "grid must be a JSON object"),
+            ([{"dt": [0.001]}], "grid must be a JSON object"),
+        ],
+        ids=["scalar_value", "empty_list", "number", "list"],
+    )
+    def test_malformed_grid_exits_1_with_one_line(self, tmp_path, capsys, grid, reason):
+        path, _ = write_scenario(tmp_path)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid_path),
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and reason in err
+
+    def test_pool_gets_no_more_workers_than_cells(self, tmp_path, capsys, monkeypatch):
+        # Under fork the pool starts all its workers at once; record the
+        # worker count instead of starting processes.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(scenario_cli, "ProcessPoolExecutor", RecordingPool)
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"pi_scale": [0.5, 1.0]}))
+        argv = ["sweep", "--scenario", str(path), "--grid", str(grid),
+                "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0  # default --jobs 4
+        assert main([*argv, "--jobs", "1"]) == 0
+        grid.write_text(json.dumps({"pi_scale": [1.0]}))
+        assert main([*argv, "--jobs", "3"]) == 0
+        assert started == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        path, _ = write_scenario(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"pi_scale": [0.5, 1.0]}))
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid),
+                   "--out", str(tmp_path / "sweep"), "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs must be >= 1" in err
+
     def test_unknown_grid_key_rejected(self, tmp_path):
         path, _ = write_scenario(tmp_path)
         grid = tmp_path / "grid.json"
@@ -432,6 +521,10 @@ HOSTILE_FIELDS = [
     ("gains", "overrides"),
     ("gains", "overrides", "theta"),
     ("gains", "g"),
+    ("gains", "slack"),
+    ("gains", "omega_slack"),
+    ("gains", "theta_scale"),
+    ("gains", "pi_scale"),
     ("sim", "xhat0"),
     ("sim", "uhat0"),
     ("sim", "conv_eps"),
@@ -442,7 +535,7 @@ HOSTILE_FIELDS = [
     ("bounds", "d_udot"),
     ("k",),
 ]
-HOSTILE_VALUES = [None, 0, -1, float("nan"), "bogus", [1.0, 2.0, 3.0]]
+HOSTILE_VALUES = [None, 0, -1, float("nan"), float("inf"), "bogus", [1.0, 2.0, 3.0]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,6 +553,19 @@ def test_simulate_survives_hostile_field_values(field_path, value):
         path.write_text(json.dumps(raw), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+            tune_err = io.StringIO()
+            with contextlib.redirect_stderr(tune_err):
+                tune_rc = main(["tune", "--scenario", str(path), "--out", str(Path(tmp) / "tune")])
+            if tune_rc == 0:
+                # A certificate is only written with a finite bound for
+                # every agent that runs an observer.
+                report = json.loads((Path(tmp) / "tune" / "gains.json").read_text())
+                for row in report["per_agent"]:
+                    bound = row["T_x_bound"]
+                    assert row["eta"] == 0 or (bound is not None and np.isfinite(bound)), row
     assert rc in (0, 1, 2, 3)
+    assert tune_rc in (0, 1, 2)
     if rc == 1:
         assert err.getvalue().count("\n") == 1
+    if tune_rc == 1:
+        assert tune_err.getvalue().count("\n") == 1
