@@ -24,12 +24,14 @@ during a run, so every (estimator, target) pair's message sum is written
 down once as an ordered row of source indices into ``[estimates; truth]``.
 A run keeps one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
 ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so one gather along the row
-axis yields the terms of ``xi`` and ``rho`` together, and one ``sign`` call
+axis yields the terms of ``xi`` and ``rho`` together, and one comparison
 switches both. The rows keep the order in which an agent walks its inbox,
-so each sum rounds as the per-agent message form does; see
-:func:`pair_layout`. That message form, one message object per sender,
-lives in ``tests/reference_form.py`` as the oracle the tests compare
-against.
+and each sum starts from ``+0.0``, so it rounds as the per-agent message
+form does; see :func:`pair_layout`. The layout holds each pair's gains at
+full width, ``(P, N)`` per gain, and a run's :class:`PairWorkspace` holds
+the buffers every call reuses. That message form, one message object per
+sender, lives in ``tests/reference_form.py`` as the oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -65,16 +67,21 @@ class PairLayout:
     ``i``'s stacked estimate is the contiguous row block :meth:`rows`, and
     ``(P, N)`` estimate arrays are the per-agent stacks concatenated. Each
     pair carries the gains of its target (estimators of agent ``l`` apply
-    ``omega_l``, ``theta_l`` and ``pi_l``) as ``(P, 1)`` columns, so a
-    missing gain shows as NaN. ``switch`` stacks the switching gains
-    ``[theta; pi]`` as ``(2, P, 1)``, one plane per observer, and
-    ``theta``/``pi`` are its planes.
+    ``omega_l``, ``theta_l`` and ``pi_l``) in every component, so a missing
+    gain shows as NaN: ``omega`` is ``(P, N)`` and ``switch`` stacks the
+    switching gains ``[theta; pi]`` as ``(2, P, N)``, one plane per
+    observer, with ``theta``/``pi`` its planes. Full-width gains meet the
+    ``(P, N)`` signals element for element, so a step multiplies contiguous
+    arrays instead of broadcasting a column over runs of ``N`` elements.
 
     Column ``terms[:, p]`` lists, in the message form's summation order,
     the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
     own estimate make up its correction signal; see :func:`pair_layout`.
     It is stored term-major, ``(D, P)``, so that each term of every pair is
     one contiguous gather.
+
+    Every array is read-only: one layout serves every run of its
+    :class:`~khopsim.plant_sim.SimConfig`.
     """
 
     n: int
@@ -134,16 +141,51 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
     ).reshape(size, width).T.copy()
     estimator, target = (np.array(list(pos), dtype=np.intp).reshape(size, 2) - 1).T.copy()
     offsets = np.searchsorted(estimator, np.arange(n + 1))
-    return PairLayout(
+    n_dim = gains.G.shape[0]
+
+    def full_width(gain):
+        return np.repeat(gain[target, None], n_dim, axis=1)
+
+    layout = PairLayout(
         n=n,
         estimator=estimator,
         target=target,
         offsets=offsets,
         terms=terms,
-        G=gains.G,
-        omega=gains.omega[target, None],
-        switch=np.stack((gains.theta[target, None], gains.pi[target, None])),
+        G=np.array(gains.G, dtype=float),
+        omega=full_width(gains.omega),
+        switch=np.stack((full_width(gains.theta), full_width(gains.pi))),
     )
+    for arr in (estimator, target, offsets, terms, layout.G, layout.omega, layout.switch):
+        arr.setflags(write=False)
+    return layout
+
+
+class PairWorkspace:
+    """The buffers and views that :func:`pair_derivative` reuses on every
+    call for one state array ``z`` under one layout and plant.
+
+    A run builds one next to its state array and drops it with the run;
+    nothing in it outlives the run or is shared between runs. The
+    derivative it returns is :attr:`dz`, overwritten by the next call.
+    """
+
+    def __init__(self, layout: PairLayout, plant: PlantModel, z: np.ndarray):
+        p = layout.target.size
+        self.own = z[:, None, :p]
+        self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
+        # Planes [G xi, xi, rho]: the sums land in ``acc`` = [xi; rho], G xi
+        # in plane 0, and ``signal`` = [G xi; rho] views both without a copy.
+        planes = np.empty((3, p, z.shape[2]))
+        self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
+        self.mask = np.empty(self.signal.shape, dtype=bool)
+        self.neg_switch = np.negative(layout.switch)
+        self.GT, self.AT = layout.G.T, plant.A.T
+        self.x_rows, self.u_rows = z
+        # Plane 1's truth rows stay zero: the controller sets the inputs.
+        self.dz = np.zeros(z.shape)
+        self.dx_rows = self.dz[0]
+        self.est, self.plant_rows, self.est_u = self.dz[0, :p], self.dz[0, p:], self.dz[1, :p]
 
 
 def pair_derivative(
@@ -151,6 +193,7 @@ def pair_derivative(
     plant: PlantModel,
     z: np.ndarray,
     boundary_layer: Optional[float] = None,
+    work: Optional[PairWorkspace] = None,
 ) -> np.ndarray:
     """Time derivative of a run's whole state array ``z``, ``(2, P + n, N)``.
 
@@ -162,31 +205,42 @@ def pair_derivative(
     ``pi sign(rho)``, in the message form's order; plane 0's truth rows hold
     the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
     the controller sets the inputs afresh every round.
+
+    ``work`` is the :class:`PairWorkspace` built for this layout, plant and
+    ``z``; without one, the call builds its own. The result is ``work.dz``.
+    Every sum starts from ``+0.0`` and adds its terms in table order, like
+    the message form's ``acc += ...``.
     """
-    p = layout.target.size
-    # Term by term in table order, like the message form's ``acc += ...``.
-    parts = z.take(layout.terms, axis=1)
-    parts -= z[:, None, :p]
-    signal = np.zeros((2, p, z.shape[2]))
-    for d in range(layout.terms.shape[0]):
-        signal += parts[:, d]
-    signal[0] = signal[0] @ layout.G.T  # G xi; plane 1 stays rho
-    switching = layout.switch * sign(signal, boundary_layer)
-    dz = np.empty(z.shape)
+    if work is None:
+        work = PairWorkspace(layout, plant, z)
+    parts, signal, gxi, est, dx_rows = work.parts, work.signal, work.gxi, work.est, work.dx_rows
+    # The indices are the layout's own, all in range, so "clip" only spares
+    # numpy the bounds-checking copy it makes for ``out`` under "raise".
+    z.take(layout.terms, axis=1, out=parts, mode="clip")
+    np.subtract(parts, work.own, out=parts)
+    np.add.reduce(parts, axis=1, initial=0.0, out=work.acc)
+    np.matmul(work.xi, work.GT, out=gxi)
+    if boundary_layer is None:
+        # gain * sign(v) with sign(0) = +1 is +gain where v >= 0, else -gain.
+        np.greater_equal(signal, 0.0, out=work.mask)
+        switching = np.where(work.mask, layout.switch, work.neg_switch)
+    else:
+        switching = layout.switch * sign(signal, boundary_layer)
     # One product over estimate and truth rows alike: each block has two or
     # more rows (P is even, n >= 2), and such products round every row as
     # the block's own product would.
-    np.matmul(z[0], plant.A.T, out=dz[0])
-    fz = None if plant.f is None else plant.f(z[0])
-    est, plant_rows = dz[0, :p], dz[0, p:]
+    np.matmul(work.x_rows, work.AT, out=dx_rows)
+    fz = None if plant.f is None else plant.f(work.x_rows)
+    p = len(est)
     if fz is not None:
         est += fz[:p]
-    est += layout.omega * signal[0]
+    gxi *= layout.omega
+    est += gxi
     est += switching[0]
-    est += z[1, :p]
-    plant_rows += z[1, p:]
+    # Adds uh to the estimate rows, their last term, and u to the plant
+    # rows, before f.
+    dx_rows += work.u_rows
     if fz is not None:
-        plant_rows += fz[p:]
-    dz[1, :p] = switching[1]
-    dz[1, p:] = 0.0
-    return dz
+        work.plant_rows += fz[p:]
+    np.copyto(work.est_u, switching[1])
+    return work.dz

@@ -29,7 +29,11 @@ yields the state and the input signals together. The consensus input sums
 plane-0 rows of the same kind, and the Euler update is one
 ``z + dt * dz`` over the whole array. :func:`run` is the only way to take
 a step: per round it sets the inputs (``_apply_control``) and advances
-``z`` in place (``_advance``).
+``z`` in place (``_advance``). Both work on one :class:`StepWorkspace`
+that :func:`run` builds next to ``z`` and drops with the run: buffers,
+views of ``z`` and the constants a step reads, so a step allocates almost
+nothing. Every sum is one ``np.add.reduce(..., initial=0.0)`` over the
+term axis, which starts from ``+0.0`` and adds the terms in table order.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
@@ -47,7 +51,7 @@ differences of order 1e-3 within a few hundred steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -60,7 +64,7 @@ from .errors import (
 )
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import Graph, all_khop_sets
-from .khop_observer import PairLayout, pair_derivative, pair_layout
+from .khop_observer import PairLayout, PairWorkspace, pair_derivative, pair_layout
 
 CONV_EPS_FLOOR = 1e-6
 CONV_EPS_REL = 1e-3
@@ -98,7 +102,10 @@ class SimConfig:
     """One run's validated inputs plus ``structure``, the wiring built from
     them once (:func:`build_structure`). ``xhat0``/``uhat0`` are given as
     per-agent estimate vectors (``None`` means zeros) and kept as read-only
-    ``(P, N)`` pair arrays."""
+    ``(P, N)`` pair arrays. ``nbs`` may pass in the k-hop neighborhoods of
+    ``graph`` at horizon ``k`` when the caller already has them (as
+    :func:`~khopsim.gain_tuning.tune_gains` returns them); otherwise they
+    are built here."""
 
     graph: Graph
     k: int
@@ -116,8 +123,9 @@ class SimConfig:
     decimate: int = 1
     boundary_layer: Optional[float] = None
     structure: "SimStructure" = field(init=False, repr=False, compare=False)
+    nbs: InitVar[Optional[list]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, nbs):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
@@ -126,6 +134,10 @@ class SimConfig:
             )
         if self.decimate < 1:
             raise ValueError("decimate must be >= 1")
+        if not (np.isfinite(self.band_scale) and self.band_scale > 0):
+            raise ValueError(
+                f"band_scale must be positive and finite, got {self.band_scale!r}"
+            )
         if self.conv_eps is not None and not self.conv_eps > 0:
             raise ValueError(f"conv_eps must be positive, got {self.conv_eps!r}")
         if self.boundary_layer is not None and not self.boundary_layer > 0:
@@ -143,7 +155,7 @@ class SimConfig:
                 raise ValueError("x0 outside the state box")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        structure = build_structure(self)
+        structure = build_structure(self, nbs)
         object.__setattr__(self, "structure", structure)
         shape = (structure.pairs.target.size, self.plant.N)
         for name, which in (("xhat0", "state"), ("uhat0", "input")):
@@ -196,19 +208,20 @@ class Telemetry:
 class SimStructure:
     """Static wiring a :class:`SimConfig` builds once from its graph, k and gains.
 
-    ``control_terms`` (``khop_consensus`` only) has one column per agent:
-    the rows of ``[x_hat; x]``, plane 0 of the state array, that its
-    consensus input sums over, in the order one agent adds them
-    (communication-and-target neighbors, then estimates of target-only
-    neighbors), padded with the agent's own row, stored term-major like
-    ``PairLayout.terms``. ``disturbance_pairs`` are the pairs those
-    estimates come from, and ``disturbance_bins`` their flat
-    ``(estimator, component)`` cells in an ``(n, N)`` array.
+    ``control_terms`` has one column per agent: the rows of ``[x_hat; x]``,
+    plane 0 of the state array, that its consensus input sums over, in the
+    order one agent adds them (communication-and-target neighbors, then
+    estimates of target-only neighbors), padded with the agent's own row,
+    stored term-major like ``PairLayout.terms``. The ``zero`` controller
+    has no rows, so every input is the empty sum ``+0.0``.
+    ``disturbance_pairs`` are the pairs those estimates come from, and
+    ``disturbance_bins`` their flat ``(estimator, component)`` cells in an
+    ``(n, N)`` array. All arrays are read-only, as the layout's are.
     """
 
     nbs: list
     pairs: PairLayout
-    control_terms: Optional[np.ndarray]
+    control_terms: np.ndarray
     disturbance_pairs: np.ndarray
     disturbance_bins: np.ndarray
 
@@ -247,12 +260,13 @@ def lambda2(graph: Graph) -> float:
     return float(above[0])
 
 
-def build_structure(config: SimConfig) -> SimStructure:
+def build_structure(config: SimConfig, nbs: Optional[list] = None) -> SimStructure:
     g = config.graph
-    nbs = all_khop_sets(g, config.k)
+    if nbs is None:
+        nbs = all_khop_sets(g, config.k)
     pairs = pair_layout(nbs, config.gains)
     n_pairs = pairs.target.size
-    control_terms = None
+    control_terms = np.empty((0, g.n), dtype=np.intp)
     disturbance = []
     if config.controller.kind == "khop_consensus":
         tg = config.controller.target_graph
@@ -281,13 +295,15 @@ def build_structure(config: SimConfig) -> SimStructure:
         ).T.copy()
     disturbance = np.array(disturbance, dtype=np.intp)
     n_dim = config.plant.N
-    bins = pairs.estimator[disturbance, None] * n_dim + np.arange(n_dim)
+    bins = (pairs.estimator[disturbance, None] * n_dim + np.arange(n_dim)).reshape(-1)
+    for arr in (control_terms, disturbance, bins):
+        arr.setflags(write=False)
     return SimStructure(
         nbs=nbs,
         pairs=pairs,
         control_terms=control_terms,
         disturbance_pairs=disturbance,
-        disturbance_bins=bins.reshape(-1),
+        disturbance_bins=bins,
     )
 
 
@@ -316,40 +332,66 @@ def _check_startable(config: SimConfig) -> None:
             )
 
 
-def _apply_control(z: np.ndarray, config: SimConfig) -> None:
-    """Set every agent's input, plane 1's truth rows, from plane 0."""
-    s = config.structure
-    p = s.pairs.target.size
-    u = z[1, p:]
-    u[...] = 0.0
-    if config.controller.kind == "khop_consensus":
-        parts = z[0].take(s.control_terms, axis=0)
-        parts -= z[0, p:]
-        for part in parts:
-            u += part
+class StepWorkspace:
+    """One run's Euler step, set up once: the state array ``z``, its views,
+    the constants a step reads and the buffers it writes.
+
+    :func:`run` builds one per run, next to ``z``, and drops it when the run
+    ends, so a step looks nothing up in the config, writes into buffers it
+    already has and goes through no ndarray method wrapper. The config's
+    arrays are only read.
+    """
+
+    def __init__(self, config: SimConfig, z: np.ndarray):
+        s = config.structure
+        p = s.pairs.target.size
+        self.z = z
+        self.flat = z.reshape(-1)
+        self.x = z[0, p:]
+        self.x_flat = self.x.reshape(-1)
+        self.x_rows = z[0]
+        self.u = z[1, p:]
+        self.control_terms = s.control_terms
+        self.control_parts = np.empty((len(s.control_terms), *self.x.shape))
+        self.pairs = s.pairs
+        self.plant = config.plant
+        self.boundary_layer = config.boundary_layer
+        self.kernel = PairWorkspace(s.pairs, config.plant, z)
+        self.dt = config.dt
+        self.state_box = config.state_box
 
 
-def _advance(z: np.ndarray, t_next: float, config: SimConfig) -> None:
+def _apply_control(w: StepWorkspace) -> None:
+    """Set every agent's input, plane 1's truth rows, from plane 0: each
+    input sums its terms in table order, starting from ``+0.0``."""
+    parts = w.control_parts
+    # The indices are the structure's own, all in range; see pair_derivative.
+    w.x_rows.take(w.control_terms, axis=0, out=parts, mode="clip")
+    np.subtract(parts, w.x, out=parts)
+    np.add.reduce(parts, axis=0, initial=0.0, out=w.u)
+
+
+def _advance(w: StepWorkspace, t_next: float) -> None:
     """One Euler step of the whole state array, in place, then the checks."""
-    s = config.structure
-    p = s.pairs.target.size
+    z = w.z
     # Every pair sees its 1-hop neighbors' estimates and relays of the same
     # instant (zero-delay propagation), as in one message round.
-    dz = pair_derivative(s.pairs, config.plant, z, config.boundary_layer)
-    dz *= config.dt
+    dz = pair_derivative(w.pairs, w.plant, z, w.boundary_layer, w.kernel)
+    dz *= w.dt
     z += dz
-    if not math.isfinite(float(z.sum())):
-        bad = ~np.isfinite(z[0, p:]).all(axis=1)
+    if not math.isfinite(np.add.reduce(w.flat)):
+        p = w.pairs.target.size
+        bad = ~np.isfinite(w.x).all(axis=1)
         if bad.any():
             raise DivergenceDetected(t_next, int(np.argmax(bad)) + 1)
         bad = ~np.isfinite(z[:, :p]).all(axis=(0, 2))
         if bad.any():
-            agent = int(s.pairs.estimator[np.argmax(bad)]) + 1
+            agent = int(w.pairs.estimator[np.argmax(bad)]) + 1
             raise DivergenceDetected(t_next, agent, "non-finite estimate")
-    if config.state_box is not None:
-        lo, hi = config.state_box
-        x = z[0, p:]
-        if float(x.min()) < lo or float(x.max()) > hi:
+    if w.state_box is not None:
+        lo, hi = w.state_box
+        if np.minimum.reduce(w.x_flat) < lo or np.maximum.reduce(w.x_flat) > hi:
+            x = w.x
             bad = (x < lo) | (x > hi)
             agent = int(np.argwhere(bad)[0][0]) + 1
             value = float(x[bad][0])
@@ -391,7 +433,7 @@ def initial_error_norms(config: SimConfig) -> tuple:
     run itself initializes the input vector.
     """
     z = init_world(config)
-    _apply_control(z, config)
+    _apply_control(StepWorkspace(config, z))
     err = _error_norms(config.structure.pairs, z[None])
     return err[0, 0], err[0, 1]
 
@@ -465,6 +507,7 @@ def run(config: SimConfig) -> Telemetry:
     _check_startable(config)
     s = config.structure
     z = init_world(config)
+    w = StepWorkspace(config, z)
     t, p = 0.0, s.pairs.target.size
     n, n_dim = config.graph.n, config.plant.N
     n_steps = int(round(config.t_end / config.dt))
@@ -503,9 +546,10 @@ def run(config: SimConfig) -> Telemetry:
         cons = consensus_distance(logged["states"])
         return _assemble_telemetry(config, cons_dist=cons, **logged)
 
+    dt = config.dt
     try:
         for k in range(n_steps + 1):
-            _apply_control(z, config)
+            _apply_control(w)
             if k == sample_ids[row]:
                 times[row] = t
                 block[row - reduced] = z
@@ -514,8 +558,8 @@ def run(config: SimConfig) -> Telemetry:
                     reduce_block()
             if k == n_steps:
                 break
-            t += config.dt
-            _advance(z, t, config)
+            t += dt
+            _advance(w, t)
     except DivergenceDetected as exc:
         exc.partial_telemetry = telemetry()
         raise

@@ -180,6 +180,15 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None) -
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
+def _number(name: str, value, kind=float):
+    """``kind(value)``, or a :class:`ScenarioError` that names the field."""
+    try:
+        return kind(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{name} must be {what}, got {value!r}") from exc
+
+
 def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError(
@@ -190,10 +199,10 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
     n = graph.n
     tg_spec = raw.get("target_graph")
     target_graph = _parse_graph(tg_spec, base, n_hint=n) if tg_spec else None
-    k = int(raw["k"])
+    k = _number("k", raw["k"], int)
 
     pl = raw["plant"]
-    n_dim = int(pl["N"])
+    n_dim = _number("plant.N", pl["N"], int)
     if n_dim < 1:
         raise ScenarioError(f"plant.N must be >= 1, got {n_dim}")
     a_spec = pl.get("A", 0.0)
@@ -241,6 +250,11 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
     else:
         x0 = np.asarray(x0_spec, dtype=float)
 
+    consensus_tol = _number("sim.consensus_tol", sim.get("consensus_tol", DEFAULT_CONSENSUS_TOL))
+    if not (np.isfinite(consensus_tol) and consensus_tol > 0):
+        raise ScenarioError(
+            f"sim.consensus_tol must be positive and finite, got {consensus_tol!r}"
+        )
     box = sim.get("state_box")
     ctrl = raw.get("controller", {"kind": "zero"})
 
@@ -263,10 +277,10 @@ def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
         dt=float(sim["dt"]),
         t_end=float(sim["t_end"]),
         conv_eps=sim.get("conv_eps"),
-        band_scale=float(sim.get("band_scale", plant_sim.DEFAULT_BAND_SCALE)),
-        decimate=int(sim.get("decimate", 1)),
+        band_scale=_number("sim.band_scale", sim.get("band_scale", plant_sim.DEFAULT_BAND_SCALE)),
+        decimate=_number("sim.decimate", sim.get("decimate", 1), int),
         state_box=tuple(box) if box is not None else None,
-        consensus_tol=float(sim.get("consensus_tol", DEFAULT_CONSENSUS_TOL)),
+        consensus_tol=consensus_tol,
         boundary_layer=sim.get("boundary_layer"),
         x0=x0,
         xhat0_spec=sim.get("xhat0", "zero"),
@@ -371,6 +385,7 @@ def prepare(sc: Scenario, slack_override=None, decimate_override=None,
             band_scale=sc.band_scale,
             decimate=decimate_override if decimate_override is not None else sc.decimate,
             boundary_layer=boundary_layer if boundary_layer is not None else sc.boundary_layer,
+            nbs=nbs,
         )
         x_err0, u_err0 = plant_sim.initial_error_norms(config)
     except (TypeError, ValueError) as exc:

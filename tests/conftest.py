@@ -125,18 +125,20 @@ def short_reproduction(t_end=0.3) -> dict:
     return dict(REPRODUCTION_SCENARIO, sim=dict(REPRODUCTION_SCENARIO["sim"], t_end=t_end))
 
 
-def chorded_ring(t_end=0.3) -> dict:
-    """12-agent ring plus three chords; every agent's target graph adds one
-    agent two hops away, so each input depends on an estimate."""
-    n = 12
+def chorded_ring(t_end=0.3, n=12, chords=((1, 5), (3, 9), (6, 11)), seed=3) -> dict:
+    """``n``-agent ring plus ``chords`` (12 agents and three chords by
+    default); every agent with an agent two hops away adds one to its
+    target graph, so its input depends on an estimate. ``seed`` draws
+    ``x0``."""
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
-    comm = Graph(n, frozenset(ring + [(1, 5), (3, 9), (6, 11)]))
+    comm = Graph(n, frozenset(ring + list(chords)))
     target = set(ring)
     for i in range(1, n + 1):
         two_hop = sorted(j for j, d in comm.distances_from(i).items() if d == 2)
-        j = two_hop[i % len(two_hop)]
-        target.add((min(i, j), max(i, j)))
-    rng = np.random.default_rng(3)
+        if two_hop:
+            j = two_hop[i % len(two_hop)]
+            target.add((min(i, j), max(i, j)))
+    rng = np.random.default_rng(seed)
     sim = dict(REPRODUCTION_SCENARIO["sim"], t_end=t_end, state_box=None,
                x0=rng.uniform(-0.25, 0.25, size=(n, 2)).tolist())
     return dict(

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_messages, chorded_ring, inbox, short_reproduction
@@ -275,3 +275,55 @@ def test_run_matches_message_form_with_saturating_plant():
     assert min(nb.eta for nb in config.structure.nbs) >= 2
     assert np.abs(config.x0).max() > 1.0
     assert_same_telemetry(run(config), message_form_telemetry(config))
+
+
+@st.composite
+def ring_runs(draw):
+    """A random chorded ring and one run variant, as (raw scenario, config
+    changes): the boundary layer, the zero controller, the saturating
+    ``f``, or a nonzero ``A``; logged at decimate 1 or 7."""
+    n = draw(st.integers(5, 10))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    chords = {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=3))
+              if (b - a) % n not in (0, 1, n - 1)}
+    raw = chorded_ring(t_end=0.05, n=n, chords=sorted(chords),
+                       seed=draw(st.integers(0, 2**16)))
+    changes = {"decimate": draw(st.sampled_from([1, 7]))}
+    variant = draw(st.sampled_from(["boundary_layer", "zero_controller", "saturation", "plant_A"]))
+    if variant == "boundary_layer":
+        changes["boundary_layer"] = 0.05
+    elif variant == "zero_controller":
+        raw["controller"] = {"kind": "zero"}
+    elif variant == "saturation":
+        raw["plant"] = {"N": 2, "A": 0.0, "f": "scalar-saturation"}
+        raw["sim"]["x0"] = (6.0 * np.array(raw["sim"]["x0"])).tolist()
+    else:
+        raw["plant"] = {"N": 2, "A": [[-0.2, 0.5], [-0.5, -0.2]]}
+    return raw, changes, variant
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_runs())
+def test_run_matches_message_form_on_random_chorded_rings(case):
+    raw, changes, variant = case
+    config = config_of(raw, **changes)
+    if variant == "plant_A":
+        # A one-row ``xh @ A.T`` rounds differently from the same row inside
+        # a larger product; see test_run_matches_message_form_with_saturating_plant.
+        assume(min(nb.eta for nb in config.structure.nbs) >= 2)
+    assert_same_telemetry(run(config), message_form_telemetry(config))
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks())
+def test_layout_gains_are_the_targets_in_every_component(net):
+    g, k, n_dim, seed = net
+    gains = random_gains(np.random.default_rng(seed), g.n, np.eye(n_dim))
+    layout = pair_layout(all_khop_sets(g, k), gains)
+    p = layout.target.size
+    assert layout.switch.shape == (2, p, n_dim) and layout.switch.flags.c_contiguous
+    assert layout.omega.shape == (p, n_dim) and layout.omega.flags.c_contiguous
+    for name in ("omega", "theta", "pi"):
+        full = getattr(layout, name)
+        for c in range(n_dim):
+            assert np.array_equal(full[:, c], getattr(gains, name)[layout.target]), name

@@ -21,9 +21,11 @@ from khopsim import (
     Graph,
     PlantModel,
     SimConfig,
+    Telemetry,
     consensus_distance,
     dense_linalg,
     detect_convergence,
+    gain_tuning,
     init_world,
     lambda2,
     plant_sim,
@@ -148,8 +150,9 @@ class TestStep:
         # Python loops; must agree with the simulator to round-off.
         config, ts = repro_config()
         z = init_world(config)
-        plant_sim._apply_control(z, config)
-        plant_sim._advance(z, config.dt, config)
+        work = plant_sim.StepWorkspace(config, z)
+        plant_sim._apply_control(work)
+        plant_sim._advance(work, config.dt)
 
         g = config.graph
         n, n_dim, dt = 4, 2, config.dt
@@ -379,6 +382,36 @@ class TestRun:
         tel = run(config)
         plant_sim.telemetry_from_columns(config, plant_sim.telemetry_columns(tel))
         assert calls == {"all_khop_sets": 1, "pair_layout": 1}
+
+    def test_prepare_builds_the_khop_sets_once(self, monkeypatch):
+        # Tuning needs the neighborhoods first; the config reuses them.
+        calls = []
+        for module in (gain_tuning, plant_sim):
+            def counted(*args, _fn=module.all_khop_sets, **kwargs):
+                calls.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, "all_khop_sets", counted)
+        for raw in (chorded_ring(t_end=0.05), REPRODUCTION_SCENARIO):
+            calls.clear()
+            prepare(load_scenario(raw))
+            assert len(calls) == 1
+
+    def test_wiring_is_read_only_and_runs_repeat(self):
+        # One config serves many runs: the per-run workspace may read the
+        # wiring but never write it, so a second run repeats the first.
+        config, _ = repro_config(t_end=0.3)
+        s = config.structure
+        for arr in (s.pairs.estimator, s.pairs.target, s.pairs.offsets, s.pairs.terms,
+                    s.pairs.G, s.pairs.omega, s.pairs.switch, s.pairs.theta, s.pairs.pi,
+                    s.control_terms, s.disturbance_pairs, s.disturbance_bins):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[:1] = 0
+        first, second = run(config), run(config)
+        for f in dataclasses.fields(Telemetry):
+            assert np.array_equal(getattr(first, f.name), getattr(second, f.name),
+                                  equal_nan=True), f.name
 
     def test_kernel_runs_once_per_step_and_logs_reduce_after_the_loop(self, monkeypatch):
         # One observer kernel call per Euler step; the logged error norms and

@@ -264,16 +264,24 @@ class TestSimulate:
                 {"sim.x0": [[float("nan"), 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]},
                 "x0 must be finite",
             ),
-            ({"k": float("inf")}, "cannot convert float infinity to integer"),
-            ({"plant.N": float("inf")}, "cannot convert float infinity to integer"),
-            ({"sim.decimate": float("inf")}, "cannot convert float infinity to integer"),
+            ({"k": float("inf")}, "k must be an integer, got inf"),
+            ({"plant.N": float("inf")}, "plant.N must be an integer, got inf"),
+            ({"sim.decimate": float("inf")}, "sim.decimate must be an integer, got inf"),
             ({"gains.g": float("inf")}, "g must be positive and finite, got inf"),
+            ({"sim.band_scale": float("nan")}, "band_scale must be positive and finite, got nan"),
+            ({"sim.band_scale": 0}, "band_scale must be positive and finite, got 0.0"),
+            ({"sim.band_scale": -1}, "band_scale must be positive and finite, got -1.0"),
+            ({"sim.consensus_tol": float("nan")}, "sim.consensus_tol must be positive and finite"),
+            ({"sim.consensus_tol": 0}, "sim.consensus_tol must be positive and finite"),
+            ({"sim.consensus_tol": -1}, "sim.consensus_tol must be positive and finite"),
         ],
         ids=[
             "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
             "override_length", "xhat0_block_size", "uhat0_truth", "conv_eps_text",
             "boundary_layer_zero", "zero_state_dim", "no_derivative_bound",
             "uhat0_nan", "x0_nan", "k_inf", "state_dim_inf", "decimate_inf", "g_inf",
+            "band_scale_nan", "band_scale_zero", "band_scale_negative",
+            "consensus_tol_nan", "consensus_tol_zero", "consensus_tol_negative",
         ],
     )
     def test_bad_scenario_values_exit_1_with_one_line(self, tmp_path, capsys, patch, reason):
@@ -284,6 +292,17 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and reason in err
+
+    @pytest.mark.parametrize("field", ["k", "plant.N", "sim.decimate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "three"],
+                             ids=["nan", "inf", "text"])
+    def test_integer_field_exits_1_naming_it(self, tmp_path, capsys, field, value):
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05, field: value})
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{field} must be an integer, got {value!r}" in err
 
     def test_boundary_layer_flag(self, tmp_path):
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.3})
@@ -530,6 +549,8 @@ HOSTILE_FIELDS = [
     ("sim", "conv_eps"),
     ("sim", "boundary_layer"),
     ("sim", "decimate"),
+    ("sim", "band_scale"),
+    ("sim", "consensus_tol"),
     ("sim", "state_box"),
     ("plant", "N"),
     ("bounds", "d_udot"),
