@@ -54,8 +54,8 @@ class PlantModel:
             raise ValueError(f"A must be {self.N}x{self.N}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("A contains non-finite entries")
-        if self.l_f < 0:
-            raise ValueError("Lipschitz constant must be >= 0")
+        if not 0 <= self.l_f < np.inf:
+            raise ValueError(f"l_f must be finite and >= 0, got {self.l_f!r}")
         a.setflags(write=False)
         object.__setattr__(self, "A", a)
 
@@ -148,7 +148,7 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
     if g_scale is None:
         g = max(0.0, float(w[-1])) + 1.0
     else:
-        g = float(g_scale)
+        g = g_scale
         if not 0.0 < g < np.inf:
             raise GainConditionViolated(f"g must be positive and finite, got {g}")
     G = g * np.eye(plant.N)
@@ -175,15 +175,14 @@ def tune_omega(
     coupling: ObserverCoupling,
     plant: PlantModel,
     g_spec: tuple,
-    slack: float = 0.0,
 ) -> float:
-    """Smallest admissible linear gain for one agent (plus optional slack).
+    """Smallest admissible linear gain for one agent.
 
     The bound is
     ``(1/lmin(M)) (1 + l_f ||M (x) G|| / (lmin(M) lmin(G^T G)))``
-    and the inequality is non-strict, so slack 0 is legal. The Kronecker
-    norm factorizes as ``||M|| ||G||``, both spectral. ``g_spec`` is
-    :func:`g_spectrum` of ``G``.
+    and the inequality is non-strict, so the bound is admissible. The
+    Kronecker norm factorizes as ``||M|| ||G||``, both spectral. ``g_spec``
+    is :func:`g_spectrum` of ``G``.
     """
     lmin = coupling.lambda_min
     if lmin <= DEFINITENESS_TOL:
@@ -191,7 +190,7 @@ def tune_omega(
     g_lo, g_hi = g_spec
     norm_mg = coupling.lambda_max * g_hi
     lmin_gtg = g_lo * g_lo
-    return float((1.0 / lmin) * (1.0 + plant.l_f * norm_mg / (lmin * lmin_gtg)) + slack)
+    return float((1.0 / lmin) * (1.0 + plant.l_f * norm_mg / (lmin * lmin_gtg)))
 
 
 def tune_theta(
@@ -204,8 +203,6 @@ def tune_theta(
 
     ``g_spec`` is :func:`g_spectrum` of ``G``.
     """
-    if d_tilde_u_i < 0:
-        raise ValueError("d_tilde_u must be >= 0")
     if slack <= 0:
         raise ValueError("theta inequality is strict; slack must be > 0")
     g_lo, g_hi = g_spec
@@ -220,8 +217,6 @@ def tune_pi(
     slack: float = DEFAULT_SLACK,
 ) -> float:
     """Discontinuous input gain dominating the input-derivative bound."""
-    if d_udot_i < 0:
-        raise ValueError("d_udot must be >= 0")
     if slack <= 0:
         raise ValueError("pi inequality is strict; slack must be > 0")
     ratio = coupling.lambda_max / coupling.lambda_min
@@ -299,13 +294,13 @@ def tune_gains(
     bounds: BoundSet,
     g_scale: Optional[float] = None,
     slack: float = DEFAULT_SLACK,
-    omega_slack: float = 0.0,
     uhat0_mag: float = 0.0,
 ) -> tuple:
     """Tune the full gain set for a network.
 
     Returns ``(gains, nbs, couplings)`` where ``couplings`` is agent-indexed
-    with ``None`` for agents without multi-hop neighbors.
+    with ``None`` for agents without multi-hop neighbors; ``omega`` sits on
+    its lower bound.
     """
     G = design_G(plant, g_scale)
     g_spec = g_spectrum(G)
@@ -322,7 +317,7 @@ def tune_gains(
             continue
         agent = idx + 1
         eta = cpl.M.shape[0]
-        omega[idx] = tune_omega(cpl, plant, g_spec, slack=omega_slack)
+        omega[idx] = tune_omega(cpl, plant, g_spec)
         theta[idx] = tune_theta(
             cpl, g_spec, bounds.tilde_u(agent, eta, uhat0_mag), slack=slack
         )

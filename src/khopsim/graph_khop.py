@@ -51,6 +51,8 @@ class Graph:
                 raise IndexOutOfRange(f"edge {{{i},{j}}} outside 1..{self.n}")
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
+        if len(norm) < self.n - 1:  # too few edges to connect; spares a huge n its adjacency
+            raise GraphNotConnected(f"graph on {self.n} agents is not connected")
         adj = {i: [] for i in range(1, self.n + 1)}
         for i, j in norm:
             adj[i].append(j)

@@ -99,9 +99,10 @@ class Controller:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run's validated inputs plus ``structure``, the wiring built from
-    them once (:func:`build_structure`). ``xhat0``/``uhat0`` are given as
-    per-agent estimate vectors (``None`` means zeros) and kept as read-only
+    """One run's inputs plus ``structure``, the wiring built from them once
+    (:func:`build_structure`). Scalars are taken as the scenario schema
+    checked them; this checks the rules across fields. ``xhat0``/``uhat0``
+    are per-agent estimate vectors (``None`` means zeros), kept as read-only
     ``(P, N)`` pair arrays. ``nbs`` may pass in the k-hop neighborhoods of
     ``graph`` at horizon ``k`` when the caller already has them (as
     :func:`~khopsim.gain_tuning.tune_gains` returns them); otherwise they
@@ -126,22 +127,10 @@ class SimConfig:
     nbs: InitVar[Optional[list]] = None
 
     def __post_init__(self, nbs):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
             raise ValueError(
                 f"t_end must be finite and exceed dt, got t_end={self.t_end}, dt={self.dt}"
             )
-        if self.decimate < 1:
-            raise ValueError("decimate must be >= 1")
-        if not (np.isfinite(self.band_scale) and self.band_scale > 0):
-            raise ValueError(
-                f"band_scale must be positive and finite, got {self.band_scale!r}"
-            )
-        if self.conv_eps is not None and not self.conv_eps > 0:
-            raise ValueError(f"conv_eps must be positive, got {self.conv_eps!r}")
-        if self.boundary_layer is not None and not self.boundary_layer > 0:
-            raise ValueError(f"boundary_layer must be positive, got {self.boundary_layer!r}")
         x0 = np.array(self.x0, dtype=float)
         if x0.shape != (self.graph.n, self.plant.N):
             raise ValueError(
@@ -457,7 +446,7 @@ def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
     """Per-agent entry radius: ``conv_eps``, or a fraction of the first logged
     error floored at ``CONV_EPS_FLOOR``."""
     if config.conv_eps is not None:
-        return np.full(err.shape[1], float(config.conv_eps))
+        return np.full(err.shape[1], config.conv_eps)
     first = err[0] if len(err) else np.zeros(err.shape[1])
     return np.fmax(CONV_EPS_FLOOR, CONV_EPS_REL * first)
 

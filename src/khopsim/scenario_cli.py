@@ -87,9 +87,186 @@ class ScenarioError(KhopsimError):
     """Scenario file does not parse or fails schema validation."""
 
 
-def _f_user_table(params: dict):
-    xs = np.asarray(params["x"], dtype=float)
-    ys = np.asarray(params["y"], dtype=float)
+# The scenario schema, one row per field: (path, kind, constraint, default).
+# An absent or null field takes its default; a REQUIRED one must be given.
+# :func:`_read` is the only code that converts and checks a scenario value.
+# A rule a domain object enforces (Graph, PlantModel, BoundSet, design_G,
+# khop_set, tune_theta/tune_pi, resolve_f, Controller) stays there, and its
+# row checks the type only. SimConfig checks t_end against dt, and x0 and
+# the estimates against the graph; prepare checks the override lengths.
+REQUIRED = "required"
+SCHEMA = (
+    ("schema_version", "integer", "1", REQUIRED),
+    ("name", "string", None, "unnamed"),
+    ("graph", "object", None, REQUIRED),
+    ("graph.file", "string", None, None),
+    ("graph.n", "integer", None, None),
+    ("graph.edges", "edges", None, None),
+    ("target_graph", "object", None, None),
+    ("target_graph.file", "string", None, None),
+    ("target_graph.n", "integer", None, None),
+    ("target_graph.edges", "edges", None, None),
+    ("k", "integer", None, REQUIRED),
+    ("plant", "object", None, REQUIRED),
+    ("plant.N", "integer", ">= 1", REQUIRED),
+    ("plant.A", "numbers", None, 0.0),
+    ("plant.f", "selector", None, "zero"),
+    ("plant.l_f", "number", None, None),
+    ("bounds", "object", None, None),
+    ("bounds.d_u", "numbers", None, None),
+    ("bounds.d_udot", "numbers", None, None),
+    ("bounds.d_tilde_u", "numbers", None, None),
+    ("bounds.inferred", "boolean", None, False),
+    ("gains", "object", None, None),
+    ("gains.g", "number", None, None),
+    ("gains.slack", "number", "finite", DEFAULT_SLACK),
+    ("gains.omega_slack", "number", "non-negative and finite", 0.0),
+    ("gains.theta_scale", "number", "non-negative and finite", 1.0),
+    ("gains.pi_scale", "number", "non-negative and finite", 1.0),
+    ("gains.overrides", "object", None, None),
+    ("gains.overrides.omega", "numbers", None, None),
+    ("gains.overrides.theta", "numbers", None, None),
+    ("gains.overrides.pi", "numbers", None, None),
+    ("controller", "object", None, None),
+    ("controller.kind", "string", None, "zero"),
+    ("sim", "object", None, REQUIRED),
+    ("sim.dt", "number", "positive and finite", REQUIRED),
+    ("sim.t_end", "number", None, REQUIRED),
+    ("sim.x0", "initial states", None, REQUIRED),
+    ("sim.seed", "integer", "non-negative", None),
+    ("sim.xhat0", "state estimate", None, "zero"),
+    ("sim.uhat0", "input estimate", None, "zero"),
+    ("sim.state_box", "pair", "finite", None),
+    ("sim.conv_eps", "number", "positive and finite", None),
+    ("sim.band_scale", "number", "positive and finite", plant_sim.DEFAULT_BAND_SCALE),
+    ("sim.decimate", "integer", ">= 1", 1),
+    ("sim.consensus_tol", "number", "positive and finite", DEFAULT_CONSENSUS_TOL),
+    ("sim.boundary_layer", "number", "positive and finite", None),
+    ("outputs", "object", None, None),
+    ("outputs.csv", "string", None, "telemetry.csv"),
+    ("outputs.report", "string", None, "report.json"),
+)
+# Command-line flags that override a field; the field's row checks them.
+FLAG_FIELDS = {"--seed": "sim.seed", "--slack": "gains.slack",
+               "--decimate": "sim.decimate", "--boundary-layer": "sim.boundary_layer"}
+
+
+def _integer(value) -> int:
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError
+
+
+def _real(value) -> float:
+    if type(value) in (int, float):
+        return float(value)
+    raise TypeError
+
+
+def _numbers(value) -> np.ndarray:
+    """A number or a list of (lists of) numbers, as a float array."""
+    def numeric(v):
+        return type(v) in (int, float) or type(v) is list and all(map(numeric, v))
+    if not numeric(value):
+        raise TypeError
+    return np.array(value, dtype=float)  # a ragged list raises ValueError
+
+
+def _pairs(value, convert) -> list:
+    if type(value) is not list or any(type(e) is not list or len(e) != 2 for e in value):
+        raise TypeError
+    return [(convert(a), convert(b)) for a, b in value]
+
+
+def _selector(value):
+    """An f registry name, or a user table ``{"kind", "x", "y"}``."""
+    if type(value) is str:
+        return value
+    return {"kind": value["kind"], "x": _numbers(value["x"]), "y": _numbers(value["y"])}
+
+
+def _of_type(*types):
+    def check(value):
+        if type(value) not in types:
+            raise TypeError
+        return value
+    return check
+
+
+def _estimate(*words):
+    def convert(value):
+        if type(value) is list:
+            return [_numbers(block) for block in value]
+        return value if type(value) is str and value in words else _real(value)
+    return convert
+
+
+# kind -> (what an error says a value must be, converter). A converter
+# returns the value as the program uses it, or raises TypeError/ValueError.
+_KINDS = {
+    "integer": ("an integer", _integer),
+    "number": ("a number", _real),
+    "boolean": ("true or false", _of_type(bool)),
+    "string": ("a string", _of_type(str)),
+    "object": ("an object", _of_type(dict)),
+    "selector": ("a name or {kind, x, y}", _selector),
+    "numbers": ("a number or a list of numbers", _numbers),
+    "pair": ("a list of two numbers", lambda v: _pairs([v], _real)[0]),
+    "edges": ("a list of [i, j] integer pairs", lambda v: frozenset(_pairs(v, _integer))),
+    "initial states": ("per-agent rows or {low, high}", lambda v: (
+        (_real(v["low"]), _real(v["high"])) if type(v) is dict else _numbers(v))),
+    "state estimate": ("'zero', 'truth', a number or per-agent lists", _estimate("zero", "truth")),
+    "input estimate": ("'zero', a number or per-agent lists", _estimate("zero")),
+}
+_CONSTRAINTS = {
+    "1": lambda v: v == 1,
+    ">= 1": lambda v: v >= 1,
+    "non-negative": lambda v: v >= 0,
+    "finite": lambda v: bool(np.isfinite(v).all()),
+    "positive and finite": lambda v: 0 < v < np.inf,
+    "non-negative and finite": lambda v: 0 <= v < np.inf,
+}
+# The rows with each path split and each kind and constraint looked up once.
+_ROWS = tuple((path, *path.rpartition(".")[::2], *_KINDS[kind], rule,
+               _CONSTRAINTS.get(rule), default) for path, kind, rule, default in SCHEMA)
+
+
+def _read(raw: dict, overrides: dict) -> dict:
+    """Every field of :data:`SCHEMA`, converted and checked, by path.
+
+    ``overrides`` maps a path to ``(name, value)``; the value replaces the
+    document's. A bad value raises one :class:`ScenarioError` that names
+    the field, or ``name`` for an override.
+    """
+    values = {"": raw}
+    for path, section, key, what, convert, constraint, holds, default in _ROWS:
+        parent = values[section]
+        name, value = overrides.get(path) or (path, None if parent is None else parent.get(key))
+        if value is None:
+            if default is REQUIRED:
+                raise ScenarioError(f"{name} is required")
+            values[path] = default
+            continue
+        try:
+            value = convert(value)
+        except (KeyError, OverflowError, TypeError, ValueError):
+            raise ScenarioError(f"{name} must be {what}, got {value!r}") from None
+        if holds is not None and not holds(value):
+            raise ScenarioError(f"{name} must be {constraint}, got {value!r}")
+        values[path] = value
+    return values
+
+
+def resolve_f(spec) -> tuple:
+    """Map a scenario f selector to (callable-or-None, Lipschitz constant)."""
+    if spec == "zero":
+        return None, 0.0
+    if spec == "scalar-saturation":
+        return (lambda v: np.clip(v, -1.0, 1.0)), 1.0
+    if not (isinstance(spec, dict) and spec.get("kind") == "user-table"):
+        raise ScenarioError(f"unknown f selector {spec!r}")
+    xs = np.asarray(spec["x"], dtype=float)
+    ys = np.asarray(spec["y"], dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ScenarioError("user-table f needs matching 1-D x/y arrays")
     if np.any(np.diff(xs) <= 0):
@@ -98,208 +275,93 @@ def _f_user_table(params: dict):
     return (lambda v: np.interp(v, xs, ys)), float(slopes.max())
 
 
-def resolve_f(spec) -> tuple:
-    """Map a scenario f selector to (callable-or-None, Lipschitz constant)."""
-    if spec is None or spec == "zero":
-        return None, 0.0
-    if spec == "scalar-saturation":
-        return (lambda v: np.clip(v, -1.0, 1.0)), 1.0
-    if isinstance(spec, dict) and spec.get("kind") == "user-table":
-        return _f_user_table(spec)
-    raise ScenarioError(f"unknown f selector {spec!r}")
-
-
-def scenario_hash(raw: dict) -> str:
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _parse_graph(spec, base_dir: Path, n_hint: Optional[int] = None) -> Graph:
-    if isinstance(spec, dict) and "file" in spec:
-        return Graph.from_file(base_dir / spec["file"])
-    if isinstance(spec, dict) and "edges" in spec:
-        n = spec.get("n", n_hint)
-        if n is None:
-            raise ScenarioError("graph needs 'n' or a file")
-        return Graph(int(n), frozenset(tuple(e) for e in spec["edges"]))
-    raise ScenarioError("graph must give 'edges' (with 'n') or a 'file'")
+def _graph(v: dict, section: str, base: Path) -> Graph:
+    """The graph a section gives, from its file or from its ``n`` and edges."""
+    if v[f"{section}.file"] is not None:
+        return Graph.from_file(base / v[f"{section}.file"])
+    if v[f"{section}.n"] is None or v[f"{section}.edges"] is None:
+        raise ScenarioError(f"{section} must give 'n' and 'edges', or a 'file'")
+    return Graph(v[f"{section}.n"], v[f"{section}.edges"])
 
 
 @dataclass
 class Scenario:
-    """Validated scenario: raw document plus resolved domain objects."""
+    """A checked scenario: the document as read, ``values`` (every field of
+    :data:`SCHEMA` by path, as :func:`_read` gives it) and domain objects."""
 
     raw: dict
-    name: str
+    values: dict
     graph: Graph
     target_graph: Optional[Graph]
     k: int
     plant: PlantModel
     bounds: BoundSet
     bounds_inferred: bool
-    g_scale: Optional[float]
-    slack: float
-    omega_slack: float
-    theta_scale: float
-    pi_scale: float
-    overrides: dict
-    controller_kind: str
-    dt: float
-    t_end: float
-    conv_eps: Optional[float]
-    band_scale: float
-    decimate: int
-    state_box: Optional[tuple]
-    consensus_tol: float
-    boundary_layer: Optional[float]
     x0: np.ndarray
-    xhat0_spec: object
-    uhat0_spec: object
-    outputs: dict
 
     @property
     def hash(self) -> str:
-        return scenario_hash(self.raw)
+        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None) -> Scenario:
-    """Parse and validate a scenario from a path or an in-memory dict."""
-    if isinstance(source, dict):
-        raw = json.loads(json.dumps(source))  # defensive copy, JSON-clean
-        base = base_dir or Path(".")
-    else:
+def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
+                  overrides: Optional[dict] = None) -> Scenario:
+    """Parse and validate a scenario from a path or an in-memory dict.
+
+    ``overrides`` maps a field's path, or a flag of :data:`FLAG_FIELDS`, to
+    a value that replaces the document's unless it is ``None``;
+    ``seed_override`` is ``--seed``. The hash is that of the document as read.
+    """
+    if isinstance(source, (str, Path)):
         path = Path(source)
         base = base_dir or path.parent
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        return _build_scenario(raw, base, seed_override)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
-
-
-def _number(name: str, value, kind=float):
-    """``kind(value)``, or a :class:`ScenarioError` that names the field."""
-    try:
-        return kind(value)
-    except (OverflowError, TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"{name} must be {what}, got {value!r}") from exc
-
-
-def _build_scenario(raw: dict, base: Path, seed_override) -> Scenario:
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"unsupported schema_version {raw.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    graph = _parse_graph(raw["graph"], base)
-    n = graph.n
-    tg_spec = raw.get("target_graph")
-    target_graph = _parse_graph(tg_spec, base, n_hint=n) if tg_spec else None
-    k = _number("k", raw["k"], int)
-
-    pl = raw["plant"]
-    n_dim = _number("plant.N", pl["N"], int)
-    if n_dim < 1:
-        raise ScenarioError(f"plant.N must be >= 1, got {n_dim}")
-    a_spec = pl.get("A", 0.0)
-    a_mat = (
-        float(a_spec) * np.eye(n_dim)
-        if np.isscalar(a_spec)
-        else np.asarray(a_spec, dtype=float)
-    )
-    f_callable, l_f = resolve_f(pl.get("f"))
-    if "l_f" in pl:
-        l_f = float(pl["l_f"])
-    plant = PlantModel(N=n_dim, A=a_mat, f=f_callable, l_f=l_f)
-
-    bd = raw.get("bounds", {})
-    bounds = BoundSet(
-        n=n,
-        d_u=bd.get("d_u"),
-        d_udot=bd.get("d_udot"),
-        d_tilde_u=bd.get("d_tilde_u"),
-    )
-
-    gn = raw.get("gains", {})
-    overrides = {}
-    for key in ("omega", "theta", "pi"):
-        val = gn.get("overrides", {}).get(key) if gn.get("overrides") else None
-        if val is not None:
-            val = np.asarray(val, dtype=float)
-            if val.shape not in ((), (n,)):
-                raise ScenarioError(f"gains.overrides.{key} needs {n} entries, got {val.shape}")
-        overrides[key] = val
-
-    sim = raw["sim"]
-    for field_name, words in (("xhat0", ("zero", "truth")), ("uhat0", ("zero",))):
-        spec_val = sim.get(field_name, "zero")
-        if isinstance(spec_val, str) and spec_val not in words:
-            raise ScenarioError(
-                f"{field_name} must be {' or '.join(map(repr, words))}, a number, "
-                "or explicit lists"
-            )
-    seed = seed_override if seed_override is not None else sim.get("seed")
-    x0_spec = sim["x0"]
-    if isinstance(x0_spec, dict):
-        rng = np.random.default_rng(seed if seed is not None else 0)
-        x0 = rng.uniform(x0_spec["low"], x0_spec["high"], size=(n, n_dim))
     else:
-        x0 = np.asarray(x0_spec, dtype=float)
-
-    consensus_tol = _number("sim.consensus_tol", sim.get("consensus_tol", DEFAULT_CONSENSUS_TOL))
-    if not (np.isfinite(consensus_tol) and consensus_tol > 0):
-        raise ScenarioError(
-            f"sim.consensus_tol must be positive and finite, got {consensus_tol!r}"
+        raw = json.loads(json.dumps(source))  # defensive copy, JSON-clean
+        base = base_dir or Path(".")
+    if type(raw) is not dict:
+        raise ScenarioError(f"a scenario must be a JSON object, got {type(raw).__name__}")
+    given = {"--seed": seed_override, **(overrides or {})}
+    try:
+        v = _read(raw, {FLAG_FIELDS.get(key, key): (key, val)
+                        for key, val in given.items() if val is not None})
+        graph = _graph(v, "graph", base)
+        n, n_dim, a = graph.n, v["plant.N"], v["plant.A"]
+        f, l_f = resolve_f(v["plant.f"])
+        with np.errstate(invalid="ignore"):  # an infinite a: PlantModel rejects it
+            a = a * np.eye(n_dim) if np.ndim(a) == 0 else a
+        plant = PlantModel(n_dim, a, f, l_f if v["plant.l_f"] is None else v["plant.l_f"])
+        x0 = v["sim.x0"]
+        if type(x0) is tuple:
+            x0 = np.random.default_rng(v["sim.seed"] or 0).uniform(*x0, size=(n, n_dim))
+        return Scenario(
+            raw=raw,
+            values=v,
+            graph=graph,
+            target_graph=_graph(v, "target_graph", base) if v["target_graph"] else None,
+            k=v["k"],
+            plant=plant,
+            bounds=BoundSet(n=n, d_u=v["bounds.d_u"], d_udot=v["bounds.d_udot"],
+                            d_tilde_u=v["bounds.d_tilde_u"]),
+            bounds_inferred=v["bounds.inferred"],
+            x0=x0,
         )
-    box = sim.get("state_box")
-    ctrl = raw.get("controller", {"kind": "zero"})
-
-    return Scenario(
-        raw=raw,
-        name=raw.get("name", "unnamed"),
-        graph=graph,
-        target_graph=target_graph,
-        k=k,
-        plant=plant,
-        bounds=bounds,
-        bounds_inferred=bool(bd.get("inferred", False)),
-        g_scale=gn.get("g"),
-        slack=float(gn.get("slack", DEFAULT_SLACK)),
-        omega_slack=float(gn.get("omega_slack", 0.0)),
-        theta_scale=float(gn.get("theta_scale", 1.0)),
-        pi_scale=float(gn.get("pi_scale", 1.0)),
-        overrides=overrides,
-        controller_kind=ctrl.get("kind", "zero"),
-        dt=float(sim["dt"]),
-        t_end=float(sim["t_end"]),
-        conv_eps=sim.get("conv_eps"),
-        band_scale=_number("sim.band_scale", sim.get("band_scale", plant_sim.DEFAULT_BAND_SCALE)),
-        decimate=_number("sim.decimate", sim.get("decimate", 1), int),
-        state_box=tuple(box) if box is not None else None,
-        consensus_tol=consensus_tol,
-        boundary_layer=sim.get("boundary_layer"),
-        x0=x0,
-        xhat0_spec=sim.get("xhat0", "zero"),
-        uhat0_spec=sim.get("uhat0", "zero"),
-        outputs=raw.get("outputs", {}),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
 def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int):
     """Initial estimate vectors per agent from a scenario selector."""
-    if spec == "zero" or spec is None:
+    if spec == "zero":
         return None
     if spec == "truth":
-        return [
-            np.array([x0[m - 1] for m in nb.members], dtype=float).reshape(-1)
-            for nb in nbs
-        ]
-    if np.isscalar(spec):
-        return [np.full(nb.eta * n_dim, float(spec)) for nb in nbs]
+        return [x0[np.asarray(nb.members, dtype=int) - 1].reshape(-1) for nb in nbs]
+    if type(spec) is float:
+        return [np.full(nb.eta * n_dim, spec) for nb in nbs]
     return spec  # explicit per-agent blocks; SimConfig checks and stacks them
 
 
@@ -319,104 +381,71 @@ class TunedScenario:
         return self.config.structure.nbs
 
 
-def prepare(sc: Scenario, slack_override=None, decimate_override=None,
-            boundary_layer=None) -> TunedScenario:
+_INEQUALITY = {"phi": "theta lower bound (phi must be positive)",
+               "psi": "pi lower bound (psi must be positive)"}
+
+
+def prepare(sc: Scenario) -> TunedScenario:
     """Tune gains, apply scenario scales/overrides, and build the sim config.
 
     Every scenario value the domain objects reject (with ``ValueError`` or
-    ``TypeError``) surfaces here as one :class:`ScenarioError`, and so does
-    a non-finite slack or gain scale, which would otherwise yield gains
-    that no run can use but a certificate that looks valid.
+    ``TypeError``) surfaces here as one :class:`ScenarioError`. Gains that
+    break an inequality the certificate rests on (an ``omega`` below its
+    bound, or a ``phi`` or ``psi`` that is not positive) get no certificate.
     """
-    slack = slack_override if slack_override is not None else sc.slack
-    for name, value in (
-        ("--slack" if slack_override is not None else "gains.slack", slack),
-        ("gains.omega_slack", sc.omega_slack),
-        ("gains.theta_scale", sc.theta_scale),
-        ("gains.pi_scale", sc.pi_scale),
-    ):
-        if not np.isfinite(value):
-            raise ScenarioError(f"{name} must be finite, got {value}")
+    v = sc.values
     try:
-        uhat0_mag = 0.0
-        if np.isscalar(sc.uhat0_spec) and sc.uhat0_spec != "zero":
-            uhat0_mag = abs(float(sc.uhat0_spec))
-        elif isinstance(sc.uhat0_spec, list):
-            uhat0_mag = max(
-                (float(np.abs(np.asarray(b, dtype=float)).max()) for b in sc.uhat0_spec if len(b)),
-                default=0.0,
-            )
-        gains, nbs, couplings = tune_gains(
-            sc.graph,
-            sc.k,
-            sc.plant,
-            sc.bounds,
-            g_scale=sc.g_scale,
-            slack=slack,
-            omega_slack=sc.omega_slack,
-            uhat0_mag=uhat0_mag,
-        )
-        omega = gains.omega.copy()
-        theta = gains.theta * sc.theta_scale
-        pi = gains.pi * sc.pi_scale
+        spec = v["sim.uhat0"]
+        uhat0_mag = abs(spec) if type(spec) is float else 0.0
+        if type(spec) is list:
+            uhat0_mag = max((np.abs(b).max() for b in spec if b.size), default=0.0)
+        # omega comes tuned to its bound; the slack is added here.
+        tuned, nbs, couplings = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds,
+                                           g_scale=v["gains.g"], slack=v["gains.slack"],
+                                           uhat0_mag=uhat0_mag)
+        omega = tuned.omega + v["gains.omega_slack"]
+        theta = tuned.theta * v["gains.theta_scale"]
+        pi = tuned.pi * v["gains.pi_scale"]
         for key, arr in (("omega", omega), ("theta", theta), ("pi", pi)):
-            ov = sc.overrides.get(key)
+            ov = v[f"gains.overrides.{key}"]
             if ov is not None:
+                if ov.shape not in ((), arr.shape):
+                    raise ScenarioError(
+                        f"gains.overrides.{key} needs {arr.size} entries, got {ov.shape}")
                 mask = np.isfinite(ov)
                 arr[mask] = ov[mask]
-        gains = GainSet(G=gains.G, omega=omega, theta=theta, pi=pi)
-        controller = Controller(
-            kind=sc.controller_kind,
-            target_graph=sc.target_graph if sc.controller_kind == "khop_consensus" else None,
-        )
+        gains = GainSet(G=tuned.G, omega=omega, theta=theta, pi=pi)
+        kind = v["controller.kind"]
         config = SimConfig(
             graph=sc.graph,
             k=sc.k,
             plant=sc.plant,
             gains=gains,
-            controller=controller,
-            dt=sc.dt,
-            t_end=sc.t_end,
+            controller=Controller(kind, sc.target_graph if kind == "khop_consensus" else None),
             x0=sc.x0,
-            xhat0=_resolve_estimate_init(sc.xhat0_spec, nbs, sc.x0, sc.plant.N),
-            uhat0=_resolve_estimate_init(sc.uhat0_spec, nbs, sc.x0, sc.plant.N),
-            state_box=sc.state_box,
-            conv_eps=sc.conv_eps,
-            band_scale=sc.band_scale,
-            decimate=decimate_override if decimate_override is not None else sc.decimate,
-            boundary_layer=boundary_layer if boundary_layer is not None else sc.boundary_layer,
+            xhat0=_resolve_estimate_init(v["sim.xhat0"], nbs, sc.x0, sc.plant.N),
+            uhat0=_resolve_estimate_init(spec, nbs, sc.x0, sc.plant.N),
             nbs=nbs,
+            **{key: v[f"sim.{key}"] for key in ("dt", "t_end", "state_box", "conv_eps",
+                                                "band_scale", "decimate", "boundary_layer")},
         )
         x_err0, u_err0 = plant_sim.initial_error_norms(config)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
-    cert = None
-    infeasible = None
+    cert = infeasible = None
+    short = np.flatnonzero(omega < tuned.omega)  # the omega inequality is not strict
     try:
-        cert = certificate(
-            couplings, gains.G, gains, sc.bounds, x_err0, u_err0, uhat0_mag=uhat0_mag
-        )
+        if short.size:
+            i = short[0]
+            infeasible = dict(agent=int(i) + 1, quantity="omega", value=omega[i],
+                              inequality=f"omega lower bound ({tuned.omega[i]:.6g})")
+        else:
+            cert = certificate(couplings, gains.G, gains, sc.bounds, x_err0, u_err0,
+                               uhat0_mag=uhat0_mag)
     except CertificateInfeasible as exc:
-        infeasible = {
-            "agent": exc.agent,
-            "quantity": exc.quantity,
-            "value": exc.value,
-            "inequality": (
-                "theta lower bound (phi must be positive)"
-                if exc.quantity == "phi"
-                else "pi lower bound (psi must be positive)"
-            ),
-        }
-    return TunedScenario(
-        scenario=sc,
-        gains=gains,
-        couplings=couplings,
-        config=config,
-        cert=cert,
-        infeasible=infeasible,
-        x_err0=x_err0,
-        u_err0=u_err0,
-    )
+        infeasible = dict(agent=exc.agent, quantity=exc.quantity, value=exc.value,
+                          inequality=_INEQUALITY[exc.quantity])
+    return TunedScenario(sc, gains, couplings, config, cert, infeasible, x_err0, u_err0)
 
 
 def _jsonable(obj):
@@ -465,7 +494,7 @@ def gain_report(ts: TunedScenario) -> dict:
     overlap = check_neighbor_overlap(sc.graph, ts.nbs)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "scenario": {"name": sc.name, "hash": sc.hash},
+        "scenario": {"name": sc.values["name"], "hash": sc.hash},
         "g": float(ts.gains.G[0, 0]),
         "per_agent": per_agent,
         "T_x": ts.cert.T_x_global if ts.cert else None,
@@ -591,7 +620,7 @@ def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
         )
 
     # Stability envelope: decaying initial term plus disturbance gain.
-    if sc.target_graph is not None and sc.controller_kind == "khop_consensus":
+    if sc.values["controller.kind"] == "khop_consensus":
         lam2 = lambda2(sc.target_graph)
         v_norm = np.linalg.norm(tel.v.reshape(len(times), -1), axis=1)
         run_sup = np.maximum.accumulate(v_norm)
@@ -613,9 +642,9 @@ def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
         criteria.append(
             _criterion(
                 "consensus_reached",
-                "pass" if final < sc.consensus_tol else "fail",
+                "pass" if final < sc.values["sim.consensus_tol"] else "fail",
                 final_distance=final,
-                tolerance=sc.consensus_tol,
+                tolerance=sc.values["sim.consensus_tol"],
             )
         )
     else:
@@ -713,9 +742,23 @@ def _print_criteria(criteria) -> None:
 # Subcommands
 
 
+def _flags(args) -> dict:
+    """The override flags of the command line, by flag (``None`` if not given)."""
+    return {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in FLAG_FIELDS}
+
+
+def _flag_value(text: str):
+    """A flag's text as the number it spells, else as itself; a row checks it."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def cmd_tune(args) -> int:
-    sc = load_scenario(args.scenario, seed_override=args.seed)
-    ts = prepare(sc, slack_override=args.slack)
+    ts = prepare(load_scenario(args.scenario, overrides=_flags(args)))
     report = gain_report(ts)
     out_dir = Path(args.out)
     _write_json(out_dir / "gains.json", report)
@@ -736,7 +779,7 @@ def _simulate(ts: TunedScenario, out_dir: Path):
     """Run, write the CSV and the report. A diverged run keeps the samples
     it logged as the CSV and re-raises."""
     sc = ts.scenario
-    csv_path = out_dir / sc.outputs.get("csv", "telemetry.csv")
+    csv_path = out_dir / sc.values["outputs.csv"]
     try:
         tel = plant_sim.run(ts.config)
     except DivergenceDetected as exc:
@@ -745,23 +788,18 @@ def _simulate(ts: TunedScenario, out_dir: Path):
         raise
     _write_csv(csv_path, tel)
     report = verification_report(ts, telemetry_columns(tel))
-    report_path = out_dir / sc.outputs.get("report", "report.json")
+    report_path = out_dir / sc.values["outputs.report"]
     _write_json(report_path, report)
     return report, csv_path, report_path
 
 
 def cmd_simulate(args) -> int:
-    sc = load_scenario(args.scenario, seed_override=args.seed)
-    ts = prepare(
-        sc,
-        slack_override=args.slack,
-        decimate_override=args.decimate,
-        boundary_layer=_parse_boundary_layer(args.boundary_layer),
-    )
+    sc = load_scenario(args.scenario, overrides=_flags(args))
+    ts = prepare(sc)
     out_dir = Path(args.out)
-    has_overrides = any(v is not None for v in sc.overrides.values()) or (
-        sc.theta_scale != 1.0 or sc.pi_scale != 1.0
-    )
+    v = sc.values
+    has_overrides = v["gains.theta_scale"] != 1.0 or v["gains.pi_scale"] != 1.0 or any(
+        v[f"gains.overrides.{key}"] is not None for key in ("omega", "theta", "pi"))
     if ts.infeasible and not has_overrides:
         print(
             f"infeasible gains and no explicit overrides: "
@@ -777,8 +815,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc = load_scenario(args.scenario, seed_override=args.seed)
-    ts = prepare(sc, slack_override=args.slack)
+    sc = load_scenario(args.scenario, overrides=_flags(args))
+    ts = prepare(sc)
     try:
         cols = plant_sim.read_csv(args.telemetry)
     except (OSError, ValueError) as exc:
@@ -795,28 +833,21 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 2
 
 
-_SWEEP_KEYS = ("dt", "theta_scale", "pi_scale", "k")
+_SWEEP_FIELDS = {"dt": "sim.dt", "theta_scale": "gains.theta_scale",
+                 "pi_scale": "gains.pi_scale", "k": "k"}
 
 
-def _sweep_cell(raw_scenario: dict, cell: dict) -> dict:
+def _sweep_cell(raw: dict, base: Path, cell: dict) -> dict:
     """Run one sweep cell; always returns a row, never raises.
 
     A cell whose parameters are invalid (a bad ``k`` or ``dt``) gets status
     ``error`` with the reason, and the rest of the grid still runs.
     """
-    raw = json.loads(json.dumps(raw_scenario))
-    if "dt" in cell:
-        raw["sim"]["dt"] = cell["dt"]
-    if "k" in cell:
-        raw["k"] = cell["k"]
-    gains = raw.setdefault("gains", {})
-    if "theta_scale" in cell:
-        gains["theta_scale"] = cell["theta_scale"]
-    if "pi_scale" in cell:
-        gains["pi_scale"] = cell["pi_scale"]
     row = dict(cell)
     try:
-        sc = load_scenario(raw)
+        sc = load_scenario(
+            raw, base_dir=base, overrides={_SWEEP_FIELDS[key]: v for key, v in cell.items()}
+        )
         ts = prepare(sc)
         tel = plant_sim.run(ts.config)
         report = verification_report(ts, telemetry_columns(tel))
@@ -830,15 +861,8 @@ def _sweep_cell(raw_scenario: dict, cell: dict) -> dict:
             consensus_final=float(tel.cons_dist[-1]),
             error=None,
         )
-    except (KhopsimError, ValueError) as exc:
-        row.update(
-            status="error",
-            T_x_obs_max=None,
-            T_u_obs_max=None,
-            X_obs=None,
-            consensus_final=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    except (KhopsimError, OSError, ValueError) as exc:
+        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
     return row
 
 
@@ -856,7 +880,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(grid, dict):
         print(f"grid must be a JSON object of value lists, got {grid!r}", file=sys.stderr)
         return 1
-    unknown = set(grid) - set(_SWEEP_KEYS)
+    unknown = set(grid) - set(_SWEEP_FIELDS)
     if unknown:
         print(f"unsupported sweep keys: {sorted(unknown)}", file=sys.stderr)
         return 1
@@ -864,16 +888,18 @@ def cmd_sweep(args) -> int:
         if not isinstance(values, list) or not values:
             print(f"grid {key!r} must be a non-empty list, got {values!r}", file=sys.stderr)
             return 1
-    keys = [k for k in _SWEEP_KEYS if k in grid]
+    keys = [k for k in _SWEEP_FIELDS if k in grid]
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     # Under fork the pool starts every worker up front, so start no more
     # than there are cells.
     workers = min(args.jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, itertools.repeat(raw), cells))
+            rows = list(pool.map(
+                _sweep_cell, itertools.repeat(raw), itertools.repeat(sc_path.parent), cells
+            ))
     else:
-        rows = [_sweep_cell(raw, cell) for cell in cells]
+        rows = [_sweep_cell(raw, sc_path.parent, cell) for cell in cells]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "sweep_summary.csv"
@@ -893,11 +919,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce_paper(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenario_path = out_dir / "scenario.json"
     _write_json(scenario_path, REPRODUCTION_SCENARIO)
-    sc = load_scenario(REPRODUCTION_SCENARIO, base_dir=out_dir)
-    ts = prepare(sc, slack_override=args.slack, decimate_override=args.decimate)
+    ts = prepare(load_scenario(REPRODUCTION_SCENARIO, base_dir=out_dir, overrides=_flags(args)))
     _write_json(out_dir / "gains.json", gain_report(ts))
     if ts.infeasible:
         print(f"infeasible gains: {ts.infeasible['inequality']}", file=sys.stderr)
@@ -908,17 +932,6 @@ def cmd_reproduce_paper(args) -> int:
     print(f"telemetry: {csv_path}")
     print(f"report:    {report_path}")
     return 0 if report["all_pass"] else 2
-
-
-def _parse_boundary_layer(value):
-    if value is None or value == "off":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(
-            f"--boundary-layer must be a number or 'off', got {value!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -933,9 +946,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default="out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+            p.add_argument("--seed", type=_flag_value, help="override scenario seed")
         if slack:
-            p.add_argument("--slack", type=float, default=None, help="override gain slack")
+            p.add_argument("--slack", type=_flag_value, help="override gain slack")
 
     p_tune = sub.add_parser("tune", help="design gains and write the gain report")
     common(p_tune)
@@ -943,10 +956,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the closed loop and verify")
     common(p_sim)
-    p_sim.add_argument("--decimate", type=int, default=None, help="log every n-th step")
+    p_sim.add_argument("--decimate", type=_flag_value, help="log every n-th step")
     p_sim.add_argument(
         "--boundary-layer",
-        default=None,
+        type=lambda text: None if text == "off" else _flag_value(text),
         help="sign smoothing width delta, or 'off' (default off)",
     )
     p_sim.set_defaults(func=cmd_simulate)
@@ -966,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-paper", help="run the bundled 4-agent reproduction scenario"
     )
     common(p_rep, scenario=False, seed=False)
-    p_rep.add_argument("--decimate", type=int, default=None)
+    p_rep.add_argument("--decimate", type=_flag_value)
     p_rep.set_defaults(func=cmd_reproduce_paper)
     return parser
 
@@ -992,7 +1005,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return 1
-    except KhopsimError as exc:
+    except (KhopsimError, MemoryError, OSError) as exc:  # a bad output path, file or size
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

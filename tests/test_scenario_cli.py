@@ -15,9 +15,18 @@ from hypothesis import strategies as st
 
 from khopsim import scenario_cli
 from khopsim.plant_sim import read_csv, run, write_csv
-from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, main, prepare
+from khopsim.scenario_cli import (
+    FLAG_FIELDS,
+    REPRODUCTION_SCENARIO,
+    SCHEMA,
+    load_scenario,
+    main,
+    prepare,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+CONSTRAINT = {path: constraint for path, _, constraint, _ in SCHEMA}
 
 
 def write_scenario(tmp_path, name="scenario.json", **patch):
@@ -146,7 +155,8 @@ class TestTune:
         assert rc == 1
         err = capsys.readouterr().err
         name = field if field == "--slack" else f"gains.{field}"
-        assert err.count("\n") == 1 and f"{name} must be finite" in err
+        rule = CONSTRAINT[FLAG_FIELDS.get(name, name)]  # "finite", or "non-negative and finite"
+        assert err.count("\n") == 1 and f"{name} must be {rule}, got" in err
         assert not (tmp_path / "out" / "gains.json").exists()
 
     def test_infeasible_pi_override_exits_2(self, tmp_path, capsys):
@@ -255,7 +265,7 @@ class TestSimulate:
             ({"gains.overrides": {"theta": [1.0, 2.0]}}, "needs 4 entries"),
             ({"sim.xhat0": [[1.0], [2.0], [3.0], [4.0]]}, "cannot reshape"),
             ({"sim.uhat0": "truth"}, "uhat0 must be"),
-            ({"sim.conv_eps": "tiny"}, "not supported"),
+            ({"sim.conv_eps": "tiny"}, "sim.conv_eps must be a number, got 'tiny'"),
             ({"sim.boundary_layer": 0.0}, "boundary_layer must be positive"),
             ({"plant.N": 0}, "plant.N must be >= 1"),
             ({"bounds": {"d_u": 1.0}}, "pi gain missing"),
@@ -448,6 +458,24 @@ class TestSweep:
         assert rows["1"]["status"] == "error" and "hop horizon" in rows["1"]["error"]
         assert rows["3"]["status"] in ("pass", "fail") and rows["3"]["error"] == ""
 
+    def test_bad_grid_values_fail_alone_naming_the_field(self, tmp_path, capsys):
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"k": [3, 3.7], "dt": [1e-3, "x"]}))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid), "--out", str(out),
+                   "--jobs", "1"])
+        assert rc == 0
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            rows = {(row["dt"], row["k"]): row for row in csv.DictReader(fh)}
+        assert set(rows) == {("0.001", "3"), ("0.001", "3.7"), ("x", "3"), ("x", "3.7")}
+        assert rows[("0.001", "3")]["status"] in ("pass", "fail")
+        assert rows[("0.001", "3")]["error"] == ""
+        for cell, reason in ((("0.001", "3.7"), "k must be an integer, got 3.7"),
+                             (("x", "3"), "sim.dt must be a number, got 'x'"),
+                             (("x", "3.7"), "k must be an integer, got 3.7")):
+            assert rows[cell]["status"] == "error" and reason in rows[cell]["error"], cell
+
     @pytest.mark.parametrize(
         "grid, reason",
         [
@@ -519,6 +547,70 @@ class TestSweep:
         assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "patch, flags, reason",
+    [
+        ({"k": 2.9}, [], "k must be an integer, got 2.9"),
+        ({"sim.decimate": 7.5}, [], "sim.decimate must be an integer, got 7.5"),
+        ({"plant.N": True}, [], "plant.N must be an integer, got True"),
+        ({"sim.t_end": True}, [], "sim.t_end must be a number, got True"),
+        ({"sim.dt": "1e-3"}, [], "sim.dt must be a number, got '1e-3'"),
+        ({"gains.omega_slack": -5}, [],
+         "gains.omega_slack must be non-negative and finite, got -5.0"),
+        ({"plant.l_f": float("nan")}, [], "l_f must be finite and >= 0, got nan"),
+        ({"graph.n": 4.5}, [], "graph.n must be an integer, got 4.5"),
+        ({"sim.state_box": [float("nan"), 1]}, [], "sim.state_box must be finite, got (nan, 1.0)"),
+        ({"bounds.inferred": "no"}, [], "bounds.inferred must be true or false, got 'no'"),
+        ({"sim.conv_eps": float("inf")}, [], "sim.conv_eps must be positive and finite, got inf"),
+        ({"sim.boundary_layer": float("inf")}, [],
+         "sim.boundary_layer must be positive and finite, got inf"),
+        ({"gains.theta_scale": -1}, [], "gains.theta_scale must be non-negative and finite"),
+        ({"graph.edges": [["a", 2], [2, 3], [3, 4]]}, [],
+         "graph.edges must be a list of [i, j] integer pairs"),
+        ({"sim.x0": {"lo": 0.2}}, [], "sim.x0 must be per-agent rows or {low, high}"),
+        ({"graph.n": 10**12}, [], "graph on 1000000000000 agents is not connected"),
+        ({}, ["--decimate", "7.5"], "--decimate must be an integer, got 7.5"),
+        ({}, ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ({}, ["--boundary-layer", "0"], "--boundary-layer must be positive and finite, got 0.0"),
+        ({}, ["--slack", "x"], "--slack must be a number, got 'x'"),
+    ],
+    ids=[
+        "k_fraction", "decimate_fraction", "state_dim_bool", "t_end_bool", "dt_text",
+        "omega_slack_negative", "l_f_nan", "n_fraction", "state_box_nan", "inferred_text",
+        "conv_eps_inf", "boundary_layer_inf", "theta_scale_negative", "edge_text",
+        "x0_misspelt", "n_huge", "decimate_flag", "seed_flag", "boundary_layer_flag", "slack_flag",
+    ],
+)
+def test_silently_coerced_values_exit_1_naming_the_field(tmp_path, capsys, patch, flags, reason):
+    path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05, **patch})
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["is_a_file", "under_a_file"])
+def test_unusable_out_path_exits_1_with_one_line(tmp_path, capsys, under_a_file):
+    path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if under_a_file else blocker
+    for command in ("tune", "simulate"):
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(blocker) in err, err
+
+
+def test_readme_field_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    for path, kind, constraint, default in SCHEMA:
+        shown = ("required" if default is scenario_cli.REQUIRED
+                 else "—" if default is None else f"`{json.dumps(default)}`")
+        assert f"| `{path}` | {kind} | {constraint or '—'} | {shown} |" in section, path
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["tune", "--scenario", str(missing), "--out", str(tmp_path)]) == 1
@@ -534,32 +626,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--help"]) == 0
 
 
-HOSTILE_FIELDS = [
-    ("controller", "kind"),
-    ("target_graph",),
-    ("gains", "overrides"),
-    ("gains", "overrides", "theta"),
-    ("gains", "g"),
-    ("gains", "slack"),
-    ("gains", "omega_slack"),
-    ("gains", "theta_scale"),
-    ("gains", "pi_scale"),
-    ("sim", "xhat0"),
-    ("sim", "uhat0"),
-    ("sim", "conv_eps"),
-    ("sim", "boundary_layer"),
-    ("sim", "decimate"),
-    ("sim", "band_scale"),
-    ("sim", "consensus_tol"),
-    ("sim", "state_box"),
-    ("plant", "N"),
-    ("bounds", "d_udot"),
-    ("k",),
-]
-HOSTILE_VALUES = [None, 0, -1, float("nan"), float("inf"), "bogus", [1.0, 2.0, 3.0]]
+HOSTILE_FIELDS = [tuple(path.split(".")) for path, *_ in SCHEMA]
+HOSTILE_VALUES = [None, 0, -1, float("nan"), float("inf"), "bogus", [1.0, 2.0, 3.0],
+                  True, 2.5, "1e-3"]
 
 
-@settings(max_examples=100, deadline=None)
+# Hypothesis stops once it has tried every (field, value) pair.
+@settings(max_examples=len(HOSTILE_FIELDS) * len(HOSTILE_VALUES), deadline=None)
 @given(st.sampled_from(HOSTILE_FIELDS), st.sampled_from(HOSTILE_VALUES))
 def test_simulate_survives_hostile_field_values(field_path, value):
     raw = json.loads(json.dumps(REPRODUCTION_SCENARIO))
@@ -578,12 +651,13 @@ def test_simulate_survives_hostile_field_values(field_path, value):
             with contextlib.redirect_stderr(tune_err):
                 tune_rc = main(["tune", "--scenario", str(path), "--out", str(Path(tmp) / "tune")])
             if tune_rc == 0:
-                # A certificate is only written with a finite bound for
-                # every agent that runs an observer.
+                # A certificate is only written with a finite bound and a
+                # finite, positive omega for every agent that runs an observer.
                 report = json.loads((Path(tmp) / "tune" / "gains.json").read_text())
                 for row in report["per_agent"]:
-                    bound = row["T_x_bound"]
+                    bound, omega = row["T_x_bound"], row["omega"]
                     assert row["eta"] == 0 or (bound is not None and np.isfinite(bound)), row
+                    assert row["eta"] == 0 or (omega is not None and 0 < omega < np.inf), row
     assert rc in (0, 1, 2, 3)
     assert tune_rc in (0, 1, 2)
     if rc == 1:
