@@ -1,17 +1,19 @@
-"""Dense symmetric kernels backing the observer mathematics.
+"""Dense symmetric kernels for the gain inequalities, with their tolerances.
 
-The spectral quantities used by the gain inequalities (lambda_min/lambda_max
-of coupling matrices, definiteness tests) are computed here so that the
-numerical tolerances live in exactly one place.
-
-The eigensolver is a cyclic Jacobi iteration on the eigenvalues alone. It
-serves only the small matrices whose spectra feed the gains: the coupling
-matrices (``eta_i`` rows), the plant drift in ``design_G`` and ``G``
-(``N`` rows). No caller needs the eigenvectors. The target graph's
-``lambda2``, which feeds no gain, comes from LAPACK instead.
+The eigensolver runs cyclic Jacobi rotations on the eigenvalues alone, for the
+small matrices whose spectra feed the gains: the coupling matrices (``eta_i``
+rows) and the plant drift in ``design_G`` and ``G`` (``N`` rows). It rotates
+Python floats, as numpy's ~1 us per call outweighs the arithmetic on rows this
+short, with the operations and order of the numpy form
+(``tests/reference_jacobi.py``), bit for bit: the gains and, through ``sign``
+switching, the convergence times in ``perfbench/reference.json`` move with the
+last bits. LAPACK waits for a benchmark-only re-record of that file; the
+target graph's ``lambda2``, which feeds no gain, already uses it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,39 +46,43 @@ def sym_eig(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
     Iteration stops once every off-diagonal entry is below ``JACOBI_RTOL``
-    relative to the Frobenius norm of the input.
+    relative to the Frobenius norm of the input, which must not overflow.
     """
     a = _symmetric(m)
     n = a.shape[0]
     if n > 1:
-        fro = float(np.sqrt(np.sum(a * a)))
+        with np.errstate(over="ignore"):
+            fro = float(np.sqrt(np.sum(a * a)))
+        if fro == np.inf:
+            raise NumericalError("the Frobenius norm of the matrix overflows")
         thresh = JACOBI_RTOL * max(fro, np.finfo(float).tiny)
+        rows = a.tolist()
         for _ in range(_MAX_SWEEPS):
-            off = np.abs(a - np.diag(np.diag(a))).max()
-            if off <= thresh:
+            if np.abs(np.array(rows)[~np.eye(n, dtype=bool)]).max() <= thresh:
                 break
             for p in range(n - 1):
                 for q in range(p + 1, n):
-                    apq = a[p, q]
+                    apq = rows[p][q]
                     if abs(apq) <= thresh:
                         continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
                     if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                     else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
+                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
-                    # a <- G^T a G with the Givens rotation in the (p, q) plane
-                    rp, rq = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    cp, cq = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
+                    # a <- G^T a G by the (p, q) Givens rotation: rows, then columns
+                    rp, rq = rows[p], rows[q]
+                    rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                    rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                    for row in rows:
+                        x, y = row[p], row[q]
+                        row[p] = c * x - s * y
+                        row[q] = s * x + c * y
         else:
             raise NumericalError("Jacobi iteration did not converge")
-    w = np.diag(a).copy()
+    w = np.diag(rows if n > 1 else a)
     return w[np.argsort(w, kind="stable")]
 
 

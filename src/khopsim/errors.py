@@ -34,14 +34,16 @@ class CouplingNotPD(KhopsimError):
 
 
 class CertificateInfeasible(KhopsimError):
-    """Gains do not certify finite-time convergence (phi or psi <= 0)."""
+    """Gains do not certify finite-time convergence (phi or psi <= 0, omega < bound)."""
 
-    def __init__(self, agent: int, quantity: str, value: float):
+    def __init__(self, agent: int, quantity: str, value: float, bound: float = 0.0):
         self.agent = agent
         self.quantity = quantity
         self.value = value
+        self.bound = bound
+        rule = f"< {bound:.6g}" if quantity == "omega" else "<= 0"
         super().__init__(
-            f"agent {agent}: {quantity} = {value:.6g} <= 0, gains do not certify convergence"
+            f"agent {agent}: {quantity} = {value:.6g} {rule}, gains do not certify convergence"
         )
 
 

@@ -152,7 +152,8 @@ def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
         if not 0.0 < g < np.inf:
             raise GainConditionViolated(f"g must be positive and finite, got {g}")
     G = g * np.eye(plant.N)
-    condition = G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig rejects a non-finite one
+        condition = G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
     if not is_negative_definite(condition):
         raise GainConditionViolated(
             f"g = {g} violates the design condition on G (lambda_max "
@@ -225,7 +226,7 @@ def tune_pi(
 
 def certificate(
     couplings,
-    G: np.ndarray,
+    plant: PlantModel,
     gains: GainSet,
     bounds: BoundSet,
     x_err0,
@@ -236,13 +237,17 @@ def certificate(
 
     ``couplings`` is agent-indexed with ``None`` where eta = 0; ``x_err0``
     and ``u_err0`` are the initial stacked-error norms per agent. Raises
-    :class:`CertificateInfeasible` when a phi or psi margin is not strictly
+    :class:`CertificateInfeasible` when any ``omega`` is below its
+    :func:`tune_omega` bound, then when a phi or psi margin is not strictly
     positive. Input-side bounds are only produced when ``d_udot`` is known.
     """
     n = len(couplings)
     x_err0 = np.broadcast_to(np.asarray(x_err0, dtype=float), (n,))
     u_err0 = np.broadcast_to(np.asarray(u_err0, dtype=float), (n,))
-    g_lo, g_hi = g_spectrum(G)
+    g_lo, g_hi = g_spec = g_spectrum(gains.G)
+    for idx, cpl in enumerate(couplings):  # the omega inequality is not strict
+        if cpl is not None and gains.omega[idx] < (bound := tune_omega(cpl, plant, g_spec)):
+            raise CertificateInfeasible(idx + 1, "omega", gains.omega[idx], bound)
     have_udot = bounds.d_udot is not None
     phi = np.full(n, np.nan)
     t_x = np.full(n, np.nan)

@@ -149,6 +149,7 @@ SCHEMA = (
 # Command-line flags that override a field; the field's row checks them.
 FLAG_FIELDS = {"--seed": "sim.seed", "--slack": "gains.slack",
                "--decimate": "sim.decimate", "--boundary-layer": "sim.boundary_layer"}
+OFF = object()  # a flag value that sets its field to the default (``--boundary-layer off``)
 
 
 def _integer(value) -> int:
@@ -310,8 +311,9 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
     """Parse and validate a scenario from a path or an in-memory dict.
 
     ``overrides`` maps a field's path, or a flag of :data:`FLAG_FIELDS`, to
-    a value that replaces the document's unless it is ``None``;
-    ``seed_override`` is ``--seed``. The hash is that of the document as read.
+    a value that replaces the document's unless it is ``None`` (:data:`OFF`
+    restores the default); ``seed_override`` is ``--seed``. The hash is that
+    of the document as read.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -327,7 +329,7 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
         raise ScenarioError(f"a scenario must be a JSON object, got {type(raw).__name__}")
     given = {"--seed": seed_override, **(overrides or {})}
     try:
-        v = _read(raw, {FLAG_FIELDS.get(key, key): (key, val)
+        v = _read(raw, {FLAG_FIELDS.get(key, key): (key, None if val is OFF else val)
                         for key, val in given.items() if val is not None})
         graph = _graph(v, "graph", base)
         n, n_dim, a = graph.n, v["plant.N"], v["plant.A"]
@@ -381,7 +383,8 @@ class TunedScenario:
         return self.config.structure.nbs
 
 
-_INEQUALITY = {"phi": "theta lower bound (phi must be positive)",
+_INEQUALITY = {"omega": "omega lower bound ({:.6g})",
+               "phi": "theta lower bound (phi must be positive)",
                "psi": "pi lower bound (psi must be positive)"}
 
 
@@ -433,18 +436,12 @@ def prepare(sc: Scenario) -> TunedScenario:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
     cert = infeasible = None
-    short = np.flatnonzero(omega < tuned.omega)  # the omega inequality is not strict
     try:
-        if short.size:
-            i = short[0]
-            infeasible = dict(agent=int(i) + 1, quantity="omega", value=omega[i],
-                              inequality=f"omega lower bound ({tuned.omega[i]:.6g})")
-        else:
-            cert = certificate(couplings, gains.G, gains, sc.bounds, x_err0, u_err0,
-                               uhat0_mag=uhat0_mag)
+        cert = certificate(couplings, sc.plant, gains, sc.bounds, x_err0, u_err0,
+                           uhat0_mag=uhat0_mag)
     except CertificateInfeasible as exc:
         infeasible = dict(agent=exc.agent, quantity=exc.quantity, value=exc.value,
-                          inequality=_INEQUALITY[exc.quantity])
+                          inequality=_INEQUALITY[exc.quantity].format(exc.bound))
     return TunedScenario(sc, gains, couplings, config, cert, infeasible, x_err0, u_err0)
 
 
@@ -959,8 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--decimate", type=_flag_value, help="log every n-th step")
     p_sim.add_argument(
         "--boundary-layer",
-        type=lambda text: None if text == "off" else _flag_value(text),
-        help="sign smoothing width delta, or 'off' (default off)",
+        type=lambda text: OFF if text == "off" else _flag_value(text),
+        help="sign smoothing width delta, or 'off' (default: the scenario's)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

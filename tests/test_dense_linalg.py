@@ -3,15 +3,25 @@ definiteness.
 
 Expected eigenvalues come from closed-form characteristic polynomials or
 from numpy's independent LAPACK-backed solver, never from the kernel under
-test.
+test. Its bits are checked against :mod:`reference_jacobi`, the same
+rotations on numpy rows.
 """
+
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_connected_graph
+import reference_jacobi
+from conftest import chorded_ring, random_connected_graph
+from khopsim import dense_linalg, gain_tuning, tune_gains
 from khopsim.dense_linalg import is_negative_definite, sym_eig
 from khopsim.errors import NumericalError
+from khopsim.scenario_cli import load_scenario
 
 GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -71,6 +81,84 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericalError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_overflowing_norm_rejected_without_warning(self):
+        # The true eigenvalues are +-1e200; an infinite threshold would skip
+        # every rotation and answer [0, 0].
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="Frobenius norm"):
+                sym_eig([[0.0, 1e200], [1e200, 0.0]])
+        assert sym_eig([[0.0, 1e150], [1e150, 0.0]]) == pytest.approx([-1e150, 1e150])
+
+
+def assert_same_outcome(m):
+    """``sym_eig`` and the oracle give the same bits, or fail the same way
+    (entries below ~1e-154 underflow the norm and can stall both)."""
+    try:
+        ref = reference_jacobi.sym_eig(m)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=re.escape(str(exc))):
+            sym_eig(m)
+        return
+    w = sym_eig(m)
+    assert w.dtype == ref.dtype and np.array_equal(w, ref)
+    assert np.array_equal(np.signbit(w), np.signbit(ref))
+
+
+@st.composite
+def coupling_like_matrices(draw, max_n=32):
+    """Integer ``L + H``: a random graph's Laplacian plus a non-negative
+    integer diagonal, the shape of every coupling matrix ``M_i``."""
+    n = draw(st.integers(1, max_n))
+    m = np.diag(np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), float))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(pairs, max_size=3 * n)):
+        if i != j and m[i, j] == 0.0:
+            m[i, j] = m[j, i] = -1.0
+            m[i, i] += 1.0
+            m[j, j] += 1.0
+    return m
+
+
+symmetric_floats = st.integers(1, 16).flatmap(
+    lambda n: arrays(float, (n, n), elements=st.floats(-1e6, 1e6, width=64))
+).map(lambda a: a + a.T)
+
+
+class TestRotationsOnPythonFloats:
+    """``sym_eig`` runs the oracle's rotations on Python floats; the gains
+    depend on every bit of the answer, so the two must agree exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coupling_like_matrices())
+    def test_coupling_like_matrices_match_the_oracle_bit_for_bit(self, m):
+        assert_same_outcome(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_floats)
+    def test_symmetric_float_matrices_match_the_oracle_bit_for_bit(self, m):
+        assert_same_outcome(m)
+
+    def test_tune_gains_unchanged_under_the_oracle(self, monkeypatch):
+        sc = load_scenario(chorded_ring())
+
+        def tuned():
+            gains, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
+            spectra = [(c.lambda_min.hex(), c.lambda_max.hex()) for c in cpls if c is not None]
+            return [a.tobytes() for a in (gains.G, gains.omega, gains.theta, gains.pi)], spectra
+
+        ours = tuned()
+        calls = []
+
+        def oracle(m):
+            calls.append(1)
+            return reference_jacobi.sym_eig(m)
+
+        monkeypatch.setattr(dense_linalg, "sym_eig", oracle)
+        monkeypatch.setattr(gain_tuning, "sym_eig", oracle)
+        assert tuned() == ours
+        assert len(calls) == sc.graph.n + 3  # the couplings, design_G twice, g_spectrum
 
 
 class TestSpectralNorm:

@@ -33,7 +33,7 @@ from khopsim.errors import (
 from khopsim.dense_linalg import is_negative_definite, sym_eig
 from khopsim.gain_tuning import GainSet
 from khopsim.graph_khop import ObserverCoupling
-from khopsim.scenario_cli import load_scenario
+from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario
 from reference_form import verify_gain_inequality
 
 
@@ -184,7 +184,8 @@ class TestCertificate:
             pi=np.array([1.0]),
         )
         bounds = BoundSet(n=1, d_udot=0.0, d_tilde_u=0.0)
-        cert = certificate([cpl], gains.G, gains, bounds, [2.0], [0.0])
+        plant = PlantModel(N=1, A=np.zeros((1, 1)))
+        cert = certificate([cpl], plant, gains, bounds, [2.0], [0.0])
         assert cert.phi[0] == pytest.approx(1.0)
         assert cert.T_x[0] == pytest.approx(2.0)
 
@@ -193,13 +194,13 @@ class TestCertificate:
         _, cpls = path4_couplings
         gains = GainSet(
             G=20.0 * np.eye(2),
-            omega=np.array([2.618, 1.0, 1.0, 2.618]),
+            omega=np.array([2.619, 1.0, 1.0, 2.619]),
             theta=np.array([3.43, 0.501, 0.501, 3.43]),
             pi=np.array([9.7, 1.0, 1.0, 9.7]),
         )
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         with pytest.raises(CertificateInfeasible) as err:
-            certificate(cpls, gains.G, gains, bounds, np.ones(4), np.ones(4))
+            certificate(cpls, plant2(), gains, bounds, np.ones(4), np.ones(4))
         assert err.value.quantity == "psi"
         # a strictly positive slack restores feasibility
         gains2 = GainSet(
@@ -208,7 +209,7 @@ class TestCertificate:
             theta=gains.theta,
             pi=gains.pi + 1e-3,
         )
-        cert = certificate(cpls, gains2.G, gains2, bounds, np.ones(4), np.ones(4))
+        cert = certificate(cpls, plant2(), gains2, bounds, np.ones(4), np.ones(4))
         assert np.all(cert.psi > 0)
         assert cert.T_xu == pytest.approx(cert.T_x_global + cert.T_u_global)
 
@@ -217,17 +218,35 @@ class TestCertificate:
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         base = dict(
             G=20.0 * np.eye(2),
-            omega=np.array([2.618, 1.0, 1.0, 2.618]),
+            omega=np.array([2.619, 1.0, 1.0, 2.619]),
             pi=np.array([9.7, 1.01, 1.01, 9.7]),
         )
         prev_phi, prev_tx = None, None
         for theta1 in (3.5, 4.0, 6.0):
             gains = GainSet(theta=np.array([theta1, 0.52, 0.52, theta1]), **base)
-            cert = certificate(cpls, gains.G, gains, bounds, np.ones(4), np.ones(4))
+            cert = certificate(cpls, plant2(), gains, bounds, np.ones(4), np.ones(4))
             if prev_phi is not None:
                 assert cert.phi[0] > prev_phi
                 assert cert.T_x[0] < prev_tx
             prev_phi, prev_tx = cert.phi[0], cert.T_x[0]
+
+    def test_omega_below_its_bound_is_infeasible(self):
+        # The bound is not strict: the tuned omega certifies, one ulp below
+        # it does not, and neither does omega = 0 (which once certified
+        # T_x = [2610, 250, 269, 2423] on these couplings).
+        sc = load_scenario(REPRODUCTION_SCENARIO)
+        tuned, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
+        args = (sc.bounds, np.ones(4), np.ones(4))
+        assert np.all(np.isfinite(certificate(cpls, sc.plant, tuned, *args).T_x))
+        one_ulp_below = tuned.omega.copy()
+        one_ulp_below[2] = np.nextafter(one_ulp_below[2], 0.0)
+        for omega, agent in ((one_ulp_below, 3), (np.zeros(4), 1)):
+            gains = GainSet(G=tuned.G, omega=omega, theta=tuned.theta, pi=tuned.pi)
+            with pytest.raises(CertificateInfeasible) as err:
+                certificate(cpls, sc.plant, gains, *args)
+            assert (err.value.agent, err.value.quantity) == (agent, "omega")
+            assert err.value.bound == tuned.omega[agent - 1]
+            assert f"omega = {omega[agent - 1]:.6g} < " in str(err.value)
 
 
 class TestBoundSet:

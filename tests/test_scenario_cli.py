@@ -170,6 +170,32 @@ class TestTune:
         assert "pi lower bound" in report["infeasible"]["inequality"]
         assert "pi lower bound" in capsys.readouterr().err
 
+    def test_omega_override_below_its_bound_exits_2(self, tmp_path, capsys):
+        # Agent 2's omega bound is 1 to six digits; its override of 0 is below it.
+        path, _ = write_scenario(
+            tmp_path, **{"gains.overrides": {"omega": [2.7, 0.0, 1.0, 2.7]}}
+        )
+        rc = main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        report = json.loads((tmp_path / "out" / "gains.json").read_text())
+        assert report["certified"] is False
+        assert report["infeasible"] == {"agent": 2, "quantity": "omega", "value": 0.0,
+                                        "inequality": "omega lower bound (1)"}
+        assert capsys.readouterr().err == "infeasible: agent 2 violates omega lower bound (1)\n"
+
+    @pytest.mark.parametrize("field", ["plant.A", "gains.g"])
+    def test_overflowing_matrix_exits_1_with_one_line(self, tmp_path, capsys, field):
+        # A squared 1e300 overflows: in sym_eig's Frobenius norm (plant.A) or
+        # in design_G's G^T G (gains.g). Neither may warn or answer.
+        path, _ = write_scenario(tmp_path, **{field: 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "out" / "gains.json").exists()
+
 
 class TestSimulate:
     def test_zero_controller_states_constant_in_csv(self, tmp_path):
@@ -329,6 +355,27 @@ class TestSimulate:
         )
         assert rc in (0, 2)
         assert (tmp_path / "out" / "telemetry.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [(["--boundary-layer", "off"], None), (["--boundary-layer", "0.05"], 0.05), ([], 0.01)],
+        ids=["off", "number", "not_given"],
+    )
+    def test_boundary_layer_flag_over_the_scenario_value(
+        self, tmp_path, monkeypatch, flag, expected
+    ):
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05, "sim.boundary_layer": 0.01})
+        seen = []
+
+        def recording_prepare(sc):
+            ts = prepare(sc)
+            seen.append(ts.config.boundary_layer)
+            return ts
+
+        monkeypatch.setattr(scenario_cli, "prepare", recording_prepare)
+        argv = ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out"), *flag]
+        assert main(argv) in (0, 2)
+        assert seen == [expected]
 
 
 class TestVerify:
