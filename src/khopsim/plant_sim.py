@@ -41,6 +41,11 @@ that produced it: a row-wise dot product and an ``np.bincount`` whose bins
 run sample-major, so every cell accumulates its terms in the same order as
 a per-sample reduction would.
 
+The telemetry CSV of a large run is written and read on every usable CPU:
+forked children format or parse row ranges and pass them back through
+pipes, and the bytes and values are the same as in one process
+(``SPLIT_MIN_CELLS``).
+
 Do not regroup these sums. ``sum(estimates) - (deg + c) * own + c * truth``
 is the same sum in exact arithmetic but not in floating point, and because
 ``sign(0) = +1`` switches on the sign of tiny differences, a one-ulp change
@@ -50,7 +55,14 @@ differences of order 1e-3 within a few hundred steps.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import shutil
+import signal
+import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Optional
 
@@ -74,6 +86,17 @@ LAPLACIAN_ZERO_TOL = 1e-8
 # 1 MiB block ran no faster and left a higher peak RSS in the verification
 # that follows the reproduction run (+0.7 MB); 256 KiB did not.
 LOG_BLOCK_BYTES = 1 << 18
+# Values of telemetry CSV per process when ``write_csv`` and ``read_csv``
+# split a file over CPUs. Medians of 9 calls on cuts of the reproduction
+# table, 2-vCPU Xeon VM, one process -> two: writing 100k values took
+# 0.119 -> 0.109 s and 200k 0.287 -> 0.176 s; reading 100k values
+# 0.039 -> 0.047 s (slower) and 200k 0.114 -> 0.072 s. So a file splits from
+# 200k values on, and a 150-agent ring's 49k-value CSV stays in one process.
+SPLIT_MIN_CELLS = 100_000
+# Mean bytes of one CSV value with its separator, which sizes a file in
+# values before it is read: 19.6 in the reproduction telemetry, 20.7 in a
+# 150-agent ring's.
+_CELL_BYTES = 20
 
 
 @dataclass(frozen=True)
@@ -130,6 +153,11 @@ class SimConfig:
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
             raise ValueError(
                 f"t_end must be finite and exceed dt, got t_end={self.t_end}, dt={self.dt}"
+            )
+        if self.t_end / self.dt > sys.maxsize:
+            raise ValueError(
+                f"t_end / dt must be at most {sys.maxsize} steps, "
+                f"got t_end={self.t_end}, dt={self.dt}"
             )
         x0 = np.array(self.x0, dtype=float)
         if x0.shape != (self.graph.n, self.plant.N):
@@ -499,11 +527,9 @@ def run(config: SimConfig) -> Telemetry:
     w = StepWorkspace(config, z)
     t, p = 0.0, s.pairs.target.size
     n, n_dim = config.graph.n, config.plant.N
-    n_steps = int(round(config.t_end / config.dt))
-    sample_ids = list(range(0, n_steps + 1, config.decimate))
-    if sample_ids[-1] != n_steps:
-        sample_ids.append(n_steps)
-    n_samples = len(sample_ids)
+    n_steps, decimate = int(round(config.t_end / config.dt)), config.decimate
+    # Every ``decimate``-th step is logged, and the last one always.
+    n_samples = n_steps // decimate + 1 + (n_steps % decimate != 0)
     logs = {
         "times": np.zeros(n_samples),
         "states": np.zeros((n_samples, n, n_dim)),
@@ -539,7 +565,7 @@ def run(config: SimConfig) -> Telemetry:
     try:
         for k in range(n_steps + 1):
             _apply_control(w)
-            if k == sample_ids[row]:
+            if k % decimate == 0 or k == n_steps:
                 times[row] = t
                 block[row - reduced] = z
                 row += 1
@@ -602,21 +628,188 @@ def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     return _assemble_telemetry(config, **logs)
 
 
+def _workers(cells: int) -> int:
+    """Processes for a CSV of about ``cells`` values: one per
+    ``SPLIT_MIN_CELLS``, at most one per CPU this process may run on, and
+    one where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, cells // SPLIT_MIN_CELLS))
+
+
+class _PartFailed(Exception):
+    """A part of a split CSV did not finish; the caller does the whole
+    file again in one process, which raises what a failure there raises."""
+
+
+@contextmanager
+def _forked(jobs, work):
+    """Run ``work(job, out)`` in one forked child per job, ``out`` being the
+    write end of the child's pipe; yield the read ends, in job order.
+
+    A child raises warnings as errors and leaves through ``os._exit``
+    (status 0 when ``work`` returned, else 1), so it runs no exit handler
+    and flushes no buffer it shares with the caller. It runs no BLAS and no
+    threads, so forking beside numpy's BLAS threads is safe. On leaving, the
+    caller closes the pipes and reaps every child, killing them first when
+    it leaves on an exception (``KeyboardInterrupt`` too), and raises
+    :class:`_PartFailed` when a child could not start or did not exit 0.
+    """
+    children = []
+    try:
+        for job in jobs:
+            r, w = os.pipe()
+            # SIGINT waits until the child is inside its ``try``, so a
+            # KeyboardInterrupt never runs the caller's code in a child.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork beside threads, such as
+                    # numpy's BLAS pool; the children here use neither.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                pid = -1
+            if pid == 0:
+                status = 1
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(r)
+                    for _, part in children:
+                        part.close()
+                    warnings.simplefilter("error")
+                    with open(w, "wb") as out:
+                        work(job, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(w)
+            if pid < 0:
+                os.close(r)
+                raise _PartFailed
+            children.append((pid, open(r, "rb")))
+        yield [part for _, part in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = False
+        for pid, part in children:
+            part.close()
+            failed |= os.waitpid(pid, 0)[1] != 0
+    if failed:
+        raise _PartFailed
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    for row in rows:
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _format_part(rows: np.ndarray, out) -> None:
+    text = io.StringIO()
+    _write_rows(text, rows)
+    out.write(text.getvalue().encode("utf-8"))
+
+
+def _write_table(path, header: list, table: np.ndarray, workers: int) -> None:
+    """The caller writes the header and the first rows; children format the
+    other row ranges, which the caller appends in order as they arrive."""
+    cuts = [len(table) * i // workers for i in range(workers + 1)]
+    parts = [table[a:b] for a, b in zip(cuts[1:], cuts[2:]) if a < b]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh, \
+            _forked(parts, _format_part) as texts:
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, table[: cuts[1]])
+        fh.flush()
+        for text in texts:
+            shutil.copyfileobj(text, fh.buffer)
+
+
 def write_csv(tel: Telemetry, path) -> None:
-    """Write telemetry rows; float formatting is shortest round-trip repr."""
+    """Write telemetry rows; float formatting is shortest round-trip repr.
+
+    Tables of ``2 * SPLIT_MIN_CELLS`` values or more are formatted on
+    several CPUs (:func:`_workers`); the bytes are the same.
+    """
     cols = telemetry_columns(tel)
-    table = np.column_stack(list(cols.values()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    header, table = list(cols), np.column_stack(list(cols.values()))
+    try:
+        _write_table(path, header, table, _workers(table.size))
+    except _PartFailed:
+        _write_table(path, header, table, 1)
+
+
+def _parse_rows(stream, width: int) -> np.ndarray:
+    """CSV body rows from a binary stream, decoded as a UTF-8 text file is."""
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        data = np.loadtxt(text, delimiter=",", ndmin=2)
+    finally:
+        text.detach()
+    if data.shape[1] != width:
+        raise ValueError("telemetry CSV malformed: column count mismatch")
+    return data
+
+
+def _line_cuts(fh, start: int, size: int, workers: int) -> list:
+    """Byte offsets that split ``[start, size)`` into up to ``workers``
+    ranges of about equal size, each moved forward to a line start."""
+    cuts = [start]
+    for i in range(1, workers):
+        fh.seek(start + (size - start) * i // workers - 1)
+        fh.readline()
+        if cuts[-1] < fh.tell() < size:
+            cuts.append(fh.tell())
+    return cuts + [size]
+
+
+def _read_rows(fh, cuts: list, width: int) -> np.ndarray:
+    """Rows of the body bytes ``[cuts[0], cuts[-1])``: children parse every
+    range but the last, which the caller parses from ``fh``. Any part that
+    fails raises :class:`_PartFailed`."""
+    fd = fh.fileno()
+
+    def send_rows(job, out):
+        a, b = job
+        out.write(_parse_rows(io.BytesIO(os.pread(fd, b - a, a)), width).tobytes())
+
+    with _forked(list(zip(cuts, cuts[1:-1])), send_rows) as parts:
+        fh.seek(cuts[-2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                own = _parse_rows(fh, width)
+            except (ValueError, Warning):
+                raise _PartFailed from None
+        received = [part.read() for part in parts]
+    if not received:
+        return own
+    blocks = [np.frombuffer(raw).reshape(-1, width) for raw in received]
+    return np.concatenate([*blocks, own])
 
 
 def read_csv(path) -> dict:
-    """Load a telemetry CSV back into column-name -> array form."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError("telemetry CSV malformed: column count mismatch")
+    """Load a telemetry CSV back into column-name -> array form.
+
+    Files of about ``2 * SPLIT_MIN_CELLS`` values or more (at
+    ``_CELL_BYTES`` per value) are parsed on several CPUs; the values are
+    the same. When any part fails, the body is parsed again in one pass,
+    so a bad file gets the one-process error.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8").strip().split(",")
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        cuts = _line_cuts(fh, start, size, _workers((size - start) // _CELL_BYTES))
+        try:
+            data = _read_rows(fh, cuts, len(header))
+        except _PartFailed:
+            fh.seek(start)
+            data = _parse_rows(fh, len(header))
     return {name: data[:, idx] for idx, name in enumerate(header)}

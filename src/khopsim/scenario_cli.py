@@ -432,9 +432,14 @@ def prepare(sc: Scenario) -> TunedScenario:
             **{key: v[f"sim.{key}"] for key in ("dt", "t_end", "state_box", "conv_eps",
                                                 "band_scale", "decimate", "boundary_layer")},
         )
-        x_err0, u_err0 = plant_sim.initial_error_norms(config)
+        with np.errstate(over="ignore"):  # refused below, with the field named
+            x_err0, u_err0 = plant_sim.initial_error_norms(config)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
+    for name, err in (("sim.xhat0", x_err0), ("sim.uhat0", u_err0)):
+        if not np.isfinite(err).all():
+            agent = int(np.argmax(~np.isfinite(err))) + 1
+            raise ScenarioError(f"{name}: the initial estimation error of agent {agent} overflows")
     cert = infeasible = None
     try:
         cert = certificate(couplings, sc.plant, gains, sc.bounds, x_err0, u_err0,

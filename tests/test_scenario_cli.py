@@ -138,6 +138,22 @@ class TestTune:
         assert err.count("\n") == 1 and reason in err
         assert not (tmp_path / "out" / "gains.json").exists()
 
+    @pytest.mark.parametrize("command", ["tune", "simulate"])
+    @pytest.mark.parametrize("field", ["sim.xhat0", "sim.uhat0"])
+    def test_overflowing_initial_error_exits_1_with_one_line(
+        self, tmp_path, capsys, field, command
+    ):
+        # The squared error norm of a 1e160 estimate overflows; it may
+        # neither warn nor reach the certificate.
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05, field: 1e160})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"scenario error: {field}: the initial estimation error of agent 1 overflows\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "field", ["slack", "omega_slack", "theta_scale", "pi_scale", "--slack"]
@@ -266,8 +282,10 @@ class TestSimulate:
         [
             ({"sim.dt": float("nan")}, "dt must be positive and finite"),
             ({"sim.t_end": 0.001}, "t_end must be finite and exceed dt"),
+            ({"sim.t_end": 1e300}, "t_end / dt must be at most"),
+            ({"sim.dt": 1e-300}, "t_end / dt must be at most"),
         ],
-        ids=["dt_nan", "t_end_not_above_dt"],
+        ids=["dt_nan", "t_end_not_above_dt", "t_end_too_many_steps", "dt_too_many_steps"],
     )
     def test_bad_step_settings_exit_1_with_one_line(
         self, tmp_path, capsys, sim_patch, reason
