@@ -29,7 +29,9 @@ switches both. The rows keep the order in which an agent walks its inbox,
 and each sum starts from ``+0.0``, so it rounds as the per-agent message
 form does; see :func:`pair_layout`. The layout holds each pair's gains at
 full width, ``(P, N)`` per gain, and a run's :class:`PairWorkspace` holds
-the buffers every call reuses. That message form, one message object per
+the buffers every call reuses. With a zero ``A``, as in every bundled
+scenario, the kernel skips the ``x A^T`` product, which changes no bit;
+see :func:`pair_derivative`. That message form, one message object per
 sender, lives in ``tests/reference_form.py`` as the oracle the tests
 compare against.
 """
@@ -163,14 +165,26 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
 
 class PairWorkspace:
     """The buffers and views that :func:`pair_derivative` reuses on every
-    call for one state array ``z`` under one layout and plant.
+    call for one state array ``z`` under one layout, plant and boundary
+    layer, whose width is checked here once.
 
     A run builds one next to its state array and drops it with the run;
     nothing in it outlives the run or is shared between runs. The
     derivative it returns is :attr:`dz`, overwritten by the next call.
+    :attr:`drift` holds plane 0's terms before the inputs, and its truth
+    rows stay ``+0.0``; :attr:`switching` views its estimate rows and
+    plane 1's, so the switching terms land where they are added.
     """
 
-    def __init__(self, layout: PairLayout, plant: PlantModel, z: np.ndarray):
+    def __init__(
+        self,
+        layout: PairLayout,
+        plant: PlantModel,
+        z: np.ndarray,
+        boundary_layer: Optional[float] = None,
+    ):
+        if boundary_layer is not None and boundary_layer <= 0:
+            raise ValueError("boundary layer width must be positive")
         p = layout.target.size
         self.own = z[:, None, :p]
         self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
@@ -178,14 +192,21 @@ class PairWorkspace:
         # in plane 0, and ``signal`` = [G xi; rho] views both without a copy.
         planes = np.empty((3, p, z.shape[2]))
         self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
+        # Compared against an array rather than the float 0.0, which numpy
+        # would convert on every call.
+        self.zero = np.zeros(self.signal.shape)
         self.mask = np.empty(self.signal.shape, dtype=bool)
         self.neg_switch = np.negative(layout.switch)
-        self.GT, self.AT = layout.G.T, plant.A.T
+        self.GT = layout.G.T
+        self.AT = plant.A.T if plant.A.any() else None
         self.x_rows, self.u_rows = z
-        # Plane 1's truth rows stay zero: the controller sets the inputs.
-        self.dz = np.zeros(z.shape)
-        self.dx_rows = self.dz[0]
-        self.est, self.plant_rows, self.est_u = self.dz[0, :p], self.dz[0, p:], self.dz[1, :p]
+        # Planes [drift, dz]; ``switching`` is the estimate rows of drift and
+        # of dz's plane 1. Plane 1's truth rows stay zero: the controller
+        # sets the inputs.
+        out = np.zeros((3, *z.shape[1:]))
+        self.drift, self.dz = out[0], out[1:]
+        self.drift_est, self.switching = out[0, :p], out[::2, :p]
+        self.dx_rows, self.dx_est, self.plant_rows = out[1], out[1, :p], out[1, p:]
 
 
 def pair_derivative(
@@ -206,41 +227,58 @@ def pair_derivative(
     the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
     the controller sets the inputs afresh every round.
 
-    ``work`` is the :class:`PairWorkspace` built for this layout, plant and
-    ``z``; without one, the call builds its own. The result is ``work.dz``.
-    Every sum starts from ``+0.0`` and adds its terms in table order, like
-    the message form's ``acc += ...``.
+    ``work`` is the :class:`PairWorkspace` built for this layout, plant,
+    ``z`` and boundary layer; without one, the call builds its own. The
+    result is ``work.dz``. Every sum starts from ``+0.0`` and adds its terms
+    in table order, like the message form's ``acc += ...``.
+
+    With ``A = 0`` the ``x A^T`` product is skipped. On finite rows it is
+    ``±0``, and ``±0 + v`` is ``v`` for every nonzero ``v``: the sign
+    switching terms and the inputs, which are sums that start from ``+0.0``
+    and so never ``-0``. The result is then the same, bit for bit.
     """
     if work is None:
-        work = PairWorkspace(layout, plant, z)
-    parts, signal, gxi, est, dx_rows = work.parts, work.signal, work.gxi, work.est, work.dx_rows
+        work = PairWorkspace(layout, plant, z, boundary_layer)
+    parts, signal, gxi, switching = work.parts, work.signal, work.gxi, work.switching
     # The indices are the layout's own, all in range, so "clip" only spares
     # numpy the bounds-checking copy it makes for ``out`` under "raise".
-    z.take(layout.terms, axis=1, out=parts, mode="clip")
-    np.subtract(parts, work.own, out=parts)
-    np.add.reduce(parts, axis=1, initial=0.0, out=work.acc)
-    np.matmul(work.xi, work.GT, out=gxi)
+    z.take(layout.terms, 1, parts, "clip")
+    np.subtract(parts, work.own, parts)
+    np.add.reduce(parts, 1, None, work.acc, False, 0.0)
+    np.matmul(work.xi, work.GT, gxi)
     if boundary_layer is None:
         # gain * sign(v) with sign(0) = +1 is +gain where v >= 0, else -gain.
-        np.greater_equal(signal, 0.0, out=work.mask)
-        switching = np.where(work.mask, layout.switch, work.neg_switch)
+        # A masked copy into ``switching`` would spare the temporary, but it
+        # runs ~3x slower than np.where at 1600 pairs.
+        np.greater_equal(signal, work.zero, work.mask)
+        np.copyto(switching, np.where(work.mask, layout.switch, work.neg_switch))
     else:
-        switching = layout.switch * sign(signal, boundary_layer)
-    # One product over estimate and truth rows alike: each block has two or
-    # more rows (P is even, n >= 2), and such products round every row as
-    # the block's own product would.
-    np.matmul(work.x_rows, work.AT, out=dx_rows)
+        # sign's saturation clip(v / delta, -1, 1), times the gains.
+        np.divide(signal, boundary_layer, switching)
+        np.clip(switching, -1.0, 1.0, out=switching)
+        np.multiply(layout.switch, switching, switching)
     fz = None if plant.f is None else plant.f(work.x_rows)
-    p = len(est)
-    if fz is not None:
-        est += fz[:p]
-    gxi *= layout.omega
-    est += gxi
-    est += switching[0]
+    p = len(gxi)
+    np.multiply(gxi, layout.omega, gxi)
+    if work.AT is None:
+        # x A^T would add ±0 here: f(xh) + omega G xi + switching.
+        if fz is not None:
+            np.add(fz[:p], gxi, gxi)
+        np.add(gxi, work.drift_est, work.drift_est)
+        lead = work.drift
+    else:
+        # One product over estimate and truth rows alike: each block has two
+        # or more rows (P is even, n >= 2), and such products round every row
+        # as the block's own product would.
+        lead, est = work.dx_rows, work.dx_est
+        np.matmul(work.x_rows, work.AT, lead)
+        if fz is not None:
+            est += fz[:p]
+        est += gxi
+        est += work.drift_est
     # Adds uh to the estimate rows, their last term, and u to the plant
     # rows, before f.
-    dx_rows += work.u_rows
+    np.add(lead, work.u_rows, work.dx_rows)
     if fz is not None:
         work.plant_rows += fz[p:]
-    np.copyto(work.est_u, switching[1])
     return work.dz

@@ -28,18 +28,20 @@ the message form does. The same indices address both planes, so one gather
 yields the state and the input signals together. The consensus input sums
 plane-0 rows of the same kind, and the Euler update is one
 ``z + dt * dz`` over the whole array. :func:`run` is the only way to take
-a step: per round it sets the inputs (``_apply_control``) and advances
-``z`` in place (``_advance``). Both work on one :class:`StepWorkspace`
-that :func:`run` builds next to ``z`` and drops with the run: buffers,
-views of ``z`` and the constants a step reads, so a step allocates almost
-nothing. Every sum is one ``np.add.reduce(..., initial=0.0)`` over the
-term axis, which starts from ``+0.0`` and adds the terms in table order.
+a step: per round it sets the inputs and advances ``z`` in place, through
+the closures :func:`_bind_control` and :func:`_bind_advance` bind once per
+run to ``z``, its buffers and views, the kernel's :class:`PairWorkspace`
+and the numpy functions a step calls, so a step allocates almost nothing
+and looks nothing up. Every sum is one ``np.add.reduce(..., initial=0.0)``
+over the term axis, which starts from ``+0.0`` and adds the terms in table
+order.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
 that produced it: a row-wise dot product and an ``np.bincount`` whose bins
 run sample-major, so every cell accumulates its terms in the same order as
-a per-sample reduction would.
+a per-sample reduction would. The steps and these reductions ignore numpy's
+overflow and invalid-value warnings: divergence is checked explicitly.
 
 The telemetry CSV of a large run is written and read on every usable CPU:
 forked children format or parse row ranges and pass them back through
@@ -349,70 +351,84 @@ def _check_startable(config: SimConfig) -> None:
             )
 
 
-class StepWorkspace:
-    """One run's Euler step, set up once: the state array ``z``, its views,
-    the constants a step reads and the buffers it writes.
+def _bind_control(config: SimConfig, z: np.ndarray):
+    """The consensus law bound once to a run's state array ``z``: each call
+    sets every agent's input, plane 1's truth rows, from plane 0, summing
+    its terms in table order from ``+0.0``."""
+    s = config.structure
+    p = s.pairs.target.size
+    x_rows, x, u = z[0], z[0, p:], z[1, p:]
+    terms = s.control_terms
+    parts = np.empty((len(terms), *x.shape))
+    take, subtract, add_reduce = x_rows.take, np.subtract, np.add.reduce
 
-    :func:`run` builds one per run, next to ``z``, and drops it when the run
-    ends, so a step looks nothing up in the config, writes into buffers it
-    already has and goes through no ndarray method wrapper. The config's
-    arrays are only read.
+    def control() -> None:
+        # The indices are the structure's own, all in range; see pair_derivative.
+        take(terms, 0, parts, "clip")
+        subtract(parts, x, parts)
+        add_reduce(parts, 0, None, u, False, 0.0)
+
+    return control
+
+
+def _bind_advance(config: SimConfig, z: np.ndarray):
+    """One Euler step of a run's whole state array ``z``, bound once: each
+    call ``advance(t_next)`` steps ``z`` in place, then checks it
+    (:func:`_check_state`).
+
+    The step closes over the views, constants, buffers and numpy functions
+    it uses, so it looks nothing up and passes every buffer positionally.
+    The config's arrays are only read.
     """
+    pairs, plant, boundary_layer = config.structure.pairs, config.plant, config.boundary_layer
+    work = PairWorkspace(pairs, plant, z, boundary_layer)
+    kernel = pair_derivative
+    # A 0-d array multiplies as the float does, without its conversion.
+    dt = np.array(config.dt)
+    flat, x_flat = z.reshape(-1), z[0, pairs.target.size:].reshape(-1)
+    box = config.state_box
+    lo, hi = box if box is not None else (None, None)
+    multiply, add, dot, isfinite = np.multiply, np.add, np.dot, math.isfinite
+    min_reduce, max_reduce = np.minimum.reduce, np.maximum.reduce
 
-    def __init__(self, config: SimConfig, z: np.ndarray):
-        s = config.structure
-        p = s.pairs.target.size
-        self.z = z
-        self.flat = z.reshape(-1)
-        self.x = z[0, p:]
-        self.x_flat = self.x.reshape(-1)
-        self.x_rows = z[0]
-        self.u = z[1, p:]
-        self.control_terms = s.control_terms
-        self.control_parts = np.empty((len(s.control_terms), *self.x.shape))
-        self.pairs = s.pairs
-        self.plant = config.plant
-        self.boundary_layer = config.boundary_layer
-        self.kernel = PairWorkspace(s.pairs, config.plant, z)
-        self.dt = config.dt
-        self.state_box = config.state_box
+    def advance(t_next: float) -> None:
+        # Every pair sees its 1-hop neighbors' estimates and relays of the
+        # same instant (zero-delay propagation), as in one message round.
+        dz = kernel(pairs, plant, z, boundary_layer, work)
+        multiply(dz, dt, dz)
+        add(z, dz, z)
+        # The sum of squares is finite unless a value is, or it overflows;
+        # _check_state tells the two apart.
+        if not isfinite(dot(flat, flat)) or (
+            box is not None and (min_reduce(x_flat) < lo or max_reduce(x_flat) > hi)
+        ):
+            _check_state(config, z, t_next)
 
-
-def _apply_control(w: StepWorkspace) -> None:
-    """Set every agent's input, plane 1's truth rows, from plane 0: each
-    input sums its terms in table order, starting from ``+0.0``."""
-    parts = w.control_parts
-    # The indices are the structure's own, all in range; see pair_derivative.
-    w.x_rows.take(w.control_terms, axis=0, out=parts, mode="clip")
-    np.subtract(parts, w.x, out=parts)
-    np.add.reduce(parts, axis=0, initial=0.0, out=w.u)
+    return advance
 
 
-def _advance(w: StepWorkspace, t_next: float) -> None:
-    """One Euler step of the whole state array, in place, then the checks."""
-    z = w.z
-    # Every pair sees its 1-hop neighbors' estimates and relays of the same
-    # instant (zero-delay propagation), as in one message round.
-    dz = pair_derivative(w.pairs, w.plant, z, w.boundary_layer, w.kernel)
-    dz *= w.dt
-    z += dz
-    if not math.isfinite(np.add.reduce(w.flat)):
-        p = w.pairs.target.size
-        bad = ~np.isfinite(w.x).all(axis=1)
+def _check_state(config: SimConfig, z: np.ndarray, t: float) -> None:
+    """Raise on a non-finite value or a state outside the box at time ``t``.
+
+    A step calls this only when its quick checks failed; finite values whose
+    sum of squares overflowed pass here.
+    """
+    pairs = config.structure.pairs
+    p = pairs.target.size
+    x = z[0, p:]
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DivergenceDetected(t, int(np.argmax(bad)) + 1)
+    bad = ~np.isfinite(z[:, :p]).all(axis=(0, 2))
+    if bad.any():
+        agent = int(pairs.estimator[np.argmax(bad)]) + 1
+        raise DivergenceDetected(t, agent, "non-finite estimate")
+    if config.state_box is not None:
+        lo, hi = config.state_box
+        bad = (x < lo) | (x > hi)
         if bad.any():
-            raise DivergenceDetected(t_next, int(np.argmax(bad)) + 1)
-        bad = ~np.isfinite(z[:, :p]).all(axis=(0, 2))
-        if bad.any():
-            agent = int(w.pairs.estimator[np.argmax(bad)]) + 1
-            raise DivergenceDetected(t_next, agent, "non-finite estimate")
-    if w.state_box is not None:
-        lo, hi = w.state_box
-        if np.minimum.reduce(w.x_flat) < lo or np.maximum.reduce(w.x_flat) > hi:
-            x = w.x
-            bad = (x < lo) | (x > hi)
             agent = int(np.argwhere(bad)[0][0]) + 1
-            value = float(x[bad][0])
-            raise StateBoxViolation(t_next, agent, value, (lo, hi))
+            raise StateBoxViolation(t, agent, float(x[bad][0]), (lo, hi))
 
 
 def _error_norms(pairs: PairLayout, logged: np.ndarray) -> np.ndarray:
@@ -450,24 +466,26 @@ def initial_error_norms(config: SimConfig) -> tuple:
     run itself initializes the input vector.
     """
     z = init_world(config)
-    _apply_control(StepWorkspace(config, z))
+    _bind_control(config, z)()
     err = _error_norms(config.structure.pairs, z[None])
     return err[0, 0], err[0, 1]
 
 
 def detect_convergence(
-    times: np.ndarray, series: np.ndarray, eps: float, band: float
-) -> float:
-    """First time the series is inside ``eps`` and never again leaves ``band``.
+    times: np.ndarray, series: np.ndarray, eps: np.ndarray, band: np.ndarray
+) -> np.ndarray:
+    """Per column of ``series`` ``(S, n)``, the first time the column is
+    inside its ``eps`` and never again leaves its ``band``: ``(n,)``.
 
-    Returns NaN when no such time exists in the sampled horizon.
+    ``eps`` and ``band`` are per column (or one value for all). A column
+    with no such time in the sampled horizon gets NaN.
     """
     series = np.asarray(series, dtype=float)
-    suffix_max = np.maximum.accumulate(series[::-1])[::-1]
+    if not len(series):
+        return np.full(series.shape[1:], np.nan)
+    suffix_max = np.maximum.accumulate(series[::-1], axis=0)[::-1]
     ok = (series < eps) & (suffix_max <= band)
-    if not ok.any():
-        return float("nan")
-    return float(times[int(np.argmax(ok))])
+    return np.where(ok.any(axis=0), np.asarray(times, dtype=float)[ok.argmax(axis=0)], np.nan)
 
 
 def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
@@ -505,12 +523,8 @@ def _assemble_telemetry(
         band_u=band_u,
         eps_x=eps_x,
         eps_u=eps_u,
-        T_x_obs=np.array(
-            [detect_convergence(times, s, e, b) for s, e, b in zip(errx.T, eps_x, band_x)]
-        ),
-        T_u_obs=np.array(
-            [detect_convergence(times, s, e, b) for s, e, b in zip(erru.T, eps_u, band_u)]
-        ),
+        T_x_obs=detect_convergence(times, errx, eps_x, band_x),
+        T_u_obs=detect_convergence(times, erru, eps_u, band_u),
         X_obs=float(errx.max()) if errx.size else 0.0,
     )
 
@@ -524,7 +538,6 @@ def run(config: SimConfig) -> Telemetry:
     _check_startable(config)
     s = config.structure
     z = init_world(config)
-    w = StepWorkspace(config, z)
     t, p = 0.0, s.pairs.target.size
     n, n_dim = config.graph.n, config.plant.N
     n_steps, decimate = int(round(config.t_end / config.dt)), config.decimate
@@ -561,24 +574,28 @@ def run(config: SimConfig) -> Telemetry:
         cons = consensus_distance(logged["states"])
         return _assemble_telemetry(config, cons_dist=cons, **logged)
 
+    control, advance = _bind_control(config, z), _bind_advance(config, z)
     dt = config.dt
-    try:
-        for k in range(n_steps + 1):
-            _apply_control(w)
-            if k % decimate == 0 or k == n_steps:
-                times[row] = t
-                block[row - reduced] = z
-                row += 1
-                if row - reduced == len(block):
-                    reduce_block()
-            if k == n_steps:
-                break
-            t += dt
-            _advance(w, t)
-    except DivergenceDetected as exc:
-        exc.partial_telemetry = telemetry()
-        raise
-    return telemetry()
+    # Divergence is detected explicitly, so the steps and the reductions of
+    # their log overflow silently instead of printing numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(n_steps + 1):
+                control()
+                if k % decimate == 0 or k == n_steps:
+                    times[row] = t
+                    block[row - reduced] = z
+                    row += 1
+                    if row - reduced == len(block):
+                        reduce_block()
+                if k == n_steps:
+                    break
+                t += dt
+                advance(t)
+        except DivergenceDetected as exc:
+            exc.partial_telemetry = telemetry()
+            raise
+        return telemetry()
 
 
 def _column_layout(n: int, n_dim: int) -> list:

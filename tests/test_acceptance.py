@@ -138,6 +138,11 @@ def test_criterion_structural_identity():
     )
 
 
+def _columns(cols, prefix, agents):
+    """The per-agent CSV columns ``<prefix>_<agent>`` as one ``(S, n)`` array."""
+    return np.column_stack([cols[f"{prefix}_{a}"] for a in agents])
+
+
 def _detection_setup(repro):
     scenario = repro["scenario"]
     gains = {row["agent"]: row for row in repro["report"]["per_agent"]}
@@ -156,10 +161,13 @@ def test_criterion_finite_time_certificates(repro):
     gains, eps, band_x, band_u = _detection_setup(repro)
     details = []
     ok_bounds = True
-    for agent in range(1, 5):
+    agents = range(1, 5)
+    t_xs = detect_convergence(times, _columns(cols, "errx", agents), eps,
+                              np.array([band_x[a] for a in agents]))
+    t_us = detect_convergence(times, _columns(cols, "erru", agents), eps,
+                              np.array([band_u[a] for a in agents]))
+    for agent, t_x, t_u in zip(agents, t_xs, t_us):
         row = gains[agent]
-        t_x = detect_convergence(times, cols[f"errx_{agent}"], eps, band_x[agent])
-        t_u = detect_convergence(times, cols[f"erru_{agent}"], eps, band_u[agent])
         in_band = np.isfinite(t_x) and np.isfinite(t_u)
         within = (
             in_band and t_x <= row["T_x_bound"] and t_u <= row["T_u_bound"]
@@ -209,9 +217,9 @@ def test_criterion_bounded_error_audit(repro):
     cols = repro["cols"]
     times = cols["t"]
     gains, eps, band_x, band_u = _detection_setup(repro)
-    t_u_all = [
-        detect_convergence(times, cols[f"erru_{a}"], eps, band_u[a]) for a in range(1, 5)
-    ]
+    t_u_all = list(detect_convergence(
+        times, _columns(cols, "erru", range(1, 5)), eps, np.array([band_u[a] for a in range(1, 5)])
+    ))
     ok = all(np.isfinite(t) for t in t_u_all)
     t_u_global = max(t_u_all)
     ref = int(np.searchsorted(times, t_u_global))
@@ -287,14 +295,13 @@ def test_criterion_negative_control(tmp_path):
     cols = read_csv(out / "telemetry.csv")
     scenario = json.loads(scen_path.read_text())
     dt = scenario["sim"]["dt"]
-    never_in_band = []
-    for row in report["per_agent"]:
-        agent = row["agent"]
-        band = scenario["sim"]["band_scale"] * row["theta"] * dt
-        t_x = detect_convergence(
-            cols["t"], cols[f"errx_{agent}"], scenario["sim"]["conv_eps"], band
-        )
-        never_in_band.append(not np.isfinite(t_x))
+    rows = report["per_agent"]
+    band = np.array([scenario["sim"]["band_scale"] * row["theta"] * dt for row in rows])
+    t_x = detect_convergence(
+        cols["t"], _columns(cols, "errx", [row["agent"] for row in rows]),
+        scenario["sim"]["conv_eps"], band,
+    )
+    never_in_band = list(~np.isfinite(t_x))
     ok = (
         rc_sim == 2
         and rc_ver == 2

@@ -98,12 +98,19 @@ def random_gains(rng, n, G):
 
 
 @settings(max_examples=60, deadline=None)
-@given(networks(), st.floats(0.5, 30.0), st.sampled_from([None, 0.05]))
-def test_pair_kernel_bit_identical_for_scalar_design(net, g_val, boundary_layer):
+@given(networks(), st.floats(0.5, 30.0), st.sampled_from([None, 0.05]), st.booleans())
+def test_pair_kernel_bit_identical_for_scalar_design(net, g_val, boundary_layer, with_f):
+    # A = 0, so the kernel skips the x A^T product, with and without a
+    # saturating f.
     g, k, n_dim, seed = net
     rng = np.random.default_rng(seed)
     nbs, x, u, obs = random_round(g, k, n_dim, rng)
-    plant = PlantModel(N=n_dim, A=np.zeros((n_dim, n_dim)))
+    plant = PlantModel(
+        N=n_dim,
+        A=np.zeros((n_dim, n_dim)),
+        f=(lambda v: np.clip(v, -0.5, 0.5)) if with_f else None,
+        l_f=1.0 if with_f else 0.0,
+    )
     gains = random_gains(rng, g.n, g_val * np.eye(n_dim))
     (dx, du), (ref_dx, ref_du) = both_forms(g, nbs, x, u, obs, plant, gains,
                                             boundary_layer)
@@ -274,6 +281,25 @@ def test_run_matches_message_form_with_saturating_plant():
     # estimates at least two others.
     assert min(nb.eta for nb in config.structure.nbs) >= 2
     assert np.abs(config.x0).max() > 1.0
+    assert_same_telemetry(run(config), message_form_telemetry(config))
+
+
+def test_run_matches_message_form_with_signed_zeros_in_a_box():
+    # -0.0 in x0, estimates that agree exactly with it and input estimates
+    # of -0.0: the first rounds see zero correction signals (sign(0) = +1)
+    # and signed zeros in both planes, and the state box is checked.
+    raw = short_reproduction(t_end=0.2)
+    x0 = np.array(raw["sim"]["x0"])
+    x0[0] = -0.0
+    x0[2, 1] = -0.0
+    raw["sim"]["x0"] = x0.tolist()
+    config = config_of(raw)
+    pairs = config.structure.pairs
+    config = dataclasses.replace(
+        config, xhat0=config.x0[pairs.target], uhat0=np.full((pairs.target.size, 2), -0.0)
+    )
+    assert config.state_box is not None and np.signbit(config.x0).any()
+    assert np.signbit(config.uhat0).all() and np.array_equal(config.xhat0, config.x0[pairs.target])
     assert_same_telemetry(run(config), message_form_telemetry(config))
 
 

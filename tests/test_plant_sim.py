@@ -150,9 +150,8 @@ class TestStep:
         # Python loops; must agree with the simulator to round-off.
         config, ts = repro_config()
         z = init_world(config)
-        work = plant_sim.StepWorkspace(config, z)
-        plant_sim._apply_control(work)
-        plant_sim._advance(work, config.dt)
+        plant_sim._bind_control(config, z)()
+        plant_sim._bind_advance(config, z)(config.dt)
 
         g = config.graph
         n, n_dim, dt = 4, 2, config.dt
@@ -434,19 +433,36 @@ class TestRun:
 class TestDetection:
     def test_detect_convergence_basic(self):
         times = np.arange(6, dtype=float)
-        series = np.array([1.0, 0.5, 0.05, 0.002, 0.004, 0.003])
+        series = np.array([[1.0, 0.5, 0.05, 0.002, 0.004, 0.003]]).T
         # enters below eps at index 3 and stays within the band
-        assert detect_convergence(times, series, eps=0.01, band=0.005) == 3.0
+        assert detect_convergence(times, series, eps=0.01, band=0.005) == [3.0]
 
     def test_detect_requires_permanence(self):
         times = np.arange(5, dtype=float)
-        series = np.array([1.0, 0.001, 1.0, 0.001, 0.001])
-        assert detect_convergence(times, series, eps=0.01, band=0.005) == 3.0
+        series = np.array([[1.0, 0.001, 1.0, 0.001, 0.001]]).T
+        assert detect_convergence(times, series, eps=0.01, band=0.005) == [3.0]
 
     def test_detect_never(self):
         times = np.arange(4, dtype=float)
-        series = np.array([1.0, 0.9, 0.8, 0.7])
-        assert np.isnan(detect_convergence(times, series, eps=0.01, band=0.005))
+        series = np.array([[1.0, 0.9, 0.8, 0.7]]).T
+        assert np.isnan(detect_convergence(times, series, eps=0.01, band=0.005)).all()
+
+    def test_detect_all_agents_at_once_with_their_own_eps_and_band(self):
+        # Each column is judged alone with its own eps and band, as a loop
+        # over the agents would; NaN marks a column never detected.
+        times = np.arange(5, dtype=float) * 0.5
+        series = np.array([
+            [1.0, 1.0, 1.0, 0.0],
+            [0.5, 0.05, 0.3, 0.0],
+            [0.2, 0.001, 0.3, 0.0],
+            [0.05, 0.001, 0.2, 0.0],
+            [0.04, 0.02, 0.2, 0.0],
+        ])
+        eps = np.array([0.1, 0.01, 0.25, 0.1])
+        band = np.array([0.1, 0.01, 0.3, 0.1])
+        got = detect_convergence(times, series, eps, band)
+        assert np.array_equal(got, [1.5, np.nan, 1.5, 0.0], equal_nan=True)
+        assert np.isnan(detect_convergence(times[:0], series[:0], eps, band)).all()
 
 
 class TestCsv:

@@ -729,3 +729,22 @@ def test_simulate_survives_hostile_field_values(field_path, value):
         assert err.getvalue().count("\n") == 1
     if tune_rc == 1:
         assert tune_err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("plant.l_f", 1e154), ("gains.omega_slack", 1e154), ("gains.slack", 1e300),
+     ("gains.theta_scale", 1e300), ("gains.pi_scale", 1e300)],
+)
+def test_divergence_exit_prints_no_numpy_warning(tmp_path, capsys, field, value):
+    # Gains this large overflow within a few steps. The run detects that
+    # itself, so numpy must not add warning lines to the two it prints.
+    path, _ = write_scenario(tmp_path, **{field: value, "sim.t_end": 0.05})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(lines) == 2, lines
+    assert lines[0] == f"partial telemetry retained: {tmp_path / 'out' / 'telemetry.csv'}"
+    assert lines[1].startswith("divergence: ")
