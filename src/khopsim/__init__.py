@@ -18,6 +18,7 @@ from .errors import (
     NumericalError,
     ProtocolError,
     StateBoxViolation,
+    TelemetryError,
 )
 from .graph_khop import (
     Graph,

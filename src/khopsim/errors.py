@@ -51,6 +51,11 @@ class ProtocolError(KhopsimError):
     """Message content or controller wiring violates the communication protocol."""
 
 
+class TelemetryError(KhopsimError):
+    """A telemetry record that cannot be judged: no samples, or sample times
+    that are not finite and strictly increasing."""
+
+
 class DivergenceDetected(KhopsimError):
     """Simulation produced a non-finite state."""
 

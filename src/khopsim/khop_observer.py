@@ -46,21 +46,6 @@ import numpy as np
 from .gain_tuning import GainSet, PlantModel
 
 
-def sign(v: np.ndarray, boundary_layer: Optional[float] = None) -> np.ndarray:
-    """Componentwise sign with sign(0) = +1.
-
-    With a boundary layer the discontinuity is replaced by the saturation
-    ``clip(v / delta, -1, 1)``, useful for chattering studies but never the
-    default.
-    """
-    v = np.asarray(v, dtype=float)
-    if boundary_layer is not None:
-        if boundary_layer <= 0:
-            raise ValueError("boundary layer width must be positive")
-        return np.clip(v / boundary_layer, -1.0, 1.0)
-    return np.where(v >= 0.0, 1.0, -1.0)
-
-
 @dataclass(frozen=True)
 class PairLayout:
     """Every (estimator, target) pair of a network, built once per run.
@@ -72,9 +57,9 @@ class PairLayout:
     ``omega_l``, ``theta_l`` and ``pi_l``) in every component, so a missing
     gain shows as NaN: ``omega`` is ``(P, N)`` and ``switch`` stacks the
     switching gains ``[theta; pi]`` as ``(2, P, N)``, one plane per
-    observer, with ``theta``/``pi`` its planes. Full-width gains meet the
-    ``(P, N)`` signals element for element, so a step multiplies contiguous
-    arrays instead of broadcasting a column over runs of ``N`` elements.
+    observer. Full-width gains meet the ``(P, N)`` signals element for
+    element, so a step multiplies contiguous arrays instead of broadcasting
+    a column over runs of ``N`` elements.
 
     Column ``terms[:, p]`` lists, in the message form's summation order,
     the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
@@ -94,14 +79,6 @@ class PairLayout:
     G: np.ndarray
     omega: np.ndarray
     switch: np.ndarray
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.switch[0]
-
-    @property
-    def pi(self) -> np.ndarray:
-        return self.switch[1]
 
     def rows(self, agent: int) -> slice:
         """Rows holding ``agent``'s (1-based) stacked estimates."""

@@ -75,6 +75,7 @@ from .errors import (
     NumericalError,
     ProtocolError,
     StateBoxViolation,
+    TelemetryError,
 )
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import Graph, all_khop_sets
@@ -342,8 +343,8 @@ def init_world(config: SimConfig) -> np.ndarray:
 def _check_startable(config: SimConfig) -> None:
     """Refuse to step with a missing gain."""
     pairs = config.structure.pairs
-    for which in ("omega", "theta", "pi"):
-        bad = ~np.isfinite(getattr(pairs, which)[:, 0])
+    for which, gain in zip(("omega", "theta", "pi"), (pairs.omega, *pairs.switch)):
+        bad = ~np.isfinite(gain[:, 0])
         if bad.any():
             agent = int(pairs.estimator[np.argmax(bad)]) + 1
             raise NumericalError(
@@ -635,9 +636,17 @@ def telemetry_columns(tel: Telemetry) -> dict:
 def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     """Inverse of :func:`telemetry_columns`: rebuild the record from columns
     (as :func:`read_csv` returns them) and apply the same convergence rule
-    :func:`run` applies.
+    :func:`run` applies. Columns with no samples, or whose times are not
+    finite and strictly increasing, raise :class:`TelemetryError`.
     """
-    rows = len(cols["t"])
+    t = np.asarray(cols["t"])
+    if not t.size:
+        raise TelemetryError("telemetry holds no samples")
+    stalled = np.concatenate(([False], t[1:] <= t[:-1]))
+    for bad, problem in ((~np.isfinite(t), "is not finite"), (stalled, "does not increase")):
+        if bad.any():
+            raise TelemetryError(f"telemetry time t {problem} at sample {int(np.argmax(bad)) + 1}")
+    rows = len(t)
     logs = {
         field: np.column_stack([cols[name] for name in names]).reshape((rows, *shape))
         for field, shape, names in _column_layout(config.graph.n, config.plant.N)
@@ -767,9 +776,14 @@ def _parse_rows(stream, width: int) -> np.ndarray:
     """CSV body rows from a binary stream, decoded as a UTF-8 text file is."""
     text = io.TextIOWrapper(stream, encoding="utf-8")
     try:
-        data = np.loadtxt(text, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # A body with no rows is refused by telemetry_from_columns.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(text, delimiter=",", ndmin=2)
     finally:
         text.detach()
+    if not data.size:
+        data = data.reshape(0, width)
     if data.shape[1] != width:
         raise ValueError("telemetry CSV malformed: column count mismatch")
     return data

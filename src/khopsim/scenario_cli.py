@@ -35,6 +35,7 @@ from .errors import (
     DivergenceDetected,
     KhopsimError,
     ProtocolError,
+    TelemetryError,
 )
 from .gain_tuning import (
     DEFAULT_SLACK,
@@ -467,57 +468,69 @@ def _jsonable(obj):
     return obj
 
 
+def _rows(**columns) -> list:
+    """One row per agent, ``{"agent": i, name: column[i - 1], ...}``, from
+    per-agent array columns; a ``None`` column puts ``None`` in every row."""
+    n = len(next(col for col in columns.values() if col is not None))
+    values = [[None] * n if col is None else col.tolist() for col in columns.values()]
+    return [{"agent": i, **dict(zip(columns, row))} for i, row in enumerate(zip(*values), 1)]
+
+
 def gain_report(ts: TunedScenario) -> dict:
     """Per-agent spectral data, gains, and certificates, JSON-ready."""
-    sc = ts.scenario
-    per_agent = []
-    for idx, cpl in enumerate(ts.couplings):
-        agent = idx + 1
-        entry = {
-            "agent": agent,
-            "eta": ts.nbs[idx].eta,
-            "lambda_min": cpl.lambda_min if cpl else None,
-            "lambda_max": cpl.lambda_max if cpl else None,
-            "omega": ts.gains.omega[idx],
-            "theta": ts.gains.theta[idx],
-            "pi": ts.gains.pi[idx],
-            "phi": ts.cert.phi[idx] if ts.cert else None,
-            "psi": (
-                ts.cert.psi[idx] if ts.cert and ts.cert.psi is not None else None
-            ),
-            "T_x_bound": ts.cert.T_x[idx] if ts.cert else None,
-            "T_u_bound": (
-                ts.cert.T_u[idx] if ts.cert and ts.cert.T_u is not None else None
-            ),
-            "x_err0": ts.x_err0[idx],
-            "u_err0": ts.u_err0[idx],
-        }
-        per_agent.append(entry)
-    overlap = check_neighbor_overlap(sc.graph, ts.nbs)
+    sc, cert, gains = ts.scenario, ts.cert, ts.gains
+    eta = np.diff(ts.config.structure.pairs.offsets)  # each agent's rows in the pair layout
+    # An agent with no observer has no coupling matrix: NaN, reported as null.
+    spectra = np.array([(c.lambda_min, c.lambda_max) if c else (np.nan, np.nan)
+                        for c in ts.couplings])
+    per_agent = _rows(
+        eta=eta, lambda_min=spectra[:, 0], lambda_max=spectra[:, 1],
+        omega=gains.omega, theta=gains.theta, pi=gains.pi,
+        phi=getattr(cert, "phi", None), psi=getattr(cert, "psi", None),
+        T_x_bound=getattr(cert, "T_x", None), T_u_bound=getattr(cert, "T_u", None),
+        x_err0=ts.x_err0, u_err0=ts.u_err0,
+    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": {"name": sc.values["name"], "hash": sc.hash},
-        "g": float(ts.gains.G[0, 0]),
+        "g": float(gains.G[0, 0]),
         "per_agent": per_agent,
-        "T_x": ts.cert.T_x_global if ts.cert else None,
-        "T_u": ts.cert.T_u_global if ts.cert else None,
-        "T_xu": ts.cert.T_xu if ts.cert else None,
-        "certified": ts.cert is not None,
+        "T_x": getattr(cert, "T_x_global", None),
+        "T_u": getattr(cert, "T_u_global", None),
+        "T_xu": getattr(cert, "T_xu", None),
+        "certified": cert is not None,
         "infeasible": ts.infeasible,
         "bounds_inferred": sc.bounds_inferred,
-        "neighbor_overlap_holds": all(r.holds for r in overlap),
-        "couplings_positive_definite": all(
-            c is None or c.lambda_min > 0 for c in ts.couplings
-        ),
-        "no_observers_needed": all(nb.eta == 0 for nb in ts.nbs),
+        "neighbor_overlap_holds": all(r.holds for r in check_neighbor_overlap(sc.graph, ts.nbs)),
+        "couplings_positive_definite": not (spectra[:, 0] <= 0).any(),
+        "no_observers_needed": not eta.any(),
     }
     return _jsonable(report)
 
 
 def _criterion(name, status, **details):
-    entry = {"name": name, "status": status}
-    entry.update(details)
-    return entry
+    return {"name": name, "status": status, **details}
+
+
+def _time_criterion(name, bound, observed, active) -> dict:
+    """Observed convergence times against a certificate's per-agent bounds,
+    over the agents that run an observer. The worst agent is the first one
+    never detected (it has no margin), else the one with the smallest
+    margin ``bound - observed``, the first of equals."""
+    if bound is None:
+        return _criterion(name, "not_certified")
+    agents = np.flatnonzero(active)
+    if not agents.size:
+        return _criterion(name, "pass", worst=None)
+    missed = agents[~np.isfinite(observed[agents])]
+    if missed.size:
+        i = int(missed[0])
+        return _criterion(name, "fail", worst={"agent": i + 1, "observed": None, "bound": bound[i]})
+    margin = bound[agents] - observed[agents]
+    j = int(np.argmin(margin))
+    i = int(agents[j])
+    worst = {"agent": i + 1, "observed": observed[i], "bound": bound[i], "margin": margin[j]}
+    return _criterion(name, "fail" if (margin < 0).any() else "pass", worst=worst)
 
 
 def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
@@ -528,142 +541,58 @@ def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
     :func:`plant_sim.telemetry_from_columns`. Each criterion carries the
     tolerance it was checked at.
     """
-    sc = ts.scenario
-    n = sc.graph.n
-    times, errx, consdist = tel.times, tel.errx, tel.cons_dist
+    v, cert = ts.scenario.values, ts.cert
+    times, errx, consdist, band_x = tel.times, tel.errx, tel.cons_dist, tel.band_x
     active = tel.eta > 0
-    band_x = tel.band_x
-    t_x_obs, t_u_obs = tel.T_x_obs, tel.T_u_obs
-    criteria = []
-
-    # Gains certified at all.
-    criteria.append(
-        _criterion(
-            "certified_gains",
-            "pass" if ts.cert else "not_certified",
-            details=ts.infeasible,
-        )
-    )
-
-    # Observed convergence times against the certified bounds.
-    for label, obs, bound_arr in (
-        ("state_time_within_certificate", t_x_obs, ts.cert.T_x if ts.cert else None),
-        (
-            "input_time_within_certificate",
-            t_u_obs,
-            ts.cert.T_u if ts.cert and ts.cert.T_u is not None else None,
-        ),
-    ):
-        if bound_arr is None:
-            criteria.append(_criterion(label, "not_certified"))
-            continue
-        worst = None
-        ok = True
-        for i in range(n):
-            if not active[i]:
-                continue
-            if not np.isfinite(obs[i]):
-                ok = False
-                worst = {"agent": i + 1, "observed": None, "bound": bound_arr[i]}
-                break
-            margin = bound_arr[i] - obs[i]
-            if worst is None or margin < worst["margin"]:
-                worst = {
-                    "agent": i + 1,
-                    "observed": obs[i],
-                    "bound": bound_arr[i],
-                    "margin": margin,
-                }
-            if obs[i] > bound_arr[i]:
-                ok = False
-        criteria.append(_criterion(label, "pass" if ok else "fail", worst=worst))
-
-    # Permanence in the sliding band (state side).
-    entered = all(np.isfinite(t_x_obs[i]) for i in range(n) if active[i])
-    criteria.append(
-        _criterion(
-            "state_band_permanence",
-            "pass" if entered else "fail",
-            band=band_x,
-            conv_eps=tel.eps_x,
-            T_x_obs=t_x_obs,
-        )
-    )
+    t_x, t_u = (cert.T_x, cert.T_u) if cert else (None, None)
+    criteria = [
+        _criterion("certified_gains", "pass" if cert else "not_certified", details=ts.infeasible),
+        _time_criterion("state_time_within_certificate", t_x, tel.T_x_obs, active),
+        _time_criterion("input_time_within_certificate", t_u, tel.T_u_obs, active),
+        # Permanence in the sliding band (state side).
+        _criterion("state_band_permanence",
+                   "pass" if np.isfinite(tel.T_x_obs[active]).all() else "fail",
+                   band=band_x, conv_eps=tel.eps_x, T_x_obs=tel.T_x_obs),
+    ]
 
     # After all input observers converge, state errors never rise above
     # their value at that time plus the band, and the overall error maximum
     # is finite.
-    t_u_vals = t_u_obs[active] if active.any() else np.array([])
-    if t_u_vals.size and np.all(np.isfinite(t_u_vals)):
-        t_u_global = float(t_u_vals.max())
-        ref_idx = int(np.searchsorted(times, t_u_global))
-        after = times >= t_u_global
-        worst_rise = float(
-            np.max(errx[after] - (errx[ref_idx] + band_x)[None, :], initial=-np.inf)
-        )
-        bounded_ok = worst_rise <= 0.0
-        criteria.append(
-            _criterion(
-                "error_bounded_after_input_convergence",
-                "pass" if bounded_ok else "fail",
-                T_u_obs_global=t_u_global,
-                worst_rise=worst_rise,
-                X_obs=tel.X_obs,
-            )
-        )
+    name = "error_bounded_after_input_convergence"
+    t_u_obs = tel.T_u_obs[active]
+    if t_u_obs.size and np.isfinite(t_u_obs).all():
+        t_u_global = float(t_u_obs.max())
+        allowed = errx[np.searchsorted(times, t_u_global)] + band_x
+        worst_rise = float(np.max(errx[times >= t_u_global] - allowed, initial=-np.inf))
+        criteria.append(_criterion(name, "pass" if worst_rise <= 0.0 else "fail",
+                                   T_u_obs_global=t_u_global, worst_rise=worst_rise,
+                                   X_obs=tel.X_obs))
     else:
-        criteria.append(
-            _criterion(
-                "error_bounded_after_input_convergence",
-                "fail",
-                detail="input observers never converged",
-                X_obs=tel.X_obs,
-            )
-        )
+        criteria.append(_criterion(name, "fail", detail="input observers never converged",
+                                   X_obs=tel.X_obs))
 
     # Stability envelope: decaying initial term plus disturbance gain.
-    if sc.values["controller.kind"] == "khop_consensus":
-        lam2 = lambda2(sc.target_graph)
+    if v["controller.kind"] == "khop_consensus":
+        lam2 = lambda2(ts.scenario.target_graph)
         v_norm = np.linalg.norm(tel.v.reshape(len(times), -1), axis=1)
-        run_sup = np.maximum.accumulate(v_norm)
-        envelope = (
-            np.exp(-lam2 * times) * consdist[0] + run_sup / lam2
-        )
+        envelope = np.exp(-lam2 * times) * consdist[0] + np.maximum.accumulate(v_norm) / lam2
         iss_band = ISS_TOL + 1e-9 * max(1.0, consdist[0])
         worst = float(np.max(consdist - envelope))
-        criteria.append(
-            _criterion(
-                "iss_envelope",
-                "pass" if worst <= iss_band else "fail",
-                lambda2=lam2,
-                worst_violation=worst,
-                tolerance=iss_band,
-            )
-        )
-        final = float(consdist[-1])
-        criteria.append(
-            _criterion(
-                "consensus_reached",
-                "pass" if final < sc.values["sim.consensus_tol"] else "fail",
-                final_distance=final,
-                tolerance=sc.values["sim.consensus_tol"],
-            )
-        )
+        final, tol = float(consdist[-1]), v["sim.consensus_tol"]
+        criteria += [
+            _criterion("iss_envelope", "pass" if worst <= iss_band else "fail",
+                       lambda2=lam2, worst_violation=worst, tolerance=iss_band),
+            _criterion("consensus_reached", "pass" if final < tol else "fail",
+                       final_distance=final, tolerance=tol),
+        ]
     else:
-        criteria.append(_criterion("iss_envelope", "skipped"))
-        criteria.append(_criterion("consensus_reached", "skipped"))
+        criteria += [_criterion("iss_envelope", "skipped"),
+                     _criterion("consensus_reached", "skipped")]
 
     # Internal consistency of the CSV itself.
-    recomputed = plant_sim.consensus_distance(tel.states)
-    cons_err = float(np.max(np.abs(recomputed - consdist)))
-    criteria.append(
-        _criterion(
-            "csv_consistency",
-            "pass" if cons_err < 1e-9 else "fail",
-            max_abs_difference=cons_err,
-            tolerance=1e-9,
-        )
-    )
+    cons_err = float(np.max(np.abs(plant_sim.consensus_distance(tel.states) - consdist)))
+    criteria.append(_criterion("csv_consistency", "pass" if cons_err < 1e-9 else "fail",
+                               max_abs_difference=cons_err, tolerance=1e-9))
     return criteria
 
 
@@ -672,40 +601,26 @@ def bound_audit(ts: TunedScenario, tel: Telemetry) -> dict:
     closed-loop input derivative carries the observers' switching terms, so
     a back-inferred derivative bound is routinely exceeded without voiding
     the (sufficient) certificates."""
-    sc = ts.scenario
-    times = tel.times
-    per_agent = []
-    for i in range(1, sc.graph.n + 1):
-        u = tel.inputs[:, i - 1]
-        u_norm = np.linalg.norm(u, axis=1)
-        du = np.diff(u, axis=0) / np.diff(times)[:, None]
-        du_norm = np.linalg.norm(du, axis=1) if len(times) > 1 else np.zeros(0)
-        erru = tel.erru[:, i - 1]
-        entry = {
-            "agent": i,
-            "max_u_norm": float(u_norm.max()),
-            "d_u": None if sc.bounds.d_u is None else float(sc.bounds.d_u[i - 1]),
-            "max_tilde_u_norm": float(erru.max()),
-            "d_tilde_u": (
-                None
-                if sc.bounds.d_tilde_u is None
-                else float(sc.bounds.d_tilde_u[i - 1])
-            ),
-            "max_udot_norm": float(du_norm.max()) if du_norm.size else 0.0,
-            "d_udot": (
-                None if sc.bounds.d_udot is None else float(sc.bounds.d_udot[i - 1])
-            ),
-        }
-        for key, bound in (
-            ("max_u_norm", "d_u"),
-            ("max_tilde_u_norm", "d_tilde_u"),
-            ("max_udot_norm", "d_udot"),
-        ):
-            entry[f"within_{bound}"] = (
-                None if entry[bound] is None else bool(entry[key] <= entry[bound])
-            )
-        per_agent.append(entry)
-    return {"informational": True, "per_agent": per_agent}
+    def largest(squares):
+        # Each agent's largest norm over (S, n, N) squares, 0.0 for no
+        # sample. sqrt is monotone, so the root of the largest sum of squares
+        # is bit for bit the largest np.linalg.norm of the samples.
+        return np.sqrt(squares.sum(axis=2).max(axis=0, initial=0.0))
+
+    u_top = largest(np.square(tel.inputs))
+    udot = np.diff(tel.inputs, axis=0)  # one (S - 1, n, N) array, reused in place
+    udot /= np.diff(tel.times)[:, None, None]
+    observed = (  # (observed key, bound, per-agent maximum over the run)
+        ("max_u_norm", "d_u", u_top),
+        ("max_tilde_u_norm", "d_tilde_u", tel.erru.max(axis=0)),
+        ("max_udot_norm", "d_udot", largest(np.square(udot, out=udot))),
+    )
+    bounds, columns = ts.scenario.bounds, {}
+    for key, bound, top in observed:
+        declared = getattr(bounds, bound)
+        columns.update({key: top, bound: declared,
+                        f"within_{bound}": None if declared is None else top <= declared})
+    return {"informational": True, "per_agent": _rows(**columns)}
 
 
 def verification_report(ts: TunedScenario, cols: dict) -> dict:
@@ -828,7 +743,11 @@ def cmd_verify(args) -> int:
     if set(cols.keys()) != expected:
         print("telemetry schema does not match the scenario", file=sys.stderr)
         return 1
-    report = verification_report(ts, cols)
+    try:
+        report = verification_report(ts, cols)
+    except TelemetryError as exc:
+        print(f"cannot read telemetry: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     _write_json(out_dir / "verify.json", report)
     _print_criteria(report["criteria"])

@@ -18,7 +18,8 @@ package runs and ships only the pair form
 property tests compare it against the functions here, including
 :func:`consensus_control` for the consensus input and
 :func:`verify_gain_inequality`, which assembles the matrix inequality that
-the omega bound certifies.
+the omega bound certifies, and :func:`sign`, the switching function
+with ``sign(0) = +1`` that the pair kernel applies inline.
 """
 
 from __future__ import annotations
@@ -32,7 +33,21 @@ from khopsim.dense_linalg import sym_eig
 from khopsim.errors import KhopsimError, NumericalError, ProtocolError
 from khopsim.gain_tuning import GainSet, PlantModel
 from khopsim.graph_khop import KHopNeighborhood, ObserverCoupling
-from khopsim.khop_observer import sign
+
+
+def sign(v: np.ndarray, boundary_layer: Optional[float] = None) -> np.ndarray:
+    """Componentwise sign with sign(0) = +1.
+
+    With a boundary layer the discontinuity is replaced by the saturation
+    ``clip(v / delta, -1, 1)``, useful for chattering studies but never the
+    default.
+    """
+    v = np.asarray(v, dtype=float)
+    if boundary_layer is not None:
+        if boundary_layer <= 0:
+            raise ValueError("boundary layer width must be positive")
+        return np.clip(v / boundary_layer, -1.0, 1.0)
+    return np.where(v >= 0.0, 1.0, -1.0)
 
 
 class MissingNeighborData(KhopsimError):

@@ -24,7 +24,7 @@ from khopsim import (
 )
 from khopsim.errors import ProtocolError
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import pair_layout, sign
+from khopsim.khop_observer import pair_layout
 from reference_form import (
     MissingNeighborData,
     ObserverState,
@@ -32,6 +32,7 @@ from reference_form import (
     compute_xi,
     input_observer_derivative,
     observer_derivative,
+    sign,
     state_observer_derivative,
 )
 

@@ -349,7 +349,6 @@ def test_layout_gains_are_the_targets_in_every_component(net):
     p = layout.target.size
     assert layout.switch.shape == (2, p, n_dim) and layout.switch.flags.c_contiguous
     assert layout.omega.shape == (p, n_dim) and layout.omega.flags.c_contiguous
-    for name in ("omega", "theta", "pi"):
-        full = getattr(layout, name)
+    for name, full in zip(("omega", "theta", "pi"), (layout.omega, *layout.switch)):
         for c in range(n_dim):
             assert np.array_equal(full[:, c], getattr(gains, name)[layout.target]), name

@@ -402,7 +402,7 @@ class TestRun:
         config, _ = repro_config(t_end=0.3)
         s = config.structure
         for arr in (s.pairs.estimator, s.pairs.target, s.pairs.offsets, s.pairs.terms,
-                    s.pairs.G, s.pairs.omega, s.pairs.switch, s.pairs.theta, s.pairs.pi,
+                    s.pairs.G, s.pairs.omega, s.pairs.switch,
                     s.control_terms, s.disturbance_pairs, s.disturbance_bins):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import short_reproduction
 from khopsim import scenario_cli
 from khopsim.plant_sim import read_csv, run, write_csv
 from khopsim.scenario_cli import (
@@ -23,8 +25,6 @@ from khopsim.scenario_cli import (
     main,
     prepare,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 CONSTRAINT = {path: constraint for path, _, constraint, _ in SCHEMA}
 
@@ -473,6 +473,150 @@ class TestVerify:
             ]
         )
         assert rc == 1
+
+
+def _judged(patch=None, t_end=0.3):
+    """A short reproduction run, tuned and simulated, with ``patch`` applied
+    to the scenario's top-level sections."""
+    raw = dict(short_reproduction(t_end), **(patch or {}))
+    ts = prepare(load_scenario(raw))
+    return ts, run(ts.config)
+
+
+def _criteria(ts, tel) -> dict:
+    return {c["name"]: c for c in scenario_cli.evaluate_criteria(ts, tel)}
+
+
+class TestReportBranches:
+    """Each branch of the per-agent verdicts: who is the worst agent, and
+    what the bound audit says when a bound or a sample is missing."""
+
+    @pytest.fixture(scope="class")
+    def judged(self):
+        return _judged()
+
+    def test_undetected_active_agent_has_no_margin_and_fails(self, judged):
+        ts, tel = judged
+        # Agent 1 would have the smallest margin, but agent 2 is the first
+        # active agent that never converged; agent 4 never converged either.
+        bound = ts.cert.T_x
+        obs = np.array([bound[0], np.nan, 0.0, np.nan])
+        crit = _criteria(ts, dataclasses.replace(tel, T_x_obs=obs))
+        state = crit["state_time_within_certificate"]
+        assert state["status"] == "fail"
+        assert state["worst"] == {"agent": 2, "observed": None, "bound": bound[1]}
+        assert crit["state_band_permanence"]["status"] == "fail"
+
+    def test_equal_margins_name_the_lowest_agent(self, judged):
+        ts, tel = judged
+        cert = dataclasses.replace(ts.cert, T_x=np.full(4, 1.0))
+        obs = np.array([0.5, 0.9, 0.9, 0.2])  # margins 0.5, 0.1, 0.1, 0.8
+        crit = _criteria(dataclasses.replace(ts, cert=cert),
+                         dataclasses.replace(tel, T_x_obs=obs))
+        state = crit["state_time_within_certificate"]
+        assert state["status"] == "pass"
+        assert state["worst"] == {"agent": 2, "observed": 0.9, "bound": 1.0,
+                                  "margin": 1.0 - 0.9}
+
+    def test_inactive_agents_are_not_judged(self, judged):
+        ts, tel = judged
+        # Agent 1 runs no observer, so its late (and missing) times do not count.
+        eta = np.array([0, 1, 1, 2])
+        crit = _criteria(ts, dataclasses.replace(
+            tel, eta=eta, T_x_obs=np.array([np.nan, 0.1, 0.1, 0.1]),
+            T_u_obs=np.array([1e9, 0.1, 0.1, 0.1])))
+        assert crit["state_time_within_certificate"]["worst"]["agent"] > 1
+        assert crit["input_time_within_certificate"]["worst"]["agent"] > 1
+        assert crit["state_band_permanence"]["status"] == "pass"
+
+    def test_no_active_agent_passes_with_no_worst(self, judged):
+        ts, tel = judged
+        crit = _criteria(ts, dataclasses.replace(tel, eta=np.zeros(4, dtype=int)))
+        for name in ("state_time_within_certificate", "input_time_within_certificate"):
+            assert crit[name]["status"] == "pass"
+            assert crit[name]["worst"] is None
+
+    def test_input_time_not_certified_without_d_udot(self, judged):
+        # Without d_udot no pi is tuned, so the run is the default one's.
+        _, tel = judged
+        ts = prepare(load_scenario(dict(short_reproduction(), bounds={"d_u": 1.0})))
+        assert ts.cert is not None and ts.cert.T_u is None
+        crit = _criteria(ts, tel)
+        assert crit["input_time_within_certificate"] == {
+            "name": "input_time_within_certificate", "status": "not_certified"}
+        assert crit["state_time_within_certificate"]["status"] in ("pass", "fail")
+        report = scenario_cli.gain_report(ts)
+        assert all(row["psi"] is None and row["T_u_bound"] is None
+                   for row in report["per_agent"])
+        assert report["T_u"] is None and report["T_xu"] is None
+
+    def test_one_sample_has_no_input_derivative(self, judged):
+        ts, tel = judged
+        one = dataclasses.replace(tel, times=tel.times[:1], inputs=tel.inputs[:1],
+                                  erru=tel.erru[:1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            audit = scenario_cli.bound_audit(ts, one)
+        for i, row in enumerate(audit["per_agent"]):
+            assert row["max_udot_norm"] == 0.0
+            assert row["within_d_udot"] is True
+            assert row["max_u_norm"] == float(np.linalg.norm(tel.inputs[0, i]))
+            assert row["max_tilde_u_norm"] == float(tel.erru[0, i])
+
+    def test_audit_judges_a_declared_input_bound(self):
+        ts, tel = _judged({"bounds": {"d_u": [0.5, 0.0, 0.5, 1.0], "d_udot": 1.0,
+                                      "d_tilde_u": 0.5}})
+        audit = scenario_cli.bound_audit(ts, tel)
+        assert audit["informational"] is True
+        rows = audit["per_agent"]
+        assert [row["agent"] for row in rows] == [1, 2, 3, 4]
+        u_max = np.linalg.norm(tel.inputs, axis=2).max(axis=0)
+        for row, d_u, top, err in zip(rows, [0.5, 0.0, 0.5, 1.0], u_max, tel.erru.max(axis=0)):
+            assert row["d_u"] == d_u and row["max_u_norm"] == float(top)
+            assert row["within_d_u"] is bool(top <= d_u)
+            assert row["d_tilde_u"] == 0.5 and row["within_d_tilde_u"] is bool(err <= 0.5)
+            assert row["d_udot"] == 1.0 and isinstance(row["within_d_udot"], bool)
+        assert rows[1]["within_d_u"] is False
+        without = scenario_cli.bound_audit(*_judged())["per_agent"]
+        assert all(row["d_u"] is None and row["within_d_u"] is None for row in without)
+
+
+class TestUnusableTelemetry:
+    """``verify`` refuses a record it cannot judge with exit 1 and one line,
+    and numpy adds none."""
+
+    def verify(self, tmp_path, capsys, body) -> tuple:
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
+        # Too short to converge: the criteria fail, but the CSV is whole.
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+        lines = (tmp_path / "run" / "telemetry.csv").read_text().splitlines()
+        hostile = tmp_path / "hostile.csv"
+        hostile.write_text("\n".join([lines[0], *body(lines[1:])]) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--scenario", str(path), "--telemetry", str(hostile),
+                       "--out", str(tmp_path / "v")])
+        assert not (tmp_path / "v").exists()
+        return rc, capsys.readouterr().err
+
+    def test_header_only(self, tmp_path, capsys):
+        rc, err = self.verify(tmp_path, capsys, lambda rows: [])
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry holds no samples\n"
+
+    def test_repeated_row(self, tmp_path, capsys):
+        rc, err = self.verify(tmp_path, capsys, lambda rows: [rows[0], rows[0]])
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry time t does not increase at sample 2\n"
+
+    def test_nan_time(self, tmp_path, capsys):
+        def nan_time(rows):
+            rows[2] = "nan" + rows[2][rows[2].index(","):]
+            return rows
+        rc, err = self.verify(tmp_path, capsys, nan_time)
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry time t is not finite at sample 3\n"
 
 
 class TestSweep:
