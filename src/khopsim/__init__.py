@@ -25,7 +25,6 @@ from .graph_khop import (
     KHopNeighborhood,
     ObserverCoupling,
     all_khop_sets,
-    check_neighbor_overlap,
     coupling_matrices,
     khop_set,
 )

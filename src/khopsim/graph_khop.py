@@ -198,81 +198,3 @@ def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> ObserverCoupling:
     return ObserverCoupling(
         L=lap, H=h, M=m_mat, lambda_min=float(w[0]), lambda_max=float(w[-1])
     )
-
-
-@dataclass(frozen=True)
-class NeighborOverlapReport:
-    """Neighbor-overlap facts for one agent's induced neighborhood subgraph."""
-
-    agent: int
-    eta: int
-    pairwise_ok: bool
-    components: int
-    components_ok: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.pairwise_ok and self.components_ok
-
-
-def _induced_components(g: Graph, members: tuple) -> list:
-    member_set = set(members)
-    seen = set()
-    comps = []
-    for start in members:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in member_set and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def check_neighbor_overlap(g: Graph, nbs) -> list:
-    """Verify the neighbor-overlap facts behind positive definiteness of M.
-
-    For each agent ``j`` and every member ``i`` of its neighborhood, member
-    ``i`` must share an agent with either the neighborhood or the 1-hop set
-    of ``j``. Per connected component of the induced subgraph, at least one
-    member must have a common 1-hop neighbor with ``j`` (that member gives
-    the H diagonal its support on the component; in components with two or
-    more members it then also touches the neighborhood itself). A failure
-    would indicate a bug, since both facts hold on connected graphs.
-    ``nbs`` are the neighborhoods of ``g``, agent-1 first.
-    """
-    reports = []
-    for nb in nbs:
-        khop = set(nb.members)
-        onehop = set(nb.one_hop)
-        pairwise = True
-        for i in nb.members:
-            ni = set(g.neighbors(i))
-            if not (ni & khop) and not (ni & onehop):
-                pairwise = False
-        comps = _induced_components(g, nb.members)
-        comps_ok = True
-        for comp in comps:
-            supported = [i for i in comp if set(g.neighbors(i)) & onehop]
-            if not supported:
-                comps_ok = False
-            elif len(comp) >= 2 and not any(
-                set(g.neighbors(i)) & khop for i in supported
-            ):
-                comps_ok = False
-        reports.append(
-            NeighborOverlapReport(
-                agent=nb.agent,
-                eta=nb.eta,
-                pairwise_ok=pairwise,
-                components=len(comps),
-                components_ok=comps_ok,
-            )
-        )
-    return reports

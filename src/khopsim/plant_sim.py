@@ -836,6 +836,9 @@ def read_csv(path) -> dict:
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8").strip().split(",")
+        if len(set(header)) < len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ValueError(f"telemetry CSV malformed: duplicate column {repeated}")
         start, size = fh.tell(), os.fstat(fh.fileno()).st_size
         cuts = _line_cuts(fh, start, size, _workers((size - start) // _CELL_BYTES))
         try:

@@ -21,7 +21,6 @@ from conftest import (
 from khopsim import (
     Graph,
     all_khop_sets,
-    check_neighbor_overlap,
     coupling_matrices,
     khop_set,
 )
@@ -216,29 +215,6 @@ class TestCouplingMatrices:
                 w = sym_eig(c.L)
                 zero_mult = int(np.sum(np.abs(w) < 1e-9))
                 assert zero_mult == component_count(g, nb.members)
-
-
-class TestNeighborOverlap:
-    def test_path_agent1_details(self, path4):
-        rep = check_neighbor_overlap(path4, all_khop_sets(path4, 3))[0]
-        assert rep.agent == 1 and rep.eta == 2
-        assert rep.pairwise_ok and rep.components_ok
-        # member 3 carries the diagonal support: common neighbor 2 with
-        # agent 1, and neighbor 4 inside the member set
-        assert set(path4.neighbors(3)) & {2} == {2}
-        assert set(path4.neighbors(3)) & {3, 4} == {4}
-
-    def test_star_hub_vacuous(self):
-        g = Graph(4, {(1, 2), (1, 3), (1, 4)})
-        rep = check_neighbor_overlap(g, all_khop_sets(g, 2))[0]
-        assert rep.eta == 0 and rep.components == 0 and rep.holds
-
-    def test_random_graphs_all_hold(self):
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            g = random_connected_graph(rng)
-            k = int(rng.integers(2, 5))
-            assert all(r.holds for r in check_neighbor_overlap(g, all_khop_sets(g, k)))
 
 
 class TestReorderErrors:

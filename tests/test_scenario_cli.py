@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from khopsim.scenario_cli import (
     load_scenario,
     main,
     prepare,
+    telemetry_columns,
 )
 
 CONSTRAINT = {path: constraint for path, _, constraint, _ in SCHEMA}
@@ -84,6 +86,21 @@ class TestScenarioParsing:
         with pytest.raises(Exception):
             resolve_f("no-such-f")
 
+    @pytest.mark.parametrize(
+        "x0",
+        [{"low": 0, "high": float("inf")}, {"low": 0, "high": float("nan")},
+         {"low": -1e308, "high": 1e308}],
+        ids=["infinite", "nan", "overflowing_width"],
+    )
+    def test_unusable_x0_interval_exits_1_with_one_line(self, tmp_path, capsys, x0):
+        path, _ = write_scenario(tmp_path, **{"sim.x0": x0, "sim.t_end": 0.05})
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: sim.x0 must be per-agent rows or {low, high}, got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestTune:
     def test_reproduction_gain_report(self, tmp_path, capsys):
@@ -96,7 +113,8 @@ class TestTune:
         assert report["g"] == 20.0
         assert report["certified"] is True
         assert report["bounds_inferred"] is True
-        assert report["neighbor_overlap_holds"] and report["couplings_positive_definite"]
+        assert report["couplings_positive_definite"]
+        assert not any("overlap" in key for key in report)
 
     def test_complete_graph_no_observers(self, tmp_path, capsys):
         path, _ = write_scenario(
@@ -175,6 +193,19 @@ class TestTune:
         assert err.count("\n") == 1 and f"{name} must be {rule}, got" in err
         assert not (tmp_path / "out" / "gains.json").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["omega", "theta", "pi"])
+    def test_scalar_nonfinite_override_keeps_the_tuned_gains(self, tmp_path, key, value):
+        plain, _ = write_scenario(tmp_path, name="plain.json")
+        path, _ = write_scenario(tmp_path, **{"gains.overrides": {key: value}})
+        assert main(["tune", "--scenario", str(plain), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        reports = [json.loads((tmp_path / out / "gains.json").read_text())
+                   for out in ("plain", "out")]
+        for report in reports:
+            del report["scenario"]["hash"]  # the hash of each document as read
+        assert reports[0] == reports[1]
+
     def test_infeasible_pi_override_exits_2(self, tmp_path, capsys):
         path, _ = write_scenario(
             tmp_path, **{"gains.overrides": {"pi": [0.5, 0.5, 0.5, 0.5]}}
@@ -214,6 +245,20 @@ class TestTune:
 
 
 class TestSimulate:
+    def test_network_without_observers_passes(self, tmp_path):
+        # On a triangle with k = 2 no agent runs an observer, so the state
+        # errors are judged from the first sample.
+        triangle = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
+        path, _ = write_scenario(tmp_path, graph=triangle, target_graph=triangle, k=2,
+                                 **{"sim.t_end": 2.0,
+                                    "sim.x0": REPRODUCTION_SCENARIO["sim"]["x0"][:3]})
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["no_observers_needed"] is True and report["all_pass"] is True
+        crit = {c["name"]: c for c in report["criteria"]}
+        bounded = crit["error_bounded_after_input_convergence"]
+        assert bounded["status"] == "pass" and bounded["T_u_obs_global"] == 0.0
+
     def test_zero_controller_states_constant_in_csv(self, tmp_path):
         path, _ = write_scenario(
             tmp_path,
@@ -585,13 +630,13 @@ class TestUnusableTelemetry:
     """``verify`` refuses a record it cannot judge with exit 1 and one line,
     and numpy adds none."""
 
-    def verify(self, tmp_path, capsys, body) -> tuple:
+    def verify(self, tmp_path, capsys, body, extra_header="") -> tuple:
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
         # Too short to converge: the criteria fail, but the CSV is whole.
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
         lines = (tmp_path / "run" / "telemetry.csv").read_text().splitlines()
         hostile = tmp_path / "hostile.csv"
-        hostile.write_text("\n".join([lines[0], *body(lines[1:])]) + "\n")
+        hostile.write_text("\n".join([lines[0] + extra_header, *body(lines[1:])]) + "\n")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -617,6 +662,13 @@ class TestUnusableTelemetry:
         rc, err = self.verify(tmp_path, capsys, nan_time)
         assert rc == 1
         assert err == "cannot read telemetry: telemetry time t is not finite at sample 3\n"
+
+    def test_duplicate_column(self, tmp_path, capsys):
+        # A dict of columns would keep the later x_1_1 and judge it.
+        rc, err = self.verify(tmp_path, capsys, lambda rows: [row + ",0.9" for row in rows],
+                              extra_header=",x_1_1")
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry CSV malformed: duplicate column x_1_1\n"
 
 
 class TestSweep:
@@ -818,6 +870,18 @@ def test_readme_field_table_matches_the_schema():
         shown = ("required" if default is scenario_cli.REQUIRED
                  else "—" if default is None else f"`{json.dumps(default)}`")
         assert f"| `{path}` | {kind} | {constraint or '—'} | {shown} |" in section, path
+
+
+def test_readme_report_keys_match_the_reports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reports", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    added = [key for key, text in rows if text.startswith("added: ")]
+    ts, tel = _judged(t_end=0.05)
+    gains = scenario_cli.gain_report(ts)
+    report = scenario_cli.verification_report(ts, telemetry_columns(tel))
+    assert [key for key, _ in rows if key not in added] == list(gains)
+    assert added == [key for key in report if key not in gains]
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
