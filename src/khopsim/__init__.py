@@ -34,8 +34,8 @@ from .gain_tuning import (
     GainSet,
     PlantModel,
     certificate,
-    design_G,
-    g_spectrum,
+    coupling_spectra,
+    design_g,
     tune_gains,
     tune_omega,
     tune_pi,

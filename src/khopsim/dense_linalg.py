@@ -2,9 +2,9 @@
 
 The eigensolver runs cyclic Jacobi rotations on the eigenvalues alone, for the
 small matrices whose spectra feed the gains: the coupling matrices (``eta_i``
-rows) and the plant drift in ``design_G`` and ``G`` (``N`` rows). It rotates
-Python floats, as numpy's ~1 us per call outweighs the arithmetic on rows this
-short, with the operations and order of the numpy form
+rows) and the symmetric part of the plant drift in ``design_g`` (``N`` rows).
+It rotates Python floats, as numpy's ~1 us per call outweighs the arithmetic on
+rows this short, with the operations and order of the numpy form
 (``tests/reference_jacobi.py``), bit for bit: the gains and, through ``sign``
 switching, the convergence times in ``perfbench/reference.json`` move with the
 last bits. LAPACK waits for a benchmark-only re-record of that file; the
@@ -85,8 +85,3 @@ def sym_eig(m) -> np.ndarray:
     w = np.diag(rows if n > 1 else a)
     return w[np.argsort(w, kind="stable")]
 
-
-def is_negative_definite(m, tol: float = DEFINITENESS_TOL) -> bool:
-    """True iff the symmetric part of ``m`` has lambda_max < -tol."""
-    a = np.asarray(m, dtype=float)
-    return bool(sym_eig(0.5 * (a + a.T))[-1] < -tol)

@@ -1,10 +1,10 @@
 """Observer gain design and finite-time convergence certificates.
 
-Three per-agent scalars and one shared design matrix parametrize the
-observers:
+One design scalar and three per-agent scalars parametrize the observers:
 
-* ``G`` couples the state-observer correction; it must satisfy
-  ``G^T A + A^T G - 2 G^T G < 0`` (negative definite).
+* ``g`` sets the design matrix ``G = g I`` of the state-observer
+  correction; ``G^T A + A^T G - 2 G^T G < 0`` (negative definite) then
+  reads ``g > lambda_max((A + A^T)/2)``.
 * ``omega_i`` scales the linear consensus correction and has a closed-form
   lower bound from the coupling spectrum and the Lipschitz constant.
 * ``theta_i`` scales the discontinuous state correction and must dominate
@@ -14,7 +14,8 @@ observers:
 
 From valid gains the convergence-time certificates ``T_x,i`` and ``T_u,i``
 follow, together with their network-wide maxima and the composite horizon
-``T_xu = T_u + T_x``.
+``T_xu = T_u + T_x``. Every bound and certificate is evaluated for all
+agents at once, on the per-agent arrays of :func:`coupling_spectra`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dense_linalg import DEFINITENESS_TOL, is_negative_definite, sym_eig
+from .dense_linalg import DEFINITENESS_TOL, sym_eig
 from .errors import (
     CertificateInfeasible,
     CouplingNotPD,
     GainConditionViolated,
+    NumericalError,
 )
-from .graph_khop import Graph, ObserverCoupling, all_khop_sets, coupling_matrices
+from .graph_khop import Graph, all_khop_sets, coupling_matrices
 
 DEFAULT_SLACK = 1e-3
 
@@ -87,31 +89,31 @@ class BoundSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def tilde_u(self, i: int, eta_i: int, uhat0_mag: float = 0.0) -> float:
-        """Resolve d_tilde_u for agent ``i`` (1-based).
+    def tilde_u(self, eta: np.ndarray, uhat0_mag: float = 0.0) -> np.ndarray:
+        """Per-agent d_tilde_u, for agents with ``eta`` multi-hop neighbors.
 
         Falls back to the conservative stack bound
         ``sqrt(eta) * (d_u + max initial input-estimate magnitude)`` when
         only an input bound is known.
         """
         if self.d_tilde_u is not None:
-            return float(self.d_tilde_u[i - 1])
+            return self.d_tilde_u
         if self.d_u is None:
-            raise ValueError(
-                "d_tilde_u not given and no input bound to derive it from"
-            )
-        return float(np.sqrt(max(eta_i, 1)) * (self.d_u[i - 1] + uhat0_mag))
+            if np.any(eta):
+                raise ValueError("d_tilde_u not given and no input bound to derive it from")
+            return np.full(self.n, np.nan)  # no agent runs an observer
+        return np.sqrt(np.maximum(eta, 1)) * (self.d_u + uhat0_mag)
 
 
 @dataclass(frozen=True)
 class GainSet:
-    """Design matrix and per-agent gains.
+    """The design gain ``g`` of ``G = g I`` and the per-agent gains.
 
     Arrays are agent-indexed (entry 0 is agent 1); agents without a
     multi-hop neighborhood carry NaN since they run no observer.
     """
 
-    G: np.ndarray
+    g: float
     omega: np.ndarray
     theta: np.ndarray
     pi: np.ndarray
@@ -135,200 +137,142 @@ class ConvergenceCertificate:
     T_xu: Optional[float]
 
 
-def design_G(plant: PlantModel, g_scale: Optional[float] = None) -> np.ndarray:
-    """Design ``G = g I`` satisfying ``G^T A + A^T G - 2 G^T G < 0``.
+def coupling_spectra(couplings) -> tuple:
+    """``(lambda_min, lambda_max, eta)`` of agent-indexed ``couplings``, as
+    per-agent arrays: NaN spectra and ``eta = 0`` where an agent has no
+    coupling (``None``). Raises :class:`CouplingNotPD` for the first agent
+    whose coupling matrix is not positive definite.
+    """
+    rows = [(np.nan, np.nan, 0) if c is None else (c.lambda_min, c.lambda_max, len(c.M))
+            for c in couplings]
+    lmin, lmax, eta = map(np.array, zip(*rows))
+    if (not_pd := lmin <= DEFINITENESS_TOL).any():
+        i = int(np.argmax(not_pd))
+        raise CouplingNotPD(f"agent {i + 1}: lambda_min(M) = {lmin[i]:.3g} not positive")
+    return lmin, lmax, eta
 
-    For scalar multiples of the identity the condition reduces to
-    ``g > lambda_max((A + A^T)/2)``; automatic selection takes that maximum
+
+def design_g(plant: PlantModel, g_scale: Optional[float] = None) -> float:
+    """The gain ``g`` of ``G = g I``, which must satisfy
+    ``G^T A + A^T G - 2 G^T G < 0``.
+
+    With ``S = (A + A^T)/2`` that matrix is ``2 g (S - g I)``, whose largest
+    eigenvalue ``2 g (lambda_max(S) - g)`` must lie below
+    ``-DEFINITENESS_TOL``. Automatic selection takes ``lambda_max(S)``
     (floored at zero) plus one. A supplied ``g_scale`` is verified and
     rejected if it violates the condition.
     """
-    sym_a = 0.5 * (plant.A + plant.A.T)
-    w = sym_eig(sym_a)
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig rejects a non-finite S
+        lam = float(sym_eig(0.5 * (plant.A + plant.A.T))[-1])
     if g_scale is None:
-        g = max(0.0, float(w[-1])) + 1.0
+        g = max(0.0, lam) + 1.0
     else:
-        g = g_scale
+        g = float(g_scale)
         if not 0.0 < g < np.inf:
             raise GainConditionViolated(f"g must be positive and finite, got {g}")
-    G = g * np.eye(plant.N)
-    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig rejects a non-finite one
-        condition = G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
-    if not is_negative_definite(condition):
-        raise GainConditionViolated(
-            f"g = {g} violates the design condition on G (lambda_max "
-            f"{sym_eig(0.5 * (condition + condition.T))[-1]:.6g} not < 0)"
-        )
-    return G
+    top = 2.0 * g * (lam - g)  # Python floats: an overflow is silent
+    if not np.isfinite(top):
+        raise GainConditionViolated(f"g = {g} overflows the design condition on G")
+    if not top < -DEFINITENESS_TOL:
+        raise GainConditionViolated(f"g = {g} violates the design condition on G "
+                                    f"(lambda_max {top:.6g} not < 0)")
+    return g
 
 
-def g_spectrum(G: np.ndarray) -> tuple:
-    """``(lambda_min(G), lambda_max(G))``, the only facts about ``G`` that the
-    gain bounds and certificates use; ``G`` must be positive definite."""
-    w = sym_eig(G)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= DEFINITENESS_TOL:
-        raise GainConditionViolated("G must be symmetric positive definite")
-    return lo, hi
-
-
-def tune_omega(
-    coupling: ObserverCoupling,
-    plant: PlantModel,
-    g_spec: tuple,
-) -> float:
-    """Smallest admissible linear gain for one agent.
+def tune_omega(lambda_min, lambda_max, plant: PlantModel, g: float):
+    """Smallest admissible linear gain, for one coupling spectrum or per
+    agent (:func:`coupling_spectra`).
 
     The bound is
     ``(1/lmin(M)) (1 + l_f ||M (x) G|| / (lmin(M) lmin(G^T G)))``
-    and the inequality is non-strict, so the bound is admissible. The
-    Kronecker norm factorizes as ``||M|| ||G||``, both spectral. ``g_spec``
-    is :func:`g_spectrum` of ``G``.
+    and the inequality is non-strict, so the bound is admissible. With
+    ``G = g I`` the Kronecker norm is ``lambda_max(M) g`` and
+    ``lmin(G^T G) = g^2``.
     """
-    lmin = coupling.lambda_min
-    if lmin <= DEFINITENESS_TOL:
-        raise CouplingNotPD(f"lambda_min(M) = {lmin:.3g} not positive")
-    g_lo, g_hi = g_spec
-    norm_mg = coupling.lambda_max * g_hi
-    lmin_gtg = g_lo * g_lo
-    return float((1.0 / lmin) * (1.0 + plant.l_f * norm_mg / (lmin * lmin_gtg)))
+    return (1.0 / lambda_min) * (
+        1.0 + plant.l_f * (lambda_max * g) / (lambda_min * (g * g)))
 
 
-def tune_theta(
-    coupling: ObserverCoupling,
-    g_spec: tuple,
-    d_tilde_u_i: float,
-    slack: float = DEFAULT_SLACK,
-) -> float:
-    """Discontinuous state gain dominating the input-estimation-error bound.
-
-    ``g_spec`` is :func:`g_spectrum` of ``G``.
-    """
+def tune_theta(lambda_min, lambda_max, g: float, d_tilde_u, slack: float = DEFAULT_SLACK):
+    """Discontinuous state gain dominating the input-estimation-error bound."""
     if slack <= 0:
         raise ValueError("theta inequality is strict; slack must be > 0")
-    g_lo, g_hi = g_spec
-    ratio = (coupling.lambda_max * g_hi) / (coupling.lambda_min * g_lo)
-    return float(ratio * d_tilde_u_i + slack)
+    return (lambda_max * g) / (lambda_min * g) * d_tilde_u + slack
 
 
-def tune_pi(
-    coupling: ObserverCoupling,
-    eta_i: int,
-    d_udot_i: float,
-    slack: float = DEFAULT_SLACK,
-) -> float:
+def tune_pi(lambda_min, lambda_max, eta, d_udot, slack: float = DEFAULT_SLACK):
     """Discontinuous input gain dominating the input-derivative bound."""
     if slack <= 0:
         raise ValueError("pi inequality is strict; slack must be > 0")
-    ratio = coupling.lambda_max / coupling.lambda_min
-    return float(ratio * np.sqrt(eta_i) * d_udot_i + slack)
+    return lambda_max / lambda_min * np.sqrt(eta) * d_udot + slack
 
 
-def certificate(
-    couplings,
-    plant: PlantModel,
-    gains: GainSet,
-    bounds: BoundSet,
-    x_err0,
-    u_err0,
-    uhat0_mag: float = 0.0,
-) -> ConvergenceCertificate:
+def _first_agent(flags: dict):
+    """``(agent index, name)`` of the first set flag of named per-agent
+    flag arrays, agent by agent and in the given order within an agent;
+    ``None`` if none is set."""
+    hits = np.argwhere(np.array(list(flags.values())).T)
+    return (int(hits[0, 0]), list(flags)[hits[0, 1]]) if len(hits) else None
+
+
+def certificate(couplings, plant: PlantModel, gains: GainSet, bounds: BoundSet,
+                x_err0, u_err0, uhat0_mag: float = 0.0) -> ConvergenceCertificate:
     """Evaluate the finite-time certificates for every agent with an observer.
 
     ``couplings`` is agent-indexed with ``None`` where eta = 0; ``x_err0``
     and ``u_err0`` are the initial stacked-error norms per agent. Raises
-    :class:`CertificateInfeasible` when any ``omega`` is below its
+    :class:`NumericalError` for the first agent with an observer whose gain
+    (``pi`` only when ``d_udot`` is known), phi or psi is not finite. Then
+    raises :class:`CertificateInfeasible` when any ``omega`` is below its
     :func:`tune_omega` bound, then when a phi or psi margin is not strictly
     positive. Input-side bounds are only produced when ``d_udot`` is known.
     """
-    n = len(couplings)
-    x_err0 = np.broadcast_to(np.asarray(x_err0, dtype=float), (n,))
-    u_err0 = np.broadcast_to(np.asarray(u_err0, dtype=float), (n,))
-    g_lo, g_hi = g_spec = g_spectrum(gains.G)
-    for idx, cpl in enumerate(couplings):  # the omega inequality is not strict
-        if cpl is not None and gains.omega[idx] < (bound := tune_omega(cpl, plant, g_spec)):
-            raise CertificateInfeasible(idx + 1, "omega", gains.omega[idx], bound)
-    have_udot = bounds.d_udot is not None
-    phi = np.full(n, np.nan)
-    t_x = np.full(n, np.nan)
-    psi = np.full(n, np.nan) if have_udot else None
-    t_u = np.full(n, np.nan) if have_udot else None
-    for idx, cpl in enumerate(couplings):
-        if cpl is None:
-            continue
-        agent = idx + 1
-        eta = cpl.M.shape[0]
-        d_tu = bounds.tilde_u(agent, eta, uhat0_mag)
-        th = gains.theta[idx]
-        phi_i = th * cpl.lambda_min * g_lo - cpl.lambda_max * g_hi * d_tu
-        if phi_i <= 0:
-            raise CertificateInfeasible(agent, "phi", phi_i)
-        phi[idx] = phi_i
-        t_x[idx] = cpl.lambda_max * g_hi / phi_i * x_err0[idx]
-        if have_udot:
-            # ||M (x) I|| = lambda_max(M) for symmetric PSD M
-            psi_i = gains.pi[idx] * cpl.lambda_min - cpl.lambda_max * np.sqrt(
-                eta
-            ) * float(bounds.d_udot[idx])
-            if psi_i <= 0:
-                raise CertificateInfeasible(agent, "psi", psi_i)
-            psi[idx] = psi_i
-            t_u[idx] = cpl.lambda_max / psi_i * u_err0[idx]
-    active = [i for i, c in enumerate(couplings) if c is not None]
-    t_x_global = float(np.max(t_x[active])) if active else 0.0
-    t_u_global = None
-    t_xu = None
-    if have_udot:
-        t_u_global = float(np.max(t_u[active])) if active else 0.0
-        t_xu = t_u_global + t_x_global
-    return ConvergenceCertificate(
-        phi=phi,
-        psi=psi,
-        T_x=t_x,
-        T_u=t_u,
-        T_x_global=t_x_global,
-        T_u_global=t_u_global,
-        T_xu=t_xu,
-    )
+    lmin, lmax, eta = coupling_spectra(couplings)
+    g, active, have_udot = gains.g, eta > 0, bounds.d_udot is not None
+    if not g > DEFINITENESS_TOL:
+        raise GainConditionViolated(f"G = g I must be positive definite, got g = {g}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        bound = tune_omega(lmin, lmax, plant, g)
+        margin = {"phi": gains.theta * lmin * g - lmax * g * bounds.tilde_u(eta, uhat0_mag)}
+        t_x = lmax * g / margin["phi"] * np.asarray(x_err0, dtype=float)
+        t_u = None
+        if have_udot:  # ||M (x) I|| = lambda_max(M) for symmetric PSD M
+            margin["psi"] = gains.pi * lmin - lmax * np.sqrt(eta) * bounds.d_udot
+            t_u = lmax / margin["psi"] * np.asarray(u_err0, dtype=float)
+    values = {"omega": gains.omega, "theta": gains.theta} | (
+        {"pi": gains.pi} if have_udot else {}) | margin
+    if bad := _first_agent({k: active & ~np.isfinite(v) for k, v in values.items()}):
+        i, name = bad
+        raise NumericalError(f"agent {i + 1}: {name} = {values[name][i]} is not finite")
+    if bad := _first_agent({"omega": gains.omega < bound}):  # not strict
+        i = bad[0]
+        raise CertificateInfeasible(i + 1, "omega", gains.omega[i], bound[i])
+    if bad := _first_agent({k: m <= 0 for k, m in margin.items()}):
+        i, name = bad
+        raise CertificateInfeasible(i + 1, name, margin[name][i])
+    t_x_global = float(np.max(t_x[active], initial=0.0))
+    t_u_global = float(np.max(t_u[active], initial=0.0)) if have_udot else None
+    return ConvergenceCertificate(margin["phi"], margin.get("psi"), t_x, t_u, t_x_global,
+                                  t_u_global, t_u_global + t_x_global if have_udot else None)
 
 
-def tune_gains(
-    graph: Graph,
-    k: int,
-    plant: PlantModel,
-    bounds: BoundSet,
-    g_scale: Optional[float] = None,
-    slack: float = DEFAULT_SLACK,
-    uhat0_mag: float = 0.0,
-) -> tuple:
+def tune_gains(graph: Graph, k: int, plant: PlantModel, bounds: BoundSet,
+               g_scale: Optional[float] = None, slack: float = DEFAULT_SLACK,
+               uhat0_mag: float = 0.0) -> tuple:
     """Tune the full gain set for a network.
 
     Returns ``(gains, nbs, couplings)`` where ``couplings`` is agent-indexed
     with ``None`` for agents without multi-hop neighbors; ``omega`` sits on
-    its lower bound.
+    its lower bound. A gain that overflows stays non-finite, for
+    :func:`certificate` to refuse.
     """
-    G = design_G(plant, g_scale)
-    g_spec = g_spectrum(G)
+    g = design_g(plant, g_scale)
     nbs = all_khop_sets(graph, k)
-    couplings = [
-        coupling_matrices(graph, nb) if nb.eta > 0 else None for nb in nbs
-    ]
-    n = graph.n
-    omega = np.full(n, np.nan)
-    theta = np.full(n, np.nan)
-    pi = np.full(n, np.nan)
-    for idx, cpl in enumerate(couplings):
-        if cpl is None:
-            continue
-        agent = idx + 1
-        eta = cpl.M.shape[0]
-        omega[idx] = tune_omega(cpl, plant, g_spec)
-        theta[idx] = tune_theta(
-            cpl, g_spec, bounds.tilde_u(agent, eta, uhat0_mag), slack=slack
-        )
-        pi[idx] = (
-            tune_pi(cpl, eta, float(bounds.d_udot[idx]), slack=slack)
-            if bounds.d_udot is not None
-            else np.nan
-        )
-    return GainSet(G=G, omega=omega, theta=theta, pi=pi), nbs, couplings
+    couplings = [coupling_matrices(graph, nb) if nb.eta > 0 else None for nb in nbs]
+    lmin, lmax, eta = coupling_spectra(couplings)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = tune_omega(lmin, lmax, plant, g)
+        theta = tune_theta(lmin, lmax, g, bounds.tilde_u(eta, uhat0_mag), slack)
+        pi = (np.full(graph.n, np.nan) if bounds.d_udot is None
+              else tune_pi(lmin, lmax, eta, bounds.d_udot, slack))
+    return GainSet(g, omega, theta, pi), nbs, couplings

@@ -10,9 +10,10 @@ the block estimating agent ``l`` is
 
 and the input-side signal ``rho`` has the same shape with inputs in place
 of states. The state estimate then follows the plant model plus a linear
-and a signed correction; the input estimate moves by a signed correction
-only. sign(0) = +1 throughout, so at exact agreement the estimates still
-chatter by one step.
+and a signed correction, both of ``g xi``, as the design matrix is
+``G = g I``; the input estimate moves by a signed correction only.
+sign(0) = +1 throughout, so at exact agreement the estimates still chatter
+by one step.
 
 Which sums apply is decided from message content alone (a sender's message
 shows which agents it estimates and which it can relay), so the update
@@ -59,7 +60,8 @@ class PairLayout:
     switching gains ``[theta; pi]`` as ``(2, P, N)``, one plane per
     observer. Full-width gains meet the ``(P, N)`` signals element for
     element, so a step multiplies contiguous arrays instead of broadcasting
-    a column over runs of ``N`` elements.
+    a column over runs of ``N`` elements. ``g`` is the design gain of
+    ``G = g I``, shared by every pair.
 
     Column ``terms[:, p]`` lists, in the message form's summation order,
     the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
@@ -76,7 +78,7 @@ class PairLayout:
     target: np.ndarray
     offsets: np.ndarray
     terms: np.ndarray
-    G: np.ndarray
+    g: float
     omega: np.ndarray
     switch: np.ndarray
 
@@ -85,9 +87,9 @@ class PairLayout:
         return slice(int(self.offsets[agent - 1]), int(self.offsets[agent]))
 
 
-def pair_layout(nbs, gains: GainSet) -> PairLayout:
+def pair_layout(nbs, gains: GainSet, n_dim: int) -> PairLayout:
     """Pair wiring, ordered term table and per-pair gains for neighborhoods
-    ``nbs`` (indexed agent-1 first).
+    ``nbs`` (indexed agent-1 first) of agents with ``n_dim`` states.
 
     For pair ``p = (i, l)`` the term list walks ``i``'s 1-hop neighbors
     ``j`` in ascending order, exactly as agent ``i`` walks its inbox: first
@@ -120,7 +122,6 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
     ).reshape(size, width).T.copy()
     estimator, target = (np.array(list(pos), dtype=np.intp).reshape(size, 2) - 1).T.copy()
     offsets = np.searchsorted(estimator, np.arange(n + 1))
-    n_dim = gains.G.shape[0]
 
     def full_width(gain):
         return np.repeat(gain[target, None], n_dim, axis=1)
@@ -131,11 +132,11 @@ def pair_layout(nbs, gains: GainSet) -> PairLayout:
         target=target,
         offsets=offsets,
         terms=terms,
-        G=np.array(gains.G, dtype=float),
+        g=gains.g,
         omega=full_width(gains.omega),
         switch=np.stack((full_width(gains.theta), full_width(gains.pi))),
     )
-    for arr in (estimator, target, offsets, terms, layout.G, layout.omega, layout.switch):
+    for arr in (estimator, target, offsets, terms, layout.omega, layout.switch):
         arr.setflags(write=False)
     return layout
 
@@ -165,16 +166,16 @@ class PairWorkspace:
         p = layout.target.size
         self.own = z[:, None, :p]
         self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
-        # Planes [G xi, xi, rho]: the sums land in ``acc`` = [xi; rho], G xi
-        # in plane 0, and ``signal`` = [G xi; rho] views both without a copy.
+        # Planes [g xi, xi, rho]: the sums land in ``acc`` = [xi; rho], g xi
+        # in plane 0, and ``signal`` = [g xi; rho] views both without a copy.
         planes = np.empty((3, p, z.shape[2]))
         self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
-        # Compared against an array rather than the float 0.0, which numpy
-        # would convert on every call.
+        # Arrays rather than the floats 0.0 and g, which numpy would convert
+        # on every call.
         self.zero = np.zeros(self.signal.shape)
+        self.g = np.array(layout.g)
         self.mask = np.empty(self.signal.shape, dtype=bool)
         self.neg_switch = np.negative(layout.switch)
-        self.GT = layout.G.T
         self.AT = plant.A.T if plant.A.any() else None
         self.x_rows, self.u_rows = z
         # Planes [drift, dz]; ``switching`` is the estimate rows of drift and
@@ -199,7 +200,7 @@ def pair_derivative(
     ``(P, N)`` pair estimates, then the ``(n, N)`` true states and the
     inputs that 1-hop neighbors relay. In the result, the pair rows hold the
     observer derivatives, per row the block update
-    ``xh A^T + f(xh) + omega G xi + theta sign(G xi) + uh`` and
+    ``xh A^T + f(xh) + omega g xi + theta sign(g xi) + uh`` and
     ``pi sign(rho)``, in the message form's order; plane 0's truth rows hold
     the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
     the controller sets the inputs afresh every round.
@@ -222,7 +223,7 @@ def pair_derivative(
     z.take(layout.terms, 1, parts, "clip")
     np.subtract(parts, work.own, parts)
     np.add.reduce(parts, 1, None, work.acc, False, 0.0)
-    np.matmul(work.xi, work.GT, gxi)
+    np.multiply(work.xi, work.g, gxi)
     if boundary_layer is None:
         # gain * sign(v) with sign(0) = +1 is +gain where v >= 0, else -gain.
         # A masked copy into ``switching`` would spare the temporary, but it
@@ -238,7 +239,7 @@ def pair_derivative(
     p = len(gxi)
     np.multiply(gxi, layout.omega, gxi)
     if work.AT is None:
-        # x A^T would add ±0 here: f(xh) + omega G xi + switching.
+        # x A^T would add ±0 here: f(xh) + omega g xi + switching.
         if fz is not None:
             np.add(fz[:p], gxi, gxi)
         np.add(gxi, work.drift_est, work.drift_est)

@@ -284,7 +284,7 @@ def build_structure(config: SimConfig, nbs: Optional[list] = None) -> SimStructu
     g = config.graph
     if nbs is None:
         nbs = all_khop_sets(g, config.k)
-    pairs = pair_layout(nbs, config.gains)
+    pairs = pair_layout(nbs, config.gains, config.plant.N)
     n_pairs = pairs.target.size
     control_terms = np.empty((0, g.n), dtype=np.intp)
     disturbance = []

@@ -43,6 +43,7 @@ from .gain_tuning import (
     GainSet,
     PlantModel,
     certificate,
+    coupling_spectra,
     tune_gains,
 )
 from .graph_khop import Graph
@@ -91,7 +92,7 @@ class ScenarioError(KhopsimError):
 # The scenario schema, one row per field: (path, kind, constraint, default).
 # An absent or null field takes its default; a REQUIRED one must be given.
 # :func:`_read` is the only code that converts and checks a scenario value.
-# A rule a domain object enforces (Graph, PlantModel, BoundSet, design_G,
+# A rule a domain object enforces (Graph, PlantModel, BoundSet, design_g,
 # khop_set, tune_theta/tune_pi, resolve_f, Controller) stays there, and its
 # row checks the type only. SimConfig checks t_end against dt, and x0 and
 # the estimates against the graph; prepare checks the override lengths.
@@ -239,6 +240,8 @@ _CONSTRAINTS = {
 # The rows with each path split and each kind and constraint looked up once.
 _ROWS = tuple((path, *path.rpartition(".")[::2], *_KINDS[kind], rule,
                _CONSTRAINTS.get(rule), default) for path, kind, rule, default in SCHEMA)
+# The field names each object, and the document (""), may hold.
+_FIELDS = {section: {key for _, s, key, *_ in _ROWS if s == section} for _, section, *_ in _ROWS}
 
 
 def _read(raw: dict, overrides: dict) -> dict:
@@ -246,7 +249,8 @@ def _read(raw: dict, overrides: dict) -> dict:
 
     ``overrides`` maps a path to ``(name, value)``; the value replaces the
     document's. A bad value raises one :class:`ScenarioError` that names
-    the field, or ``name`` for an override.
+    the field, or ``name`` for an override; so does a key that is not a
+    field of its object.
     """
     values = {"": raw}
     for path, section, key, what, convert, constraint, holds, default in _ROWS:
@@ -264,6 +268,10 @@ def _read(raw: dict, overrides: dict) -> dict:
         if holds is not None and not holds(value):
             raise ScenarioError(f"{name} must be {constraint}, got {value!r}")
         values[path] = value
+    for section, fields in _FIELDS.items():
+        for key in values[section] or ():
+            if key not in fields:
+                raise ScenarioError(f"unknown field {f'{section}.' if section else ''}{key}")
     return values
 
 
@@ -403,7 +411,9 @@ def prepare(sc: Scenario) -> TunedScenario:
     Every scenario value the domain objects reject (with ``ValueError`` or
     ``TypeError``) surfaces here as one :class:`ScenarioError`. Gains that
     break an inequality the certificate rests on (an ``omega`` below its
-    bound, or a ``phi`` or ``psi`` that is not positive) get no certificate.
+    bound, or a ``phi`` or ``psi`` that is not positive) get no certificate;
+    a gain, ``phi`` or ``psi`` that is not finite raises
+    :class:`~khopsim.errors.NumericalError` (see :func:`certificate`).
     """
     v = sc.values
     try:
@@ -415,9 +425,10 @@ def prepare(sc: Scenario) -> TunedScenario:
         tuned, nbs, couplings = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds,
                                            g_scale=v["gains.g"], slack=v["gains.slack"],
                                            uhat0_mag=uhat0_mag)
-        omega = tuned.omega + v["gains.omega_slack"]
-        theta = tuned.theta * v["gains.theta_scale"]
-        pi = tuned.pi * v["gains.pi_scale"]
+        with np.errstate(over="ignore", invalid="ignore"):  # certificate refuses inf and NaN
+            omega = tuned.omega + v["gains.omega_slack"]
+            theta = tuned.theta * v["gains.theta_scale"]
+            pi = tuned.pi * v["gains.pi_scale"]
         for key, arr in (("omega", omega), ("theta", theta), ("pi", pi)):
             ov = v[f"gains.overrides.{key}"]
             if ov is not None:
@@ -425,7 +436,7 @@ def prepare(sc: Scenario) -> TunedScenario:
                     raise ScenarioError(
                         f"gains.overrides.{key} needs {arr.size} entries, got {ov.shape}")
                 np.copyto(arr, ov, where=np.isfinite(ov))
-        gains = GainSet(G=tuned.G, omega=omega, theta=theta, pi=pi)
+        gains = GainSet(tuned.g, omega, theta, pi)
         kind = v["controller.kind"]
         config = SimConfig(
             graph=sc.graph,
@@ -486,12 +497,10 @@ def _rows(**columns) -> list:
 def gain_report(ts: TunedScenario) -> dict:
     """Per-agent spectral data, gains, and certificates, JSON-ready."""
     sc, cert, gains = ts.scenario, ts.cert, ts.gains
-    eta = np.diff(ts.config.structure.pairs.offsets)  # each agent's rows in the pair layout
     # An agent with no observer has no coupling matrix: NaN, reported as null.
-    spectra = np.array([(c.lambda_min, c.lambda_max) if c else (np.nan, np.nan)
-                        for c in ts.couplings])
+    lambda_min, lambda_max, eta = coupling_spectra(ts.couplings)
     per_agent = _rows(
-        eta=eta, lambda_min=spectra[:, 0], lambda_max=spectra[:, 1],
+        eta=eta, lambda_min=lambda_min, lambda_max=lambda_max,
         omega=gains.omega, theta=gains.theta, pi=gains.pi,
         phi=getattr(cert, "phi", None), psi=getattr(cert, "psi", None),
         T_x_bound=getattr(cert, "T_x", None), T_u_bound=getattr(cert, "T_u", None),
@@ -500,7 +509,7 @@ def gain_report(ts: TunedScenario) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": {"name": sc.values["name"], "hash": sc.hash},
-        "g": float(gains.G[0, 0]),
+        "g": gains.g,
         "per_agent": per_agent,
         "T_x": getattr(cert, "T_x_global", None),
         "T_u": getattr(cert, "T_u_global", None),
@@ -508,7 +517,7 @@ def gain_report(ts: TunedScenario) -> dict:
         "certified": cert is not None,
         "infeasible": ts.infeasible,
         "bounds_inferred": sc.bounds_inferred,
-        "couplings_positive_definite": not (spectra[:, 0] <= 0).any(),
+        "couplings_positive_definite": not (lambda_min <= 0).any(),
         "no_observers_needed": not eta.any(),
     }
     return _jsonable(report)

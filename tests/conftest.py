@@ -38,9 +38,9 @@ def connected_graphs(draw, max_n=30) -> Graph:
 
 
 def unit_gains(n: int) -> GainSet:
-    """All gains 1 and ``G = [[1]]``, for tests that only need a pair layout."""
+    """All gains 1 and ``g = 1``, for tests that only need a pair layout."""
     ones = np.ones(n)
-    return GainSet(G=np.eye(1), omega=ones, theta=ones, pi=ones)
+    return GainSet(g=1.0, omega=ones, theta=ones, pi=ones)
 
 
 def floyd_warshall(g: Graph) -> np.ndarray:

@@ -20,6 +20,11 @@ property tests compare it against the functions here, including
 :func:`verify_gain_inequality`, which assembles the matrix inequality that
 the omega bound certifies, and :func:`sign`, the switching function
 with ``sign(0) = +1`` that the pair kernel applies inline.
+
+:func:`reference_gains` and :func:`reference_certificate` are the gain
+formulas agent by agent, in the order of operations that
+:func:`khopsim.gain_tuning.tune_gains` and
+:func:`khopsim.gain_tuning.certificate` keep on per-agent arrays.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from khopsim.dense_linalg import sym_eig
-from khopsim.errors import KhopsimError, NumericalError, ProtocolError
-from khopsim.gain_tuning import GainSet, PlantModel
+from khopsim.errors import CertificateInfeasible, KhopsimError, NumericalError, ProtocolError
+from khopsim.gain_tuning import BoundSet, ConvergenceCertificate, GainSet, PlantModel
 from khopsim.graph_khop import KHopNeighborhood, ObserverCoupling
 
 
@@ -194,7 +199,7 @@ def state_observer_derivative(
     if not np.isfinite(float(state.x_hat.sum())):
         raise NumericalError(f"agent {nb.agent}: non-finite state estimate")
     n_dim = plant.N
-    G = gains.G
+    G = gains.g * np.eye(n_dim)  # the matrix form; the pair kernel multiplies by g
     omega = gains.omega[np.array(nb.members) - 1]
     theta = gains.theta[np.array(nb.members) - 1]
     xh = state.x_hat.reshape(nb.eta, n_dim)
@@ -298,3 +303,73 @@ def verify_gain_inequality(
     full = mg @ (a_big - omega_i * mg) + plant.l_f * norm_mg * np.eye(eta * plant.N)
     w = sym_eig(0.5 * (full + full.T))
     return GainInequalityReport(holds=bool(w[-1] < 0.0), lambda_max=float(w[-1]))
+
+
+def _omega_bound(cpl: ObserverCoupling, plant: PlantModel, g: float) -> float:
+    return (1.0 / cpl.lambda_min) * (
+        1.0 + plant.l_f * (cpl.lambda_max * g) / (cpl.lambda_min * (g * g))
+    )
+
+
+def _tilde_u(bounds: BoundSet, idx: int, eta: int, uhat0_mag: float) -> float:
+    if bounds.d_tilde_u is not None:
+        return float(bounds.d_tilde_u[idx])
+    return float(np.sqrt(max(eta, 1)) * (bounds.d_u[idx] + uhat0_mag))
+
+
+def reference_gains(couplings, plant: PlantModel, g: float, bounds: BoundSet,
+                    slack: float, uhat0_mag: float = 0.0) -> tuple:
+    """``(omega, theta, pi)`` agent by agent, the loop ``tune_gains`` once
+    ran: NaN where an agent has no coupling, and ``pi`` NaN without a
+    ``d_udot``."""
+    omega, theta, pi = (np.full(len(couplings), np.nan) for _ in range(3))
+    for idx, cpl in enumerate(couplings):
+        if cpl is None:
+            continue
+        eta = cpl.M.shape[0]
+        omega[idx] = _omega_bound(cpl, plant, g)
+        ratio = (cpl.lambda_max * g) / (cpl.lambda_min * g)
+        theta[idx] = ratio * _tilde_u(bounds, idx, eta, uhat0_mag) + slack
+        if bounds.d_udot is not None:
+            ratio = cpl.lambda_max / cpl.lambda_min
+            pi[idx] = ratio * np.sqrt(eta) * float(bounds.d_udot[idx]) + slack
+    return omega, theta, pi
+
+
+def reference_certificate(couplings, plant: PlantModel, gains: GainSet, bounds: BoundSet,
+                          x_err0, u_err0, uhat0_mag: float = 0.0) -> ConvergenceCertificate:
+    """The certificate agent by agent, the loops ``certificate`` once ran:
+    the first ``omega`` below its bound over all agents, then per agent a
+    ``phi`` and then a ``psi`` that is not positive, raise
+    :class:`CertificateInfeasible`."""
+    n, g = len(couplings), gains.g
+    for idx, cpl in enumerate(couplings):
+        if cpl is not None and gains.omega[idx] < (bound := _omega_bound(cpl, plant, g)):
+            raise CertificateInfeasible(idx + 1, "omega", gains.omega[idx], bound)
+    have_udot = bounds.d_udot is not None
+    phi, t_x = np.full(n, np.nan), np.full(n, np.nan)
+    psi, t_u = (np.full(n, np.nan), np.full(n, np.nan)) if have_udot else (None, None)
+    for idx, cpl in enumerate(couplings):
+        if cpl is None:
+            continue
+        eta = cpl.M.shape[0]
+        d_tu = _tilde_u(bounds, idx, eta, uhat0_mag)
+        phi_i = gains.theta[idx] * cpl.lambda_min * g - cpl.lambda_max * g * d_tu
+        if phi_i <= 0:
+            raise CertificateInfeasible(idx + 1, "phi", phi_i)
+        phi[idx] = phi_i
+        t_x[idx] = cpl.lambda_max * g / phi_i * x_err0[idx]
+        if have_udot:
+            psi_i = gains.pi[idx] * cpl.lambda_min - cpl.lambda_max * np.sqrt(
+                eta) * float(bounds.d_udot[idx])
+            if psi_i <= 0:
+                raise CertificateInfeasible(idx + 1, "psi", psi_i)
+            psi[idx] = psi_i
+            t_u[idx] = cpl.lambda_max / psi_i * u_err0[idx]
+    active = [i for i, c in enumerate(couplings) if c is not None]
+    t_x_global = float(np.max(t_x[active])) if active else 0.0
+    t_u_global = (float(np.max(t_u[active])) if active else 0.0) if have_udot else None
+    return ConvergenceCertificate(
+        phi=phi, psi=psi, T_x=t_x, T_u=t_u, T_x_global=t_x_global,
+        T_u_global=t_u_global, T_xu=t_u_global + t_x_global if have_udot else None,
+    )

@@ -1,5 +1,5 @@
-"""Dense kernel tests: eigensolver, the spectral norms the gain design uses,
-definiteness.
+"""Dense kernel tests: eigensolver and the spectral norms the gain design
+uses.
 
 Expected eigenvalues come from closed-form characteristic polynomials or
 from numpy's independent LAPACK-backed solver, never from the kernel under
@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 import reference_jacobi
 from conftest import chorded_ring, random_connected_graph
 from khopsim import dense_linalg, gain_tuning, tune_gains
-from khopsim.dense_linalg import is_negative_definite, sym_eig
+from khopsim.dense_linalg import sym_eig
 from khopsim.errors import NumericalError
 from khopsim.scenario_cli import load_scenario
 
@@ -146,7 +146,8 @@ class TestRotationsOnPythonFloats:
         def tuned():
             gains, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
             spectra = [(c.lambda_min.hex(), c.lambda_max.hex()) for c in cpls if c is not None]
-            return [a.tobytes() for a in (gains.G, gains.omega, gains.theta, gains.pi)], spectra
+            arrays = [a.tobytes() for a in (gains.omega, gains.theta, gains.pi)]
+            return [gains.g.hex(), *arrays], spectra
 
         ours = tuned()
         calls = []
@@ -158,11 +159,11 @@ class TestRotationsOnPythonFloats:
         monkeypatch.setattr(dense_linalg, "sym_eig", oracle)
         monkeypatch.setattr(gain_tuning, "sym_eig", oracle)
         assert tuned() == ours
-        assert len(calls) == sc.graph.n + 3  # the couplings, design_G twice, g_spectrum
+        assert len(calls) == sc.graph.n + 1  # the couplings and design_g
 
 
 class TestSpectralNorm:
-    """``tune_omega`` takes ``||M (x) G||`` as ``lambda_max(M) lambda_max(G)``."""
+    """``tune_omega`` takes ``||M (x) G||`` as ``lambda_max(M) g`` for ``G = g I``."""
 
     def test_symmetric_psd_equals_lambda_max(self):
         m1 = np.array([[2.0, -1.0], [-1.0, 1.0]])
@@ -181,24 +182,3 @@ class TestSpectralNorm:
                 np.linalg.norm(a, 2) * np.linalg.norm(b, 2), rel=1e-10
             )
 
-
-class TestNegativeDefinite:
-    def test_negative_identity(self):
-        assert is_negative_definite(-np.eye(2), tol=1e-9)
-
-    def test_zero_matrix(self):
-        assert not is_negative_definite(np.zeros((2, 2)))
-
-    def test_single_integrator_design_condition(self):
-        # G = 20 I with zero drift: g(A + A^T) - 2 g^2 I = -800 I
-        g = 20.0
-        a = np.zeros((2, 2))
-        cond = g * (a + a.T) - 2.0 * g * g * np.eye(2)
-        w = sym_eig(cond)
-        assert w[-1] == pytest.approx(-800.0, abs=1e-9)
-        assert is_negative_definite(cond)
-
-    def test_symmetrizes_input(self):
-        # asymmetric matrix whose symmetric part is -I
-        m = np.array([[-1.0, 5.0], [-5.0, -1.0]])
-        assert is_negative_definite(m)

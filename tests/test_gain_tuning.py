@@ -6,10 +6,14 @@ from the closed-form bounds; everything else is checked against direct
 matrix assembly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chorded_ring, random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 from khopsim import (
     BoundSet,
     Graph,
@@ -17,9 +21,8 @@ from khopsim import (
     all_khop_sets,
     certificate,
     coupling_matrices,
-    design_G,
-    g_spectrum,
-    gain_tuning,
+    coupling_spectra,
+    design_g,
     tune_gains,
     tune_omega,
     tune_pi,
@@ -30,20 +33,30 @@ from khopsim.errors import (
     CouplingNotPD,
     GainConditionViolated,
 )
-from khopsim.dense_linalg import is_negative_definite, sym_eig
+from khopsim.dense_linalg import DEFINITENESS_TOL, sym_eig
 from khopsim.gain_tuning import GainSet
 from khopsim.graph_khop import ObserverCoupling
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario
-from reference_form import verify_gain_inequality
+from reference_form import reference_certificate, reference_gains, verify_gain_inequality
 
 
 def plant2(a=None, l_f=0.0):
     return PlantModel(N=2, A=np.zeros((2, 2)) if a is None else a, l_f=l_f)
 
 
-def design_condition(plant, G):
-    """``G^T A + A^T G - 2 G^T G``, which the design requires negative definite."""
+def design_condition(plant, g):
+    """``G^T A + A^T G - 2 G^T G`` for ``G = g I``, which the design
+    requires negative definite."""
+    G = g * np.eye(plant.N)
     return G.T @ plant.A + plant.A.T @ G - 2.0 * (G.T @ G)
+
+
+def negative_definite(m):
+    return sym_eig(0.5 * (m + m.T))[-1] < -DEFINITENESS_TOL
+
+
+def spectrum(coupling):
+    return coupling.lambda_min, coupling.lambda_max
 
 
 def scalar_coupling(value=1.0):
@@ -55,43 +68,42 @@ def scalar_coupling(value=1.0):
 
 class TestDesignG:
     def test_single_integrator_explicit_scale(self):
-        G = design_G(plant2(), g_scale=20.0)
-        assert np.array_equal(G, 20.0 * np.eye(2))
-        condition = design_condition(plant2(), G)
-        assert is_negative_definite(condition)
+        g = design_g(plant2(), g_scale=20.0)
+        assert g == 20.0
+        condition = design_condition(plant2(), g)
+        assert negative_definite(condition)
         assert sym_eig(condition)[-1] == pytest.approx(-800.0, abs=1e-9)
 
     def test_stable_drift_auto(self):
-        G = design_G(PlantModel(N=2, A=-np.eye(2)))
-        assert np.array_equal(G, np.eye(2))
+        assert design_g(PlantModel(N=2, A=-np.eye(2))) == 1.0
 
     def test_jordan_block_auto(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        G = design_G(PlantModel(N=2, A=a))
-        assert np.array_equal(G, 1.5 * np.eye(2))
-        assert is_negative_definite(design_condition(PlantModel(N=2, A=a), G))
+        g = design_g(PlantModel(N=2, A=a))
+        assert g == 1.5
+        assert negative_definite(design_condition(PlantModel(N=2, A=a), g))
 
     def test_violating_scale_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert not negative_definite(design_condition(PlantModel(N=2, A=a), 0.3))
         with pytest.raises(GainConditionViolated):
-            design_G(PlantModel(N=2, A=a), g_scale=0.3)
+            design_g(PlantModel(N=2, A=a), g_scale=0.3)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(GainConditionViolated):
-            design_G(plant2(), g_scale=-1.0)
+            design_g(plant2(), g_scale=-1.0)
 
 
 class TestTuneOmega:
     def test_path_agents(self, path4, path4_couplings):
         _, cpls = path4_couplings
-        G = 20.0 * np.eye(2)
-        assert tune_omega(cpls[0], plant2(), g_spectrum(G)) == pytest.approx(2.62, abs=0.01)
-        assert tune_omega(cpls[1], plant2(), g_spectrum(G)) == pytest.approx(1.0, abs=1e-12)
+        assert tune_omega(*spectrum(cpls[0]), plant2(), 20.0) == pytest.approx(2.62, abs=0.01)
+        assert tune_omega(*spectrum(cpls[1]), plant2(), 20.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_lipschitz_term(self):
         # 1 * (1 + 1*1/(1*1)) = 2
         plant = PlantModel(N=1, A=np.zeros((1, 1)), l_f=1.0)
-        assert tune_omega(scalar_coupling(), plant, g_spectrum(np.eye(1))) == pytest.approx(2.0)
+        assert tune_omega(*spectrum(scalar_coupling()), plant, 1.0) == pytest.approx(2.0)
 
     def test_zero_lipschitz_is_inverse_lambda_min(self):
         rng = np.random.default_rng(17)
@@ -101,7 +113,7 @@ class TestTuneOmega:
                 if nb.eta == 0:
                     continue
                 c = coupling_matrices(g, nb)
-                got = tune_omega(c, plant2(), g_spectrum(5.0 * np.eye(2)))
+                got = tune_omega(*spectrum(c), plant2(), 5.0)
                 assert got == pytest.approx(1.0 / c.lambda_min, rel=1e-12)
 
     def test_singular_coupling_rejected(self):
@@ -112,39 +124,38 @@ class TestTuneOmega:
             lambda_min=0.0,
             lambda_max=0.0,
         )
-        with pytest.raises(CouplingNotPD):
-            tune_omega(c, plant2(), g_spectrum(np.eye(2)))
+        with pytest.raises(CouplingNotPD, match="agent 2: lambda_min"):
+            coupling_spectra([None, c])
 
 
 class TestTuneThetaPi:
     def test_reference_design_values(self, path4_couplings):
         _, cpls = path4_couplings
-        G = 20.0 * np.eye(2)
-        assert tune_theta(cpls[1], g_spectrum(G), 0.5, slack=1e-9) == pytest.approx(0.5, abs=1e-6)
-        assert tune_theta(cpls[0], g_spectrum(G), 0.496, slack=1e-9) == pytest.approx(3.4, abs=0.01)
-        assert tune_pi(cpls[0], 2, 1.0, slack=1e-9) == pytest.approx(9.7, abs=0.01)
-        assert tune_pi(cpls[1], 1, 1.0, slack=1e-9) == pytest.approx(1.0, abs=1e-6)
+        s0, s1 = spectrum(cpls[0]), spectrum(cpls[1])
+        assert tune_theta(*s1, 20.0, 0.5, slack=1e-9) == pytest.approx(0.5, abs=1e-6)
+        assert tune_theta(*s0, 20.0, 0.496, slack=1e-9) == pytest.approx(3.4, abs=0.01)
+        assert tune_pi(*s0, 2, 1.0, slack=1e-9) == pytest.approx(9.7, abs=0.01)
+        assert tune_pi(*s1, 1, 1.0, slack=1e-9) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_bound_gives_slack(self):
         c = scalar_coupling()
-        assert tune_theta(c, g_spectrum(np.eye(2)), 0.0, slack=0.25) == 0.25
-        assert tune_pi(c, 1, 0.0, slack=0.25) == 0.25
+        assert tune_theta(*spectrum(c), 1.0, 0.0, slack=0.25) == 0.25
+        assert tune_pi(*spectrum(c), 1, 0.0, slack=0.25) == 0.25
 
     def test_slack_must_be_positive(self):
         c = scalar_coupling()
         with pytest.raises(ValueError):
-            tune_theta(c, g_spectrum(np.eye(2)), 1.0, slack=0.0)
+            tune_theta(*spectrum(c), 1.0, 1.0, slack=0.0)
         with pytest.raises(ValueError):
-            tune_pi(c, 1, 1.0, slack=-1.0)
+            tune_pi(*spectrum(c), 1, 1.0, slack=-1.0)
 
 
 class TestGainInequality:
     def test_reference_gains_hold(self, path4, path4_couplings):
         _, cpls = path4_couplings
-        G = 20.0 * np.eye(2)
         for cpl in cpls:
-            omega = tune_omega(cpl, plant2(), g_spectrum(G))
-            rep = verify_gain_inequality(cpl, plant2(), G, omega)
+            omega = tune_omega(*spectrum(cpl), plant2(), 20.0)
+            rep = verify_gain_inequality(cpl, plant2(), 20.0 * np.eye(2), omega)
             assert rep.holds and rep.lambda_max < 0
 
     def test_zero_gain_with_lipschitz_fails(self):
@@ -163,13 +174,13 @@ class TestGainInequality:
             a = rng.normal(size=(n_dim, n_dim))
             l_f = float(rng.uniform(0.0, 1.0))
             plant = PlantModel(N=n_dim, A=a, l_f=l_f)
-            G = design_G(plant)
+            g_gain = design_g(plant)
             for nb in all_khop_sets(g, k):
                 if nb.eta == 0:
                     continue
                 cpl = coupling_matrices(g, nb)
-                omega = tune_omega(cpl, plant, g_spectrum(G))
-                rep = verify_gain_inequality(cpl, plant, G, omega)
+                omega = tune_omega(*spectrum(cpl), plant, g_gain)
+                rep = verify_gain_inequality(cpl, plant, g_gain * np.eye(n_dim), omega)
                 assert rep.holds, (g, k, a, l_f, omega, rep.lambda_max)
                 checked += 1
 
@@ -178,7 +189,7 @@ class TestCertificate:
     def test_scalar_plugin(self):
         cpl = scalar_coupling()
         gains = GainSet(
-            G=np.eye(1),
+            g=1.0,
             omega=np.array([1.0]),
             theta=np.array([1.0]),
             pi=np.array([1.0]),
@@ -193,7 +204,7 @@ class TestCertificate:
         # with pi exactly 1.0 the margin psi vanishes: infeasible
         _, cpls = path4_couplings
         gains = GainSet(
-            G=20.0 * np.eye(2),
+            g=20.0,
             omega=np.array([2.619, 1.0, 1.0, 2.619]),
             theta=np.array([3.43, 0.501, 0.501, 3.43]),
             pi=np.array([9.7, 1.0, 1.0, 9.7]),
@@ -203,12 +214,7 @@ class TestCertificate:
             certificate(cpls, plant2(), gains, bounds, np.ones(4), np.ones(4))
         assert err.value.quantity == "psi"
         # a strictly positive slack restores feasibility
-        gains2 = GainSet(
-            G=gains.G,
-            omega=gains.omega,
-            theta=gains.theta,
-            pi=gains.pi + 1e-3,
-        )
+        gains2 = dataclasses.replace(gains, pi=gains.pi + 1e-3)
         cert = certificate(cpls, plant2(), gains2, bounds, np.ones(4), np.ones(4))
         assert np.all(cert.psi > 0)
         assert cert.T_xu == pytest.approx(cert.T_x_global + cert.T_u_global)
@@ -217,7 +223,7 @@ class TestCertificate:
         _, cpls = path4_couplings
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         base = dict(
-            G=20.0 * np.eye(2),
+            g=20.0,
             omega=np.array([2.619, 1.0, 1.0, 2.619]),
             pi=np.array([9.7, 1.01, 1.01, 9.7]),
         )
@@ -241,7 +247,7 @@ class TestCertificate:
         one_ulp_below = tuned.omega.copy()
         one_ulp_below[2] = np.nextafter(one_ulp_below[2], 0.0)
         for omega, agent in ((one_ulp_below, 3), (np.zeros(4), 1)):
-            gains = GainSet(G=tuned.G, omega=omega, theta=tuned.theta, pi=tuned.pi)
+            gains = dataclasses.replace(tuned, omega=omega)
             with pytest.raises(CertificateInfeasible) as err:
                 certificate(cpls, sc.plant, gains, *args)
             assert (err.value.agent, err.value.quantity) == (agent, "omega")
@@ -261,18 +267,19 @@ class TestBoundSet:
     def test_broadcasts_scalars(self):
         b = BoundSet(n=3, d_udot=1.0, d_tilde_u=[0.1, 0.2, 0.3])
         assert b.d_udot.shape == (3,)
-        assert b.tilde_u(2, eta_i=1) == 0.2
+        assert b.tilde_u(np.ones(3, dtype=int))[1] == 0.2
 
     def test_default_tilde_u_from_input_bound(self):
         b = BoundSet(n=2, d_u=2.0)
-        assert b.tilde_u(1, eta_i=4, uhat0_mag=0.5) == pytest.approx(
-            np.sqrt(4) * (2.0 + 0.5)
+        assert b.tilde_u(np.array([4, 0]), uhat0_mag=0.5) == pytest.approx(
+            [np.sqrt(4) * (2.0 + 0.5), 2.0 + 0.5]
         )
 
     def test_tilde_u_unavailable(self):
         b = BoundSet(n=2, d_udot=1.0)
         with pytest.raises(ValueError):
-            b.tilde_u(1, eta_i=1)
+            b.tilde_u(np.array([1, 0]))
+        assert np.isnan(b.tilde_u(np.zeros(2, dtype=int))).all()  # no observer needs one
 
 
 class TestTuneGains:
@@ -293,16 +300,54 @@ class TestTuneGains:
         assert all(c is None for c in cpls)
         assert np.all(np.isnan(gains.omega))
 
-    def test_g_spectrum_computed_once(self, monkeypatch):
-        # Every agent's omega and theta bound uses the same spectrum of G.
-        sc = load_scenario(chorded_ring())
-        real, calls = gain_tuning.g_spectrum, []
 
-        def counted(G):
-            calls.append(G)
-            return real(G)
+@st.composite
+def gain_problems(draw):
+    """A random connected graph with ``k`` 2-4, a random drift ``A`` and
+    ``l_f``, a slack, per-agent bounds (``d_tilde_u`` given or derived from
+    ``d_u``, ``d_udot`` given or not) and the initial input-estimate size."""
+    graph = draw(connected_graphs(max_n=10))
+    n, n_dim = graph.n, draw(st.integers(1, 3))
+    a = draw(st.lists(st.floats(-3.0, 3.0), min_size=n_dim * n_dim, max_size=n_dim * n_dim))
+    plant = PlantModel(N=n_dim, A=np.reshape(a, (n_dim, n_dim)), l_f=draw(st.floats(0.0, 5.0)))
+    per_agent = st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)
+    d_udot = draw(st.none() | per_agent)
+    d_tilde_u = draw(st.none() | per_agent)
+    d_u = draw(per_agent if d_tilde_u is None or d_udot is None else st.none() | per_agent)
+    bounds = BoundSet(n=n, d_u=d_u, d_udot=d_udot, d_tilde_u=d_tilde_u)
+    return (graph, draw(st.integers(2, 4)), plant, bounds, draw(st.floats(1e-6, 1.0)),
+            draw(st.floats(0.0, 2.0)))
 
-        monkeypatch.setattr(gain_tuning, "g_spectrum", counted)
-        gains, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
-        assert sum(c is not None for c in cpls) == 12
-        assert len(calls) == 1 and calls[0] is gains.G
+
+# Gain changes for the certificate: none, omega one part in 1e12 below its
+# bound, and switching gains cut or raised, so that some agents fail phi,
+# psi or both and the first failure decides.
+SCALINGS = ({}, {"omega": 1.0 - 1e-12}, {"theta": 0.5}, {"pi": 0.5},
+            {"theta": 0.5, "pi": 0.5}, {"theta": 3.0, "pi": 3.0})
+
+
+@settings(max_examples=100, deadline=None)
+@given(gain_problems(), st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2))
+def test_gains_and_certificate_match_the_per_agent_oracle(problem, err0):
+    graph, k, plant, bounds, slack, uhat0_mag = problem
+    tuned, _, cpls = tune_gains(graph, k, plant, bounds, slack=slack, uhat0_mag=uhat0_mag)
+    for got, want in zip((tuned.omega, tuned.theta, tuned.pi),
+                         reference_gains(cpls, plant, tuned.g, bounds, slack, uhat0_mag)):
+        assert np.array_equal(got, want, equal_nan=True)
+    for scaling in SCALINGS:
+        gains = dataclasses.replace(
+            tuned, **{name: getattr(tuned, name) * f for name, f in scaling.items()})
+        args = (cpls, plant, gains, bounds, np.full(graph.n, err0[0]),
+                np.full(graph.n, err0[1]), uhat0_mag)
+        try:
+            want = reference_certificate(*args)
+        except CertificateInfeasible as exc:
+            with pytest.raises(CertificateInfeasible) as err:
+                certificate(*args)
+            assert (err.value.agent, err.value.quantity) == (exc.agent, exc.quantity)
+            assert (err.value.value, err.value.bound) == (exc.value, exc.bound)
+            continue
+        got = certificate(*args)
+        for field in dataclasses.fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), field.name

@@ -222,7 +222,7 @@ class TestReorderErrors:
 
     def test_path_block_placement(self, path4):
         nbs = all_khop_sets(path4, 3)
-        pairs = pair_layout(nbs, unit_gains(4))
+        pairs = pair_layout(nbs, unit_gains(4), 1)
         # pairs estimator-major: (1,3) (1,4) (2,4) (3,1) (4,1) (4,2)
         assert pairs.estimator.tolist() == [0, 0, 1, 2, 3, 3]
         assert pairs.target.tolist() == [2, 3, 3, 0, 0, 1]

@@ -75,7 +75,7 @@ def structural_identity_max_error(g, k, n_dim, rng):
         ]
     )
     # regroup the pair blocks target-major, estimators ascending per target
-    order = np.argsort(pair_layout(nbs, unit_gains(g.n)).target, kind="stable")
+    order = np.argsort(pair_layout(nbs, unit_gains(g.n), 1).target, kind="stable")
     xi_by_target, rho_by_target, dev_x_t, dev_u_t = (
         vec.reshape(-1, n_dim)[order].reshape(-1) for vec in (xi_all, rho_all, dev_x, dev_u)
     )
@@ -307,7 +307,7 @@ class TestInputObserver:
         g = Graph(3, {(1, 2), (2, 3)})
         pi_gain = 2.0
         gains = GainSet(
-            G=np.eye(1),
+            g=1.0,
             omega=np.array([1.0, 1.0, 1.0]),
             theta=np.array([1.0, 1.0, 1.0]),
             pi=np.array([pi_gain, pi_gain, pi_gain]),

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import re
@@ -55,6 +56,19 @@ class TestScenarioParsing:
     def test_schema_version_enforced(self, tmp_path):
         path, _ = write_scenario(tmp_path, schema_version=99)
         assert main(["tune", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "patch, path",
+        [({"sim.conv_esp": 0.5}, "sim.conv_esp"), ({"seed": 3}, "seed"),
+         ({"gains.overrides": {"thetta": 1.0}}, "gains.overrides.thetta")],
+        ids=["in_sim", "top_level", "nested"],
+    )
+    def test_unknown_field_exits_1_naming_it(self, tmp_path, capsys, patch, path):
+        # A typo was once dropped without a word, leaving the default.
+        scenario, _ = write_scenario(tmp_path, **patch)
+        assert main(["tune", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"scenario error: unknown field {path}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_graph_from_file(self, tmp_path):
         (tmp_path / "graph.txt").write_text("4\n1 2\n2 3\n3 4\n")
@@ -233,7 +247,7 @@ class TestTune:
     @pytest.mark.parametrize("field", ["plant.A", "gains.g"])
     def test_overflowing_matrix_exits_1_with_one_line(self, tmp_path, capsys, field):
         # A squared 1e300 overflows: in sym_eig's Frobenius norm (plant.A) or
-        # in design_G's G^T G (gains.g). Neither may warn or answer.
+        # in design_g's 2 g (lambda_max - g) (gains.g). Neither may warn or answer.
         path, _ = write_scenario(tmp_path, **{field: 1e300})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -242,6 +256,34 @@ class TestTune:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert not (tmp_path / "out" / "gains.json").exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+@pytest.mark.parametrize(
+    "patch, reason",
+    [
+        ({"bounds.d_tilde_u": 1e308}, "agent 1: theta = inf is not finite"),
+        ({"gains.theta_scale": 1e308}, "agent 1: theta = inf is not finite"),
+        ({"gains.slack": 1e308}, "agent 1: phi = inf is not finite"),
+        ({"gains.overrides": {"theta": 1e308}}, "agent 1: phi = inf is not finite"),
+        ({"gains.pi_scale": 1e308}, "agent 1: pi = inf is not finite"),
+        ({"bounds.d_udot": 1e308}, "agent 1: pi = inf is not finite"),
+        ({"plant.l_f": 1e308}, "agent 1: omega = inf is not finite"),
+        ({"plant.A": 1e308}, "matrix contains non-finite entries"),
+    ],
+    ids=["d_tilde_u", "theta_scale", "slack", "theta_override", "pi_scale", "d_udot",
+         "l_f", "plant_A"],
+)
+def test_overflowing_gain_exits_1_with_one_line(tmp_path, capsys, command, patch, reason):
+    # Such gains once certified T_x = 0 or gave no T_x at all, after
+    # numpy overflow warnings.
+    path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05}, **patch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -870,6 +912,21 @@ def test_readme_field_table_matches_the_schema():
         shown = ("required" if default is scenario_cli.REQUIRED
                  else "—" if default is None else f"`{json.dumps(default)}`")
         assert f"| `{path}` | {kind} | {constraint or '—'} | {shown} |" in section, path
+
+
+def test_readme_library_layout_names_exist():
+    # Every backticked name in a row of the table is an attribute of the
+    # row's module, so a renamed or deleted one cannot linger there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `khopsim\.(\w+)` \| (.*) \|$", section, flags=re.M)
+    assert [module for module, _ in rows] == [
+        "graph_khop", "dense_linalg", "gain_tuning", "khop_observer", "plant_sim", "scenario_cli"]
+    for module, text in rows:
+        names = [name for name in re.findall(r"`([^`]+)`", text) if name.isidentifier()]
+        assert names, module
+        for name in names:
+            assert hasattr(importlib.import_module(f"khopsim.{module}"), name), (module, name)
 
 
 def test_readme_report_keys_match_the_reports():
