@@ -10,7 +10,6 @@ from .errors import (
     CertificateInfeasible,
     CouplingNotPD,
     DivergenceDetected,
-    EmptyNeighborhood,
     GainConditionViolated,
     GraphNotConnected,
     IndexOutOfRange,
@@ -23,7 +22,6 @@ from .errors import (
 from .graph_khop import (
     Graph,
     KHopNeighborhood,
-    ObserverCoupling,
     all_khop_sets,
     coupling_matrices,
     khop_set,

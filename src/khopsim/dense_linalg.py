@@ -1,8 +1,9 @@
 """Dense symmetric kernels for the gain inequalities, with their tolerances.
 
 The eigensolver runs cyclic Jacobi rotations on the eigenvalues alone, for the
-small matrices whose spectra feed the gains: the coupling matrices (``eta_i``
-rows) and the symmetric part of the plant drift in ``design_g`` (``N`` rows).
+small matrices whose spectra feed the gains, both in ``gain_tuning``: the
+coupling matrices ``M`` in ``coupling_spectra`` (``eta_i`` rows) and the
+symmetric part of the plant drift in ``design_g`` (``N`` rows).
 It rotates Python floats, as numpy's ~1 us per call outweighs the arithmetic on
 rows this short, with the operations and order of the numpy form
 (``tests/reference_jacobi.py``), bit for bit: the gains and, through ``sign``
@@ -45,8 +46,9 @@ def _symmetric(m) -> np.ndarray:
 def sym_eig(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
-    Iteration stops once every off-diagonal entry is below ``JACOBI_RTOL``
-    relative to the Frobenius norm of the input, which must not overflow.
+    Iteration stops once every entry above the diagonal, the ones the
+    rotations read, is below ``JACOBI_RTOL`` relative to the Frobenius norm
+    of the input, which must not overflow.
     """
     a = _symmetric(m)
     n = a.shape[0]
@@ -57,8 +59,9 @@ def sym_eig(m) -> np.ndarray:
             raise NumericalError("the Frobenius norm of the matrix overflows")
         thresh = JACOBI_RTOL * max(fro, np.finfo(float).tiny)
         rows = a.tolist()
+        upper = ~np.tri(n, dtype=bool)  # the entries the rotations read
         for _ in range(_MAX_SWEEPS):
-            if np.abs(np.array(rows)[~np.eye(n, dtype=bool)]).max() <= thresh:
+            if np.abs(np.array(rows)[upper]).max() <= thresh:
                 break
             for p in range(n - 1):
                 for q in range(p + 1, n):

@@ -17,10 +17,6 @@ class IndexOutOfRange(KhopsimError):
     """An agent index is outside 1..n."""
 
 
-class EmptyNeighborhood(KhopsimError):
-    """Operation needs a non-empty multi-hop neighborhood (eta >= 1)."""
-
-
 class NumericalError(KhopsimError):
     """Non-finite values or a numerical kernel failed to converge."""
 

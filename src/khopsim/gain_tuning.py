@@ -137,14 +137,15 @@ class ConvergenceCertificate:
     T_xu: Optional[float]
 
 
-def coupling_spectra(couplings) -> tuple:
-    """``(lambda_min, lambda_max, eta)`` of agent-indexed ``couplings``, as
-    per-agent arrays: NaN spectra and ``eta = 0`` where an agent has no
-    coupling (``None``). Raises :class:`CouplingNotPD` for the first agent
-    whose coupling matrix is not positive definite.
+def coupling_spectra(matrices) -> tuple:
+    """``(lambda_min, lambda_max, eta)`` of the agent-indexed coupling
+    ``matrices`` ``M``, as per-agent arrays: NaN spectra and ``eta = 0``
+    where an agent has no matrix (``None``). This is the one eigensolve of
+    each ``M``. Raises :class:`CouplingNotPD` for the first agent whose
+    ``M`` is not positive definite.
     """
-    rows = [(np.nan, np.nan, 0) if c is None else (c.lambda_min, c.lambda_max, len(c.M))
-            for c in couplings]
+    rows = [(np.nan, np.nan, 0) if m is None else (*sym_eig(m)[[0, -1]], len(m))
+            for m in matrices]
     lmin, lmax, eta = map(np.array, zip(*rows))
     if (not_pd := lmin <= DEFINITENESS_TOL).any():
         i = int(np.argmax(not_pd))
@@ -215,19 +216,20 @@ def _first_agent(flags: dict):
     return (int(hits[0, 0]), list(flags)[hits[0, 1]]) if len(hits) else None
 
 
-def certificate(couplings, plant: PlantModel, gains: GainSet, bounds: BoundSet,
+def certificate(spectra, plant: PlantModel, gains: GainSet, bounds: BoundSet,
                 x_err0, u_err0, uhat0_mag: float = 0.0) -> ConvergenceCertificate:
     """Evaluate the finite-time certificates for every agent with an observer.
 
-    ``couplings`` is agent-indexed with ``None`` where eta = 0; ``x_err0``
-    and ``u_err0`` are the initial stacked-error norms per agent. Raises
+    ``spectra`` is :func:`coupling_spectra`'s ``(lambda_min, lambda_max,
+    eta)``; ``x_err0`` and ``u_err0`` are the initial stacked-error norms
+    per agent. Raises
     :class:`NumericalError` for the first agent with an observer whose gain
     (``pi`` only when ``d_udot`` is known), phi or psi is not finite. Then
     raises :class:`CertificateInfeasible` when any ``omega`` is below its
     :func:`tune_omega` bound, then when a phi or psi margin is not strictly
     positive. Input-side bounds are only produced when ``d_udot`` is known.
     """
-    lmin, lmax, eta = coupling_spectra(couplings)
+    lmin, lmax, eta = spectra
     g, active, have_udot = gains.g, eta > 0, bounds.d_udot is not None
     if not g > DEFINITENESS_TOL:
         raise GainConditionViolated(f"G = g I must be positive definite, got g = {g}")
@@ -261,18 +263,17 @@ def tune_gains(graph: Graph, k: int, plant: PlantModel, bounds: BoundSet,
                uhat0_mag: float = 0.0) -> tuple:
     """Tune the full gain set for a network.
 
-    Returns ``(gains, nbs, couplings)`` where ``couplings`` is agent-indexed
-    with ``None`` for agents without multi-hop neighbors; ``omega`` sits on
-    its lower bound. A gain that overflows stays non-finite, for
-    :func:`certificate` to refuse.
+    Returns ``(gains, nbs, spectra)``, ``spectra`` being the per-agent
+    :func:`coupling_spectra`; ``omega`` sits on its lower bound. A gain
+    that overflows stays non-finite, for :func:`certificate` to refuse.
     """
     g = design_g(plant, g_scale)
     nbs = all_khop_sets(graph, k)
-    couplings = [coupling_matrices(graph, nb) if nb.eta > 0 else None for nb in nbs]
-    lmin, lmax, eta = coupling_spectra(couplings)
+    spectra = coupling_spectra([coupling_matrices(graph, nb) if nb.eta else None for nb in nbs])
+    lmin, lmax, eta = spectra
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = tune_omega(lmin, lmax, plant, g)
         theta = tune_theta(lmin, lmax, g, bounds.tilde_u(eta, uhat0_mag), slack)
         pi = (np.full(graph.n, np.nan) if bounds.d_udot is None
               else tune_pi(lmin, lmax, eta, bounds.d_udot, slack))
-    return GainSet(g, omega, theta, pi), nbs, couplings
+    return GainSet(g, omega, theta, pi), nbs, spectra

@@ -2,11 +2,10 @@
 
 An undirected connected graph fixes, for every agent ``i``, the ordered set
 of agents at shortest-path distance 2..k (the ones ``i`` must estimate),
-and from that set the coupling matrix ``M = L + H`` whose spectrum drives
-every gain inequality:
-
-* ``L`` is the Laplacian of the subgraph induced by the neighborhood,
-* ``H`` is diagonal and counts common 1-hop neighbors with agent ``i``.
+and from that set the coupling matrix ``M = L + H``: the Laplacian ``L`` of
+the subgraph induced by the neighborhood, plus the diagonal ``H`` that
+counts each member's common 1-hop neighbors with agent ``i``. Its spectrum,
+which :mod:`khopsim.gain_tuning` computes, drives every gain inequality.
 
 Agents are numbered 1..n throughout, matching the usual convention for
 hand-worked examples.
@@ -20,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dense_linalg
-from .errors import (
-    EmptyNeighborhood,
-    GraphNotConnected,
-    IndexOutOfRange,
-)
+from .errors import GraphNotConnected, IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -85,16 +79,9 @@ class Graph:
             return cls.from_edge_list_text(fh.read())
 
     def neighbors(self, i: int) -> tuple:
-        self._check_index(i)
+        if not (1 <= i <= self.n):
+            raise IndexOutOfRange(f"agent index {i} outside 1..{self.n}")
         return self._adj[i]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-    def distances_from(self, i: int) -> dict:
-        """BFS shortest-path distances from agent ``i`` (unit edge weights)."""
-        self._check_index(i)
-        return self._bfs(i)
 
     def laplacian(self) -> np.ndarray:
         lap = np.zeros((self.n, self.n))
@@ -104,10 +91,6 @@ class Graph:
             lap[i - 1, j - 1] -= 1.0
             lap[j - 1, i - 1] -= 1.0
         return lap
-
-    def _check_index(self, i: int):
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange(f"agent index {i} outside 1..{self.n}")
 
     def _bfs(self, start: int, max_depth: Optional[int] = None) -> dict:
         """Distances from ``start``, to every agent or only up to ``max_depth``."""
@@ -144,17 +127,6 @@ class KHopNeighborhood:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ObserverCoupling:
-    """Coupling matrix ``M = L + H`` of one agent's neighborhood with spectrum."""
-
-    L: np.ndarray
-    H: np.ndarray
-    M: np.ndarray
-    lambda_min: float
-    lambda_max: float
-
-
 def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
     """Agents with a shortest path of length p, 2 <= p <= k, from agent ``i``."""
     if k < 2:
@@ -170,19 +142,16 @@ def all_khop_sets(g: Graph, k: int) -> list:
     return [khop_set(g, i, k) for i in range(1, g.n + 1)]
 
 
-def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> ObserverCoupling:
-    """Build ``L``, ``H`` and ``M = L + H`` for one agent's neighborhood.
+def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> np.ndarray:
+    """The coupling matrix ``M = L + H`` of one agent's neighborhood.
 
     ``L`` is the Laplacian of the subgraph induced by ``nb.members`` on the
     full edge set; ``H[j, j]`` counts the common 1-hop neighbors between
     member ``j`` and the owning agent. For a connected graph ``M`` is
     positive definite whenever the neighborhood is non-empty.
     """
-    eta = nb.eta
-    if eta == 0:
-        raise EmptyNeighborhood(f"agent {nb.agent} has no multi-hop neighbors")
     idx = {m: p for p, m in enumerate(nb.members)}
-    lap = np.zeros((eta, eta))
+    lap = np.zeros((nb.eta, nb.eta))
     for p, a in enumerate(nb.members):
         for b in g.neighbors(a):
             q = idx.get(b)
@@ -192,9 +161,4 @@ def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> ObserverCoupling:
                 lap[p, q] -= 1.0
                 lap[q, p] -= 1.0
     own = set(g.neighbors(nb.agent))
-    h = np.diag([float(len(own.intersection(g.neighbors(m)))) for m in nb.members])
-    m_mat = lap + h
-    w = dense_linalg.sym_eig(m_mat)
-    return ObserverCoupling(
-        L=lap, H=h, M=m_mat, lambda_min=float(w[0]), lambda_max=float(w[-1])
-    )
+    return lap + np.diag([float(len(own.intersection(g.neighbors(m)))) for m in nb.members])

@@ -142,9 +142,10 @@ def pair_layout(nbs, gains: GainSet, n_dim: int) -> PairLayout:
 
 
 class PairWorkspace:
-    """The buffers and views that :func:`pair_derivative` reuses on every
-    call for one state array ``z`` under one layout, plant and boundary
-    layer, whose width is checked here once.
+    """Everything :func:`pair_derivative` reads for one state array ``z``
+    under one layout, plant and boundary layer (whose width is checked here
+    once): ``z``, the layout's ``terms``, ``switch`` and ``omega``, the
+    plant's ``f``, and the buffers and views every call reuses.
 
     A run builds one next to its state array and drops it with the run;
     nothing in it outlives the run or is shared between runs. The
@@ -163,6 +164,8 @@ class PairWorkspace:
     ):
         if boundary_layer is not None and boundary_layer <= 0:
             raise ValueError("boundary layer width must be positive")
+        self.z, self.boundary_layer, self.f = z, boundary_layer, plant.f
+        self.terms, self.switch, self.omega = layout.terms, layout.switch, layout.omega
         p = layout.target.size
         self.own = z[:, None, :p]
         self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
@@ -187,14 +190,9 @@ class PairWorkspace:
         self.dx_rows, self.dx_est, self.plant_rows = out[1], out[1, :p], out[1, p:]
 
 
-def pair_derivative(
-    layout: PairLayout,
-    plant: PlantModel,
-    z: np.ndarray,
-    boundary_layer: Optional[float] = None,
-    work: Optional[PairWorkspace] = None,
-) -> np.ndarray:
-    """Time derivative of a run's whole state array ``z``, ``(2, P + n, N)``.
+def pair_derivative(work: PairWorkspace) -> np.ndarray:
+    """Time derivative of a run's whole state array ``z``, ``(2, P + n, N)``,
+    the one :class:`PairWorkspace` ``work`` was built for.
 
     Plane 0 of ``z`` is ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``: the
     ``(P, N)`` pair estimates, then the ``(n, N)`` true states and the
@@ -205,39 +203,35 @@ def pair_derivative(
     the plant's ``x A^T + u + f(x)``; plane 1's truth rows are zero, since
     the controller sets the inputs afresh every round.
 
-    ``work`` is the :class:`PairWorkspace` built for this layout, plant,
-    ``z`` and boundary layer; without one, the call builds its own. The
-    result is ``work.dz``. Every sum starts from ``+0.0`` and adds its terms
-    in table order, like the message form's ``acc += ...``.
+    The result is ``work.dz``. Every sum starts from ``+0.0`` and adds its
+    terms in table order, like the message form's ``acc += ...``.
 
     With ``A = 0`` the ``x A^T`` product is skipped. On finite rows it is
     ``±0``, and ``±0 + v`` is ``v`` for every nonzero ``v``: the sign
     switching terms and the inputs, which are sums that start from ``+0.0``
     and so never ``-0``. The result is then the same, bit for bit.
     """
-    if work is None:
-        work = PairWorkspace(layout, plant, z, boundary_layer)
     parts, signal, gxi, switching = work.parts, work.signal, work.gxi, work.switching
     # The indices are the layout's own, all in range, so "clip" only spares
     # numpy the bounds-checking copy it makes for ``out`` under "raise".
-    z.take(layout.terms, 1, parts, "clip")
+    work.z.take(work.terms, 1, parts, "clip")
     np.subtract(parts, work.own, parts)
     np.add.reduce(parts, 1, None, work.acc, False, 0.0)
     np.multiply(work.xi, work.g, gxi)
-    if boundary_layer is None:
+    if work.boundary_layer is None:
         # gain * sign(v) with sign(0) = +1 is +gain where v >= 0, else -gain.
         # A masked copy into ``switching`` would spare the temporary, but it
         # runs ~3x slower than np.where at 1600 pairs.
         np.greater_equal(signal, work.zero, work.mask)
-        np.copyto(switching, np.where(work.mask, layout.switch, work.neg_switch))
+        np.copyto(switching, np.where(work.mask, work.switch, work.neg_switch))
     else:
         # sign's saturation clip(v / delta, -1, 1), times the gains.
-        np.divide(signal, boundary_layer, switching)
+        np.divide(signal, work.boundary_layer, switching)
         np.clip(switching, -1.0, 1.0, out=switching)
-        np.multiply(layout.switch, switching, switching)
-    fz = None if plant.f is None else plant.f(work.x_rows)
+        np.multiply(work.switch, switching, switching)
+    fz = None if work.f is None else work.f(work.x_rows)
     p = len(gxi)
-    np.multiply(gxi, layout.omega, gxi)
+    np.multiply(gxi, work.omega, gxi)
     if work.AT is None:
         # x A^T would add ±0 here: f(xh) + omega g xi + switching.
         if fz is not None:

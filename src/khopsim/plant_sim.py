@@ -341,7 +341,8 @@ def init_world(config: SimConfig) -> np.ndarray:
 
 
 def _check_startable(config: SimConfig) -> None:
-    """Refuse to step with a missing gain."""
+    """Refuse to step with a missing gain or a band that overflows."""
+    _bands(config)
     pairs = config.structure.pairs
     for which, gain in zip(("omega", "theta", "pi"), (pairs.omega, *pairs.switch)):
         bad = ~np.isfinite(gain[:, 0])
@@ -381,8 +382,8 @@ def _bind_advance(config: SimConfig, z: np.ndarray):
     it uses, so it looks nothing up and passes every buffer positionally.
     The config's arrays are only read.
     """
-    pairs, plant, boundary_layer = config.structure.pairs, config.plant, config.boundary_layer
-    work = PairWorkspace(pairs, plant, z, boundary_layer)
+    pairs = config.structure.pairs
+    work = PairWorkspace(pairs, config.plant, z, config.boundary_layer)
     kernel = pair_derivative
     # A 0-d array multiplies as the float does, without its conversion.
     dt = np.array(config.dt)
@@ -395,7 +396,7 @@ def _bind_advance(config: SimConfig, z: np.ndarray):
     def advance(t_next: float) -> None:
         # Every pair sees its 1-hop neighbors' estimates and relays of the
         # same instant (zero-delay propagation), as in one message round.
-        dz = kernel(pairs, plant, z, boundary_layer, work)
+        dz = kernel(work)
         multiply(dz, dt, dz)
         add(z, dz, z)
         # The sum of squares is finite unless a value is, or it overflows;
@@ -498,6 +499,23 @@ def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
     return np.fmax(CONV_EPS_FLOOR, CONV_EPS_REL * first)
 
 
+def _bands(config: SimConfig) -> tuple:
+    """``(eta, band_x, band_u)``: per agent, the neighborhood size and the
+    chattering bands ``band_scale * gain * dt`` of the state (``theta``) and
+    input (``pi``) observers, zero where ``eta`` is. Raises
+    :class:`NumericalError` for the first agent whose band overflows from a
+    finite gain; a gain that is not finite is refused elsewhere."""
+    eta = np.array([nb.eta for nb in config.structure.nbs], dtype=int)
+    bands = []
+    for which, gain in (("theta", config.gains.theta), ("pi", config.gains.pi)):
+        with np.errstate(over="ignore"):
+            bands.append(np.where(eta > 0, config.band_scale * gain * config.dt, 0.0))
+        if (bad := np.isfinite(gain) & ~np.isfinite(bands[-1])).any():
+            raise NumericalError(f"band_scale = {config.band_scale:g} makes the {which} "
+                                 f"band of agent {int(np.argmax(bad)) + 1} overflow")
+    return eta, *bands
+
+
 def _assemble_telemetry(
     config: SimConfig, *, times, states, inputs, errx, erru, cons_dist, v
 ) -> Telemetry:
@@ -506,9 +524,7 @@ def _assemble_telemetry(
     This is the only place eps, band and detection are decided, whether the
     series come from :func:`run` or from :func:`telemetry_from_columns`.
     """
-    eta = np.array([nb.eta for nb in config.structure.nbs], dtype=int)
-    band_x = np.where(eta > 0, config.band_scale * config.gains.theta * config.dt, 0.0)
-    band_u = np.where(eta > 0, config.band_scale * config.gains.pi * config.dt, 0.0)
+    eta, band_x, band_u = _bands(config)
     eps_x = _conv_eps(config, errx)
     eps_u = _conv_eps(config, erru)
     return Telemetry(

@@ -43,7 +43,6 @@ from .gain_tuning import (
     GainSet,
     PlantModel,
     certificate,
-    coupling_spectra,
     tune_gains,
 )
 from .graph_khop import Graph
@@ -289,7 +288,10 @@ def resolve_f(spec) -> tuple:
         raise ScenarioError("user-table f needs matching 1-D x/y arrays")
     if np.any(np.diff(xs) <= 0):
         raise ScenarioError("user-table x values must be strictly increasing")
-    slopes = np.abs(np.diff(ys) / np.diff(xs))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        slopes = np.abs(np.diff(ys) / np.diff(xs))
+    if not np.isfinite(slopes).all():
+        raise ScenarioError("plant.f: a user-table slope overflows")
     return (lambda v: np.interp(v, xs, ys)), float(slopes.max())
 
 
@@ -388,7 +390,7 @@ def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int):
 class TunedScenario:
     scenario: Scenario
     gains: GainSet
-    couplings: list
+    spectra: tuple        # coupling_spectra: (lambda_min, lambda_max, eta) per agent
     config: SimConfig
     cert: object          # ConvergenceCertificate or None
     infeasible: Optional[dict]
@@ -422,9 +424,9 @@ def prepare(sc: Scenario) -> TunedScenario:
         if type(spec) is list:
             uhat0_mag = max((np.abs(b).max() for b in spec if b.size), default=0.0)
         # omega comes tuned to its bound; the slack is added here.
-        tuned, nbs, couplings = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds,
-                                           g_scale=v["gains.g"], slack=v["gains.slack"],
-                                           uhat0_mag=uhat0_mag)
+        tuned, nbs, spectra = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds,
+                                         g_scale=v["gains.g"], slack=v["gains.slack"],
+                                         uhat0_mag=uhat0_mag)
         with np.errstate(over="ignore", invalid="ignore"):  # certificate refuses inf and NaN
             omega = tuned.omega + v["gains.omega_slack"]
             theta = tuned.theta * v["gains.theta_scale"]
@@ -461,12 +463,12 @@ def prepare(sc: Scenario) -> TunedScenario:
             raise ScenarioError(f"{name}: the initial estimation error of agent {agent} overflows")
     cert = infeasible = None
     try:
-        cert = certificate(couplings, sc.plant, gains, sc.bounds, x_err0, u_err0,
+        cert = certificate(spectra, sc.plant, gains, sc.bounds, x_err0, u_err0,
                            uhat0_mag=uhat0_mag)
     except CertificateInfeasible as exc:
         infeasible = dict(agent=exc.agent, quantity=exc.quantity, value=exc.value,
                           inequality=_INEQUALITY[exc.quantity].format(exc.bound))
-    return TunedScenario(sc, gains, couplings, config, cert, infeasible, x_err0, u_err0)
+    return TunedScenario(sc, gains, spectra, config, cert, infeasible, x_err0, u_err0)
 
 
 def _jsonable(obj):
@@ -479,10 +481,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
         return val if np.isfinite(val) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -498,7 +496,7 @@ def gain_report(ts: TunedScenario) -> dict:
     """Per-agent spectral data, gains, and certificates, JSON-ready."""
     sc, cert, gains = ts.scenario, ts.cert, ts.gains
     # An agent with no observer has no coupling matrix: NaN, reported as null.
-    lambda_min, lambda_max, eta = coupling_spectra(ts.couplings)
+    lambda_min, lambda_max, eta = ts.spectra
     per_agent = _rows(
         eta=eta, lambda_min=lambda_min, lambda_max=lambda_max,
         omega=gains.omega, theta=gains.theta, pi=gains.pi,
@@ -517,7 +515,6 @@ def gain_report(ts: TunedScenario) -> dict:
         "certified": cert is not None,
         "infeasible": ts.infeasible,
         "bounds_inferred": sc.bounds_inferred,
-        "couplings_positive_definite": not (lambda_min <= 0).any(),
         "no_observers_needed": not eta.any(),
     }
     return _jsonable(report)

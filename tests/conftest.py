@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from khopsim import Graph, all_khop_sets, coupling_matrices
+from khopsim import Graph, all_khop_sets, coupling_matrices, khop_set
 from khopsim.gain_tuning import GainSet
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO
 from reference_form import NeighborMessage, ObserverState
@@ -134,7 +134,7 @@ def chorded_ring(t_end=0.3, n=12, chords=((1, 5), (3, 9), (6, 11)), seed=3) -> d
     comm = Graph(n, frozenset(ring + list(chords)))
     target = set(ring)
     for i in range(1, n + 1):
-        two_hop = sorted(j for j, d in comm.distances_from(i).items() if d == 2)
+        two_hop = khop_set(comm, i, 2).members
         if two_hop:
             j = two_hop[i % len(two_hop)]
             target.add((min(i, j), max(i, j)))

@@ -37,7 +37,7 @@ import numpy as np
 from khopsim.dense_linalg import sym_eig
 from khopsim.errors import CertificateInfeasible, KhopsimError, NumericalError, ProtocolError
 from khopsim.gain_tuning import BoundSet, ConvergenceCertificate, GainSet, PlantModel
-from khopsim.graph_khop import KHopNeighborhood, ObserverCoupling
+from khopsim.graph_khop import KHopNeighborhood
 
 
 def sign(v: np.ndarray, boundary_layer: Optional[float] = None) -> np.ndarray:
@@ -284,20 +284,20 @@ class GainInequalityReport:
 
 
 def verify_gain_inequality(
-    coupling: ObserverCoupling,
+    m: np.ndarray,
     plant: PlantModel,
     G: np.ndarray,
     omega_i: float,
 ) -> GainInequalityReport:
     """Directly check the matrix inequality certified by the omega bound.
 
-    Assembles ``(M (x) G)(I (x) A - omega (M (x) G)) + l_f ||M (x) G|| I``,
-    symmetrizes, and reports whether its largest eigenvalue is negative.
-    The omega bound is sufficient, not necessary, so a False answer for
-    hand-picked gains is a valid outcome.
+    Assembles ``(M (x) G)(I (x) A - omega (M (x) G)) + l_f ||M (x) G|| I``
+    for the coupling matrix ``M = m``, symmetrizes, and reports whether its
+    largest eigenvalue is negative. The omega bound is sufficient, not
+    necessary, so a False answer for hand-picked gains is a valid outcome.
     """
-    eta = coupling.M.shape[0]
-    mg = np.kron(coupling.M, G)
+    eta = m.shape[0]
+    mg = np.kron(m, G)
     a_big = np.kron(np.eye(eta), plant.A)
     norm_mg = np.linalg.norm(mg, 2)
     full = mg @ (a_big - omega_i * mg) + plant.l_f * norm_mg * np.eye(eta * plant.N)
@@ -305,10 +305,13 @@ def verify_gain_inequality(
     return GainInequalityReport(holds=bool(w[-1] < 0.0), lambda_max=float(w[-1]))
 
 
-def _omega_bound(cpl: ObserverCoupling, plant: PlantModel, g: float) -> float:
-    return (1.0 / cpl.lambda_min) * (
-        1.0 + plant.l_f * (cpl.lambda_max * g) / (cpl.lambda_min * (g * g))
-    )
+def _spectrum(m: np.ndarray) -> tuple:
+    w = sym_eig(m)
+    return float(w[0]), float(w[-1])
+
+
+def _omega_bound(lmin: float, lmax: float, plant: PlantModel, g: float) -> float:
+    return (1.0 / lmin) * (1.0 + plant.l_f * (lmax * g) / (lmin * (g * g)))
 
 
 def _tilde_u(bounds: BoundSet, idx: int, eta: int, uhat0_mag: float) -> float:
@@ -317,56 +320,59 @@ def _tilde_u(bounds: BoundSet, idx: int, eta: int, uhat0_mag: float) -> float:
     return float(np.sqrt(max(eta, 1)) * (bounds.d_u[idx] + uhat0_mag))
 
 
-def reference_gains(couplings, plant: PlantModel, g: float, bounds: BoundSet,
+def reference_gains(matrices, plant: PlantModel, g: float, bounds: BoundSet,
                     slack: float, uhat0_mag: float = 0.0) -> tuple:
-    """``(omega, theta, pi)`` agent by agent, the loop ``tune_gains`` once
-    ran: NaN where an agent has no coupling, and ``pi`` NaN without a
+    """``(omega, theta, pi)`` agent by agent from the coupling ``matrices``
+    (``None`` where an agent has none), the loop ``tune_gains`` once ran:
+    NaN where an agent has no matrix, and ``pi`` NaN without a
     ``d_udot``."""
-    omega, theta, pi = (np.full(len(couplings), np.nan) for _ in range(3))
-    for idx, cpl in enumerate(couplings):
-        if cpl is None:
+    omega, theta, pi = (np.full(len(matrices), np.nan) for _ in range(3))
+    for idx, m in enumerate(matrices):
+        if m is None:
             continue
-        eta = cpl.M.shape[0]
-        omega[idx] = _omega_bound(cpl, plant, g)
-        ratio = (cpl.lambda_max * g) / (cpl.lambda_min * g)
+        eta = m.shape[0]
+        lmin, lmax = _spectrum(m)
+        omega[idx] = _omega_bound(lmin, lmax, plant, g)
+        ratio = (lmax * g) / (lmin * g)
         theta[idx] = ratio * _tilde_u(bounds, idx, eta, uhat0_mag) + slack
         if bounds.d_udot is not None:
-            ratio = cpl.lambda_max / cpl.lambda_min
+            ratio = lmax / lmin
             pi[idx] = ratio * np.sqrt(eta) * float(bounds.d_udot[idx]) + slack
     return omega, theta, pi
 
 
-def reference_certificate(couplings, plant: PlantModel, gains: GainSet, bounds: BoundSet,
+def reference_certificate(matrices, plant: PlantModel, gains: GainSet, bounds: BoundSet,
                           x_err0, u_err0, uhat0_mag: float = 0.0) -> ConvergenceCertificate:
-    """The certificate agent by agent, the loops ``certificate`` once ran:
-    the first ``omega`` below its bound over all agents, then per agent a
-    ``phi`` and then a ``psi`` that is not positive, raise
-    :class:`CertificateInfeasible`."""
-    n, g = len(couplings), gains.g
-    for idx, cpl in enumerate(couplings):
-        if cpl is not None and gains.omega[idx] < (bound := _omega_bound(cpl, plant, g)):
+    """The certificate agent by agent from the coupling ``matrices``, the
+    loops ``certificate`` once ran: the first ``omega`` below its bound over
+    all agents, then per agent a ``phi`` and then a ``psi`` that is not
+    positive, raise :class:`CertificateInfeasible`."""
+    n, g = len(matrices), gains.g
+    spectra = [None if m is None else _spectrum(m) for m in matrices]
+    for idx, spec in enumerate(spectra):
+        if spec is not None and gains.omega[idx] < (bound := _omega_bound(*spec, plant, g)):
             raise CertificateInfeasible(idx + 1, "omega", gains.omega[idx], bound)
     have_udot = bounds.d_udot is not None
     phi, t_x = np.full(n, np.nan), np.full(n, np.nan)
     psi, t_u = (np.full(n, np.nan), np.full(n, np.nan)) if have_udot else (None, None)
-    for idx, cpl in enumerate(couplings):
-        if cpl is None:
+    for idx, (m, spec) in enumerate(zip(matrices, spectra)):
+        if m is None:
             continue
-        eta = cpl.M.shape[0]
+        eta = m.shape[0]
+        lmin, lmax = spec
         d_tu = _tilde_u(bounds, idx, eta, uhat0_mag)
-        phi_i = gains.theta[idx] * cpl.lambda_min * g - cpl.lambda_max * g * d_tu
+        phi_i = gains.theta[idx] * lmin * g - lmax * g * d_tu
         if phi_i <= 0:
             raise CertificateInfeasible(idx + 1, "phi", phi_i)
         phi[idx] = phi_i
-        t_x[idx] = cpl.lambda_max * g / phi_i * x_err0[idx]
+        t_x[idx] = lmax * g / phi_i * x_err0[idx]
         if have_udot:
-            psi_i = gains.pi[idx] * cpl.lambda_min - cpl.lambda_max * np.sqrt(
-                eta) * float(bounds.d_udot[idx])
+            psi_i = gains.pi[idx] * lmin - lmax * np.sqrt(eta) * float(bounds.d_udot[idx])
             if psi_i <= 0:
                 raise CertificateInfeasible(idx + 1, "psi", psi_i)
             psi[idx] = psi_i
-            t_u[idx] = cpl.lambda_max / psi_i * u_err0[idx]
-    active = [i for i, c in enumerate(couplings) if c is not None]
+            t_u[idx] = lmax / psi_i * u_err0[idx]
+    active = [i for i, m in enumerate(matrices) if m is not None]
     t_x_global = float(np.max(t_x[active])) if active else 0.0
     t_u_global = (float(np.max(t_u[active])) if active else 0.0) if have_udot else None
     return ConvergenceCertificate(

@@ -35,7 +35,6 @@ from khopsim.errors import (
 )
 from khopsim.dense_linalg import DEFINITENESS_TOL, sym_eig
 from khopsim.gain_tuning import GainSet
-from khopsim.graph_khop import ObserverCoupling
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario
 from reference_form import reference_certificate, reference_gains, verify_gain_inequality
 
@@ -55,15 +54,14 @@ def negative_definite(m):
     return sym_eig(0.5 * (m + m.T))[-1] < -DEFINITENESS_TOL
 
 
-def spectrum(coupling):
-    return coupling.lambda_min, coupling.lambda_max
+def spectrum(m):
+    """``(lambda_min, lambda_max)`` of one coupling matrix."""
+    lmin, lmax, _ = coupling_spectra([m])
+    return lmin[0], lmax[0]
 
 
 def scalar_coupling(value=1.0):
-    m = np.array([[value]])
-    return ObserverCoupling(
-        L=np.zeros((1, 1)), H=m.copy(), M=m, lambda_min=value, lambda_max=value
-    )
+    return np.array([[value]])
 
 
 class TestDesignG:
@@ -112,20 +110,13 @@ class TestTuneOmega:
             for nb in all_khop_sets(g, 2):
                 if nb.eta == 0:
                     continue
-                c = coupling_matrices(g, nb)
-                got = tune_omega(*spectrum(c), plant2(), 5.0)
-                assert got == pytest.approx(1.0 / c.lambda_min, rel=1e-12)
+                lmin, lmax = spectrum(coupling_matrices(g, nb))
+                got = tune_omega(lmin, lmax, plant2(), 5.0)
+                assert got == pytest.approx(1.0 / lmin, rel=1e-12)
 
     def test_singular_coupling_rejected(self):
-        c = ObserverCoupling(
-            L=np.zeros((1, 1)),
-            H=np.zeros((1, 1)),
-            M=np.zeros((1, 1)),
-            lambda_min=0.0,
-            lambda_max=0.0,
-        )
         with pytest.raises(CouplingNotPD, match="agent 2: lambda_min"):
-            coupling_spectra([None, c])
+            coupling_spectra([None, np.zeros((1, 1))])
 
 
 class TestTuneThetaPi:
@@ -196,13 +187,13 @@ class TestCertificate:
         )
         bounds = BoundSet(n=1, d_udot=0.0, d_tilde_u=0.0)
         plant = PlantModel(N=1, A=np.zeros((1, 1)))
-        cert = certificate([cpl], plant, gains, bounds, [2.0], [0.0])
+        cert = certificate(coupling_spectra([cpl]), plant, gains, bounds, [2.0], [0.0])
         assert cert.phi[0] == pytest.approx(1.0)
         assert cert.T_x[0] == pytest.approx(2.0)
 
     def test_reference_pi_sits_on_the_bound(self, path4_couplings):
         # with pi exactly 1.0 the margin psi vanishes: infeasible
-        _, cpls = path4_couplings
+        spectra = coupling_spectra(path4_couplings[1])
         gains = GainSet(
             g=20.0,
             omega=np.array([2.619, 1.0, 1.0, 2.619]),
@@ -211,16 +202,16 @@ class TestCertificate:
         )
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         with pytest.raises(CertificateInfeasible) as err:
-            certificate(cpls, plant2(), gains, bounds, np.ones(4), np.ones(4))
+            certificate(spectra, plant2(), gains, bounds, np.ones(4), np.ones(4))
         assert err.value.quantity == "psi"
         # a strictly positive slack restores feasibility
         gains2 = dataclasses.replace(gains, pi=gains.pi + 1e-3)
-        cert = certificate(cpls, plant2(), gains2, bounds, np.ones(4), np.ones(4))
+        cert = certificate(spectra, plant2(), gains2, bounds, np.ones(4), np.ones(4))
         assert np.all(cert.psi > 0)
         assert cert.T_xu == pytest.approx(cert.T_x_global + cert.T_u_global)
 
     def test_monotone_in_theta(self, path4_couplings):
-        _, cpls = path4_couplings
+        spectra = coupling_spectra(path4_couplings[1])
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
         base = dict(
             g=20.0,
@@ -230,7 +221,7 @@ class TestCertificate:
         prev_phi, prev_tx = None, None
         for theta1 in (3.5, 4.0, 6.0):
             gains = GainSet(theta=np.array([theta1, 0.52, 0.52, theta1]), **base)
-            cert = certificate(cpls, plant2(), gains, bounds, np.ones(4), np.ones(4))
+            cert = certificate(spectra, plant2(), gains, bounds, np.ones(4), np.ones(4))
             if prev_phi is not None:
                 assert cert.phi[0] > prev_phi
                 assert cert.T_x[0] < prev_tx
@@ -241,15 +232,15 @@ class TestCertificate:
         # it does not, and neither does omega = 0 (which once certified
         # T_x = [2610, 250, 269, 2423] on these couplings).
         sc = load_scenario(REPRODUCTION_SCENARIO)
-        tuned, _, cpls = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
+        tuned, _, spectra = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
         args = (sc.bounds, np.ones(4), np.ones(4))
-        assert np.all(np.isfinite(certificate(cpls, sc.plant, tuned, *args).T_x))
+        assert np.all(np.isfinite(certificate(spectra, sc.plant, tuned, *args).T_x))
         one_ulp_below = tuned.omega.copy()
         one_ulp_below[2] = np.nextafter(one_ulp_below[2], 0.0)
         for omega, agent in ((one_ulp_below, 3), (np.zeros(4), 1)):
             gains = dataclasses.replace(tuned, omega=omega)
             with pytest.raises(CertificateInfeasible) as err:
-                certificate(cpls, sc.plant, gains, *args)
+                certificate(spectra, sc.plant, gains, *args)
             assert (err.value.agent, err.value.quantity) == (agent, "omega")
             assert err.value.bound == tuned.omega[agent - 1]
             assert f"omega = {omega[agent - 1]:.6g} < " in str(err.value)
@@ -285,19 +276,19 @@ class TestBoundSet:
 class TestTuneGains:
     def test_path_reproduction(self, path4):
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
-        gains, nbs, cpls = tune_gains(
+        gains, nbs, (_, _, eta) = tune_gains(
             path4, 3, plant2(), bounds, g_scale=20.0, slack=1e-3
         )
         assert gains.omega == pytest.approx([2.618, 1.0, 1.0, 2.618], abs=1e-3)
         assert gains.theta == pytest.approx([3.428, 0.501, 0.501, 3.428], abs=1e-3)
         assert gains.pi == pytest.approx([9.694, 1.001, 1.001, 9.694], abs=1e-3)
-        assert all(c is not None for c in cpls)
+        assert eta.tolist() == [2, 1, 1, 2]
 
     def test_complete_graph_no_observers(self):
         g = Graph(4, {(i, j) for i in range(1, 5) for j in range(i + 1, 5)})
         bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
-        gains, nbs, cpls = tune_gains(g, 2, plant2(), bounds)
-        assert all(c is None for c in cpls)
+        gains, nbs, (lmin, _, eta) = tune_gains(g, 2, plant2(), bounds)
+        assert not eta.any() and np.isnan(lmin).all()
         assert np.all(np.isnan(gains.omega))
 
 
@@ -330,24 +321,26 @@ SCALINGS = ({}, {"omega": 1.0 - 1e-12}, {"theta": 0.5}, {"pi": 0.5},
 @given(gain_problems(), st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2))
 def test_gains_and_certificate_match_the_per_agent_oracle(problem, err0):
     graph, k, plant, bounds, slack, uhat0_mag = problem
-    tuned, _, cpls = tune_gains(graph, k, plant, bounds, slack=slack, uhat0_mag=uhat0_mag)
+    tuned, nbs, spectra = tune_gains(graph, k, plant, bounds, slack=slack, uhat0_mag=uhat0_mag)
+    # The oracles take the matrices and run their own eigensolves.
+    matrices = [coupling_matrices(graph, nb) if nb.eta else None for nb in nbs]
     for got, want in zip((tuned.omega, tuned.theta, tuned.pi),
-                         reference_gains(cpls, plant, tuned.g, bounds, slack, uhat0_mag)):
+                         reference_gains(matrices, plant, tuned.g, bounds, slack, uhat0_mag)):
         assert np.array_equal(got, want, equal_nan=True)
     for scaling in SCALINGS:
         gains = dataclasses.replace(
             tuned, **{name: getattr(tuned, name) * f for name, f in scaling.items()})
-        args = (cpls, plant, gains, bounds, np.full(graph.n, err0[0]),
+        args = (plant, gains, bounds, np.full(graph.n, err0[0]),
                 np.full(graph.n, err0[1]), uhat0_mag)
         try:
-            want = reference_certificate(*args)
+            want = reference_certificate(matrices, *args)
         except CertificateInfeasible as exc:
             with pytest.raises(CertificateInfeasible) as err:
-                certificate(*args)
+                certificate(spectra, *args)
             assert (err.value.agent, err.value.quantity) == (exc.agent, exc.quantity)
             assert (err.value.value, err.value.bound) == (exc.value, exc.bound)
             continue
-        got = certificate(*args)
+        got = certificate(spectra, *args)
         for field in dataclasses.fields(got):
             a, b = getattr(got, field.name), getattr(want, field.name)
             assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), field.name

@@ -26,11 +26,7 @@ from khopsim import (
 )
 from khopsim.dense_linalg import sym_eig
 from khopsim.khop_observer import pair_layout
-from khopsim.errors import (
-    EmptyNeighborhood,
-    GraphNotConnected,
-    IndexOutOfRange,
-)
+from khopsim.errors import GraphNotConnected, IndexOutOfRange
 
 GOLDEN_MIN = (3.0 - np.sqrt(5.0)) / 2.0
 GOLDEN_MAX = (3.0 + np.sqrt(5.0)) / 2.0
@@ -47,7 +43,7 @@ def cycle_graph(n):
 class TestGraph:
     def test_normalizes_edge_direction(self):
         g = Graph(3, {(2, 1), (3, 2)})
-        assert g.has_edge(1, 2) and g.has_edge(2, 3)
+        assert g.edges == {(1, 2), (2, 3)}
         assert g.neighbors(2) == (1, 3)
 
     def test_rejects_self_loop(self):
@@ -74,7 +70,7 @@ class TestGraph:
         p = tmp_path / "g.txt"
         p.write_text("3\n# comment\n1 2\n2 3\n")
         g = Graph.from_file(p)
-        assert g.n == 3 and g.has_edge(1, 2)
+        assert g.n == 3 and g.edges == {(1, 2), (2, 3)}
 
     def test_laplacian(self, path4):
         lap = path4.laplacian()
@@ -120,9 +116,10 @@ class TestKhopSet:
     @given(connected_graphs(), st.sampled_from((2, 3, 4)))
     def test_bounded_search_matches_full_distances(self, g, k):
         # khop_set searches only k hops deep; its members are still exactly
-        # the agents the full search puts at distance 2..k.
+        # the agents at distance 2..k over the whole graph.
         real_bfs = Graph._bfs
         searched = []
+        dist = floyd_warshall(g)
 
         def recording(self, start, max_depth=None):
             dist = real_bfs(self, start, max_depth)
@@ -130,9 +127,7 @@ class TestKhopSet:
             return dist
 
         for i in range(1, g.n + 1):
-            expected = tuple(
-                sorted(j for j, d in g.distances_from(i).items() if 2 <= d <= k)
-            )
+            expected = tuple(j for j in range(1, g.n + 1) if 2 <= dist[i - 1, j - 1] <= k)
             searched.clear()
             with mock.patch.object(Graph, "_bfs", recording):
                 nb = khop_set(g, i, k)
@@ -160,33 +155,27 @@ class TestKhopSet:
 
 class TestCouplingMatrices:
     def test_path_agent2_scalar(self, path4):
-        c = coupling_matrices(path4, khop_set(path4, 2, 3))
-        assert np.array_equal(c.M, [[1.0]])
-        assert c.lambda_min == c.lambda_max == pytest.approx(1.0, abs=1e-12)
+        m = coupling_matrices(path4, khop_set(path4, 2, 3))
+        assert np.array_equal(m, [[1.0]])
+        assert np.array_equal(sym_eig(m), [1.0])
 
     def test_path_agent1_full(self, path4):
-        c = coupling_matrices(path4, khop_set(path4, 1, 3))
-        assert np.array_equal(c.L, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(c.H, [[1.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(c.M, [[2.0, -1.0], [-1.0, 1.0]])
-        assert c.lambda_min == pytest.approx(GOLDEN_MIN, abs=1e-9)
-        assert c.lambda_max == pytest.approx(GOLDEN_MAX, abs=1e-9)
+        # Members 3 and 4 share one edge (L = [[1, -1], [-1, 1]]); agent 3
+        # has one common neighbor with agent 1, agent 4 none (H = diag(1, 0)).
+        m = coupling_matrices(path4, khop_set(path4, 1, 3))
+        assert np.array_equal(m, [[2.0, -1.0], [-1.0, 1.0]])
+        lmin, lmax = sym_eig(m)
+        assert lmin == pytest.approx(GOLDEN_MIN, abs=1e-9)
+        assert lmax == pytest.approx(GOLDEN_MAX, abs=1e-9)
         # consistency with published linear gain: 1/lambda_min = 2.618
-        assert 1.0 / c.lambda_min == pytest.approx(2.62, abs=0.01)
+        assert 1.0 / lmin == pytest.approx(2.62, abs=0.01)
 
     def test_single_member_no_internal_edge(self):
         # Path 1-2-3 with k=2: agent 1 estimates only agent 3, which has no
-        # neighbor inside the member set and exactly one common neighbor.
+        # neighbor inside the member set (L = 0) and exactly one common
+        # neighbor (H = 1).
         g = Graph(3, {(1, 2), (2, 3)})
-        c = coupling_matrices(g, khop_set(g, 1, 2))
-        assert np.array_equal(c.L, [[0.0]])
-        assert np.array_equal(c.H, [[1.0]])
-        assert np.array_equal(c.M, [[1.0]])
-
-    def test_empty_neighborhood_raises(self):
-        g = complete_graph(4)
-        with pytest.raises(EmptyNeighborhood):
-            coupling_matrices(g, khop_set(g, 1, 3))
+        assert np.array_equal(coupling_matrices(g, khop_set(g, 1, 2)), [[1.0]])
 
     def test_coupling_positive_definite_random(self):
         # 200 random connected graphs, every coupling matrix strictly PD
@@ -197,22 +186,28 @@ class TestCouplingMatrices:
             for nb in all_khop_sets(g, k):
                 if nb.eta == 0:
                     continue
-                c = coupling_matrices(g, nb)
-                assert c.lambda_min > 1e-9
+                assert sym_eig(coupling_matrices(g, nb))[0] > 1e-9
 
     def test_L_is_induced_laplacian(self):
+        # M = L + H with L's rows summing to zero, so H is diag(M's row
+        # sums): each member's common neighbors with the agent, and L is the
+        # rest.
         rng = np.random.default_rng(31)
         for _ in range(20):
             g = random_connected_graph(rng, n_min=4)
+            dist = floyd_warshall(g)
             k = int(rng.integers(2, 4))
             for nb in all_khop_sets(g, k):
                 if nb.eta == 0:
                     continue
-                c = coupling_matrices(g, nb)
-                assert np.abs(c.L.sum(axis=1)).max() < 1e-12
-                offdiag = c.L - np.diag(np.diag(c.L))
+                m = coupling_matrices(g, nb)
+                own = {j for j in range(1, g.n + 1) if dist[nb.agent - 1, j - 1] == 1}
+                common = [sum(dist[a - 1, j - 1] == 1 for j in own) for a in nb.members]
+                assert np.array_equal(m.sum(axis=1), common)
+                lap = m - np.diag(common)
+                offdiag = lap - np.diag(np.diag(lap))
                 assert set(np.unique(offdiag)) <= {0.0, -1.0}
-                w = sym_eig(c.L)
+                w = sym_eig(lap)
                 zero_mult = int(np.sum(np.abs(w) < 1e-9))
                 assert zero_mult == component_count(g, nb.members)
 

@@ -41,8 +41,8 @@ def reference_setup(n_dim=2):
     g = Graph(4, {(1, 2), (2, 3), (3, 4)})
     plant = PlantModel(N=n_dim, A=np.zeros((n_dim, n_dim)))
     bounds = BoundSet(n=4, d_udot=1.0, d_tilde_u=0.5)
-    gains, nbs, cpls = tune_gains(g, 3, plant, bounds, g_scale=20.0, slack=1e-3)
-    return g, plant, gains, nbs, cpls
+    gains, nbs, spectra = tune_gains(g, 3, plant, bounds, g_scale=20.0, slack=1e-3)
+    return g, plant, gains, nbs, spectra
 
 
 def structural_identity_max_error(g, k, n_dim, rng):
@@ -86,7 +86,7 @@ def structural_identity_max_error(g, k, n_dim, rng):
         if nb.eta == 0:
             continue
         size = nb.eta * n_dim
-        m_big = np.kron(coupling_matrices(g, nb).M, np.eye(n_dim))
+        m_big = np.kron(coupling_matrices(g, nb), np.eye(n_dim))
         sl = slice(offset, offset + size)
         worst = max(worst, np.abs(xi_by_target[sl] + m_big @ dev_x_t[sl]).max())
         worst = max(worst, np.abs(rho_by_target[sl] + m_big @ dev_u_t[sl]).max())

@@ -28,7 +28,7 @@ from khopsim import (
     run,
 )
 from khopsim.gain_tuning import GainSet
-from khopsim.khop_observer import pair_derivative, pair_layout
+from khopsim.khop_observer import PairWorkspace, pair_derivative, pair_layout
 from khopsim.scenario_cli import load_scenario, prepare
 from reference_form import ObserverState, consensus_control, observer_derivative
 
@@ -77,7 +77,7 @@ def both_forms(g, nbs, x, u, obs, plant, gains, boundary_layer):
     x_hat = np.concatenate([o.x_hat for o in obs]).reshape(-1, n_dim)
     u_hat = np.concatenate([o.u_hat for o in obs]).reshape(-1, n_dim)
     z = np.stack((np.concatenate((x_hat, x)), np.concatenate((u_hat, u))))
-    dz = pair_derivative(pair_layout(nbs, gains, n_dim), plant, z, boundary_layer)
+    dz = pair_derivative(PairWorkspace(pair_layout(nbs, gains, n_dim), plant, z, boundary_layer))
     p = len(x_hat)
     # The truth rows carry the plant; the input rows are the controller's.
     plant_dx = x @ plant.A.T + u
@@ -179,8 +179,8 @@ def message_form_run(config):
                 l: obs[i - 1].x_hat[b * plant.N : (b + 1) * plant.N]
                 for b, l in enumerate(nb.members)
             }
-            ct = tuple(j for j in tg.neighbors(i) if g.has_edge(i, j))
-            t_only = tuple(j for j in tg.neighbors(i) if not g.has_edge(i, j))
+            ct = tuple(j for j in tg.neighbors(i) if j in g.neighbors(i))
+            t_only = tuple(j for j in tg.neighbors(i) if j not in g.neighbors(i))
             u[i - 1] = consensus_control(i, x[i - 1], onehop, est, ct + t_only, ct)
             for j in t_only:
                 v[i - 1] += x[j - 1] - est[j]

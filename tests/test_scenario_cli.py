@@ -1,5 +1,6 @@
 """CLI contract tests: scenario parsing, subcommands, exit codes, outputs."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -49,7 +50,7 @@ class TestScenarioParsing:
     def test_reproduction_scenario_loads(self):
         sc = load_scenario(REPRODUCTION_SCENARIO)
         assert sc.graph.n == 4 and sc.k == 3
-        assert sc.target_graph.has_edge(1, 4)
+        assert 4 in sc.target_graph.neighbors(1)
         assert sc.bounds_inferred
         assert len(sc.hash) == 16
 
@@ -74,7 +75,7 @@ class TestScenarioParsing:
         (tmp_path / "graph.txt").write_text("4\n1 2\n2 3\n3 4\n")
         path, _ = write_scenario(tmp_path, graph={"file": "graph.txt"})
         sc = load_scenario(path)
-        assert sc.graph.has_edge(2, 3)
+        assert 3 in sc.graph.neighbors(2)
 
     def test_seeded_initial_states_reproducible(self, tmp_path):
         path, _ = write_scenario(
@@ -127,8 +128,8 @@ class TestTune:
         assert report["g"] == 20.0
         assert report["certified"] is True
         assert report["bounds_inferred"] is True
-        assert report["couplings_positive_definite"]
-        assert not any("overlap" in key for key in report)
+        # Keys that could only ever read true are gone.
+        assert not any("overlap" in key or "definite" in key for key in report)
 
     def test_complete_graph_no_observers(self, tmp_path, capsys):
         path, _ = write_scenario(
@@ -284,6 +285,42 @@ def test_overflowing_gain_exits_1_with_one_line(tmp_path, capsys, command, patch
     assert rc == 1
     assert capsys.readouterr().err == f"error: {reason}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "patch, line",
+    [
+        ({"sim.band_scale": 1e308},
+         "error: band_scale = 1e+308 makes the theta band of agent 1 overflow"),
+        ({"plant.f": {"kind": "user-table", "x": [0.0, 1e-300], "y": [0.0, 1e300]}},
+         "scenario error: plant.f: a user-table slope overflows"),
+    ],
+    ids=["band_scale", "user_table_slope"],
+)
+def test_overflowing_band_or_slope_exits_1_with_one_line(tmp_path, capsys, patch, line):
+    # Both once printed numpy overflow warnings first; the band then exited 2.
+    path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05}, **patch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refuses_an_overflowing_band(tmp_path, capsys):
+    good, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
+    main(["simulate", "--scenario", str(good), "--out", str(tmp_path / "run")])
+    assert (tmp_path / "run" / "telemetry.csv").exists()
+    capsys.readouterr()
+    wide, _ = write_scenario(tmp_path, "wide.json", **{"sim.t_end": 0.05, "sim.band_scale": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--scenario", str(wide), "--telemetry",
+                   str(tmp_path / "run" / "telemetry.csv"), "--out", str(tmp_path / "verify")])
+    assert rc == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "verify").exists()
 
 
 class TestSimulate:
@@ -927,6 +964,47 @@ def test_readme_library_layout_names_exist():
         assert names, module
         for name in names:
             assert hasattr(importlib.import_module(f"khopsim.{module}"), name), (module, name)
+
+
+def _identifiers(path: Path, strings: bool = False) -> set:
+    """The names a module's code uses: variables, attributes and imports,
+    plus the words of its string constants when ``strings`` is set."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_no_public_name_only_the_tests_use():
+    # Every public top-level function and class of the package, and every
+    # public method, is used by the package's own code (the re-exports of
+    # __init__ do not count), named by perfbench (in code or in a string,
+    # as its traced layer names are), or listed in README's "Library
+    # layout" table. Anything else is API that only the tests call.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    used = set(re.findall(r"`(\w+)`", section)).union(
+        *(_identifiers(p, strings=True) for p in (root / "perfbench").glob("*.py")),
+        *(_identifiers(p) for p in (root / "src" / "khopsim").glob("*.py")
+          if p.name != "__init__.py"))
+    unused = []
+    for path in sorted((root / "src" / "khopsim").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            names = [node.name] + [m.name for m in members
+                                   if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+            unused += [f"{path.stem}.{name}" for name in names if name not in used]
+    assert unused == []
 
 
 def test_readme_report_keys_match_the_reports():
