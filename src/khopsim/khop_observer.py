@@ -25,7 +25,7 @@ during a run, so every (estimator, target) pair's message sum is written
 down once as an ordered row of source indices into ``[estimates; truth]``.
 A run keeps one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
 ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so one gather along the row
-axis yields the terms of ``xi`` and ``rho`` together, and one comparison
+axis yields the terms of ``xi`` and ``rho`` together, and one ``copysign``
 switches both. The rows keep the order in which an agent walks its inbox,
 and each sum starts from ``+0.0``, so it rounds as the per-agent message
 form does; see :func:`pair_layout`. The layout holds each pair's gains at
@@ -144,8 +144,8 @@ def pair_layout(nbs, gains: GainSet, n_dim: int) -> PairLayout:
 class PairWorkspace:
     """Everything :func:`pair_derivative` reads for one state array ``z``
     under one layout, plant and boundary layer (whose width is checked here
-    once): ``z``, the layout's ``terms``, ``switch`` and ``omega``, the
-    plant's ``f``, and the buffers and views every call reuses.
+    once): ``z``, a writeable copy of the layout's ``terms``, its ``switch``
+    and ``omega``, the plant's ``f``, and the buffers and views calls reuse.
 
     A run builds one next to its state array and drops it with the run;
     nothing in it outlives the run or is shared between runs. The
@@ -165,7 +165,7 @@ class PairWorkspace:
         if boundary_layer is not None and boundary_layer <= 0:
             raise ValueError("boundary layer width must be positive")
         self.z, self.boundary_layer, self.f = z, boundary_layer, plant.f
-        self.terms, self.switch, self.omega = layout.terms, layout.switch, layout.omega
+        self.terms, self.switch, self.omega = layout.terms.copy(), layout.switch, layout.omega
         p = layout.target.size
         self.own = z[:, None, :p]
         self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
@@ -173,12 +173,8 @@ class PairWorkspace:
         # in plane 0, and ``signal`` = [g xi; rho] views both without a copy.
         planes = np.empty((3, p, z.shape[2]))
         self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
-        # Arrays rather than the floats 0.0 and g, which numpy would convert
-        # on every call.
-        self.zero = np.zeros(self.signal.shape)
-        self.g = np.array(layout.g)
-        self.mask = np.empty(self.signal.shape, dtype=bool)
-        self.neg_switch = np.negative(layout.switch)
+        # 0-d arrays: numpy would convert the floats 0.0 and g on every call.
+        self.zero, self.g = np.array(0.0), np.array(layout.g)
         self.AT = plant.A.T if plant.A.any() else None
         self.x_rows, self.u_rows = z
         # Planes [drift, dz]; ``switching`` is the estimate rows of drift and
@@ -219,11 +215,12 @@ def pair_derivative(work: PairWorkspace) -> np.ndarray:
     np.add.reduce(parts, 1, None, work.acc, False, 0.0)
     np.multiply(work.xi, work.g, gxi)
     if work.boundary_layer is None:
-        # gain * sign(v) with sign(0) = +1 is +gain where v >= 0, else -gain.
-        # A masked copy into ``switching`` would spare the temporary, but it
-        # runs ~3x slower than np.where at 1600 pairs.
-        np.greater_equal(signal, work.zero, work.mask)
-        np.copyto(switching, np.where(work.mask, work.switch, work.neg_switch))
+        # gain * sign(v), sign(0) = +1, is the gain (run refuses negative
+        # ones) with v's sign bit, as no v is -0.0: each sum starts from +0.0,
+        # and adding +0.0 clears g xi's -0.0 from underflow (g <= 0.5). An
+        # inf - inf NaN has its sign bit set on x86-64: -gain, as sign(NaN).
+        np.add(gxi, work.zero, gxi)
+        np.copysign(work.switch, signal, switching)
     else:
         # sign's saturation clip(v / delta, -1, 1), times the gains.
         np.divide(signal, work.boundary_layer, switching)

@@ -30,11 +30,13 @@ plane-0 rows of the same kind, and the Euler update is one
 ``z + dt * dz`` over the whole array. :func:`run` is the only way to take
 a step: per round it sets the inputs and advances ``z`` in place, through
 the closures :func:`_bind_control` and :func:`_bind_advance` bind once per
-run to ``z``, its buffers and views, the kernel's :class:`PairWorkspace`
-and the numpy functions a step calls, so a step allocates almost nothing
-and looks nothing up. Every sum is one ``np.add.reduce(..., initial=0.0)``
-over the term axis, which starts from ``+0.0`` and adds the terms in table
-order.
+run to ``z``, its buffers and views, the kernel's :class:`PairWorkspace`,
+writeable copies of the index tables (``take`` copies read-only ones on
+every call) and the numpy functions a step calls. A step looks nothing up
+and allocates one ufunc buffer at most: numpy's copy of the pair estimates
+in the kernel's broadcast ``subtract``. Every sum is one
+``np.add.reduce(..., initial=0.0)`` over the term axis, which starts from
+``+0.0`` and adds the terms in table order.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
@@ -341,16 +343,17 @@ def init_world(config: SimConfig) -> np.ndarray:
 
 
 def _check_startable(config: SimConfig) -> None:
-    """Refuse to step with a missing gain or a band that overflows."""
+    """Refuse to step with a missing gain, a band that overflows or a negative
+    switching gain, which the kernel's ``copysign`` would not apply."""
     _bands(config)
     pairs = config.structure.pairs
-    for which, gain in zip(("omega", "theta", "pi"), (pairs.omega, *pairs.switch)):
-        bad = ~np.isfinite(gain[:, 0])
+    for which, gain, low in zip(("omega", "theta", "pi"), (pairs.omega, *pairs.switch),
+                                (-np.inf, 0.0, 0.0)):
+        bad = ~(np.isfinite(gain[:, 0]) & (gain[:, 0] >= low))
         if bad.any():
-            agent = int(pairs.estimator[np.argmax(bad)]) + 1
-            raise NumericalError(
-                f"{which} gain missing for a member of agent {agent}'s neighborhood"
-            )
+            p = np.argmax(bad)
+            raise NumericalError(f"{which} gain {'negative' if gain[p, 0] < low else 'missing'} "
+                                 f"for a member of agent {pairs.estimator[p] + 1}'s neighborhood")
 
 
 def _bind_control(config: SimConfig, z: np.ndarray):
@@ -360,7 +363,7 @@ def _bind_control(config: SimConfig, z: np.ndarray):
     s = config.structure
     p = s.pairs.target.size
     x_rows, x, u = z[0], z[0, p:], z[1, p:]
-    terms = s.control_terms
+    terms = s.control_terms.copy()  # writeable, so ``take`` uses it as it is
     parts = np.empty((len(terms), *x.shape))
     take, subtract, add_reduce = x_rows.take, np.subtract, np.add.reduce
 

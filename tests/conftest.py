@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from khopsim import Graph, all_khop_sets, coupling_matrices, khop_set
 from khopsim.gain_tuning import GainSet
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO
 from reference_form import NeighborMessage, ObserverState
+
+# No example database: failing examples saved in a working tree's
+# ``.hypothesis/`` would replay in every later run, so results would depend
+# on that directory as well as on the code. The draws stay random.
+settings.register_profile("khopsim", database=None)
+settings.load_profile("khopsim")
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, extra_edge_p=0.3) -> Graph:

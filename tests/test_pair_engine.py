@@ -30,7 +30,7 @@ from khopsim import (
 from khopsim.gain_tuning import GainSet
 from khopsim.khop_observer import PairWorkspace, pair_derivative, pair_layout
 from khopsim.scenario_cli import load_scenario, prepare
-from reference_form import ObserverState, consensus_control, observer_derivative
+from reference_form import ObserverState, consensus_control, observer_derivative, sign
 
 
 @st.composite
@@ -351,3 +351,75 @@ def test_layout_gains_are_the_targets_in_every_component(net):
     for name, full in zip(("omega", "theta", "pi"), (layout.omega, *layout.switch)):
         for c in range(n_dim):
             assert np.array_equal(full[:, c], getattr(gains, name)[layout.target]), name
+
+
+def switching_layout(raw, g_val):
+    """A chorded ring's pair layout with ``G = g_val I``, ``omega = 0`` and
+    random positive switching gains, and its number of agents."""
+    g = Graph(raw["graph"]["n"], frozenset(map(tuple, raw["graph"]["edges"])))
+    rng = np.random.default_rng(len(g.edges))
+    gains = GainSet(g=g_val, omega=np.zeros(g.n), theta=rng.uniform(0.1, 4.0, g.n),
+                    pi=rng.uniform(0.1, 10.0, g.n))
+    return pair_layout(all_khop_sets(g, raw["k"]), gains, 2), g.n
+
+
+def switching_terms(layout, z):
+    """``pair_derivative``'s switching terms on ``z``, ``(2, P, N)``, and
+    the ones ``gain * sign(signal)`` gives from its sums, with
+    ``sign(0) = +1``, as float bits, and the workspace. There is no drift
+    and ``omega = 0``, so the drift rows end up holding exactly the state
+    switching terms: each is a nonzero gain added to ``0 * g xi = ±0``."""
+    work = PairWorkspace(layout, PlantModel(N=2, A=np.zeros((2, 2))), z)
+    pair_derivative(work)
+    xi, rho = work.acc
+    want = layout.switch * sign(np.stack((np.multiply(xi, work.g), rho)))
+    got = np.stack((work.drift_est, work.dz[1, : layout.target.size]))
+    return got.view(np.int64), want.view(np.int64), work
+
+
+# Exact zeros of both signs, the smallest subnormals and a few normal values:
+# most sums are exactly zero, and some ``g xi`` underflow to -0.0.
+SWITCHING_POOL = np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 1e-320, 0.25, -1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_runs(), st.sampled_from([0.125, 0.5, 1.0, 7.5]), st.integers(0, 2**32 - 1))
+def test_switching_is_the_gain_times_sign_bit_for_bit(case, g_val, seed):
+    layout, n = switching_layout(case[0], g_val)
+    z = np.random.default_rng(seed).choice(SWITCHING_POOL, size=(2, layout.target.size + n, 2))
+    got, want, work = switching_terms(layout, z)
+    assert np.array_equal(got, want)
+    # No sum is -0.0, so copysign takes the sign that sign() reads.
+    assert not (np.signbit(work.acc) & (work.acc == 0.0)).any()
+
+
+def test_switching_treats_an_underflowed_signal_as_zero():
+    # Every estimate 5e-324 and every truth +0.0: a pair with one truth term
+    # has xi = -5e-324, and g xi = 0.5 * xi underflows to -0.0. sign(-0.0)
+    # = +1, so its switching term is +theta, not the -theta of -0.0's sign bit.
+    layout, n = switching_layout(chorded_ring(), 0.5)
+    z = np.zeros((2, layout.target.size + n, 2))
+    z[:, : layout.target.size] = 5e-324
+    got, want, work = switching_terms(layout, z)
+    gxi = np.multiply(work.xi, work.g)
+    assert (np.signbit(gxi) & (gxi == 0.0)).any()
+    assert np.array_equal(got, want)
+
+
+def test_switching_on_an_inf_minus_inf_signal_is_minus_gain():
+    # A pair whose first two terms add up to +inf and whose third is -inf:
+    # its sums are inf - inf = NaN in both planes, and sign(NaN) = -1. Its
+    # state row adds omega g xi = NaN, so the input row shows the switching.
+    layout, n = switching_layout(chorded_ring(), 1.0)
+    terms = layout.terms
+    p = next(p for p in range(terms.shape[1]) if len({*terms[:3, p], p}) == 4)
+    z = np.zeros((2, layout.target.size + n, 2))
+    z[:, p] = 5e307
+    z[:, terms[:2, p]] = 1.7e308  # each minus 5e307 is 1.2e308
+    z[:, terms[2, p]] = -1.3e308  # minus 5e307 overflows to -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want, work = switching_terms(layout, z)
+    assert np.isnan(work.acc[:, p]).all() and (want[1, p] < 0).all()  # -pi, as bits
+    assert np.array_equal(got[1, p], want[1, p]), (
+        "copysign gives the gains the sign bit of NaN, and inf - inf gave a "
+        "NaN without it on this platform, so sign(NaN) = -1 no longer holds")

@@ -8,6 +8,7 @@ consensus.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,7 @@ from khopsim import (
     tune_gains,
 )
 from khopsim.dense_linalg import sym_eig
-from khopsim.errors import DivergenceDetected, ProtocolError, StateBoxViolation
+from khopsim.errors import DivergenceDetected, NumericalError, ProtocolError, StateBoxViolation
 from khopsim.plant_sim import read_csv, write_csv
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, prepare
 
@@ -411,6 +412,49 @@ class TestRun:
         for f in dataclasses.fields(Telemetry):
             assert np.array_equal(getattr(first, f.name), getattr(second, f.name),
                                   equal_nan=True), f.name
+
+    def test_a_step_copies_no_index_array(self):
+        # Agent 1 is a hub, so a pair sums D > 2N terms, and a copy of the
+        # read-only D x P term table, which ``take`` makes of read-only
+        # indices on every call, would outweigh numpy's largest ufunc buffer.
+        # The steps gather from writeable copies and may allocate that buffer
+        # only: the broadcast subtract's copy of ``own``.
+        n = 160
+        chords = [(1, h) for h in range(4, 20, 2)] + [(a, a + n // 2) for a in range(19, n // 2, 3)]
+        config = prepare(load_scenario(chorded_ring(n=n, chords=chords))).config
+        s = config.structure
+        z = init_world(config)
+        control, advance = plant_sim._bind_control(config, z), plant_sim._bind_advance(config, z)
+        bound = dict(zip(control.__code__.co_freevars, control.__closure__))["terms"].cell_contents
+        work = dict(zip(advance.__code__.co_freevars, advance.__closure__))["work"].cell_contents
+        assert bound.flags.writeable and work.terms.flags.writeable
+        for arr in (s.pairs.terms, s.pairs.switch, s.pairs.omega, s.control_terms):
+            assert not arr.flags.writeable
+        limit = np.getbufsize() * z.itemsize + 4096
+        d, p = s.pairs.terms.shape
+        assert d > 2 * config.plant.N and d * p * s.pairs.terms.itemsize > limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            control()
+            advance(config.dt)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for k in range(2, 22):
+                    control()
+                    advance(k * config.dt)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= limit
+
+    def test_a_negative_switching_gain_is_refused(self):
+        # The kernel switches with copysign, which is gain * sign(v) only for
+        # a gain that is not negative.
+        config, _ = repro_config(t_end=0.05)
+        for which in ("theta", "pi"):
+            gains = dataclasses.replace(config.gains, **{which: -getattr(config.gains, which)})
+            with pytest.raises(NumericalError, match=f"{which} gain negative for a member of agent 1"):
+                run(dataclasses.replace(config, gains=gains))
 
     def test_kernel_runs_once_per_step_and_logs_reduce_after_the_loop(self, monkeypatch):
         # One observer kernel call per Euler step; the logged error norms and

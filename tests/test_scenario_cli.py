@@ -437,6 +437,7 @@ class TestSimulate:
             ({"sim.boundary_layer": 0.0}, "boundary_layer must be positive"),
             ({"plant.N": 0}, "plant.N must be >= 1"),
             ({"bounds": {"d_u": 1.0}}, "pi gain missing"),
+            ({"gains.overrides": {"theta": -1.0}}, "theta gain negative for a member of agent 1"),
             ({"sim.uhat0": float("nan")}, "non-finite input estimate"),
             (
                 {"sim.x0": [[float("nan"), 0.0], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]},
@@ -456,7 +457,7 @@ class TestSimulate:
         ids=[
             "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
             "override_length", "xhat0_block_size", "uhat0_truth", "conv_eps_text",
-            "boundary_layer_zero", "zero_state_dim", "no_derivative_bound",
+            "boundary_layer_zero", "zero_state_dim", "no_derivative_bound", "theta_negative",
             "uhat0_nan", "x0_nan", "k_inf", "state_dim_inf", "decimate_inf", "g_inf",
             "band_scale_nan", "band_scale_zero", "band_scale_negative",
             "consensus_tol_nan", "consensus_tol_zero", "consensus_tol_negative",
