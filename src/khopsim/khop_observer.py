@@ -152,7 +152,9 @@ class PairWorkspace:
     derivative it returns is :attr:`dz`, overwritten by the next call.
     :attr:`drift` holds plane 0's terms before the inputs, and its truth
     rows stay ``+0.0``; :attr:`switching` views its estimate rows and
-    plane 1's, so the switching terms land where they are added.
+    plane 1's, so the switching terms land where they are added. The
+    kernel's body is bound here once, as a closure over these buffers,
+    views and numpy functions, so a call looks nothing up.
     """
 
     def __init__(
@@ -175,6 +177,10 @@ class PairWorkspace:
         self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
         # 0-d arrays: numpy would convert the floats 0.0 and g on every call.
         self.zero, self.g = np.array(0.0), np.array(layout.g)
+        # No sum is -0.0 (each starts from +0.0), but g xi is when g <= 0.5
+        # and xi is the smallest subnormal of either sign, which rounds to
+        # a signed zero; a larger g keeps every nonzero xi nonzero.
+        self.may_underflow = bool(layout.g <= 0.5)
         self.AT = plant.A.T if plant.A.any() else None
         self.x_rows, self.u_rows = z
         # Planes [drift, dz]; ``switching`` is the estimate rows of drift and
@@ -184,6 +190,69 @@ class PairWorkspace:
         self.drift, self.dz = out[0], out[1:]
         self.drift_est, self.switching = out[0, :p], out[::2, :p]
         self.dx_rows, self.dx_est, self.plant_rows = out[1], out[1, :p], out[1, p:]
+        self._derivative = _bind_kernel(self)
+
+
+def _bind_kernel(work: PairWorkspace):
+    """:func:`pair_derivative`'s body, bound once to ``work``."""
+    take, terms, parts, own, acc = work.z.take, work.terms, work.parts, work.own, work.acc
+    xi, g, gxi, signal, switching = work.xi, work.g, work.gxi, work.signal, work.switching
+    switch, omega, zero, layer = work.switch, work.omega, work.zero, work.boundary_layer
+    may_underflow, f, AT = work.may_underflow, work.f, work.AT
+    x_rows, u_rows, drift, drift_est = work.x_rows, work.u_rows, work.drift, work.drift_est
+    dx_rows, dx_est, plant_rows, dz = work.dx_rows, work.dx_est, work.plant_rows, work.dz
+    p = len(gxi)
+    subtract, add_reduce, multiply, add = np.subtract, np.add.reduce, np.multiply, np.add
+    copysign, divide, clip, matmul = np.copysign, np.divide, switching.clip, np.matmul
+
+    def derivative() -> np.ndarray:
+        # The indices are the layout's own, all in range, so "clip" only
+        # spares numpy the bounds-checking copy it makes for ``out`` under
+        # "raise".
+        take(terms, 1, parts, "clip")
+        subtract(parts, own, parts)
+        add_reduce(parts, 1, None, acc, False, 0.0)
+        multiply(xi, g, gxi)
+        if layer is None:
+            # gain * sign(v), sign(0) = +1, is the gain (run refuses negative
+            # ones) with v's sign bit, as no v is -0.0: each sum starts from
+            # +0.0, and adding +0.0 clears g xi's -0.0 from underflow, which
+            # only g <= 0.5 can give. An inf - inf NaN has its sign bit set
+            # on x86-64: -gain, as sign(NaN).
+            if may_underflow:
+                add(gxi, zero, gxi)
+            copysign(switch, signal, switching)
+        else:
+            # sign's saturation clip(v / delta, -1, 1), times the gains.
+            divide(signal, layer, switching)
+            clip(-1.0, 1.0, out=switching)
+            multiply(switch, switching, switching)
+        fz = None if f is None else f(x_rows)
+        multiply(gxi, omega, gxi)
+        if AT is None:
+            # x A^T would add ±0 here: f(xh) + omega g xi + switching.
+            if fz is not None:
+                add(fz[:p], gxi, gxi)
+            add(gxi, drift_est, drift_est)
+            lead = drift
+        else:
+            # One product over estimate and truth rows alike: each block has
+            # two or more rows (P is even, n >= 2), and such products round
+            # every row as the block's own product would.
+            lead = dx_rows
+            matmul(x_rows, AT, lead)
+            if fz is not None:
+                add(dx_est, fz[:p], dx_est)
+            add(dx_est, gxi, dx_est)
+            add(dx_est, drift_est, dx_est)
+        # Adds uh to the estimate rows, their last term, and u to the plant
+        # rows, before f.
+        add(lead, u_rows, dx_rows)
+        if fz is not None:
+            add(plant_rows, fz[p:], plant_rows)
+        return dz
+
+    return derivative
 
 
 def pair_derivative(work: PairWorkspace) -> np.ndarray:
@@ -207,47 +276,4 @@ def pair_derivative(work: PairWorkspace) -> np.ndarray:
     switching terms and the inputs, which are sums that start from ``+0.0``
     and so never ``-0``. The result is then the same, bit for bit.
     """
-    parts, signal, gxi, switching = work.parts, work.signal, work.gxi, work.switching
-    # The indices are the layout's own, all in range, so "clip" only spares
-    # numpy the bounds-checking copy it makes for ``out`` under "raise".
-    work.z.take(work.terms, 1, parts, "clip")
-    np.subtract(parts, work.own, parts)
-    np.add.reduce(parts, 1, None, work.acc, False, 0.0)
-    np.multiply(work.xi, work.g, gxi)
-    if work.boundary_layer is None:
-        # gain * sign(v), sign(0) = +1, is the gain (run refuses negative
-        # ones) with v's sign bit, as no v is -0.0: each sum starts from +0.0,
-        # and adding +0.0 clears g xi's -0.0 from underflow (g <= 0.5). An
-        # inf - inf NaN has its sign bit set on x86-64: -gain, as sign(NaN).
-        np.add(gxi, work.zero, gxi)
-        np.copysign(work.switch, signal, switching)
-    else:
-        # sign's saturation clip(v / delta, -1, 1), times the gains.
-        np.divide(signal, work.boundary_layer, switching)
-        np.clip(switching, -1.0, 1.0, out=switching)
-        np.multiply(work.switch, switching, switching)
-    fz = None if work.f is None else work.f(work.x_rows)
-    p = len(gxi)
-    np.multiply(gxi, work.omega, gxi)
-    if work.AT is None:
-        # x A^T would add ±0 here: f(xh) + omega g xi + switching.
-        if fz is not None:
-            np.add(fz[:p], gxi, gxi)
-        np.add(gxi, work.drift_est, work.drift_est)
-        lead = work.drift
-    else:
-        # One product over estimate and truth rows alike: each block has two
-        # or more rows (P is even, n >= 2), and such products round every row
-        # as the block's own product would.
-        lead, est = work.dx_rows, work.dx_est
-        np.matmul(work.x_rows, work.AT, lead)
-        if fz is not None:
-            est += fz[:p]
-        est += gxi
-        est += work.drift_est
-    # Adds uh to the estimate rows, their last term, and u to the plant
-    # rows, before f.
-    np.add(lead, work.u_rows, work.dx_rows)
-    if fz is not None:
-        work.plant_rows += fz[p:]
-    return work.dz
+    return work._derivative()

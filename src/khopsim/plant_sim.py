@@ -40,9 +40,11 @@ in the kernel's broadcast ``subtract``. Every sum is one
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
-that produced it: a row-wise dot product and an ``np.bincount`` whose bins
-run sample-major, so every cell accumulates its terms in the same order as
-a per-sample reduction would. The steps and these reductions ignore numpy's
+that produced it, by a reducer :func:`run` binds once next to the step
+(:func:`_bind_log_reducer`): a gather and subtract into its error buffer, a
+row-wise dot product and an ``np.bincount`` whose bins run sample-major, so
+every cell accumulates its terms in the same order as a per-sample
+reduction would. The steps and these reductions ignore numpy's
 overflow and invalid-value warnings: divergence is checked explicitly.
 
 The telemetry CSV of a large run is written and read on every usable CPU:
@@ -393,8 +395,12 @@ def _bind_advance(config: SimConfig, z: np.ndarray):
     flat, x_flat = z.reshape(-1), z[0, pairs.target.size:].reshape(-1)
     box = config.state_box
     lo, hi = box if box is not None else (None, None)
+    # The states clipped into the box have the states' bytes unless one lies
+    # outside it (or is a zero of the other sign on a zero bound, which
+    # _check_state's exact comparisons let pass).
+    clipped = np.empty_like(x_flat)
+    clip, x_bytes = x_flat.clip, x_flat.tobytes
     multiply, add, dot, isfinite = np.multiply, np.add, np.dot, math.isfinite
-    min_reduce, max_reduce = np.minimum.reduce, np.maximum.reduce
 
     def advance(t_next: float) -> None:
         # Every pair sees its 1-hop neighbors' estimates and relays of the
@@ -405,7 +411,7 @@ def _bind_advance(config: SimConfig, z: np.ndarray):
         # The sum of squares is finite unless a value is, or it overflows;
         # _check_state tells the two apart.
         if not isfinite(dot(flat, flat)) or (
-            box is not None and (min_reduce(x_flat) < lo or max_reduce(x_flat) > hi)
+            box is not None and clip(lo, hi, out=clipped).tobytes() != x_bytes()
         ):
             _check_state(config, z, t_next)
 
@@ -436,32 +442,45 @@ def _check_state(config: SimConfig, z: np.ndarray, t: float) -> None:
             raise StateBoxViolation(t, agent, float(x[bad][0]), (lo, hi))
 
 
-def _error_norms(pairs: PairLayout, logged: np.ndarray) -> np.ndarray:
-    """Per logged state array ``(S, 2, P + n, N)`` and plane, per estimated
-    agent, the norm of the stacked errors of all its estimators: ``(S, 2, n)``.
+def _bind_log_reducer(config: SimConfig, size: int):
+    """The reduction of logged state arrays, bound once for blocks of up to
+    ``size``: each call ``reduce(logged)`` on ``(S, 2, P + n, N)``,
+    ``S <= size``, returns per sample the stacked error norms ``(S, 2, n)``
+    (per plane and estimated agent, the norm of the errors of all its
+    estimators; plane 0 gives the state errors, plane 1 the input errors)
+    and the consensus disturbance ``(S, n, N)``, per agent the sum of the
+    estimate errors ``x - x_hat`` its input uses.
 
-    Plane 0 gives the state errors, plane 1 the input errors.
+    The reducer owns an error buffer, writeable copies of the gather
+    indices, and ``np.bincount`` bin tables for a full block that run
+    sample-major, so a block of ``S`` samples uses their prefix and every
+    cell adds its terms in the order a per-sample reduction would.
     """
-    p, n = pairs.target.size, pairs.n
-    diff = logged[:, :, p:].take(pairs.target, axis=2) - logged[:, :, :p]
-    flat = diff.reshape(-1, diff.shape[-1])
-    planes = 2 * len(logged)
-    bins = (np.arange(planes)[:, None] * n + pairs.target).reshape(-1)
-    sq = np.bincount(bins, weights=_row_dot(flat, flat), minlength=planes * n)
-    return np.sqrt(sq).reshape(len(logged), 2, n)
+    s = config.structure
+    pairs = s.pairs
+    p, n, n_dim = pairs.target.size, pairs.n, config.plant.N
+    err = np.empty((size, 2, p, n_dim))
+    # Writeable, so ``take`` uses them as they are.
+    target, dist_pairs = pairs.target.copy(), s.disturbance_pairs.copy()
+    dist = np.empty((size, len(dist_pairs), n_dim))
+    norm_bins = (np.arange(2 * size)[:, None] * n + pairs.target).reshape(-1)
+    dist_bins = (np.arange(size)[:, None] * n * n_dim + s.disturbance_bins).reshape(-1)
+    subtract, bincount, sqrt = np.subtract, np.bincount, np.sqrt
 
+    def reduce(logged: np.ndarray) -> tuple:
+        m = len(logged)
+        e, d = err[:m], dist[:m]
+        # The indices are the layout's own, all in range; see pair_derivative.
+        logged[:, :, p:].take(target, 2, e, "clip")
+        subtract(e, logged[:, :, :p], e)
+        flat = e.reshape(-1, n_dim)
+        sq = _row_dot(flat, flat)
+        norms = sqrt(bincount(norm_bins[: len(sq)], sq, 2 * m * n)).reshape(m, 2, n)
+        e[:, 0].take(dist_pairs, 1, d, "clip")
+        v = bincount(dist_bins[: d.size], d.reshape(-1), m * n * n_dim).reshape(m, n, n_dim)
+        return norms, v
 
-def _disturbance(s: SimStructure, logged: np.ndarray) -> np.ndarray:
-    """Per logged state array, the per-agent consensus disturbance: the sum
-    of the estimate errors its input uses, ``(S, n, N)``."""
-    p = s.pairs.target.size
-    dp = s.disturbance_pairs
-    x = logged[:, 0, p:]
-    err = x.take(s.pairs.target[dp], axis=1) - logged[:, 0].take(dp, axis=1)
-    cells = x.shape[1] * x.shape[2]
-    bins = (np.arange(len(logged))[:, None] * cells + s.disturbance_bins).reshape(-1)
-    v = np.bincount(bins, weights=err.reshape(-1), minlength=len(logged) * cells)
-    return v.reshape(x.shape)
+    return reduce
 
 
 def initial_error_norms(config: SimConfig) -> tuple:
@@ -472,7 +491,7 @@ def initial_error_norms(config: SimConfig) -> tuple:
     """
     z = init_world(config)
     _bind_control(config, z)()
-    err = _error_norms(config.structure.pairs, z[None])
+    err, _ = _bind_log_reducer(config, 1)(z[None])
     return err[0, 0], err[0, 1]
 
 
@@ -582,9 +601,8 @@ def run(config: SimConfig) -> Telemetry:
         rows = slice(reduced, row)
         states[rows] = logged[:, 0, p:]
         inputs[rows] = logged[:, 1, p:]
-        err = _error_norms(s.pairs, logged)
+        err, v_log[rows] = reduce_log(logged)
         errx[rows], erru[rows] = err[:, 0], err[:, 1]
-        v_log[rows] = _disturbance(s, logged)
         reduced = row
 
     def telemetry() -> Telemetry:
@@ -595,6 +613,7 @@ def run(config: SimConfig) -> Telemetry:
         return _assemble_telemetry(config, cons_dist=cons, **logged)
 
     control, advance = _bind_control(config, z), _bind_advance(config, z)
+    reduce_log = _bind_log_reducer(config, len(block))
     dt = config.dt
     # Divergence is detected explicitly, so the steps and the reductions of
     # their log overflow silently instead of printing numpy warnings.

@@ -11,6 +11,7 @@ by field.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from khopsim import (
     Telemetry,
     all_khop_sets,
     consensus_distance,
+    init_world,
     plant_sim,
     run,
 )
@@ -339,6 +341,20 @@ def test_run_matches_message_form_on_random_chorded_rings(case):
     assert_same_telemetry(run(config), message_form_telemetry(config))
 
 
+@settings(max_examples=25, deadline=None)
+@given(ring_runs(), st.integers(1, 12), st.integers(1, 30), st.integers(0, 10**4))
+def test_log_blocks_of_any_size_reduce_as_one_block(case, decimate, block_samples, spare):
+    # The reducer's bin tables are built for a full block and a partial
+    # block uses their prefix, so any block size gives the bits of one block.
+    raw, changes, _ = case
+    config = config_of(raw, **{**changes, "decimate": decimate})
+    whole = run(config)
+    z_bytes = init_world(config).nbytes
+    assert len(whole.times) * z_bytes <= plant_sim.LOG_BLOCK_BYTES
+    with mock.patch.object(plant_sim, "LOG_BLOCK_BYTES", block_samples * z_bytes + spare % z_bytes):
+        assert_same_telemetry(run(config), whole)
+
+
 @settings(max_examples=30, deadline=None)
 @given(networks())
 def test_layout_gains_are_the_targets_in_every_component(net):
@@ -393,16 +409,21 @@ def test_switching_is_the_gain_times_sign_bit_for_bit(case, g_val, seed):
     assert not (np.signbit(work.acc) & (work.acc == 0.0)).any()
 
 
-def test_switching_treats_an_underflowed_signal_as_zero():
+@pytest.mark.parametrize("g_val, underflows", [(0.5, True), (np.nextafter(0.5, 1.0), False)])
+def test_switching_treats_an_underflowed_signal_as_zero(g_val, underflows):
     # Every estimate 5e-324 and every truth +0.0: a pair with one truth term
     # has xi = -5e-324, and g xi = 0.5 * xi underflows to -0.0. sign(-0.0)
     # = +1, so its switching term is +theta, not the -theta of -0.0's sign bit.
-    layout, n = switching_layout(chorded_ring(), 0.5)
+    # With g just above 0.5, g xi rounds to -5e-324 and the kernel skips the
+    # add that clears -0.0.
+    layout, n = switching_layout(chorded_ring(), g_val)
     z = np.zeros((2, layout.target.size + n, 2))
     z[:, : layout.target.size] = 5e-324
     got, want, work = switching_terms(layout, z)
     gxi = np.multiply(work.xi, work.g)
-    assert (np.signbit(gxi) & (gxi == 0.0)).any()
+    assert (np.signbit(gxi) & (gxi == 0.0)).any() == underflows
+    assert (gxi == -5e-324).any() != underflows
+    assert work.may_underflow == underflows
     assert np.array_equal(got, want)
 
 

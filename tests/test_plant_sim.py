@@ -14,6 +14,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import chorded_ring, connected_graphs
 from khopsim import (
@@ -350,6 +352,48 @@ class TestRun:
             a, b = getattr(partial, f.name), getattr(whole, f.name)
             assert np.array_equal(a, b, equal_nan=True), f.name
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_box_check_raises_as_the_exact_comparisons_say(self, data):
+        # A step tests the box by clipping the states and comparing bytes;
+        # only _check_state's exact comparisons decide. A stub kernel sets
+        # each step's states to drawn values and returns a dz of -0.0, which
+        # leaves every bit of z as it is (v + -0.0 is v, for v = ±0.0 too).
+        lo, hi = data.draw(st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]))
+        pool = [lo, hi, -0.0, 0.0, 5e-324, -5e-324, np.nextafter(lo, -np.inf),
+                np.nextafter(hi, np.inf), (lo + hi) / 2, np.inf, -np.inf, np.nan]
+        steps = data.draw(st.integers(2, 6))
+        drawn = data.draw(arrays(np.float64, (steps, 4, 2), elements=st.sampled_from(pool)))
+        config, _ = repro_config(controller=Controller(kind="zero"), state_box=(lo, hi),
+                                 x0=np.full((4, 2), (lo + hi) / 2), t_end=steps * 1e-3)
+        p = config.structure.pairs.target.size
+        want, t = None, 0.0
+        for x in drawn:
+            t += config.dt
+            if not np.isfinite(x).all():
+                want = (DivergenceDetected, t, int(np.argmax(~np.isfinite(x).all(axis=1))) + 1, None)
+                break
+            bad = (x < lo) | (x > hi)
+            if bad.any():
+                want = (StateBoxViolation, t, int(np.argwhere(bad)[0][0]) + 1, x[bad][0])
+                break
+        states = iter(drawn)
+
+        def kernel(work):
+            work.z[0, p:] = next(states)
+            return np.full(work.z.shape, -0.0)
+
+        with mock.patch.object(plant_sim, "pair_derivative", kernel):
+            if want is None:
+                assert len(run(config).times) == steps + 1
+                return
+            with pytest.raises(DivergenceDetected) as err:
+                run(config)
+        kind, t, agent, value = want
+        assert type(err.value) is kind and (err.value.time, err.value.agent) == (t, agent)
+        if value is not None:
+            assert np.float64(err.value.value).tobytes() == value.tobytes()
+
     def test_euler_consistency_under_dt_halving(self):
         config, _ = repro_config(t_end=3.0)
         tel_a = run(config)
@@ -458,20 +502,28 @@ class TestRun:
 
     def test_kernel_runs_once_per_step_and_logs_reduce_after_the_loop(self, monkeypatch):
         # One observer kernel call per Euler step; the logged error norms and
-        # disturbance are reduced per block of samples, never per step.
+        # disturbance are reduced per block of samples, never per step, by
+        # one reducer bound per run.
         ts = prepare(load_scenario(chorded_ring(t_end=0.05)))
         config = dataclasses.replace(ts.config, decimate=1)
-        calls = dict.fromkeys(("pair_derivative", "_error_norms", "_disturbance"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(plant_sim, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        calls = dict.fromkeys(("pair_derivative", "_bind_log_reducer", "reduce"), 0)
 
-            monkeypatch.setattr(plant_sim, name, counted)
+        def counted(fn, name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(plant_sim, "pair_derivative",
+                            counted(plant_sim.pair_derivative, "pair_derivative"))
+        bind = plant_sim._bind_log_reducer
+        monkeypatch.setattr(plant_sim, "_bind_log_reducer", counted(
+            lambda *args: counted(bind(*args), "reduce"), "_bind_log_reducer"))
         tel = run(config)
         assert len(tel.times) == 51
         assert 51 * init_world(config).nbytes <= plant_sim.LOG_BLOCK_BYTES
-        assert calls == {"pair_derivative": 50, "_error_norms": 1, "_disturbance": 1}
+        assert calls == {"pair_derivative": 50, "_bind_log_reducer": 1, "reduce": 1}
 
 
 class TestDetection:
