@@ -250,22 +250,18 @@ class SimStructure:
     disturbance_bins: np.ndarray
 
 
-# Row-wise dot products with the rounding of ``a @ b`` on each row.
-_row_dot = getattr(np, "vecdot", None) or (
-    lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-)
-
-
 def consensus_distance(x: np.ndarray):
     """Euclidean distance to the consensus set of one stacked state ``(n, N)``
     (a float), or of every state in a stack ``(S, n, N)`` (an ``(S,)`` array).
 
-    Each state's distance rounds exactly as it would on its own.
+    Each state's distance rounds exactly as it would on its own: numpy's
+    sum of its squared components, the same on every CPU (a BLAS dot
+    product's rounding depends on the kernel the CPU selects).
     """
     x = np.asarray(x, dtype=float)
     centered = x - x.mean(axis=-2, keepdims=True)
     flat = centered.reshape(-1, x.shape[-2] * x.shape[-1])
-    dist = np.sqrt(_row_dot(flat, flat))
+    dist = np.sqrt(np.add.reduce(flat * flat, axis=1))
     return float(dist[0]) if x.ndim == 2 else dist
 
 
@@ -454,7 +450,10 @@ def _bind_log_reducer(config: SimConfig, size: int):
     The reducer owns an error buffer, writeable copies of the gather
     indices, and ``np.bincount`` bin tables for a full block that run
     sample-major, so a block of ``S`` samples uses their prefix and every
-    cell adds its terms in the order a per-sample reduction would.
+    cell adds its terms in the order a per-sample reduction would. A norm's
+    bin adds its squared error components from ``0.0``, pair by pair and
+    component by component, so no BLAS kernel takes part and the bits are
+    the same on every CPU.
     """
     s = config.structure
     pairs = s.pairs
@@ -463,9 +462,9 @@ def _bind_log_reducer(config: SimConfig, size: int):
     # Writeable, so ``take`` uses them as they are.
     target, dist_pairs = pairs.target.copy(), s.disturbance_pairs.copy()
     dist = np.empty((size, len(dist_pairs), n_dim))
-    norm_bins = (np.arange(2 * size)[:, None] * n + pairs.target).reshape(-1)
+    norm_bins = np.repeat(np.arange(2 * size)[:, None] * n + pairs.target, n_dim)
     dist_bins = (np.arange(size)[:, None] * n * n_dim + s.disturbance_bins).reshape(-1)
-    subtract, bincount, sqrt = np.subtract, np.bincount, np.sqrt
+    subtract, multiply, bincount, sqrt = np.subtract, np.multiply, np.bincount, np.sqrt
 
     def reduce(logged: np.ndarray) -> tuple:
         m = len(logged)
@@ -473,11 +472,11 @@ def _bind_log_reducer(config: SimConfig, size: int):
         # The indices are the layout's own, all in range; see pair_derivative.
         logged[:, :, p:].take(target, 2, e, "clip")
         subtract(e, logged[:, :, :p], e)
-        flat = e.reshape(-1, n_dim)
-        sq = _row_dot(flat, flat)
-        norms = sqrt(bincount(norm_bins[: len(sq)], sq, 2 * m * n)).reshape(m, 2, n)
         e[:, 0].take(dist_pairs, 1, d, "clip")
         v = bincount(dist_bins[: d.size], d.reshape(-1), m * n * n_dim).reshape(m, n, n_dim)
+        multiply(e, e, e)
+        # With no pairs the sums are an integer array: no sqrt into it.
+        norms = sqrt(bincount(norm_bins[: e.size], e.reshape(-1), 2 * m * n)).reshape(m, 2, n)
         return norms, v
 
     return reduce

@@ -145,7 +145,8 @@ def message_form_run(config):
     Returns the series ``times``, ``states``, ``inputs``, ``errx``, ``erru``
     and ``v``. The plant steps as ``x + dt * (x A^T + u + f(x))``; the error
     norms and the disturbance are reduced one step at a time, each cell
-    adding its terms in pair order.
+    adding its terms in pair order, and a norm its squared components
+    pair by pair and component by component.
     """
     g, plant, dt = config.graph, config.plant, config.dt
     nbs = all_khop_sets(g, config.k)
@@ -163,7 +164,8 @@ def message_form_run(config):
 
     def error_norm(truth, est):
         diff = truth[target] - est.reshape(-1, plant.N)
-        sq = np.bincount(target, weights=np.vecdot(diff, diff), minlength=g.n)
+        sq = np.bincount(np.repeat(target, plant.N), weights=(diff * diff).reshape(-1),
+                         minlength=g.n)
         return np.sqrt(sq)
 
     x = np.array(config.x0, dtype=float)

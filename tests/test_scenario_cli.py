@@ -4,10 +4,14 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1092,3 +1096,38 @@ def test_divergence_exit_prints_no_numpy_warning(tmp_path, capsys, field, value)
     assert len(lines) == 2, lines
     assert lines[0] == f"partial telemetry retained: {tmp_path / 'out' / 'telemetry.csv'}"
     assert lines[1].startswith("divergence: ")
+
+
+def _openblas_with_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no ``mode``, or no BLAS entry
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_with_dynamic_arch(),
+                    reason="needs an OpenBLAS that picks its kernels per CPU (DYNAMIC_ARCH)")
+def test_outputs_are_the_same_bytes_under_any_blas_kernel(tmp_path):
+    # OpenBLAS built with DYNAMIC_ARCH picks its kernels for the CPU it runs
+    # on, and OPENBLAS_CORETYPE forces one; their dot products round
+    # differently. The gains, the error norms and the consensus distance
+    # take no BLAS call, so a run on a reproduction cut to 2 s writes the
+    # same files under the CPU's own kernels and under Prescott's.
+    scenario, _ = write_scenario(tmp_path, **{"sim.t_end": 2.0})
+    src = Path(scenario_cli.__file__).resolve().parents[1]
+    digests = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "native")
+        for command in ("tune", "simulate"):
+            subprocess.run([sys.executable, "-m", "khopsim.scenario_cli", command,
+                            "--scenario", str(scenario), "--out", str(out)],
+                           env=env, check=False, capture_output=True)
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("telemetry.csv", "report.json", "gains.json")})
+    assert digests[0] == digests[1]
