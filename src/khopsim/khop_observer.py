@@ -30,9 +30,12 @@ switches both. The rows keep the order in which an agent walks its inbox,
 and each sum starts from ``+0.0``, so it rounds as the per-agent message
 form does; see :func:`pair_layout`. The layout holds each pair's gains at
 full width, ``(P, N)`` per gain, and a run's :class:`PairWorkspace` holds
-the buffers every call reuses. With a zero ``A``, as in every bundled
-scenario, the kernel skips the ``x A^T`` product, which changes no bit;
-see :func:`pair_derivative`. That message form, one message object per
+the buffers every call reuses and binds the kernel's body to them once, so
+a call looks nothing up. The ``+0.0`` add that keeps an underflowed
+``g xi`` from switching as ``-0.0`` runs only for ``g <= 0.5``, the only
+gains under which ``g xi`` of a nonzero ``xi`` can round to ``-0.0``. With
+a zero ``A``, as in every bundled scenario, the kernel skips the ``x A^T``
+product, which changes no bit; see :func:`pair_derivative`. That message form, one message object per
 sender, lives in ``tests/reference_form.py`` as the oracle the tests
 compare against.
 """

@@ -33,18 +33,22 @@ the closures :func:`_bind_control` and :func:`_bind_advance` bind once per
 run to ``z``, its buffers and views, the kernel's :class:`PairWorkspace`,
 writeable copies of the index tables (``take`` copies read-only ones on
 every call) and the numpy functions a step calls. A step looks nothing up
-and allocates one ufunc buffer at most: numpy's copy of the pair estimates
-in the kernel's broadcast ``subtract``. Every sum is one
+and allocates one ufunc buffer at most, numpy's copy of the pair estimates
+in the kernel's broadcast ``subtract``, plus, with a state box, the two
+byte strings its box check compares. Every sum is one
 ``np.add.reduce(..., initial=0.0)`` over the term axis, which starts from
 ``+0.0`` and adds the terms in table order.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block, after the steps
 that produced it, by a reducer :func:`run` binds once next to the step
-(:func:`_bind_log_reducer`): a gather and subtract into its error buffer, a
-row-wise dot product and an ``np.bincount`` whose bins run sample-major, so
-every cell accumulates its terms in the same order as a per-sample
-reduction would. The steps and these reductions ignore numpy's
+(:func:`_bind_log_reducer`): a gather and subtract into its error buffer,
+then ``np.bincount`` sums whose bins run sample-major, so every cell
+accumulates its terms in the same order as a per-sample reduction would.
+The norms add squared components, not BLAS dot products, so their bits do
+not depend on the kernel OpenBLAS picks for the CPU. The logged ``v`` is
+``x - x_hat`` summed over each agent's target-only neighbors, so the
+controller injects ``-v``. The steps and these reductions ignore numpy's
 overflow and invalid-value warnings: divergence is checked explicitly.
 
 The telemetry CSV of a large run is written and read on every usable CPU:
@@ -207,8 +211,9 @@ class Telemetry:
 
     ``errx``/``erru`` hold, per estimated agent, the norm of the stacked
     error made by all of that agent's estimators (the quantity the
-    finite-time certificates bound). ``v`` is the consensus-disturbance
-    vector injected by estimate-based control terms.
+    finite-time certificates bound). ``v`` is the consensus disturbance:
+    per agent, ``x - x_hat`` summed over its target-only neighbors, the
+    ones its input reads from estimates, so the controller injects ``-v``.
     """
 
     times: np.ndarray
