@@ -35,9 +35,9 @@ a call looks nothing up. The ``+0.0`` add that keeps an underflowed
 ``g xi`` from switching as ``-0.0`` runs only for ``g <= 0.5``, the only
 gains under which ``g xi`` of a nonzero ``xi`` can round to ``-0.0``. With
 a zero ``A``, as in every bundled scenario, the kernel skips the ``x A^T``
-product, which changes no bit; see :func:`pair_derivative`. That message form, one message object per
-sender, lives in ``tests/reference_form.py`` as the oracle the tests
-compare against.
+product, which changes no bit; see :func:`pair_derivative`. That message
+form, one message object per sender, lives in ``tests/reference_form.py``
+as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class PairWorkspace:
         # 0-d arrays: numpy would convert the floats 0.0 and g on every call.
         self.zero, self.g = np.array(0.0), np.array(layout.g)
         # No sum is -0.0 (each starts from +0.0), but g xi is when g <= 0.5
-        # and xi is the smallest subnormal of either sign, which rounds to
-        # a signed zero; a larger g keeps every nonzero xi nonzero.
+        # and xi is a negative subnormal that g scales to half its last
+        # place or less; for g > 0.5 even g * -5e-324 rounds to -5e-324.
         self.may_underflow = bool(layout.g <= 0.5)
         self.AT = plant.A.T if plant.A.any() else None
         self.x_rows, self.u_rows = z

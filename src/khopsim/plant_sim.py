@@ -45,6 +45,7 @@ that produced it, by a reducer :func:`run` binds once next to the step
 (:func:`_bind_log_reducer`): a gather and subtract into its error buffer,
 then ``np.bincount`` sums whose bins run sample-major, so every cell
 accumulates its terms in the same order as a per-sample reduction would.
+The block's consensus distances follow in one stacked call.
 The norms add squared components, not BLAS dot products, so their bits do
 not depend on the kernel OpenBLAS picks for the CPU. The logged ``v`` is
 ``x - x_hat`` summed over each agent's target-only neighbors, so the
@@ -266,7 +267,7 @@ def consensus_distance(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     centered = x - x.mean(axis=-2, keepdims=True)
     flat = centered.reshape(-1, x.shape[-2] * x.shape[-1])
-    dist = np.sqrt(np.add.reduce(flat * flat, axis=1))
+    dist = np.sqrt(np.add.reduce(np.multiply(flat, flat, out=flat), axis=1))
     return float(dist[0]) if x.ndim == 2 else dist
 
 
@@ -396,9 +397,10 @@ def _bind_advance(config: SimConfig, z: np.ndarray):
     flat, x_flat = z.reshape(-1), z[0, pairs.target.size:].reshape(-1)
     box = config.state_box
     lo, hi = box if box is not None else (None, None)
-    # The states clipped into the box have the states' bytes unless one lies
-    # outside it (or is a zero of the other sign on a zero bound, which
-    # _check_state's exact comparisons let pass).
+    # The states clipped into the box keep the states' bytes unless one lies
+    # outside it or clip flips the sign of a zero at a zero bound. Either
+    # way _check_state's exact comparisons decide, so a flipped zero would
+    # cost time, not a verdict.
     clipped = np.empty_like(x_flat)
     clip, x_bytes = x_flat.clip, x_flat.tobytes
     multiply, add, dot, isfinite = np.multiply, np.add, np.dot, math.isfinite
@@ -592,9 +594,10 @@ def run(config: SimConfig) -> Telemetry:
         "inputs": np.zeros((n_samples, n, n_dim)),
         "errx": np.zeros((n_samples, n)),
         "erru": np.zeros((n_samples, n)),
+        "cons_dist": np.zeros(n_samples),
         "v": np.zeros((n_samples, n, n_dim)),
     }
-    times, states, inputs, errx, erru, v_log = logs.values()
+    times, states, inputs, errx, erru, cons_dist, v_log = logs.values()
     block = np.empty((min(n_samples, max(1, LOG_BLOCK_BYTES // z.nbytes)), *z.shape))
     row = reduced = 0
 
@@ -607,14 +610,13 @@ def run(config: SimConfig) -> Telemetry:
         inputs[rows] = logged[:, 1, p:]
         err, v_log[rows] = reduce_log(logged)
         errx[rows], erru[rows] = err[:, 0], err[:, 1]
+        cons_dist[rows] = consensus_distance(states[rows])
         reduced = row
 
     def telemetry() -> Telemetry:
         if row > reduced:
             reduce_block()
-        logged = {name: arr[:row] for name, arr in logs.items()}
-        cons = consensus_distance(logged["states"])
-        return _assemble_telemetry(config, cons_dist=cons, **logged)
+        return _assemble_telemetry(config, **{name: arr[:row] for name, arr in logs.items()})
 
     control, advance = _bind_control(config, z), _bind_advance(config, z)
     reduce_log = _bind_log_reducer(config, len(block))

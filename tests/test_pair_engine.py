@@ -411,21 +411,30 @@ def test_switching_is_the_gain_times_sign_bit_for_bit(case, g_val, seed):
     assert not (np.signbit(work.acc) & (work.acc == 0.0)).any()
 
 
-@pytest.mark.parametrize("g_val, underflows", [(0.5, True), (np.nextafter(0.5, 1.0), False)])
-def test_switching_treats_an_underflowed_signal_as_zero(g_val, underflows):
-    # Every estimate 5e-324 and every truth +0.0: a pair with one truth term
-    # has xi = -5e-324, and g xi = 0.5 * xi underflows to -0.0. sign(-0.0)
-    # = +1, so its switching term is +theta, not the -theta of -0.0's sign bit.
-    # With g just above 0.5, g xi rounds to -5e-324 and the kernel skips the
-    # add that clears -0.0.
+def underflow_case(g_val):
+    """Every estimate 5e-324 and every truth +0.0: a pair with one truth
+    term has xi = -5e-324. Its ``g xi`` and :func:`switching_terms`."""
     layout, n = switching_layout(chorded_ring(), g_val)
     z = np.zeros((2, layout.target.size + n, 2))
     z[:, : layout.target.size] = 5e-324
     got, want, work = switching_terms(layout, z)
-    gxi = np.multiply(work.xi, work.g)
-    assert (np.signbit(gxi) & (gxi == 0.0)).any() == underflows
-    assert (gxi == -5e-324).any() != underflows
-    assert work.may_underflow == underflows
+    return np.multiply(work.xi, work.g), got, want, work
+
+
+def test_switching_treats_an_underflowed_signal_as_zero():
+    # g xi = 0.5 * -5e-324 underflows to -0.0. sign(-0.0) = +1, so its
+    # switching term is +theta, not the -theta of -0.0's sign bit.
+    gxi, got, want, work = underflow_case(0.5)
+    assert (np.signbit(gxi) & (gxi == 0.0)).any() and work.may_underflow
+    assert np.array_equal(got, want)
+
+
+def test_switching_just_above_half_keeps_the_smallest_signal():
+    # With g just above 0.5, g xi rounds to -5e-324, never to -0.0, so the
+    # kernel skips the add that clears -0.0 and still switches as sign does.
+    gxi, got, want, work = underflow_case(np.nextafter(0.5, 1.0))
+    assert not (np.signbit(gxi) & (gxi == 0.0)).any() and (gxi == -5e-324).any()
+    assert not work.may_underflow
     assert np.array_equal(got, want)
 
 
