@@ -2,9 +2,9 @@
 
 ``run`` fills the ``consdist`` column from the stacked logged states in one
 call per log block, so the stacked :func:`consensus_distance` must round
-exactly as one call per state did. A CSV written from a run and read back must rebuild,
-through :func:`telemetry_from_columns`, the very record the run returned,
-detection results included.
+exactly as one call per state did. A CSV written from a run and read back
+must rebuild, through :func:`telemetry_from_columns`, the very record the
+run returned, detection results included.
 """
 
 import dataclasses
