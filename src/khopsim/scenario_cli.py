@@ -21,6 +21,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -480,7 +481,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
-        return val if np.isfinite(val) else None
+        return val if math.isfinite(val) else None
     return obj
 
 

@@ -709,6 +709,17 @@ class TestReportBranches:
         without = scenario_cli.bound_audit(*_judged())["per_agent"]
         assert all(row["d_u"] is None and row["within_d_u"] is None for row in without)
 
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_nonfinite_values_are_reported_as_null(self, kind):
+        # NaN marks a value a report does not have; strict JSON has no inf.
+        values = [kind(v) for v in ("nan", "inf", "-inf", "0.5")]
+        doc = scenario_cli._jsonable(
+            {"row": values, "array": np.array(values), "one": values[2]})
+        assert doc == {"row": [None, None, None, 0.5], "array": [None, None, None, 0.5],
+                       "one": None}
+        assert type(doc["row"][3]) is float and type(doc["array"][3]) is float
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
 
 class TestUnusableTelemetry:
     """``verify`` refuses a record it cannot judge with exit 1 and one line,
