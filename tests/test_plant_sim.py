@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import chorded_ring, connected_graphs
+from conftest import chorded_ring, connected_graphs, short_reproduction
 from khopsim import (
     BoundSet,
     Controller,
@@ -524,6 +524,71 @@ class TestRun:
         assert len(tel.times) == 51
         assert 51 * init_world(config).nbytes <= plant_sim.LOG_BLOCK_BYTES
         assert calls == {"pair_derivative": 50, "_bind_log_reducer": 1, "reduce": 1}
+
+
+def _gamma(m: int) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``: the relative error bound of
+    ``m`` roundings, ``u = 2**-53``."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+class TestIdealTwin:
+    """The price of observation, as an identity. With ``A = 0``, no ``f``
+    and the consensus law, the input is ``u = -L_T x - v``: ``L_T`` is the
+    target graph's Laplacian and ``v`` the logged disturbance. So the gap
+    ``e = x - x_ideal`` to the Euler run on ``-L_T x`` from the same ``x0``
+    follows ``e_{k+1} = e_k + dt (-L_T e_k - v_k)`` from ``e_0 = 0``.
+
+    The tolerance is a rounding bound. Let ``D_k = x_k - y_k - e_k`` in
+    exact arithmetic, with ``y`` the ideal run and ``e`` the recursion as
+    computed. Then ``D_0 = 0`` and ``D_{k+1} = (I - dt L_T) D_k + r_k``,
+    where ``r_k`` collects the three computations' roundings in step k.
+    ``|I - dt L_T|_inf = 1`` when ``dt`` times every degree is at most 1, so
+    ``max|D_k|`` is at most the sum of the earlier ``max|r_j|``. The
+    computed gap adds one rounding of the subtraction. With ``|.|`` the
+    largest magnitude over agents and components, ``S = |x_k|``, ``E``
+    twice the largest logged error norm (it bounds every component of
+    ``x_j - x_hat``), ``D`` control terms per agent, ``deg`` the largest
+    degree in ``L_T`` and ``U`` the logged input:
+
+    - run: ``x_{k+1} = fl(x_k + fl(dt U_k))``, exactly, as ``A = 0`` skips
+      its product. Each term ``row - x_i`` of ``U`` is at most ``2S + E``
+      and each of ``v``'s ``x_j - x_hat`` at most ``E``, so
+      ``|U - (-L_T x - v)| <= gamma_D D (2S + 2E)``, and
+      ``|r^x| <= gamma_1 |x_{k+1}| + u dt |U_k| + dt gamma_D D (2S + 2E)``;
+    - ideal: ``|r^y| <= gamma_1 |y_{k+1}| + dt gamma_{n+1} 2 deg |y_k|``;
+    - recursion: ``|r^e| <= gamma_1 |e_{k+1}| + dt gamma_{n+2} (2 deg |e_k| + |v_k|)``.
+    """
+
+    @pytest.mark.parametrize("raw", [short_reproduction(), chorded_ring()],
+                             ids=["reproduction", "chorded_ring"])
+    def test_gap_to_the_ideal_run_follows_the_logged_disturbance(self, raw):
+        config = prepare(load_scenario(raw)).config
+        assert config.decimate == 1 and config.plant.f is None and not config.plant.A.any()
+        tel = run(config)
+        lap = config.controller.target_graph.laplacian()
+        n, dt = config.graph.n, config.dt
+        deg, terms = lap.diagonal().max(), len(config.structure.control_terms)
+        assert dt * deg <= 1.0
+        u = np.finfo(float).eps / 2
+        y, e = tel.states[0].copy(), np.zeros_like(tel.states[0])
+        drift = 0.0  # the bound on max|D_k|
+        for k in range(len(tel.times) - 1):
+            x, x_next, v = tel.states[k], tel.states[k + 1], tel.v[k]
+            S, E = np.abs(x).max(), 2 * tel.errx[k].max()
+            y_next = y - dt * (lap @ y)
+            e_next = e + dt * (-(lap @ e) - v)
+            drift += (_gamma(1) * np.abs(x_next).max() + u * dt * np.abs(tel.inputs[k]).max()
+                      + dt * _gamma(terms) * terms * (2 * S + 2 * E))
+            drift += _gamma(1) * np.abs(y_next).max() + dt * _gamma(n + 1) * 2 * deg * np.abs(y).max()
+            drift += _gamma(1) * np.abs(e_next).max() + dt * _gamma(n + 2) * (
+                2 * deg * np.abs(e).max() + np.abs(v).max())
+            y, e = y_next, e_next
+            gap = x_next - y
+            assert np.abs(gap - e).max() <= drift + _gamma(1) * np.abs(gap).max(), k + 1
+        # The identity is not vacuous: the estimates moved the run off the ideal one.
+        assert np.abs(e).max() > 1e3 * drift
 
 
 class TestDetection:
