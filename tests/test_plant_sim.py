@@ -535,7 +535,7 @@ def _gamma(m: int) -> float:
 
 class TestIdealTwin:
     """The price of observation, as an identity. With ``A = 0``, no ``f``
-    and the consensus law, the input is ``u = -L_T x - v``: ``L_T`` is the
+    and the consensus law, the input is ``U = -L_T x - v``: ``L_T`` is the
     target graph's Laplacian and ``v`` the logged disturbance. So the gap
     ``e = x - x_ideal`` to the Euler run on ``-L_T x`` from the same ``x0``
     follows ``e_{k+1} = e_k + dt (-L_T e_k - v_k)`` from ``e_0 = 0``.
@@ -548,15 +548,16 @@ class TestIdealTwin:
     ``max|D_k|`` is at most the sum of the earlier ``max|r_j|``. The
     computed gap adds one rounding of the subtraction. With ``|.|`` the
     largest magnitude over agents and components, ``S = |x_k|``, ``E``
-    twice the largest logged error norm (it bounds every component of
-    ``x_j - x_hat``), ``D`` control terms per agent, ``deg`` the largest
-    degree in ``L_T`` and ``U`` the logged input:
+    twice the largest logged error norm (the norm bounds every component of
+    ``x_j - x_hat``, and doubling it covers its own rounding), ``m`` control
+    terms per agent, ``deg`` the largest degree in ``L_T``, ``U`` the logged
+    input and ``u`` the unit roundoff:
 
     - run: ``x_{k+1} = fl(x_k + fl(dt U_k))``, exactly, as ``A = 0`` skips
       its product. Each term ``row - x_i`` of ``U`` is at most ``2S + E``
       and each of ``v``'s ``x_j - x_hat`` at most ``E``, so
-      ``|U - (-L_T x - v)| <= gamma_D D (2S + 2E)``, and
-      ``|r^x| <= gamma_1 |x_{k+1}| + u dt |U_k| + dt gamma_D D (2S + 2E)``;
+      ``|U - (-L_T x - v)| <= gamma_m m (2S + 2E)``, and
+      ``|r^x| <= gamma_1 |x_{k+1}| + u dt |U_k| + dt gamma_m m (2S + 2E)``;
     - ideal: ``|r^y| <= gamma_1 |y_{k+1}| + dt gamma_{n+1} 2 deg |y_k|``;
     - recursion: ``|r^e| <= gamma_1 |e_{k+1}| + dt gamma_{n+2} (2 deg |e_k| + |v_k|)``.
     """
