@@ -17,6 +17,24 @@ Jacobi (Rutishauser, Numer. Math. 9, 1966): it changed nothing, and it saw
 the state that the oracle's scan of the triangle before each sweep accepts.
 The solver stops there, after the oracle's rotations in the oracle's order,
 and never scans the matrix as an array.
+
+A coupling matrix ``L + H`` on a ring-like graph is often block diagonal up
+to a permutation: its 2..k-hop members fall into separate arcs. Each block,
+a connected component of the exact-nonzero pattern off the diagonal, rotates
+alone, in the cyclic order of its ascending original indices, under the
+threshold from the whole matrix's norm. This keeps every bit. A rotation in
+one block reads and writes only that block's entries and the exact zeros
+that join it to the others, which it maps to ``+0.0``; those are never above
+the threshold, so no rotation touches them, and a block that has converged
+sees only skips while the others go on. So each block gets the whole solve's
+rotations, in its order, with its float operations, and ``_MAX_SWEEPS``
+bounds each block as it bounded the whole.
+
+:func:`sym_eigs` also solves each distinct block once per call. The threshold
+enters no arithmetic, only the decisions to skip or rotate. So a block solved
+at one threshold gives the same bits at any threshold at or above the largest
+entry it skipped and below the smallest it rotated, where every decision
+comes out the same.
 """
 
 from __future__ import annotations
@@ -55,49 +73,118 @@ def sym_eig(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
     A sweep rotates every entry above the diagonal, the ones the rotations
-    read, whose magnitude exceeds ``JACOBI_RTOL`` times the Frobenius norm of
-    the input, which must not overflow. Iteration stops after the first sweep
-    that rotates nothing: that sweep changed nothing, and it found every such
-    entry at or below the threshold, so it stops in the state that a scan of
-    the triangle before each sweep would accept, after the same rotations.
-    At most ``_MAX_SWEEPS`` sweeps run, and the last of them must rotate
-    nothing, else ``NumericalError``.
+    read, whose magnitude exceeds the threshold: the larger of
+    ``JACOBI_RTOL`` times the Frobenius norm of the input, which must not
+    overflow, and ``_TINY``, the smallest normal float. Where the squares
+    underflow the norm, a subnormal threshold would stall: a rotation's
+    rounding no longer shrinks with the entry below ``_TINY``. Iteration stops
+    after the first sweep that rotates nothing: that sweep changed nothing,
+    and it found every such entry at or below the threshold, so it stops in
+    the state that a scan of the triangle before each sweep would accept,
+    after the same rotations. At most ``_MAX_SWEEPS`` sweeps run, and the
+    last of them must rotate nothing, else ``NumericalError``.
+
+    Each irreducible block rotates alone, under the whole matrix's
+    threshold, with the same bits as the whole-matrix solve (module
+    docstring). This is :func:`sym_eigs` on a one-matrix list.
     """
-    a = _symmetric(m)
-    n = a.shape[0]
-    rows = a.tolist()
-    if n > 1:
-        with np.errstate(over="ignore"):
-            fro = float(np.sqrt(np.sum(a * a)))
-        if fro == np.inf:
-            raise NumericalError("the Frobenius norm of the matrix overflows")
-        thresh = JACOBI_RTOL * max(fro, _TINY)
-        order = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]  # cyclic, by rows
-        for _ in range(_MAX_SWEEPS):
-            rotated = False
-            for p, q in order:
-                apq = rows[p][q]
-                if abs(apq) <= thresh:
-                    continue
-                rotated = True
-                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    return sym_eigs([m])[0]
+
+
+def sym_eigs(matrices) -> list:
+    """:func:`sym_eig` of each matrix, with the same bits, solving each
+    distinct block once per call.
+
+    A block's answer is kept, for this call only, under its bytes (so
+    ``-0.0`` and ``+0.0`` differ) with the interval of thresholds in which
+    its solve makes the same decisions: at least the largest entry it
+    skipped and below the smallest it rotated. A matrix whose threshold lies
+    in that interval reuses it.
+    """
+    solved = {}  # block bytes -> [(largest skipped, smallest rotated, diagonal)]
+    out = []
+    for m in matrices:
+        a = _symmetric(m)
+        n = a.shape[0]
+        d = a.diagonal().tolist()
+        if n > 1:
+            with np.errstate(over="ignore"):
+                fro = float(np.sqrt(np.sum(a * a)))
+            if fro == np.inf:
+                raise NumericalError("the Frobenius norm of the matrix overflows")
+            thresh = max(JACOBI_RTOL * fro, _TINY)
+            for idx in _blocks(a):
+                b = a if len(idx) == n else a.take(idx, 0).take(idx, 1)
+                key = b.tobytes()
+                for skipped, rotated, w in solved.get(key, ()):
+                    if skipped <= thresh < rotated:
+                        break
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # a <- G^T a G by the (p, q) Givens rotation: rows, then columns
-                rp, rq = rows[p], rows[q]
-                rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                for row in rows:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-            if not rotated:
-                break
-        else:
-            raise NumericalError("Jacobi iteration did not converge")
-    w = np.array([row[i] for i, row in enumerate(rows)])
-    return w[np.argsort(w, kind="stable")]
+                    skipped, rotated, w = _jacobi(b.tolist(), thresh)
+                    solved.setdefault(key, []).append((skipped, rotated, w))
+                for i, x in zip(idx, w):
+                    d[i] = x
+        w = np.array(d)
+        out.append(w[np.argsort(w, kind="stable")])
+    return out
+
+
+def _blocks(a) -> list:
+    """The connected components of ``a``'s exact-nonzero pattern above the
+    diagonal that have two or more rows, each as ascending indices."""
+    root = list(range(a.shape[0]))
+    ps, qs = np.nonzero(a)
+    for p, q in zip(ps.tolist(), qs.tolist()):
+        if p < q:
+            while root[p] != p:
+                p = root[p]
+            while root[q] != q:
+                q = root[q]
+            root[max(p, q)] = min(p, q)
+    comps = {}
+    for i, r in enumerate(root):
+        while root[r] != r:
+            r = root[r]
+        comps.setdefault(r, []).append(i)
+    return [idx for idx in comps.values() if len(idx) > 1]
+
+
+def _jacobi(rows, thresh) -> tuple:
+    """Rotate the symmetric ``rows`` in place until a sweep rotates nothing;
+    return the largest magnitude skipped, the smallest rotated and the
+    diagonal."""
+    n = len(rows)
+    skipped, smallest = 0.0, math.inf
+    order = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]  # cyclic, by rows
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q in order:
+            apq = rows[p][q]
+            mag = abs(apq)
+            if mag <= thresh:
+                if mag > skipped:
+                    skipped = mag
+                continue
+            rotated = True
+            if mag < smallest:  # a NaN is rotated at every threshold
+                smallest = mag
+            tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # a <- G^T a G by the (p, q) Givens rotation: rows, then columns
+            rp, rq = rows[p], rows[q]
+            rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+            rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+            for row in rows:
+                x, y = row[p], row[q]
+                row[p] = c * x - s * y
+                row[q] = s * x + c * y
+        if not rotated:
+            break
+    else:
+        raise NumericalError("Jacobi iteration did not converge")
+    return skipped, smallest, [row[i] for i, row in enumerate(rows)]

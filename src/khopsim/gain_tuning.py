@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dense_linalg import DEFINITENESS_TOL, sym_eig
+from .dense_linalg import DEFINITENESS_TOL, sym_eig, sym_eigs
 from .errors import (
     CertificateInfeasible,
     CouplingNotPD,
@@ -141,10 +141,12 @@ def coupling_spectra(matrices) -> tuple:
     """``(lambda_min, lambda_max, eta)`` of the agent-indexed coupling
     ``matrices`` ``M``, as per-agent arrays: NaN spectra and ``eta = 0``
     where an agent has no matrix (``None``). This is the one eigensolve of
-    each ``M``. Raises :class:`CouplingNotPD` for the first agent whose
-    ``M`` is not positive definite.
+    each ``M``, in one :func:`sym_eigs` call, so a block that several
+    agents share is solved once. Raises :class:`CouplingNotPD` for the first
+    agent whose ``M`` is not positive definite.
     """
-    rows = [(np.nan, np.nan, 0) if m is None else (*sym_eig(m)[[0, -1]], len(m))
+    spectra = iter(sym_eigs([m for m in matrices if m is not None]))
+    rows = [(np.nan, np.nan, 0) if m is None else (*next(spectra)[[0, -1]], len(m))
             for m in matrices]
     lmin, lmax, eta = map(np.array, zip(*rows))
     if (not_pd := lmin <= DEFINITENESS_TOL).any():

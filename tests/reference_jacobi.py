@@ -18,14 +18,15 @@ from khopsim.errors import NumericalError
 def sym_eig(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
-    Iteration stops once every entry above the diagonal is below
-    ``JACOBI_RTOL`` relative to the Frobenius norm of the input.
+    Iteration stops once every entry above the diagonal is at or below the
+    larger of ``JACOBI_RTOL`` times the Frobenius norm of the input and the
+    smallest normal float.
     """
     a = _symmetric(m)
     n = a.shape[0]
     if n > 1:
         fro = float(np.sqrt(np.sum(a * a)))
-        thresh = JACOBI_RTOL * max(fro, np.finfo(float).tiny)
+        thresh = max(JACOBI_RTOL * fro, np.finfo(float).tiny)
         # Python floats overflow silently, as in the rotations of sym_eig;
         # numpy scalars would warn.
         with np.errstate(over="ignore"):

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 import reference_jacobi
 from conftest import chorded_ring, random_connected_graph
 from khopsim import Graph, dense_linalg, gain_tuning, tune_gains
-from khopsim.dense_linalg import sym_eig
+from khopsim.dense_linalg import JACOBI_RTOL, sym_eig, sym_eigs
 from khopsim.errors import NumericalError
 from khopsim.scenario_cli import load_scenario
 
@@ -103,10 +103,23 @@ class TestSymEig:
                 sym_eig([[0.0, 1e200], [1e200, 0.0]])
         assert sym_eig([[0.0, 1e150], [1e150, 0.0]]) == pytest.approx([-1e150, 1e150])
 
+    def test_converges_when_the_squares_underflow(self):
+        # Every square underflows, so the computed norm is 0 although the
+        # true one is ~1e-163. A threshold of JACOBI_RTOL times a subnormal
+        # stalled: a rotation's rounding no longer shrinks with the entry.
+        a = np.random.default_rng(11).normal(size=(11, 11))
+        unit = 0.5 * (a + a.T)
+        m = unit * 1e-164
+        assert np.sum(m * m) == 0.0
+        assert_same_outcome(m)
+        ref = np.linalg.eigvalsh(unit)
+        assert np.max(np.abs(sym_eig(m) / 1e-164 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 def assert_same_outcome(m):
     """``sym_eig`` and the oracle give the same bits, or fail the same way
-    (entries below ~1e-154 underflow the norm and can stall both)."""
+    (both run out of sweeps). The threshold is floored at the smallest
+    normal float, so entries whose squares underflow the norm converge too."""
     try:
         ref = reference_jacobi.sym_eig(m)
     except NumericalError as exc:
@@ -184,10 +197,118 @@ class TestRotationsOnPythonFloats:
             calls.append(1)
             return reference_jacobi.sym_eig(m)
 
-        monkeypatch.setattr(dense_linalg, "sym_eig", oracle)
-        monkeypatch.setattr(gain_tuning, "sym_eig", oracle)
+        # coupling_spectra solves through sym_eigs, design_g through sym_eig
+        for mod in (dense_linalg, gain_tuning):
+            monkeypatch.setattr(mod, "sym_eig", oracle)
+            monkeypatch.setattr(mod, "sym_eigs", lambda ms: [oracle(m) for m in ms])
         assert tuned() == ours
         assert len(calls) == sc.graph.n + 1  # the couplings and design_g
+
+
+def block_diagonal(blocks, perm):
+    """The blocks on the diagonal, rows and columns then permuted by ``perm``."""
+    n = sum(len(b) for b in blocks)
+    m = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        m[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return m[np.ix_(perm, perm)]
+
+
+@st.composite
+def shared_block_lists(draw):
+    """Matrices that share blocks from one pool, each with a 1x1 companion
+    block whose size sets the Frobenius norm and so moves the threshold
+    across the shared blocks' entries, rows and columns permuted."""
+    small_floats = st.integers(1, 5).flatmap(
+        lambda n: arrays(float, (n, n), elements=st.floats(-1e3, 1e3, width=64))
+    ).map(lambda a: a + a.T)
+    pool = draw(st.lists(st.one_of(coupling_like_matrices(max_n=6), small_floats),
+                         min_size=1, max_size=4))
+    matrices = []
+    for _ in range(draw(st.integers(1, 5))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+        companion = np.array([[draw(st.sampled_from([0.0, 1.0, -1.0])) *
+                               10.0 ** draw(st.floats(-2.0, 16.0))]])
+        blocks = [pool[i] for i in picks] + [companion]
+        n = sum(len(b) for b in blocks)
+        matrices.append(block_diagonal(blocks, draw(st.permutations(range(n)))))
+    return matrices
+
+
+def count_solves(monkeypatch):
+    """Patch the block solver to count its calls."""
+    calls = []
+    solve = dense_linalg._jacobi
+
+    def counted(rows, thresh):
+        calls.append(len(rows))
+        return solve(rows, thresh)
+
+    monkeypatch.setattr(dense_linalg, "_jacobi", counted)
+    return calls
+
+
+class TestBlocksAndTheCallCache:
+    """``sym_eigs`` rotates each irreducible block alone and solves each
+    distinct block once per call; every answer keeps the oracle's bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_block_lists(), sweep_limits)
+    def test_shared_blocks_match_the_oracle_bit_for_bit(self, matrices, sweeps):
+        with limited_sweeps(sweeps):
+            refs = []
+            for m in matrices:
+                try:
+                    refs.append(reference_jacobi.sym_eig(m))
+                except NumericalError as exc:
+                    with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                        sym_eigs(matrices)
+                    matrices = matrices[:len(refs)]
+                    break
+            got = sym_eigs(matrices)
+        assert len(got) == len(refs)
+        for w, ref in zip(got, refs):
+            assert np.array_equal(w.view(np.int64), ref.view(np.int64))
+
+    def test_a_block_is_solved_again_outside_its_threshold_interval(self, monkeypatch):
+        # The shared block's off-diagonal 1e-3 lies above the threshold of
+        # the first matrix and below that of the second, which skips it.
+        shared = np.array([[2.0, 1e-3], [1e-3, 1.0]])
+        rotates = block_diagonal([shared, [[1.0]]], [2, 0, 1])
+        skips = block_diagonal([[[1e10]], shared], [1, 2, 0])
+        assert JACOBI_RTOL * np.linalg.norm(rotates) < 1e-3 < JACOBI_RTOL * np.linalg.norm(skips)
+        calls = count_solves(monkeypatch)
+        for matrices in ([rotates, skips], [skips, rotates]):
+            got = sym_eigs(matrices)
+            for w, m in zip(got, matrices):
+                assert np.array_equal(w, reference_jacobi.sym_eig(m))
+        assert calls == [2] * 4
+        assert list(got[0]) == [1.0, 2.0, 1e10] and got[1][0] < 1.0  # skipped, rotated
+
+    def test_a_block_is_reused_inside_its_threshold_interval(self, monkeypatch):
+        shared = np.array([[2.0, -1.0], [-1.0, 1.0]])
+        matrices = [block_diagonal([shared, [[c]]], [1, 2, 0]) for c in (0.0, 3.0, 1e4)]
+        calls = count_solves(monkeypatch)
+        got = sym_eigs(matrices)
+        assert calls == [2]
+        for w, m in zip(got, matrices):
+            assert np.array_equal(w, reference_jacobi.sym_eig(m))
+
+    def test_interleaved_twin_blocks_are_solved_once(self, monkeypatch):
+        m = block_diagonal([[[2.0, -1.0], [-1.0, 1.0]]] * 2, [0, 2, 1, 3])
+        calls = count_solves(monkeypatch)
+        assert np.array_equal(sym_eig(m), reference_jacobi.sym_eig(m))
+        assert calls == [2]
+
+    def test_a_second_call_solves_again(self, monkeypatch):
+        matrices = [np.array([[2.0, -1.0], [-1.0, 1.0]])] * 3
+        calls = count_solves(monkeypatch)
+        first = sym_eigs(matrices)
+        second = sym_eigs(matrices)
+        assert calls == [2, 2]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestSpectralNorm:
