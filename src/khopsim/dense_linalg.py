@@ -61,10 +61,10 @@ def _symmetric(m) -> np.ndarray:
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError("matrix contains non-finite entries")
     scale = np.maximum(1.0, np.abs(a))
-    if np.any(np.abs(a - a.T) > SYMMETRY_RTOL * scale):
+    if (np.abs(a - a.T) > SYMMETRY_RTOL * scale).any():
         raise NumericalError("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 
@@ -109,23 +109,23 @@ def sym_eigs(matrices) -> list:
         d = a.diagonal().tolist()
         if n > 1:
             with np.errstate(over="ignore"):
-                fro = float(np.sqrt(np.sum(a * a)))
+                fro = float(np.sqrt((a * a).sum()))
             if fro == np.inf:
                 raise NumericalError("the Frobenius norm of the matrix overflows")
             thresh = max(JACOBI_RTOL * fro, _TINY)
             for idx in _blocks(a):
                 b = a if len(idx) == n else a.take(idx, 0).take(idx, 1)
                 key = b.tobytes()
-                for skipped, rotated, w in solved.get(key, ()):
-                    if skipped <= thresh < rotated:
+                for skipped, smallest, w in solved.get(key, ()):
+                    if skipped <= thresh < smallest:
                         break
                 else:
-                    skipped, rotated, w = _jacobi(b.tolist(), thresh)
-                    solved.setdefault(key, []).append((skipped, rotated, w))
+                    skipped, smallest, w = _jacobi(b.tolist(), thresh)
+                    solved.setdefault(key, []).append((skipped, smallest, w))
                 for i, x in zip(idx, w):
                     d[i] = x
         w = np.array(d)
-        out.append(w[np.argsort(w, kind="stable")])
+        out.append(w[w.argsort(kind="stable")])
     return out
 
 
