@@ -24,11 +24,12 @@ a connected component of the exact-nonzero pattern off the diagonal, rotates
 alone, in the cyclic order of its ascending original indices, under the
 threshold from the whole matrix's norm. This keeps every bit. A rotation in
 one block reads and writes only that block's entries and the exact zeros
-that join it to the others, which it maps to ``+0.0``; those are never above
-the threshold, so no rotation touches them, and a block that has converged
-sees only skips while the others go on. So each block gets the whole solve's
-rotations, in its order, with its float operations, and ``_MAX_SWEEPS``
-bounds each block as it bounded the whole.
+that join it to the others, which it maps to ``+0.0``. Those are never
+above the threshold, so none of them is ever the entry a rotation
+annihilates, and a block that has converged sees only skips while the
+others go on. So each block gets the whole solve's rotations, in its
+order, with its float operations, and ``_MAX_SWEEPS`` bounds each block as
+it bounded the whole.
 
 :func:`sym_eigs` also solves each distinct block once per call. The threshold
 enters no arithmetic, only the decisions to skip or rotate. So a block solved
