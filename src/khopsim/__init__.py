@@ -40,7 +40,6 @@ from .gain_tuning import (
     tune_theta,
 )
 from .plant_sim import (
-    Controller,
     SimConfig,
     Telemetry,
     consensus_distance,

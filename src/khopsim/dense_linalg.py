@@ -70,8 +70,9 @@ def _symmetric(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def sym_eig(m) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+def sym_eigs(matrices) -> list:
+    """Eigenvalues of each symmetric matrix, ascending, by cyclic Jacobi
+    rotations.
 
     A sweep rotates every entry above the diagonal, the ones the rotations
     read, whose magnitude exceeds the threshold: the larger of
@@ -87,20 +88,13 @@ def sym_eig(m) -> np.ndarray:
 
     Each irreducible block rotates alone, under the whole matrix's
     threshold, with the same bits as the whole-matrix solve (module
-    docstring). This is :func:`sym_eigs` on a one-matrix list.
-    """
-    return sym_eigs([m])[0]
-
-
-def sym_eigs(matrices) -> list:
-    """:func:`sym_eig` of each matrix, with the same bits, solving each
-    distinct block once per call.
-
-    A block's answer is kept, for this call only, under its bytes (so
-    ``-0.0`` and ``+0.0`` differ) with the interval of thresholds in which
-    its solve makes the same decisions: at least the largest entry it
-    skipped and below the smallest it rotated. A matrix whose threshold lies
-    in that interval reuses it.
+    docstring), and each distinct block is solved once per call. A block's
+    answer is kept, for this call only, under its bytes (so ``-0.0`` and
+    ``+0.0`` differ) with the interval of thresholds in which its solve
+    makes the same decisions: at least the largest entry it skipped and
+    below the smallest it rotated. A matrix whose threshold lies in that
+    interval reuses it. A matrix's eigenvalues do not depend on the other
+    matrices of the call.
     """
     solved = {}  # block bytes -> [(largest skipped, smallest rotated, diagonal)]
     out = []

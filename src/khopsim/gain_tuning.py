@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dense_linalg import DEFINITENESS_TOL, sym_eig, sym_eigs
+from .dense_linalg import DEFINITENESS_TOL, sym_eigs
 from .errors import (
     CertificateInfeasible,
     CouplingNotPD,
@@ -165,8 +165,8 @@ def design_g(plant: PlantModel, g_scale: Optional[float] = None) -> float:
     (floored at zero) plus one. A supplied ``g_scale`` is verified and
     rejected if it violates the condition.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # sym_eig rejects a non-finite S
-        lam = float(sym_eig(0.5 * (plant.A + plant.A.T))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigs rejects a non-finite S
+        lam = float(sym_eigs([0.5 * (plant.A + plant.A.T)])[0][-1])
     if g_scale is None:
         g = max(0.0, lam) + 1.0
     else:

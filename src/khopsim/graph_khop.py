@@ -118,7 +118,6 @@ class KHopNeighborhood:
     """
 
     agent: int
-    k: int
     members: tuple
     one_hop: tuple
 
@@ -134,7 +133,7 @@ def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
     one_hop = g.neighbors(i)
     dist = g._bfs(i, max_depth=k)
     members = tuple(sorted(j for j, d in dist.items() if d >= 2))
-    return KHopNeighborhood(agent=i, k=k, members=members, one_hop=one_hop)
+    return KHopNeighborhood(agent=i, members=members, one_hop=one_hop)
 
 
 def all_khop_sets(g: Graph, k: int) -> list:

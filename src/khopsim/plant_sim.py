@@ -112,27 +112,6 @@ _CELL_BYTES = 20
 
 
 @dataclass(frozen=True)
-class Controller:
-    """Input law selector.
-
-    ``zero`` applies no input. ``khop_consensus`` drives agents toward
-    agreement over a target graph whose edges may be absent from the
-    communication graph; every target neighbor not reachable in one hop
-    must be covered by the hop horizon, otherwise the needed estimate does
-    not exist and construction fails.
-    """
-
-    kind: str
-    target_graph: Optional[Graph] = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "khop_consensus"):
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.kind == "khop_consensus" and self.target_graph is None:
-            raise ValueError("khop_consensus controller needs a target graph")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """One run's inputs plus ``structure``, the wiring built from them once
     (:func:`build_structure`). Scalars are taken as the scenario schema
@@ -141,16 +120,23 @@ class SimConfig:
     ``(P, N)`` pair arrays. ``nbs`` may pass in the k-hop neighborhoods of
     ``graph`` at horizon ``k`` when the caller already has them (as
     :func:`~khopsim.gain_tuning.tune_gains` returns them); otherwise they
-    are built here."""
+    are built here.
+
+    ``target_graph`` selects the input law. ``None`` applies no input.
+    A graph drives the agents toward agreement over it by the k-hop
+    consensus law; its edges may be absent from the communication graph,
+    but every target neighbor not reachable in one hop must be within the
+    hop horizon, otherwise the needed estimate does not exist and
+    construction fails."""
 
     graph: Graph
     k: int
     plant: PlantModel
     gains: GainSet
-    controller: Controller
     dt: float
     t_end: float
     x0: np.ndarray
+    target_graph: Optional[Graph] = None
     xhat0: Optional[list] = None
     uhat0: Optional[list] = None
     state_box: Optional[tuple] = None
@@ -242,7 +228,7 @@ class SimStructure:
     plane 0 of the state array, that its consensus input sums over, in the
     order one agent adds them (communication-and-target neighbors, then
     estimates of target-only neighbors), padded with the agent's own row,
-    stored term-major like ``PairLayout.terms``. The ``zero`` controller
+    stored term-major like ``PairLayout.terms``. With no target graph it
     has no rows, so every input is the empty sum ``+0.0``.
     ``disturbance_pairs`` are the pairs those estimates come from, and
     ``disturbance_bins`` their flat ``(estimator, component)`` cells in an
@@ -256,19 +242,18 @@ class SimStructure:
     disturbance_bins: np.ndarray
 
 
-def consensus_distance(x: np.ndarray):
-    """Euclidean distance to the consensus set of one stacked state ``(n, N)``
-    (a float), or of every state in a stack ``(S, n, N)`` (an ``(S,)`` array).
+def consensus_distance(x: np.ndarray) -> np.ndarray:
+    """Euclidean distance to the consensus set of every state in a stack
+    ``(S, n, N)``, an ``(S,)`` array.
 
     Each state's distance rounds exactly as it would on its own: numpy's
     sum of its squared components, the same on every CPU (a BLAS dot
     product's rounding depends on the kernel the CPU selects).
     """
     x = np.asarray(x, dtype=float)
-    centered = x - x.mean(axis=-2, keepdims=True)
-    flat = centered.reshape(-1, x.shape[-2] * x.shape[-1])
-    dist = np.sqrt(np.add.reduce(np.multiply(flat, flat, out=flat), axis=1))
-    return float(dist[0]) if x.ndim == 2 else dist
+    centered = x - x.mean(axis=1, keepdims=True)
+    flat = centered.reshape(-1, x.shape[1] * x.shape[2])
+    return np.sqrt(np.add.reduce(np.multiply(flat, flat, out=flat), axis=1))
 
 
 def lambda2(graph: Graph) -> float:
@@ -294,8 +279,8 @@ def build_structure(config: SimConfig, nbs: Optional[list] = None) -> SimStructu
     n_pairs = pairs.target.size
     control_terms = np.empty((0, g.n), dtype=np.intp)
     disturbance = []
-    if config.controller.kind == "khop_consensus":
-        tg = config.controller.target_graph
+    tg = config.target_graph
+    if tg is not None:
         if tg.n != g.n:
             raise ValueError("target graph must cover the same agents")
         rows = []
@@ -698,17 +683,21 @@ def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     return _assemble_telemetry(config, **logs)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _workers(cells: int) -> int:
     """Processes for a CSV of about ``cells`` values: one per
-    ``SPLIT_MIN_CELLS``, at most one per CPU this process may run on, and
-    one where ``os.fork`` is missing."""
+    ``SPLIT_MIN_CELLS``, at most one per usable CPU, and one where
+    ``os.fork`` is missing."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, cells // SPLIT_MIN_CELLS))
+    return max(1, min(_usable_cpus(), cells // SPLIT_MIN_CELLS))
 
 
 class _PartFailed(Exception):

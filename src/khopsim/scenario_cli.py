@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -47,7 +48,7 @@ from .gain_tuning import (
     tune_gains,
 )
 from .graph_khop import Graph
-from .plant_sim import Controller, SimConfig, Telemetry, lambda2, telemetry_columns
+from .plant_sim import SimConfig, Telemetry, lambda2, telemetry_columns
 
 SCHEMA_VERSION = 1
 ISS_TOL = 1e-6
@@ -93,9 +94,10 @@ class ScenarioError(KhopsimError):
 # An absent or null field takes its default; a REQUIRED one must be given.
 # :func:`_read` is the only code that converts and checks a scenario value.
 # A rule a domain object enforces (Graph, PlantModel, BoundSet, design_g,
-# khop_set, tune_theta/tune_pi, resolve_f, Controller) stays there, and its
-# row checks the type only. SimConfig checks t_end against dt, and x0 and
-# the estimates against the graph; prepare checks the override lengths.
+# khop_set, tune_theta/tune_pi, resolve_f) stays there, and its row checks
+# the type only. SimConfig checks t_end against dt, and x0 and the
+# estimates against the graph; prepare checks the override lengths and the
+# controller kind against the target graph.
 REQUIRED = "required"
 SCHEMA = (
     ("schema_version", "integer", "1", REQUIRED),
@@ -314,10 +316,8 @@ class Scenario:
     values: dict
     graph: Graph
     target_graph: Optional[Graph]
-    k: int
     plant: PlantModel
     bounds: BoundSet
-    bounds_inferred: bool
     x0: np.ndarray
 
     @property
@@ -326,14 +326,13 @@ class Scenario:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
+def load_scenario(source, base_dir: Optional[Path] = None,
                   overrides: Optional[dict] = None) -> Scenario:
     """Parse and validate a scenario from a path or an in-memory dict.
 
     ``overrides`` maps a field's path, or a flag of :data:`FLAG_FIELDS`, to
     a value that replaces the document's unless it is ``None`` (:data:`OFF`
-    restores the default); ``seed_override`` is ``--seed``. The hash is that
-    of the document as read.
+    restores the default). The hash is that of the document as read.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -347,10 +346,9 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
         base = base_dir or Path(".")
     if type(raw) is not dict:
         raise ScenarioError(f"a scenario must be a JSON object, got {type(raw).__name__}")
-    given = {"--seed": seed_override, **(overrides or {})}
     try:
         v = _read(raw, {FLAG_FIELDS.get(key, key): (key, None if val is OFF else val)
-                        for key, val in given.items() if val is not None})
+                        for key, val in (overrides or {}).items() if val is not None})
         graph = _graph(v, "graph", base)
         n, n_dim, a = graph.n, v["plant.N"], v["plant.A"]
         f, l_f = resolve_f(v["plant.f"])
@@ -365,11 +363,9 @@ def load_scenario(source, base_dir: Optional[Path] = None, seed_override=None,
             values=v,
             graph=graph,
             target_graph=_graph(v, "target_graph", base) if v["target_graph"] else None,
-            k=v["k"],
             plant=plant,
             bounds=BoundSet(n=n, d_u=v["bounds.d_u"], d_udot=v["bounds.d_udot"],
                             d_tilde_u=v["bounds.d_tilde_u"]),
-            bounds_inferred=v["bounds.inferred"],
             x0=x0,
         )
     except (TypeError, ValueError) as exc:
@@ -425,7 +421,7 @@ def prepare(sc: Scenario) -> TunedScenario:
         if type(spec) is list:
             uhat0_mag = max((np.abs(b).max() for b in spec if b.size), default=0.0)
         # omega comes tuned to its bound; the slack is added here.
-        tuned, nbs, spectra = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds,
+        tuned, nbs, spectra = tune_gains(sc.graph, v["k"], sc.plant, sc.bounds,
                                          g_scale=v["gains.g"], slack=v["gains.slack"],
                                          uhat0_mag=uhat0_mag)
         with np.errstate(over="ignore", invalid="ignore"):  # certificate refuses inf and NaN
@@ -441,13 +437,17 @@ def prepare(sc: Scenario) -> TunedScenario:
                 np.copyto(arr, ov, where=np.isfinite(ov))
         gains = GainSet(tuned.g, omega, theta, pi)
         kind = v["controller.kind"]
+        if kind not in ("zero", "khop_consensus"):
+            raise ValueError(f"unknown controller kind {kind!r}")
+        if kind == "khop_consensus" and sc.target_graph is None:
+            raise ValueError("khop_consensus controller needs a target graph")
         config = SimConfig(
             graph=sc.graph,
-            k=sc.k,
+            k=v["k"],
             plant=sc.plant,
             gains=gains,
-            controller=Controller(kind, sc.target_graph if kind == "khop_consensus" else None),
             x0=sc.x0,
+            target_graph=sc.target_graph if kind == "khop_consensus" else None,
             xhat0=_resolve_estimate_init(v["sim.xhat0"], nbs, sc.x0, sc.plant.N),
             uhat0=_resolve_estimate_init(spec, nbs, sc.x0, sc.plant.N),
             nbs=nbs,
@@ -515,7 +515,7 @@ def gain_report(ts: TunedScenario) -> dict:
         "T_xu": getattr(cert, "T_xu", None),
         "certified": cert is not None,
         "infeasible": ts.infeasible,
-        "bounds_inferred": sc.bounds_inferred,
+        "bounds_inferred": sc.values["bounds.inferred"],
         "no_observers_needed": not eta.any(),
     }
     return _jsonable(report)
@@ -554,7 +554,7 @@ def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
     :func:`plant_sim.telemetry_from_columns`. Each criterion carries the
     tolerance it was checked at.
     """
-    v, cert = ts.scenario.values, ts.cert
+    v, cert, target = ts.scenario.values, ts.cert, ts.config.target_graph
     times, errx, consdist, band_x = tel.times, tel.errx, tel.cons_dist, tel.band_x
     active = tel.eta > 0
     t_x, t_u = (cert.T_x, cert.T_u) if cert else (None, None)
@@ -585,8 +585,8 @@ def evaluate_criteria(ts: TunedScenario, tel: Telemetry) -> list:
                                    X_obs=tel.X_obs))
 
     # Stability envelope: decaying initial term plus disturbance gain.
-    if v["controller.kind"] == "khop_consensus":
-        lam2 = lambda2(ts.scenario.target_graph)
+    if target is not None:
+        lam2 = lambda2(target)
         v_norm = np.linalg.norm(tel.v.reshape(len(times), -1), axis=1)
         envelope = np.exp(-lam2 * times) * consdist[0] + np.maximum.accumulate(v_norm) / lam2
         iss_band = ISS_TOL + 1e-9 * max(1.0, consdist[0])
@@ -774,8 +774,9 @@ _SWEEP_FIELDS = {"dt": "sim.dt", "theta_scale": "gains.theta_scale",
 def _sweep_cell(raw: dict, base: Path, cell: dict) -> dict:
     """Run one sweep cell; always returns a row, never raises.
 
-    A cell whose parameters are invalid (a bad ``k`` or ``dt``) gets status
-    ``error`` with the reason, and the rest of the grid still runs.
+    A cell whose parameters are invalid (a bad ``k`` or ``dt``), or whose
+    run does not fit in memory, gets status ``error`` with the reason, and
+    the rest of the grid still runs.
     """
     row = dict(cell)
     try:
@@ -795,7 +796,7 @@ def _sweep_cell(raw: dict, base: Path, cell: dict) -> dict:
             consensus_final=float(tel.cons_dist[-1]),
             error=None,
         )
-    except (KhopsimError, OSError, ValueError) as exc:
+    except (KhopsimError, MemoryError, OSError, ValueError) as exc:
         row.update(status="error", error=f"{type(exc).__name__}: {exc}")
     return row
 
@@ -825,13 +826,17 @@ def cmd_sweep(args) -> int:
     keys = [k for k in _SWEEP_FIELDS if k in grid]
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     # Under fork the pool starts every worker up front, so start no more
-    # than there are cells.
-    workers = min(args.jobs, len(cells))
+    # than there are cells or usable CPUs.
+    workers = min(args.jobs, len(cells), plant_sim._usable_cpus())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                _sweep_cell, itertools.repeat(raw), itertools.repeat(sc_path.parent), cells
-            ))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(
+                    _sweep_cell, itertools.repeat(raw), itertools.repeat(sc_path.parent), cells
+                ))
+        except BrokenProcessPool as exc:  # a worker died; no summary is written
+            print(f"sweep stopped: a worker process died ({exc})", file=sys.stderr)
+            return 1
     else:
         rows = [_sweep_cell(raw, sc_path.parent, cell) for cell in cells]
     out_dir = Path(args.out)
@@ -906,7 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     common(p_sweep, seed=False, slack=False)
     p_sweep.add_argument("--grid", required=True, help="grid JSON path")
-    p_sweep.add_argument("--jobs", type=int, default=4, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=4,
+                         help="parallel workers, at most one per cell and usable CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser(

@@ -34,7 +34,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from khopsim.dense_linalg import sym_eig
+from khopsim.dense_linalg import sym_eigs
 from khopsim.errors import CertificateInfeasible, KhopsimError, NumericalError, ProtocolError
 from khopsim.gain_tuning import BoundSet, ConvergenceCertificate, GainSet, PlantModel
 from khopsim.graph_khop import KHopNeighborhood
@@ -301,12 +301,12 @@ def verify_gain_inequality(
     a_big = np.kron(np.eye(eta), plant.A)
     norm_mg = np.linalg.norm(mg, 2)
     full = mg @ (a_big - omega_i * mg) + plant.l_f * norm_mg * np.eye(eta * plant.N)
-    w = sym_eig(0.5 * (full + full.T))
+    w = sym_eigs([0.5 * (full + full.T)])[0]
     return GainInequalityReport(holds=bool(w[-1] < 0.0), lambda_max=float(w[-1]))
 
 
 def _spectrum(m: np.ndarray) -> tuple:
-    w = sym_eig(m)
+    w = sym_eigs([m])[0]
     return float(w[0]), float(w[-1])
 
 

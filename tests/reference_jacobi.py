@@ -1,6 +1,6 @@
 """The cyclic Jacobi eigensolver with its rotations on numpy rows: the test oracle.
 
-:func:`khopsim.dense_linalg.sym_eig` runs the same rotations, in the same
+:func:`khopsim.dense_linalg.sym_eigs` runs the same rotations, in the same
 order and with the same floating-point operations, on Python floats. The
 differential tests require the two to agree bit for bit, because the
 tuned gains, and through the observers' ``sign`` switching the run's
@@ -15,7 +15,7 @@ from khopsim.dense_linalg import _MAX_SWEEPS, JACOBI_RTOL, _symmetric
 from khopsim.errors import NumericalError
 
 
-def sym_eig(m) -> np.ndarray:
+def eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
     Iteration stops once every entry above the diagonal is at or below the
@@ -27,7 +27,7 @@ def sym_eig(m) -> np.ndarray:
     if n > 1:
         fro = float(np.sqrt(np.sum(a * a)))
         thresh = max(JACOBI_RTOL * fro, np.finfo(float).tiny)
-        # Python floats overflow silently, as in the rotations of sym_eig;
+        # Python floats overflow silently, as in the rotations of sym_eigs;
         # numpy scalars would warn.
         with np.errstate(over="ignore"):
             for _ in range(_MAX_SWEEPS):

@@ -1,9 +1,11 @@
-"""The benchmark's ring150 output checks, run as a test.
+"""The benchmark's output checks, run as a test.
 
 perfbench exits 1 when a repeat fails an output check, for instance when a
 solver change moves a detected convergence time past ``reference.json``'s
-tolerance. Running its ring150 pipeline on a few reference seeds here makes
-such a change fail the test suite instead. Only reads ``perfbench/``.
+tolerance, a reproduction criterion goes missing or fails, or the CSV does
+not read back bit for bit. Running its ring150 pipeline on a few reference
+seeds, and its paper_repro pipeline once, here makes such a change fail the
+test suite instead. Only reads ``perfbench/``.
 """
 
 import importlib.util
@@ -28,4 +30,9 @@ def workloads():
 def test_ring150_repeat_passes_the_benchmark_checks(workloads, seed, tmp_path):
     workload = workloads.make_workload("ring150", seed, "full", workloads.load_reference())
     assert workload.expected_t_obs is not None  # a seed whose T_obs are checked
+    assert workload.repeat(tmp_path).failures == []
+
+
+def test_paper_repro_repeat_passes_the_benchmark_checks(workloads, tmp_path):
+    workload = workloads.make_workload("paper_repro", 0, "full", workloads.load_reference())
     assert workload.repeat(tmp_path).failures == []

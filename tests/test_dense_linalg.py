@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 import reference_jacobi
 from conftest import chorded_ring, random_connected_graph
 from khopsim import Graph, dense_linalg, gain_tuning, tune_gains
-from khopsim.dense_linalg import JACOBI_RTOL, sym_eig, sym_eigs
+from khopsim.dense_linalg import JACOBI_RTOL, sym_eigs
 from khopsim.errors import NumericalError
 from khopsim.scenario_cli import load_scenario
 
@@ -30,15 +30,15 @@ GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0, (3.0 + np.sqrt(5.0)) / 2.0
 class TestSymEig:
     def test_char_poly_2x2(self):
         # lambda^2 - 3 lambda + 1 = 0 for [[2,-1],[-1,1]]
-        w = sym_eig([[2.0, -1.0], [-1.0, 1.0]])
+        w = sym_eigs([[[2.0, -1.0], [-1.0, 1.0]]])[0]
         assert w == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_identity(self):
-        w = sym_eig(np.eye(3))
+        w = sym_eigs([np.eye(3)])[0]
         assert w == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_scalar(self):
-        w = sym_eig([[7.0]])
+        w = sym_eigs([[[7.0]]])[0]
         assert w.shape == (1,) and w[0] == 7.0
 
     def test_prior_full_network_comparison_matrix(self):
@@ -53,7 +53,7 @@ class TestSymEig:
                 [0.0, 0.0, -1.0, 1.0],
             ]
         )
-        w = sym_eig(0.5 * (m + m.T))
+        w = sym_eigs([0.5 * (m + m.T)])[0]
         assert w[0] == pytest.approx(0.17, abs=5e-3)
         assert w[-1] == pytest.approx(3.96, abs=5e-3)
 
@@ -62,7 +62,7 @@ class TestSymEig:
         for dim in (2, 3, 5, 8, 13, 21, 32):
             a = rng.normal(size=(dim, dim))
             m = 0.5 * (a + a.T)
-            w = sym_eig(m)
+            w = sym_eigs([m])[0]
             assert w.shape == (dim,)
             assert np.all(np.diff(w) >= 0.0)
             # independent oracle
@@ -72,7 +72,7 @@ class TestSymEig:
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_connected_graph(rng)
-            w = sym_eig(g.laplacian())
+            w = sym_eigs([g.laplacian()])[0]
             assert w[0] >= -1e-10
 
     def test_converges_when_only_a_lower_twin_is_above_the_threshold(self):
@@ -84,15 +84,15 @@ class TestSymEig:
                  (5, 8), (5, 14), (6, 9), (6, 12), (6, 15), (9, 16), (10, 13), (11, 13)}
         lap = Graph(16, edges).laplacian()
         assert_same_outcome(lap)
-        assert sym_eig(lap) == pytest.approx(np.linalg.eigvalsh(lap), abs=1e-9)
+        assert sym_eigs([lap])[0] == pytest.approx(np.linalg.eigvalsh(lap), abs=1e-9)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericalError):
-            sym_eig([[np.nan, 0.0], [0.0, 1.0]])
+            sym_eigs([[[np.nan, 0.0], [0.0, 1.0]]])[0]
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NumericalError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eigs([np.array([[1.0, 2.0], [0.0, 1.0]])])[0]
 
     def test_overflowing_norm_rejected_without_warning(self):
         # The true eigenvalues are +-1e200; an infinite threshold would skip
@@ -100,8 +100,8 @@ class TestSymEig:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="Frobenius norm"):
-                sym_eig([[0.0, 1e200], [1e200, 0.0]])
-        assert sym_eig([[0.0, 1e150], [1e150, 0.0]]) == pytest.approx([-1e150, 1e150])
+                sym_eigs([[[0.0, 1e200], [1e200, 0.0]]])[0]
+        assert sym_eigs([[[0.0, 1e150], [1e150, 0.0]]])[0] == pytest.approx([-1e150, 1e150])
 
     def test_converges_when_the_squares_underflow(self):
         # Every square underflows, so the computed norm is 0 although the
@@ -113,20 +113,20 @@ class TestSymEig:
         assert np.sum(m * m) == 0.0
         assert_same_outcome(m)
         ref = np.linalg.eigvalsh(unit)
-        assert np.max(np.abs(sym_eig(m) / 1e-164 - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(sym_eigs([m])[0] / 1e-164 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def assert_same_outcome(m):
-    """``sym_eig`` and the oracle give the same bits, or fail the same way
+    """``sym_eigs`` and the oracle give the same bits, or fail the same way
     (both run out of sweeps). The threshold is floored at the smallest
     normal float, so entries whose squares underflow the norm converge too."""
     try:
-        ref = reference_jacobi.sym_eig(m)
+        ref = reference_jacobi.eigenvalues(m)
     except NumericalError as exc:
         with pytest.raises(NumericalError, match=re.escape(str(exc))):
-            sym_eig(m)
+            sym_eigs([m])[0]
         return
-    w = sym_eig(m)
+    w = sym_eigs([m])[0]
     assert w.dtype == ref.dtype and np.array_equal(w, ref)
     assert np.array_equal(np.signbit(w), np.signbit(ref))
 
@@ -151,14 +151,14 @@ symmetric_floats = st.integers(1, 16).flatmap(
 ).map(lambda a: a + a.T)
 
 
-# The oracle scans the triangle before each sweep and ``sym_eig`` stops on a
+# The oracle scans the triangle before each sweep and ``sym_eigs`` stops on a
 # sweep that rotates nothing; small limits make both run out of sweeps.
 sweep_limits = st.sampled_from([1, 2, 3, 64])
 
 
 @contextlib.contextmanager
 def limited_sweeps(sweeps):
-    """``sym_eig`` and the oracle both allowed at most ``sweeps`` sweeps."""
+    """``sym_eigs`` and the oracle both allowed at most ``sweeps`` sweeps."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense_linalg, "_MAX_SWEEPS", sweeps)
         mp.setattr(reference_jacobi, "_MAX_SWEEPS", sweeps)
@@ -166,7 +166,7 @@ def limited_sweeps(sweeps):
 
 
 class TestRotationsOnPythonFloats:
-    """``sym_eig`` runs the oracle's rotations on Python floats; the gains
+    """``sym_eigs`` runs the oracle's rotations on Python floats; the gains
     depend on every bit of the answer, so the two must agree exactly."""
 
     @settings(max_examples=150, deadline=None)
@@ -185,7 +185,7 @@ class TestRotationsOnPythonFloats:
         sc = load_scenario(chorded_ring())
 
         def tuned():
-            gains, _, (lmin, lmax, _) = tune_gains(sc.graph, sc.k, sc.plant, sc.bounds)
+            gains, _, (lmin, lmax, _) = tune_gains(sc.graph, sc.values["k"], sc.plant, sc.bounds)
             spectra = [lmin.tobytes(), lmax.tobytes()]
             arrays = [a.tobytes() for a in (gains.omega, gains.theta, gains.pi)]
             return [gains.g.hex(), *arrays], spectra
@@ -195,12 +195,10 @@ class TestRotationsOnPythonFloats:
 
         def oracle(m):
             calls.append(1)
-            return reference_jacobi.sym_eig(m)
+            return reference_jacobi.eigenvalues(m)
 
-        # coupling_spectra solves through sym_eigs, design_g through sym_eig
-        for mod in (dense_linalg, gain_tuning):
-            monkeypatch.setattr(mod, "sym_eig", oracle)
-            monkeypatch.setattr(mod, "sym_eigs", lambda ms: [oracle(m) for m in ms])
+        # coupling_spectra and design_g both solve through sym_eigs
+        monkeypatch.setattr(gain_tuning, "sym_eigs", lambda ms: [oracle(m) for m in ms])
         assert tuned() == ours
         assert len(calls) == sc.graph.n + 1  # the couplings and design_g
 
@@ -261,7 +259,7 @@ class TestBlocksAndTheCallCache:
             refs = []
             for m in matrices:
                 try:
-                    refs.append(reference_jacobi.sym_eig(m))
+                    refs.append(reference_jacobi.eigenvalues(m))
                 except NumericalError as exc:
                     with pytest.raises(NumericalError, match=re.escape(str(exc))):
                         sym_eigs(matrices)
@@ -283,7 +281,7 @@ class TestBlocksAndTheCallCache:
         for matrices in ([rotates, skips], [skips, rotates]):
             got = sym_eigs(matrices)
             for w, m in zip(got, matrices):
-                assert np.array_equal(w, reference_jacobi.sym_eig(m))
+                assert np.array_equal(w, reference_jacobi.eigenvalues(m))
         assert calls == [2] * 4
         assert list(got[0]) == [1.0, 2.0, 1e10] and got[1][0] < 1.0  # skipped, rotated
 
@@ -294,12 +292,12 @@ class TestBlocksAndTheCallCache:
         got = sym_eigs(matrices)
         assert calls == [2]
         for w, m in zip(got, matrices):
-            assert np.array_equal(w, reference_jacobi.sym_eig(m))
+            assert np.array_equal(w, reference_jacobi.eigenvalues(m))
 
     def test_interleaved_twin_blocks_are_solved_once(self, monkeypatch):
         m = block_diagonal([[[2.0, -1.0], [-1.0, 1.0]]] * 2, [0, 2, 1, 3])
         calls = count_solves(monkeypatch)
-        assert np.array_equal(sym_eig(m), reference_jacobi.sym_eig(m))
+        assert np.array_equal(sym_eigs([m])[0], reference_jacobi.eigenvalues(m))
         assert calls == [2]
 
     def test_a_second_call_solves_again(self, monkeypatch):
@@ -316,7 +314,7 @@ class TestSpectralNorm:
 
     def test_symmetric_psd_equals_lambda_max(self):
         m1 = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        lam_max = sym_eig(m1)[-1]
+        lam_max = sym_eigs([m1])[0][-1]
         assert lam_max == pytest.approx(GOLDEN[1], abs=1e-10)
         assert np.linalg.norm(m1, 2) == pytest.approx(lam_max, abs=1e-10)
 

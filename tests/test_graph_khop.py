@@ -24,7 +24,7 @@ from khopsim import (
     coupling_matrices,
     khop_set,
 )
-from khopsim.dense_linalg import sym_eig
+from khopsim.dense_linalg import sym_eigs
 from khopsim.khop_observer import pair_layout
 from khopsim.errors import GraphNotConnected, IndexOutOfRange
 
@@ -157,14 +157,14 @@ class TestCouplingMatrices:
     def test_path_agent2_scalar(self, path4):
         m = coupling_matrices(path4, khop_set(path4, 2, 3))
         assert np.array_equal(m, [[1.0]])
-        assert np.array_equal(sym_eig(m), [1.0])
+        assert np.array_equal(sym_eigs([m])[0], [1.0])
 
     def test_path_agent1_full(self, path4):
         # Members 3 and 4 share one edge (L = [[1, -1], [-1, 1]]); agent 3
         # has one common neighbor with agent 1, agent 4 none (H = diag(1, 0)).
         m = coupling_matrices(path4, khop_set(path4, 1, 3))
         assert np.array_equal(m, [[2.0, -1.0], [-1.0, 1.0]])
-        lmin, lmax = sym_eig(m)
+        lmin, lmax = sym_eigs([m])[0]
         assert lmin == pytest.approx(GOLDEN_MIN, abs=1e-9)
         assert lmax == pytest.approx(GOLDEN_MAX, abs=1e-9)
         # consistency with published linear gain: 1/lambda_min = 2.618
@@ -186,7 +186,7 @@ class TestCouplingMatrices:
             for nb in all_khop_sets(g, k):
                 if nb.eta == 0:
                     continue
-                assert sym_eig(coupling_matrices(g, nb))[0] > 1e-9
+                assert sym_eigs([coupling_matrices(g, nb)])[0][0] > 1e-9
 
     def test_L_is_induced_laplacian(self):
         # M = L + H with L's rows summing to zero, so H is diag(M's row
@@ -207,7 +207,7 @@ class TestCouplingMatrices:
                 lap = m - np.diag(common)
                 offdiag = lap - np.diag(np.diag(lap))
                 assert set(np.unique(offdiag)) <= {0.0, -1.0}
-                w = sym_eig(lap)
+                w = sym_eigs([lap])[0]
                 zero_mult = int(np.sum(np.abs(w) < 1e-9))
                 assert zero_mult == component_count(g, nb.members)
 

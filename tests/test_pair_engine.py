@@ -150,7 +150,7 @@ def message_form_run(config):
     """
     g, plant, dt = config.graph, config.plant, config.dt
     nbs = all_khop_sets(g, config.k)
-    tg = config.controller.target_graph
+    tg = config.target_graph
     pairs = config.structure.pairs
     obs = [
         ObserverState(

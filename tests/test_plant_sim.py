@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 from conftest import chorded_ring, connected_graphs, short_reproduction
 from khopsim import (
     BoundSet,
-    Controller,
     Graph,
     PlantModel,
     SimConfig,
@@ -35,7 +34,7 @@ from khopsim import (
     run,
     tune_gains,
 )
-from khopsim.dense_linalg import sym_eig
+from khopsim.dense_linalg import sym_eigs
 from khopsim.errors import DivergenceDetected, NumericalError, ProtocolError, StateBoxViolation
 from khopsim.plant_sim import read_csv, write_csv
 from khopsim.scenario_cli import REPRODUCTION_SCENARIO, load_scenario, prepare
@@ -57,16 +56,16 @@ def path4_gains(plant, g=None):
 
 class TestConsensusDistance:
     def test_identical_states(self):
-        assert consensus_distance(np.ones((3, 2)) * 4.2) == 0.0
+        assert consensus_distance(np.ones((2, 3, 2)) * 4.2).tolist() == [0.0, 0.0]
 
     def test_two_agents_scalar(self):
-        assert consensus_distance(np.array([[0.0], [2.0]])) == pytest.approx(
-            np.sqrt(2.0)
+        assert consensus_distance(np.array([[[0.0], [2.0]]])) == pytest.approx(
+            [np.sqrt(2.0)]
         )
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 3))
+        x = rng.normal(size=(4, 5, 3))
         shifted = x + np.array([10.0, -3.0, 7.0])
         assert consensus_distance(shifted) == pytest.approx(
             consensus_distance(x), rel=1e-12
@@ -88,14 +87,14 @@ def test_lambda2_path4():
 def test_lambda2_matches_jacobi_without_calling_it(g):
     # lambda2 feeds no gain, so it takes LAPACK's spectrum; the Jacobi
     # solver stays the reference it must agree with.
-    w = sym_eig(g.laplacian())
+    w = sym_eigs([g.laplacian()])[0]
     expected = float(w[w > plant_sim.LAPLACIAN_ZERO_TOL][0])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("lambda2 called the Jacobi solver")
 
-    with mock.patch.object(dense_linalg, "sym_eig", forbidden), mock.patch.object(
-        plant_sim, "sym_eig", forbidden, create=True
+    with mock.patch.object(dense_linalg, "sym_eigs", forbidden), mock.patch.object(
+        plant_sim, "sym_eigs", forbidden, create=True
     ):
         got = lambda2(g)
     assert abs(got - expected) <= 1e-12 * max(1.0, expected)
@@ -111,7 +110,6 @@ class TestStep:
             k=3,
             plant=plant,
             gains=gains,
-            controller=Controller(kind="zero"),
             dt=1e-3,
             t_end=1.5,
             x0=rng.normal(size=(4, 2)) * 0.3,
@@ -136,7 +134,6 @@ class TestStep:
             k=2,
             plant=plant,
             gains=gains,
-            controller=Controller(kind="zero"),
             dt=1e-3,
             t_end=0.5,
             x0=np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -233,10 +230,10 @@ class TestRun:
             k=3,
             plant=plant,
             gains=gains,
-            controller=Controller(kind="khop_consensus", target_graph=graph),
             dt=1e-3,
             t_end=0.5,
             x0=x0,
+            target_graph=graph,
         )
         tel = run(config)
         lap = graph.laplacian()
@@ -264,10 +261,10 @@ class TestRun:
                 k=2,
                 plant=plant,
                 gains=gains,
-                controller=Controller(kind="khop_consensus", target_graph=target),
                 dt=1e-3,
                 t_end=0.1,
                 x0=np.zeros((4, 1)),
+                target_graph=target,
             )
 
     def test_undersized_switching_gain_reports_nonconvergence(self):
@@ -301,7 +298,6 @@ class TestRun:
             k=2,
             plant=plant,
             gains=gains,
-            controller=Controller(kind="zero"),
             dt=1e-3,
             t_end=2.0,
             x0=np.array([[1.0], [1.0]]),
@@ -321,7 +317,6 @@ class TestRun:
             k=2,
             plant=plant,
             gains=gains,
-            controller=Controller(kind="zero"),
             dt=1e-3,
             t_end=1.0,
             x0=np.array([[0.95], [0.95]]),
@@ -364,7 +359,7 @@ class TestRun:
                 np.nextafter(hi, np.inf), (lo + hi) / 2, np.inf, -np.inf, np.nan]
         steps = data.draw(st.integers(2, 6))
         drawn = data.draw(arrays(np.float64, (steps, 4, 2), elements=st.sampled_from(pool)))
-        config, _ = repro_config(controller=Controller(kind="zero"), state_box=(lo, hi),
+        config, _ = repro_config(target_graph=None, state_box=(lo, hi),
                                  x0=np.full((4, 2), (lo + hi) / 2), t_end=steps * 1e-3)
         p = config.structure.pairs.target.size
         want, t = None, 0.0
@@ -568,7 +563,7 @@ class TestIdealTwin:
         config = prepare(load_scenario(raw)).config
         assert config.decimate == 1 and config.plant.f is None and not config.plant.A.any()
         tel = run(config)
-        lap = config.controller.target_graph.laplacian()
+        lap = config.target_graph.laplacian()
         n, dt = config.graph.n, config.dt
         deg, terms = lap.diagonal().max(), len(config.structure.control_terms)
         assert dt * deg <= 1.0

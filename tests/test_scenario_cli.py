@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,9 @@ def write_scenario(tmp_path, name="scenario.json", **patch):
 class TestScenarioParsing:
     def test_reproduction_scenario_loads(self):
         sc = load_scenario(REPRODUCTION_SCENARIO)
-        assert sc.graph.n == 4 and sc.k == 3
+        assert sc.graph.n == 4 and sc.values["k"] == 3
         assert 4 in sc.target_graph.neighbors(1)
-        assert sc.bounds_inferred
+        assert sc.values["bounds.inferred"]
         assert len(sc.hash) == 16
 
     def test_schema_version_enforced(self, tmp_path):
@@ -88,7 +89,7 @@ class TestScenarioParsing:
         a = load_scenario(path)
         b = load_scenario(path)
         assert np.array_equal(a.x0, b.x0)
-        c = load_scenario(path, seed_override=12)
+        c = load_scenario(path, overrides={"--seed": 12})
         assert not np.array_equal(a.x0, c.x0)
 
     def test_f_registry(self):
@@ -251,7 +252,7 @@ class TestTune:
 
     @pytest.mark.parametrize("field", ["plant.A", "gains.g"])
     def test_overflowing_matrix_exits_1_with_one_line(self, tmp_path, capsys, field):
-        # A squared 1e300 overflows: in sym_eig's Frobenius norm (plant.A) or
+        # A squared 1e300 overflows: in sym_eigs' Frobenius norm (plant.A) or
         # in design_g's 2 g (lambda_max - g) (gains.g). Neither may warn or answer.
         path, _ = write_scenario(tmp_path, **{field: 1e300})
         with warnings.catch_warnings():
@@ -852,6 +853,58 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and reason in err
 
+    def test_a_cell_out_of_memory_fails_alone(self, tmp_path, capsys, monkeypatch):
+        # A grid dt whose log cannot be allocated raises MemoryError in run;
+        # mock that instead of allocating.
+        real_run = scenario_cli.plant_sim.run
+
+        def run_or_fail(config):
+            if config.dt < 1e-3:
+                raise MemoryError("Unable to allocate the telemetry log")
+            return real_run(config)
+
+        monkeypatch.setattr(scenario_cli.plant_sim, "run", run_or_fail)
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"dt": [1e-3, 1e-4]}))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid), "--out", str(out),
+                   "--jobs", "1"])
+        assert rc == 0
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            rows = {row["dt"]: row for row in csv.DictReader(fh)}
+        assert rows["0.0001"]["status"] == "error"
+        assert rows["0.0001"]["error"] == "MemoryError: Unable to allocate the telemetry log"
+        assert rows["0.001"]["status"] in ("pass", "fail") and rows["0.001"]["error"] == ""
+
+    def test_a_dead_worker_stops_the_sweep_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # A killed worker breaks the pool; mock the pool instead of killing one.
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(scenario_cli, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"pi_scale": [0.5, 1.0]}))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid), "--out", str(out),
+                   "--jobs", "2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "worker process died" in captured.err
+        assert captured.out == "" and not (out / "sweep_summary.csv").exists()
+
     def test_pool_gets_no_more_workers_than_cells(self, tmp_path, capsys, monkeypatch):
         # Under fork the pool starts all its workers at once; record the
         # worker count instead of starting processes.
@@ -871,6 +924,7 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(scenario_cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.01})
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"pi_scale": [0.5, 1.0]}))
@@ -881,6 +935,14 @@ class TestSweep:
         grid.write_text(json.dumps({"pi_scale": [1.0]}))
         assert main([*argv, "--jobs", "3"]) == 0
         assert started == [2]
+        # Nor more than the usable CPUs, whatever --jobs asks for.
+        grid.write_text(json.dumps({"pi_scale": [0.25, 0.5, 1.0, 2.0]}))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert main([*argv, "--jobs", "500"]) == 0
+        assert main(argv) == 0  # default --jobs 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main([*argv, "--jobs", "500"]) == 0
+        assert started == [2, 3, 3]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):

@@ -1,8 +1,8 @@
 """One telemetry rulebook: what ``run`` records is what ``verify`` reads.
 
 ``run`` fills the ``consdist`` column from the stacked logged states in one
-call per log block, so the stacked :func:`consensus_distance` must round
-exactly as one call per state did. A CSV written from a run and read back
+call per log block, so :func:`consensus_distance` must round each state of
+a stack exactly as it rounds that state alone. A CSV written from a run and read back
 must rebuild, through :func:`telemetry_from_columns`, the very record the
 run returned, detection results included.
 """
@@ -40,7 +40,7 @@ def test_stacked_consensus_distance_equals_per_state_calls(stack):
     # numpy's sum of the squared components, which uses no BLAS kernel.
     reference = [np.sqrt(np.add.reduce(np.square(x - x.mean(axis=0, keepdims=True)).reshape(-1)))
                  for x in stack]
-    per_state = [consensus_distance(x) for x in stack]
+    per_state = [consensus_distance(x[None])[0] for x in stack]
     assert np.array_equal(consensus_distance(stack), np.array(reference, dtype=float))
     assert np.array_equal(np.array(per_state, dtype=float), np.array(reference, dtype=float))
 
