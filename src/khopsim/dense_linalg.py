@@ -1,22 +1,21 @@
 """Dense symmetric kernels for the gain inequalities, with their tolerances.
 
-The eigensolver runs cyclic Jacobi rotations on the eigenvalues alone, for the
-small matrices whose spectra feed the gains, both in ``gain_tuning``: the
-coupling matrices ``M`` in ``coupling_spectra`` (``eta_i`` rows) and the
-symmetric part of the plant drift in ``design_g`` (``N`` rows).
-It rotates Python floats, as numpy's ~1 us per call outweighs the arithmetic on
-rows this short, with the operations and order of the numpy form
-(``tests/reference_jacobi.py``), bit for bit: the gains and, through ``sign``
-switching, the convergence times in ``perfbench/reference.json`` move with the
-last bits. LAPACK waits for a benchmark-only re-record of that file; the
-target graph's ``lambda2``, which feeds no gain, already uses it.
+The eigensolver runs cyclic Jacobi rotations on the eigenvalues alone, for
+the small matrices whose spectra feed the gains in ``gain_tuning``: the
+coupling matrices ``M`` (``eta_i`` rows) and the symmetric part of the
+plant drift (``N`` rows). It rotates Python floats, as numpy's ~1 us per
+call outweighs the arithmetic on rows this short, with the operations and
+order of the numpy form (``tests/reference_jacobi.py``), bit for bit: the
+gains and, through ``sign`` switching, the convergence times in
+``perfbench/reference.json`` move with the last bits. LAPACK waits for a
+benchmark-only re-record of that file; the target graph's ``lambda2``,
+which feeds no gain, already uses it. The input checks, the symmetrization
+and the norms run on stacks of equal-size matrices, one stack per size.
 
 A sweep skips exactly the entries at or below the threshold, so the first
 sweep that rotates nothing proves convergence, as in classical threshold
 Jacobi (Rutishauser, Numer. Math. 9, 1966): it changed nothing, and it saw
 the state that the oracle's scan of the triangle before each sweep accepts.
-The solver stops there, after the oracle's rotations in the oracle's order,
-and never scans the matrix as an array.
 
 A coupling matrix ``L + H`` on a ring-like graph is often block diagonal up
 to a permutation: its 2..k-hop members fall into separate arcs. Each block,
@@ -56,57 +55,74 @@ _MAX_SWEEPS = 64
 _TINY = np.finfo(float).tiny
 
 
-def _symmetric(m) -> np.ndarray:
-    """A fresh float copy of ``m``, checked square, finite and symmetric
-    within ``SYMMETRY_RTOL``, with its representation-level asymmetry removed."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NumericalError("matrix contains non-finite entries")
-    scale = np.maximum(1.0, np.abs(a))
-    if (np.abs(a - a.T) > SYMMETRY_RTOL * scale).any():
-        raise NumericalError("matrix is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+def _checked(matrices) -> tuple:
+    """``(symmetric, norms, error)``: the matrices as floats with their
+    representation-level asymmetry removed, and their Frobenius norms, up
+    to the first that is not square, finite and symmetric within
+    ``SYMMETRY_RTOL`` or has two or more rows and a norm that overflows;
+    and that one's error, else ``None``. Each stack of equal-size matrices
+    is checked at once, with each matrix's own operations and sums."""
+    mats, error, by_size, faults = [], None, {}, {}
+    for m in matrices:
+        try:
+            a = np.asarray(m, dtype=float)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise NumericalError(f"expected a square matrix, got shape {a.shape}")
+        except (TypeError, ValueError, NumericalError) as exc:
+            error = exc
+            break
+        by_size.setdefault(len(a), []).append(len(mats))
+        mats.append(a)
+    sym, norms = [None] * len(mats), [0.0] * len(mats)
+    for where in by_size.values():
+        a = np.array([mats[pos] for pos in where])
+        at = a.transpose(0, 2, 1)
+        with np.errstate(all="ignore"):  # a matrix that fails is refused below
+            skew = (np.abs(a - at) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))).any((1, 2))
+            s = 0.5 * (a + at)
+            norm = np.sqrt((s * s).reshape(len(where), -1).sum(1))
+        for pos, s_pos, fro, bad in zip(where, s, norm.tolist(), skew.tolist()):
+            sym[pos], norms[pos] = s_pos, fro
+            if bad or not math.isfinite(fro):  # a finite norm has finite entries
+                if not np.isfinite(mats[pos]).all():
+                    faults[pos] = "matrix contains non-finite entries"
+                elif bad:
+                    faults[pos] = "matrix is not symmetric within tolerance"
+                elif a.shape[1] > 1:
+                    faults[pos] = "the Frobenius norm of the matrix overflows"
+    if faults:
+        first = min(faults)
+        return sym[:first], norms[:first], NumericalError(faults[first])
+    return sym, norms, error
 
 
 def sym_eigs(matrices) -> list:
     """Eigenvalues of each symmetric matrix, ascending, by cyclic Jacobi
     rotations.
 
-    A sweep rotates every entry above the diagonal, the ones the rotations
-    read, whose magnitude exceeds the threshold: the larger of
-    ``JACOBI_RTOL`` times the Frobenius norm of the input, which must not
-    overflow, and ``_TINY``, the smallest normal float. Where the squares
-    underflow the norm, a subnormal threshold would stall: a rotation's
-    rounding no longer shrinks with the entry below ``_TINY``. Iteration stops
-    after the first sweep that rotates nothing: that sweep changed nothing,
-    and it found every such entry at or below the threshold, so it stops in
-    the state that a scan of the triangle before each sweep would accept,
-    after the same rotations. At most ``_MAX_SWEEPS`` sweeps run, and the
-    last of them must rotate nothing, else ``NumericalError``.
+    A sweep rotates every entry above the diagonal whose magnitude exceeds
+    the threshold: the larger of ``JACOBI_RTOL`` times the Frobenius norm of
+    the input, which must not overflow, and ``_TINY``, the smallest normal
+    float, as a subnormal threshold would stall where the squares underflow
+    the norm. Iteration stops after the first sweep that rotates nothing; at
+    most ``_MAX_SWEEPS`` sweeps run, and the last must rotate nothing, else
+    ``NumericalError``. A bad input raises for the first bad matrix, in
+    input order, what a call with that matrix alone raises.
 
     Each irreducible block rotates alone, under the whole matrix's
-    threshold, with the same bits as the whole-matrix solve (module
-    docstring), and each distinct block is solved once per call. A block's
-    answer is kept, for this call only, under its bytes (so ``-0.0`` and
-    ``+0.0`` differ) with the interval of thresholds in which its solve
-    makes the same decisions: at least the largest entry it skipped and
-    below the smallest it rotated. A matrix whose threshold lies in that
-    interval reuses it. A matrix's eigenvalues do not depend on the other
-    matrices of the call.
+    threshold, and each distinct block is solved once per call (module
+    docstring): kept, for this call only, under its bytes (so ``-0.0`` and
+    ``+0.0`` differ) with the thresholds at which its solve makes the same
+    decisions, for any matrix whose threshold lies there. A matrix's
+    eigenvalues do not depend on the other matrices of the call.
     """
     solved = {}  # block bytes -> [(largest skipped, smallest rotated, diagonal)]
+    sym, norms, error = _checked(matrices)
     out = []
-    for m in matrices:
-        a = _symmetric(m)
+    for a, fro in zip(sym, norms):
         n = a.shape[0]
         d = a.diagonal().tolist()
         if n > 1:
-            with np.errstate(over="ignore"):
-                fro = float(np.sqrt((a * a).sum()))
-            if fro == np.inf:
-                raise NumericalError("the Frobenius norm of the matrix overflows")
             thresh = max(JACOBI_RTOL * fro, _TINY)
             for idx in _blocks(a):
                 b = a if len(idx) == n else a.take(idx, 0).take(idx, 1)
@@ -121,6 +137,8 @@ def sym_eigs(matrices) -> list:
                     d[i] = x
         w = np.array(d)
         out.append(w[w.argsort(kind="stable")])
+    if error is not None:
+        raise error
     return out
 
 

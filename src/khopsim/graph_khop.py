@@ -6,16 +6,19 @@ and from that set the coupling matrix ``M = L + H``: the Laplacian ``L`` of
 the subgraph induced by the neighborhood, plus the diagonal ``H`` that
 counts each member's common 1-hop neighbors with agent ``i``. Its spectrum,
 which :mod:`khopsim.gain_tuning` computes, drives every gain inequality.
+These matrices and the observers' wiring are built with array operations
+from one :class:`PairTable` per network (:attr:`Neighborhoods.table`).
 
-Agents are numbered 1..n throughout, matching the usual convention for
-hand-worked examples.
+Agents are numbered 1..n throughout (0-based in the index arrays).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,12 +87,10 @@ class Graph:
         return self._adj[i]
 
     def laplacian(self) -> np.ndarray:
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T - 1
         lap = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            lap[i - 1, i - 1] += 1.0
-            lap[j - 1, j - 1] += 1.0
-            lap[i - 1, j - 1] -= 1.0
-            lap[j - 1, i - 1] -= 1.0
+        lap[i, j] = lap[j, i] = -1.0
+        np.fill_diagonal(lap, -lap.sum(axis=1))  # integer sums: exact
         return lap
 
     def _bfs(self, start: int, max_depth: Optional[int] = None) -> dict:
@@ -136,28 +137,73 @@ def khop_set(g: Graph, i: int, k: int) -> KHopNeighborhood:
     return KHopNeighborhood(agent=i, members=members, one_hop=one_hop)
 
 
-def all_khop_sets(g: Graph, k: int) -> list:
+class PairTable(NamedTuple):
+    """A network's (estimator, target) pairs and 1-hop links as 0-based
+    index arrays. Pairs run estimator-major, members ascending, agent
+    ``i``'s from ``offsets[i]`` on; ``index[i, j]`` is the position of pair
+    ``(i, j)``, ``-2`` where ``j`` is a 1-hop neighbor of ``i``, else ``-1``;
+    ``hops`` lists each agent's ``degree`` 1-hop neighbors, ascending."""
+
+    estimator: np.ndarray
+    target: np.ndarray
+    offsets: np.ndarray
+    index: np.ndarray
+    degree: np.ndarray
+    hops: np.ndarray
+
+    def links(self, agents) -> tuple:
+        """``(r, j)`` for every 1-hop neighbor ``j`` of each ``agents[r]``,
+        by ``r`` and then ``j`` ascending."""
+        count = self.degree[agents]
+        r = np.arange(len(agents)).repeat(count)
+        skip = (self.degree.cumsum() - self.degree)[agents] - count.cumsum() + count
+        return r, self.hops[skip.repeat(count) + np.arange(len(r))]
+
+
+class Neighborhoods(tuple):
+    """Every agent's :class:`KHopNeighborhood`, agent 1 first, and their
+    :class:`PairTable`, built once, on first use, for every setup table."""
+
+    @cached_property
+    def table(self) -> PairTable:
+        n, agents = len(self), np.arange(len(self))
+        members, one_hop = [nb.members for nb in self], [nb.one_hop for nb in self]
+        estimator = agents.repeat(np.fromiter(map(len, members), np.intp, n))
+        degree = np.fromiter(map(len, one_hop), np.intp, n)
+        target = np.fromiter(chain.from_iterable(members), np.intp, len(estimator)) - 1
+        hops = np.fromiter(chain.from_iterable(one_hop), np.intp) - 1
+        index = np.full((n, n), -1)
+        index[estimator, target] = np.arange(len(target))
+        index[agents.repeat(degree), hops] = -2
+        offsets = estimator.searchsorted(np.arange(n + 1))
+        for arr in (estimator, target, offsets):  # a PairLayout shares these
+            arr.setflags(write=False)
+        return PairTable(estimator, target, offsets, index, degree, hops)
+
+
+def all_khop_sets(g: Graph, k: int) -> Neighborhoods:
     """Neighborhoods for every agent, indexed agent-1 first."""
-    return [khop_set(g, i, k) for i in range(1, g.n + 1)]
+    return Neighborhoods([khop_set(g, i, k) for i in range(1, g.n + 1)])
 
 
-def coupling_matrices(g: Graph, nb: KHopNeighborhood) -> np.ndarray:
-    """The coupling matrix ``M = L + H`` of one agent's neighborhood.
-
-    ``L`` is the Laplacian of the subgraph induced by ``nb.members`` on the
-    full edge set; ``H[j, j]`` counts the common 1-hop neighbors between
-    member ``j`` and the owning agent. For a connected graph ``M`` is
-    positive definite whenever the neighborhood is non-empty.
-    """
-    idx = {m: p for p, m in enumerate(nb.members)}
-    lap = np.zeros((nb.eta, nb.eta))
-    for p, a in enumerate(nb.members):
-        for b in g.neighbors(a):
-            q = idx.get(b)
-            if q is not None and q > p:
-                lap[p, p] += 1.0
-                lap[q, q] += 1.0
-                lap[p, q] -= 1.0
-                lap[q, p] -= 1.0
-    own = set(g.neighbors(nb.agent))
-    return lap + np.diag([float(len(own.intersection(g.neighbors(m)))) for m in nb.members])
+def coupling_matrices(g: Graph, nbs: Neighborhoods) -> list:
+    """Every agent's coupling matrix ``M = L + H`` for the neighborhoods
+    ``nbs`` of ``g``, ``None`` where ``eta = 0``; views into one buffer.
+    ``L`` is the Laplacian of the subgraph the agent's members induce;
+    ``H[j, j]`` counts the agent's 1-hop neighbors adjacent to member ``j``.
+    For a connected graph ``M`` is positive definite where ``eta > 0``."""
+    estimator, target, offsets, index = (table := nbs.table)[:4]
+    eta = offsets[1:] - offsets[:-1]
+    area = eta * eta
+    base = area.cumsum() - area
+    local = np.arange(len(target)) - offsets[estimator]
+    row = base[estimator] + local * eta[estimator]  # where each pair's row starts
+    # Each pair (i, a) against each neighbor b of a: -1 where b is a member
+    # too; a diagonal entry counts the members and the 1-hop neighbors.
+    p, b = table.links(target)
+    q = index[estimator[p], b]
+    buf = np.zeros(area.sum())
+    buf[(row[p] + local[q])[q >= 0]] = -1.0
+    buf[row + local] = np.bincount(p, q != -1, len(target))
+    return [buf[s:s + e * e].reshape(e, e) if e else None
+            for s, e in zip(base.tolist(), eta.tolist())]

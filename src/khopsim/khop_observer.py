@@ -13,31 +13,23 @@ of states. The state estimate then follows the plant model plus a linear
 and a signed correction, both of ``g xi``, as the design matrix is
 ``G = g I``; the input estimate moves by a signed correction only.
 sign(0) = +1 throughout, so at exact agreement the estimates still chatter
-by one step.
+by one step. Which sums apply is decided from message content alone (a
+sender's message shows which agents it estimates and which it can relay),
+so the update never needs non-local knowledge.
 
-Which sums apply is decided from message content alone (a sender's message
-shows which agents it estimates and which it can relay), so the update
-never needs non-local knowledge.
-
-The package runs and ships one form of these laws, the pair form
-(:class:`PairLayout`, :func:`pair_derivative`): the wiring never changes
-during a run, so every (estimator, target) pair's message sum is written
-down once as an ordered row of source indices into ``[estimates; truth]``.
-A run keeps one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
-``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so one gather along the row
-axis yields the terms of ``xi`` and ``rho`` together, and one ``copysign``
-switches both. The rows keep the order in which an agent walks its inbox,
-and each sum starts from ``+0.0``, so it rounds as the per-agent message
-form does; see :func:`pair_layout`. The layout holds each pair's gains at
-full width, ``(P, N)`` per gain, and a run's :class:`PairWorkspace` holds
-the buffers every call reuses and binds the kernel's body to them once, so
-a call looks nothing up. The ``+0.0`` add that keeps an underflowed
-``g xi`` from switching as ``-0.0`` runs only for ``g <= 0.5``, the only
-gains under which ``g xi`` of a nonzero ``xi`` can round to ``-0.0``. With
-a zero ``A``, as in every bundled scenario, the kernel skips the ``x A^T``
-product, which changes no bit; see :func:`pair_derivative`. That message
-form, one message object per sender, lives in ``tests/reference_form.py``
-as the oracle the tests compare against.
+The package runs one form of these laws, the pair form (:class:`PairLayout`,
+:func:`pair_derivative`); the message form, one message object per sender,
+lives in ``tests/reference_form.py`` as the oracle. The wiring never
+changes during a run, so every (estimator, target) pair's message sum is
+written down once, from the network's pair table, as an ordered column of
+source rows of ``[estimates; truth]`` (:func:`pair_layout`). A run's state
+array ``z``, ``(2, P + n, N)``, holds ``[x_hat; x]`` in plane 0 and
+``[u_hat; u]`` in plane 1, so one gather yields the terms of ``xi`` and
+``rho`` together, and one ``copysign`` switches both. Each sum starts from
+``+0.0`` and adds in inbox order, so it rounds as the message form does. A
+run's :class:`PairWorkspace` holds the buffers every call reuses and binds
+the kernel's body to them once; it and :func:`pair_derivative` say which
+steps the kernel skips where they change no bit.
 """
 
 from __future__ import annotations
@@ -48,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .gain_tuning import GainSet, PlantModel
+from .graph_khop import PairTable
 
 
 @dataclass(frozen=True)
@@ -55,24 +48,20 @@ class PairLayout:
     """Every (estimator, target) pair of a network, built once per run.
 
     Pairs are estimator-major with each agent's members ascending, so agent
-    ``i``'s stacked estimate is the contiguous row block :meth:`rows`, and
-    ``(P, N)`` estimate arrays are the per-agent stacks concatenated. Each
-    pair carries the gains of its target (estimators of agent ``l`` apply
-    ``omega_l``, ``theta_l`` and ``pi_l``) in every component, so a missing
-    gain shows as NaN: ``omega`` is ``(P, N)`` and ``switch`` stacks the
-    switching gains ``[theta; pi]`` as ``(2, P, N)``, one plane per
-    observer. Full-width gains meet the ``(P, N)`` signals element for
-    element, so a step multiplies contiguous arrays instead of broadcasting
-    a column over runs of ``N`` elements. ``g`` is the design gain of
+    ``i``'s stacked estimate is the row block from ``offsets[i]`` to
+    ``offsets[i + 1]`` (0-based ``i``), and ``(P, N)`` estimate arrays are
+    the per-agent stacks concatenated. Each pair carries its target's gains
+    (estimators of agent ``l`` apply ``omega_l``, ``theta_l`` and ``pi_l``)
+    in every component, so a missing gain shows as NaN and a step multiplies
+    contiguous arrays: ``omega`` is ``(P, N)`` and ``switch`` stacks
+    ``[theta; pi]`` as ``(2, P, N)``. ``g`` is the design gain of
     ``G = g I``, shared by every pair.
 
     Column ``terms[:, p]`` lists, in the message form's summation order,
     the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
-    own estimate make up its correction signal; see :func:`pair_layout`.
-    It is stored term-major, ``(D, P)``, so that each term of every pair is
-    one contiguous gather.
-
-    Every array is read-only: one layout serves every run of its
+    own estimate make up its correction signal (:func:`pair_layout`),
+    term-major, ``(D, P)``, so each term of every pair is one contiguous
+    gather. Every array is read-only: one layout serves every run of its
     :class:`~khopsim.plant_sim.SimConfig`.
     """
 
@@ -85,63 +74,42 @@ class PairLayout:
     omega: np.ndarray
     switch: np.ndarray
 
-    def rows(self, agent: int) -> slice:
-        """Rows holding ``agent``'s (1-based) stacked estimates."""
-        return slice(int(self.offsets[agent - 1]), int(self.offsets[agent]))
 
+def pair_layout(table: PairTable, gains: GainSet, n_dim: int) -> PairLayout:
+    """Pair wiring, ordered term table and per-pair gains from a network's
+    pair table, for agents with ``n_dim`` states.
 
-def pair_layout(nbs, gains: GainSet, n_dim: int) -> PairLayout:
-    """Pair wiring, ordered term table and per-pair gains for neighborhoods
-    ``nbs`` (indexed agent-1 first) of agents with ``n_dim`` states.
-
-    For pair ``p = (i, l)`` the term list walks ``i``'s 1-hop neighbors
-    ``j`` in ascending order, exactly as agent ``i`` walks its inbox: first
-    ``j``'s own pair ``(j, l)`` if ``j`` estimates ``l``, then the true row
-    of ``l`` if ``j`` can relay it. Lists are padded to a common
-    length with ``p`` itself, whose term ``own - own`` adds ``+0.0`` and
-    leaves the sum unchanged. The order must be kept; the
-    :mod:`khopsim.plant_sim` docstring says why regrouping is unsafe.
+    Pair ``p = (i, l)``'s terms walk ``i``'s 1-hop neighbors ``j`` in
+    ascending order, as agent ``i`` walks its inbox: ``j``'s pair ``(j, l)``
+    if ``j`` estimates ``l``, else ``l``'s true row if ``j`` relays it (never
+    both). Each column is padded with ``p`` itself, whose term adds ``+0.0``.
+    The order must be kept; :mod:`khopsim.plant_sim` says why.
     """
-    n = len(nbs)
-    pos = {}
-    for nb in nbs:
-        for l in nb.members:
-            pos[(nb.agent, l)] = len(pos)
-    size = len(pos)
-    rows = []
-    for nb in nbs:
-        for l in nb.members:
-            row = []
-            for j in nb.one_hop:
-                mine = pos.get((j, l))
-                if mine is not None:
-                    row.append(mine)
-                if l in nbs[j - 1].one_hop:
-                    row.append(size + l - 1)
-            rows.append(row)
-    width = max((len(r) for r in rows), default=0)
-    terms = np.array(
-        [r + [p] * (width - len(r)) for p, r in enumerate(rows)], dtype=np.intp
-    ).reshape(size, width).T.copy()
-    estimator, target = (np.array(list(pos), dtype=np.intp).reshape(size, 2) - 1).T.copy()
-    offsets = np.searchsorted(estimator, np.arange(n + 1))
-
-    def full_width(gain):
-        return np.repeat(gain[target, None], n_dim, axis=1)
-
-    layout = PairLayout(
-        n=n,
-        estimator=estimator,
-        target=target,
-        offsets=offsets,
-        terms=terms,
-        g=gains.g,
-        omega=full_width(gains.omega),
-        switch=np.stack((full_width(gains.theta), full_width(gains.pi))),
-    )
-    for arr in (estimator, target, offsets, terms, layout.omega, layout.switch):
+    estimator, target, offsets, index = table[:4]
+    size = len(target)
+    p, j = table.links(estimator)
+    l = target[p]
+    code = index[j, l]
+    keep = code != -1
+    terms = term_table(p[keep], np.where(code >= 0, code, l + size)[keep], np.arange(size))
+    # [omega; theta; pi] of each pair's target, in each of its components.
+    full = np.array((gains.omega, gains.theta, gains.pi))[:, target].repeat(n_dim)
+    full = full.reshape(3, size, n_dim)
+    layout = PairLayout(len(index), estimator, target, offsets, terms, gains.g, full[0], full[1:])
+    for arr in (terms, layout.omega, layout.switch):
         arr.setflags(write=False)
     return layout
+
+
+def term_table(owner, values, pad) -> np.ndarray:
+    """The term-major table whose column ``c`` lists, in their order, the
+    ``values`` whose ``owner`` is ``c``, padded to the longest column with
+    ``pad[c]``: ``(D, len(pad))``. ``owner`` must be ascending."""
+    count = np.bincount(owner, minlength=len(pad))
+    table = np.empty((np.maximum.reduce(count, initial=0), len(pad)), dtype=np.intp)
+    table[:] = pad
+    table[np.arange(len(owner)) - (count.cumsum() - count).repeat(count), owner] = values
+    return table
 
 
 class PairWorkspace:

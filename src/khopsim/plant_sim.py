@@ -11,46 +11,33 @@ residual sign-chattering scales linearly with the step size. Convergence is
 therefore detected as entry into a small ball followed by permanence inside
 the chattering band, never as an exact zero.
 
-The package runs and ships one form of the round, on arrays; the
-per-agent message form, with one message object per sender, lives in
-``tests/reference_form.py`` as the oracle the tests compare against. All P
-(estimator, target) pairs are laid out once, estimator-major with members
-ascending (:class:`~khopsim.khop_observer.PairLayout`), and a run keeps
-one state array ``z`` of shape ``(2, P + n, N)``: plane 0 is
-``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, so agent ``i``'s stacked
-estimate is a contiguous row block of each plane. Each pair's correction
-signal is the message form's sum written down once as an ordered row of
-source indices into ``[estimates; truth]``: for every 1-hop neighbor ``j``
-in ascending order, ``j``'s estimate of the same target, then the relayed
-true value. Rows are padded with the pair itself (``own - own = +0.0``),
-and a step adds the columns in table order, so every sum rounds exactly as
-the message form does. The same indices address both planes, so one gather
-yields the state and the input signals together. The consensus input sums
-plane-0 rows of the same kind, and the Euler update is one
-``z + dt * dz`` over the whole array. :func:`run` is the only way to take
-a step: per round it sets the inputs and advances ``z`` in place, through
-the closures :func:`_bind_control` and :func:`_bind_advance` bind once per
-run to ``z``, its buffers and views, the kernel's :class:`PairWorkspace`,
-writeable copies of the index tables (``take`` copies read-only ones on
-every call) and the numpy functions a step calls. A step looks nothing up
-and allocates one ufunc buffer at most, numpy's copy of the pair estimates
-in the kernel's broadcast ``subtract``, plus, with a state box, the two
-byte strings its box check compares. Every sum is one
-``np.add.reduce(..., initial=0.0)`` over the term axis, which starts from
-``+0.0`` and adds the terms in table order.
+The round runs on arrays, in the pair form of :mod:`khopsim.khop_observer`;
+the per-agent message form lives in ``tests/reference_form.py`` as the
+oracle. A run keeps one state array ``z`` of shape ``(2, P + n, N)``, plane
+0 ``[x_hat; x]`` and plane 1 ``[u_hat; u]``. :func:`build_structure` builds
+the wiring once per config from the network's pair table: the observers'
+term table (:func:`~khopsim.khop_observer.pair_layout`) and the consensus
+input's, whose rows of plane 0 are summed in table order like the
+observers' sums. :func:`run` is the only way to take a step: per round it
+sets the inputs and advances ``z`` in place through the closures
+:func:`_bind_control` and :func:`_bind_advance` bind once per run to ``z``,
+its buffers and views, the kernel's :class:`PairWorkspace`, writeable copies
+of the index tables (``take`` copies read-only ones on every call) and the
+numpy functions a step calls. A step allocates one ufunc buffer at most,
+plus, with a state box, the two byte strings its box check compares. Every
+sum is one ``np.add.reduce(..., initial=0.0)`` over the term axis, which
+starts from ``+0.0`` and adds the terms in table order.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
-logged error norms and disturbance are reduced per block, after the steps
-that produced it, by a reducer :func:`run` binds once next to the step
-(:func:`_bind_log_reducer`): a gather and subtract into its error buffer,
-then ``np.bincount`` sums whose bins run sample-major, so every cell
-accumulates its terms in the same order as a per-sample reduction would.
-The block's consensus distances follow in one stacked call.
-The norms add squared components, not BLAS dot products, so their bits do
-not depend on the kernel OpenBLAS picks for the CPU. The logged ``v`` is
-``x - x_hat`` summed over each agent's target-only neighbors, so the
-controller injects ``-v``. The steps and these reductions ignore numpy's
-overflow and invalid-value warnings: divergence is checked explicitly.
+logged error norms and disturbance are reduced per block by a reducer
+:func:`run` binds once next to the step (:func:`_bind_log_reducer`):
+``np.bincount`` sums whose bins run sample-major, so every cell adds its
+terms in the order a per-sample reduction would, and the norms add squared
+components, not BLAS dot products, so their bits do not depend on the CPU.
+The logged ``v`` is ``x - x_hat`` summed over each agent's target-only
+neighbors, so the controller injects ``-v``. The steps and these
+reductions ignore numpy's overflow and invalid-value warnings: divergence
+is checked explicitly.
 
 The telemetry CSV of a large run is written and read on every usable CPU:
 forked children format or parse row ranges and pass them back through
@@ -63,7 +50,6 @@ is the same sum in exact arithmetic but not in floating point, and because
 in a correction signal flips switching terms and grows into state
 differences of order 1e-3 within a few hundred steps.
 """
-
 from __future__ import annotations
 
 import io
@@ -75,6 +61,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -87,8 +74,14 @@ from .errors import (
     TelemetryError,
 )
 from .gain_tuning import GainSet, PlantModel
-from .graph_khop import Graph, all_khop_sets
-from .khop_observer import PairLayout, PairWorkspace, pair_derivative, pair_layout
+from .graph_khop import Graph, Neighborhoods, all_khop_sets
+from .khop_observer import (
+    PairLayout,
+    PairWorkspace,
+    pair_derivative,
+    pair_layout,
+    term_table,
+)
 
 CONV_EPS_FLOOR = 1e-6
 CONV_EPS_REL = 1e-3
@@ -116,11 +109,11 @@ class SimConfig:
     """One run's inputs plus ``structure``, the wiring built from them once
     (:func:`build_structure`). Scalars are taken as the scenario schema
     checked them; this checks the rules across fields. ``xhat0``/``uhat0``
-    are per-agent estimate vectors (``None`` means zeros), kept as read-only
-    ``(P, N)`` pair arrays. ``nbs`` may pass in the k-hop neighborhoods of
-    ``graph`` at horizon ``k`` when the caller already has them (as
-    :func:`~khopsim.gain_tuning.tune_gains` returns them); otherwise they
-    are built here.
+    are per-agent estimate vectors or one ``(P, N)`` array (``None`` means
+    zeros), kept as read-only ``(P, N)`` pair arrays. ``nbs`` may pass in
+    the neighborhoods of ``graph`` at horizon ``k`` (as
+    :func:`~khopsim.gain_tuning.tune_gains` returns them, with their pair
+    table); otherwise they are built here.
 
     ``target_graph`` selects the input law. ``None`` applies no input.
     A graph drives the agents toward agreement over it by the k-hop
@@ -145,7 +138,7 @@ class SimConfig:
     decimate: int = 1
     boundary_layer: Optional[float] = None
     structure: "SimStructure" = field(init=False, repr=False, compare=False)
-    nbs: InitVar[Optional[list]] = None
+    nbs: InitVar[Optional[Neighborhoods]] = None
 
     def __post_init__(self, nbs):
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
@@ -162,11 +155,11 @@ class SimConfig:
             raise ValueError(
                 f"x0 must be ({self.graph.n}, {self.plant.N}), got {x0.shape}"
             )
-        if not np.all(np.isfinite(x0)):
+        if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
         if self.state_box is not None:
             lo, hi = self.state_box
-            if np.any(x0 < lo) or np.any(x0 > hi):
+            if ((x0 < lo) | (x0 > hi)).any():
                 raise ValueError("x0 outside the state box")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -177,17 +170,14 @@ class SimConfig:
             est = getattr(self, name)
             if est is None:
                 est = np.zeros(shape)
-            elif not isinstance(est, np.ndarray):  # per-agent blocks, agent 1 first
-                est = np.concatenate([
-                    np.array(blk, dtype=float).reshape(nb.eta * self.plant.N)
-                    for blk, nb in zip(est, structure.nbs)
-                ])
-            # An ndarray is already stacked, as dataclasses.replace passes it.
-            est = np.array(est, dtype=float).reshape(shape)
-            bad = ~np.isfinite(est).all(axis=1)
-            if bad.any():
-                agent = int(structure.pairs.estimator[np.argmax(bad)]) + 1
-                raise ValueError(f"agent {agent}: non-finite {which} estimate")
+            else:  # an ndarray is stacked already, as dataclasses.replace passes it
+                if not isinstance(est, np.ndarray):  # per-agent blocks, agent 1 first
+                    est = np.concatenate([np.array(blk, dtype=float).reshape(nb.eta * self.plant.N)
+                                          for blk, nb in zip(est, structure.nbs)])
+                est = np.array(est, dtype=float).reshape(shape)
+                if (bad := ~np.isfinite(est).all(axis=1)).any():
+                    agent = int(structure.pairs.estimator[np.argmax(bad)]) + 1
+                    raise ValueError(f"agent {agent}: non-finite {which} estimate")
             est.setflags(write=False)
             object.__setattr__(self, name, est)
 
@@ -222,20 +212,17 @@ class Telemetry:
 
 @dataclass(frozen=True)
 class SimStructure:
-    """Static wiring a :class:`SimConfig` builds once from its graph, k and gains.
+    """Static wiring a :class:`SimConfig` builds once from its graph, k and
+    gains (:func:`build_structure`). ``control_terms`` has one column per
+    agent: the rows of ``[x_hat; x]``, plane 0 of the state array, that its
+    consensus input sums, in the order one agent adds them (communication-
+    and-target neighbors, then estimates of target-only neighbors), padded
+    with its own row, term-major like ``PairLayout.terms``; with no target
+    graph it has no rows. ``disturbance_pairs`` are the pairs those
+    estimates come from, ``disturbance_bins`` their flat ``(estimator,
+    component)`` cells in an ``(n, N)`` array. All arrays are read-only."""
 
-    ``control_terms`` has one column per agent: the rows of ``[x_hat; x]``,
-    plane 0 of the state array, that its consensus input sums over, in the
-    order one agent adds them (communication-and-target neighbors, then
-    estimates of target-only neighbors), padded with the agent's own row,
-    stored term-major like ``PairLayout.terms``. With no target graph it
-    has no rows, so every input is the empty sum ``+0.0``.
-    ``disturbance_pairs`` are the pairs those estimates come from, and
-    ``disturbance_bins`` their flat ``(estimator, component)`` cells in an
-    ``(n, N)`` array. All arrays are read-only, as the layout's are.
-    """
-
-    nbs: list
+    nbs: Neighborhoods
     pairs: PairLayout
     control_terms: np.ndarray
     disturbance_pairs: np.ndarray
@@ -271,51 +258,33 @@ def lambda2(graph: Graph) -> float:
     return float(above[0])
 
 
-def build_structure(config: SimConfig, nbs: Optional[list] = None) -> SimStructure:
-    g = config.graph
-    if nbs is None:
-        nbs = all_khop_sets(g, config.k)
-    pairs = pair_layout(nbs, config.gains, config.plant.N)
+def build_structure(config: SimConfig, nbs: Optional[Neighborhoods] = None) -> SimStructure:
+    g, tg, n_dim = config.graph, config.target_graph, config.plant.N
+    nbs = all_khop_sets(g, config.k) if nbs is None else nbs
+    if tg is not None and tg.n != g.n:
+        raise ValueError("target graph must cover the same agents")
+    pairs = pair_layout(nbs.table, config.gains, n_dim)
     n_pairs = pairs.target.size
-    control_terms = np.empty((0, g.n), dtype=np.intp)
-    disturbance = []
-    tg = config.target_graph
-    if tg is not None:
-        if tg.n != g.n:
-            raise ValueError("target graph must cover the same agents")
-        rows = []
-        for i in range(1, g.n + 1):
-            tn = set(tg.neighbors(i))
-            cn = set(g.neighbors(i))
-            row = [n_pairs + j - 1 for j in sorted(tn & cn)]
-            members = nbs[i - 1].members
-            for j in sorted(tn - cn):
-                if j not in members:
-                    raise ProtocolError(
-                        f"agent {i}: target neighbor {j} is neither 1-hop nor "
-                        f"within the {config.k}-hop horizon"
-                    )
-                p = pairs.rows(i).start + members.index(j)
-                row.append(p)
-                disturbance.append(p)
-            rows.append(row)
-        width = max(len(r) for r in rows)
-        control_terms = np.array(
-            [r + [n_pairs + i] * (width - len(r)) for i, r in enumerate(rows)],
-            dtype=np.intp,
-        ).T.copy()
-    disturbance = np.array(disturbance, dtype=np.intp)
-    n_dim = config.plant.N
+    # Every (agent, target neighbor) link, agent-major, neighbors ascending.
+    links = [()] * g.n if tg is None else [tg.neighbors(a) for a in range(1, g.n + 1)]
+    i = np.arange(g.n).repeat(np.fromiter(map(len, links), np.intp, g.n))
+    j = np.fromiter(chain.from_iterable(links), np.intp, len(i)) - 1
+    pair = nbs.table.index[i, j]
+    if (missing := pair == -1).any():
+        a = np.argmax(missing)
+        raise ProtocolError(f"agent {i[a] + 1}: target neighbor {j[a] + 1} is neither 1-hop "
+                            f"nor within the {config.k}-hop horizon")
+    # Per agent its communication-and-target neighbors' truth rows, then the
+    # pairs estimating its target-only neighbors, padded with its own row.
+    one_hop = pair == -2
+    order = (2 * i + ~one_hop).argsort(kind="stable")
+    control_terms = term_table(i[order], np.where(one_hop, n_pairs + j, pair)[order],
+                               n_pairs + np.arange(g.n))
+    disturbance = pair[~one_hop]
     bins = (pairs.estimator[disturbance, None] * n_dim + np.arange(n_dim)).reshape(-1)
     for arr in (control_terms, disturbance, bins):
         arr.setflags(write=False)
-    return SimStructure(
-        nbs=nbs,
-        pairs=pairs,
-        control_terms=control_terms,
-        disturbance_pairs=disturbance,
-        disturbance_bins=bins,
-    )
+    return SimStructure(nbs, pairs, control_terms, disturbance, bins)
 
 
 def init_world(config: SimConfig) -> np.ndarray:
@@ -629,24 +598,20 @@ def run(config: SimConfig) -> Telemetry:
 
 
 def _column_layout(n: int, n_dim: int) -> list:
-    """``(Telemetry field, per-sample shape, CSV column names)`` in file order.
-
-    A column is its field's prefix plus 1-based indices, agent-major
-    (``x_3_2`` is agent 3's second state component).
-    """
-    layout = []
-    for field, prefix, shape in (
-        ("times", "t", ()),
-        ("states", "x", (n, n_dim)),
-        ("inputs", "u", (n, n_dim)),
-        ("errx", "errx", (n,)),
-        ("erru", "erru", (n,)),
-        ("cons_dist", "consdist", ()),
-        ("v", "v", (n, n_dim)),
-    ):
-        names = ["_".join([prefix, *(str(j + 1) for j in idx)]) for idx in np.ndindex(shape)]
-        layout.append((field, shape, names))
-    return layout
+    """``(Telemetry field, per-sample shape, CSV column names)`` in file
+    order; a column is its field's prefix plus 1-based indices, agent-major
+    (``x_3_2`` is agent 3's second state component)."""
+    agent = [f"_{a}" for a in range(1, n + 1)]
+    cell = [f"{a}_{c}" for a in agent for c in range(1, n_dim + 1)]
+    return [(field, shape, [prefix + suffix for suffix in suffixes])
+            for field, prefix, shape, suffixes in (
+                ("times", "t", (), [""]),
+                ("states", "x", (n, n_dim), cell),
+                ("inputs", "u", (n, n_dim), cell),
+                ("errx", "errx", (n,), agent),
+                ("erru", "erru", (n,), agent),
+                ("cons_dist", "consdist", (), [""]),
+                ("v", "v", (n, n_dim), cell))]
 
 
 def csv_header(n: int, n_dim: int) -> list:

@@ -47,7 +47,7 @@ from .gain_tuning import (
     certificate,
     tune_gains,
 )
-from .graph_khop import Graph
+from .graph_khop import Graph, Neighborhoods
 from .plant_sim import SimConfig, Telemetry, lambda2, telemetry_columns
 
 SCHEMA_VERSION = 1
@@ -373,13 +373,14 @@ def load_scenario(source, base_dir: Optional[Path] = None,
 
 
 def _resolve_estimate_init(spec, nbs, x0: np.ndarray, n_dim: int):
-    """Initial estimate vectors per agent from a scenario selector."""
+    """Initial estimates from a scenario selector: ``None`` for zeros, one
+    ``(P, N)`` array of pair estimates for ``"truth"`` and for a scalar."""
     if spec == "zero":
         return None
     if spec == "truth":
-        return [x0[np.asarray(nb.members, dtype=int) - 1].reshape(-1) for nb in nbs]
+        return x0[nbs.table.target]
     if type(spec) is float:
-        return [np.full(nb.eta * n_dim, spec) for nb in nbs]
+        return np.full((len(nbs.table.target), n_dim), spec)
     return spec  # explicit per-agent blocks; SimConfig checks and stacks them
 
 
@@ -395,7 +396,7 @@ class TunedScenario:
     u_err0: np.ndarray
 
     @property
-    def nbs(self) -> list:
+    def nbs(self) -> Neighborhoods:
         return self.config.structure.nbs
 
 

@@ -379,3 +379,86 @@ def reference_certificate(matrices, plant: PlantModel, gains: GainSet, bounds: B
         phi=phi, psi=psi, T_x=t_x, T_u=t_u, T_x_global=t_x_global,
         T_u_global=t_u_global, T_xu=t_u_global + t_x_global if have_udot else None,
     )
+
+
+# The setup tables one agent and one pair at a time: the loops that
+# ``coupling_matrices``, ``pair_layout`` and ``build_structure`` once ran.
+
+
+def coupling_matrix(g, nb: KHopNeighborhood) -> np.ndarray:
+    """One agent's ``M = L + H``: the Laplacian of the subgraph its members
+    induce, plus the count of its 1-hop neighbors adjacent to each member."""
+    idx = {m: p for p, m in enumerate(nb.members)}
+    lap = np.zeros((nb.eta, nb.eta))
+    for p, a in enumerate(nb.members):
+        for b in g.neighbors(a):
+            q = idx.get(b)
+            if q is not None and q > p:
+                lap[p, p] += 1.0
+                lap[q, q] += 1.0
+                lap[p, q] -= 1.0
+                lap[q, p] -= 1.0
+    own = set(g.neighbors(nb.agent))
+    return lap + np.diag([float(len(own.intersection(g.neighbors(m)))) for m in nb.members])
+
+
+def pair_tables(nbs) -> tuple:
+    """``(estimator, target, offsets, terms)`` pair by pair: for pair
+    ``(i, l)`` and each 1-hop neighbor ``j`` of ``i``, ascending, first the
+    pair ``(j, l)`` if ``j`` estimates ``l``, then ``l``'s truth row if
+    ``j`` is adjacent to ``l``; columns padded with the pair itself."""
+    n = len(nbs)
+    pos = {}
+    for nb in nbs:
+        for l in nb.members:
+            pos[(nb.agent, l)] = len(pos)
+    size = len(pos)
+    rows = []
+    for nb in nbs:
+        for l in nb.members:
+            row = []
+            for j in nb.one_hop:
+                mine = pos.get((j, l))
+                if mine is not None:
+                    row.append(mine)
+                if l in nbs[j - 1].one_hop:
+                    row.append(size + l - 1)
+            rows.append(row)
+    width = max((len(r) for r in rows), default=0)
+    terms = np.array(
+        [r + [p] * (width - len(r)) for p, r in enumerate(rows)], dtype=np.intp
+    ).reshape(size, width).T.copy()
+    estimator, target = (np.array(list(pos), dtype=np.intp).reshape(size, 2) - 1).T.copy()
+    offsets = np.searchsorted(estimator, np.arange(n + 1))
+    return estimator, target, offsets, terms
+
+
+def control_wiring(graph, target_graph, k: int, nbs, offsets) -> tuple:
+    """``(control_terms, disturbance_pairs, disturbance_bins / n_dim)`` agent
+    by agent: its communication-and-target neighbors' truth rows, then the
+    pairs estimating its target-only neighbors, padded with its own row;
+    ``ProtocolError`` for the first agent with a target neighbor neither
+    1-hop nor within the horizon."""
+    n_pairs = int(offsets[-1])
+    rows, disturbance, owners = [], [], []
+    for i in range(1, graph.n + 1):
+        tn = set(target_graph.neighbors(i))
+        cn = set(graph.neighbors(i))
+        row = [n_pairs + j - 1 for j in sorted(tn & cn)]
+        members = nbs[i - 1].members
+        for j in sorted(tn - cn):
+            if j not in members:
+                raise ProtocolError(
+                    f"agent {i}: target neighbor {j} is neither 1-hop nor "
+                    f"within the {k}-hop horizon"
+                )
+            p = int(offsets[i - 1]) + members.index(j)
+            row.append(p)
+            disturbance.append(p)
+            owners.append(i - 1)
+        rows.append(row)
+    width = max(len(r) for r in rows)
+    terms = np.array(
+        [r + [n_pairs + i] * (width - len(r)) for i, r in enumerate(rows)], dtype=np.intp
+    ).T.copy()
+    return terms, np.array(disturbance, dtype=np.intp), np.array(owners, dtype=np.intp)

@@ -11,8 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from khopsim.dense_linalg import _MAX_SWEEPS, JACOBI_RTOL, _symmetric
+from khopsim.dense_linalg import _MAX_SWEEPS, JACOBI_RTOL, SYMMETRY_RTOL
 from khopsim.errors import NumericalError
+
+
+def symmetric(m) -> np.ndarray:
+    """A fresh float copy of ``m``, checked square, finite and symmetric
+    within ``SYMMETRY_RTOL``, with its representation-level asymmetry
+    removed: the checks ``sym_eigs`` runs on stacks, one matrix at a time."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix contains non-finite entries")
+    scale = np.maximum(1.0, np.abs(a))
+    if (np.abs(a - a.T) > SYMMETRY_RTOL * scale).any():
+        raise NumericalError("matrix is not symmetric within tolerance")
+    return 0.5 * (a + a.T)
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -22,7 +37,7 @@ def eigenvalues(m) -> np.ndarray:
     larger of ``JACOBI_RTOL`` times the Frobenius norm of the input and the
     smallest normal float.
     """
-    a = _symmetric(m)
+    a = symmetric(m)
     n = a.shape[0]
     if n > 1:
         fro = float(np.sqrt(np.sum(a * a)))

@@ -107,10 +107,10 @@ class TestTuneOmega:
         rng = np.random.default_rng(17)
         for _ in range(20):
             g = random_connected_graph(rng, n_min=3)
-            for nb in all_khop_sets(g, 2):
-                if nb.eta == 0:
+            for m in coupling_matrices(g, all_khop_sets(g, 2)):
+                if m is None:
                     continue
-                lmin, lmax = spectrum(coupling_matrices(g, nb))
+                lmin, lmax = spectrum(m)
                 got = tune_omega(lmin, lmax, plant2(), 5.0)
                 assert got == pytest.approx(1.0 / lmin, rel=1e-12)
 
@@ -166,10 +166,9 @@ class TestGainInequality:
             l_f = float(rng.uniform(0.0, 1.0))
             plant = PlantModel(N=n_dim, A=a, l_f=l_f)
             g_gain = design_g(plant)
-            for nb in all_khop_sets(g, k):
-                if nb.eta == 0:
+            for cpl in coupling_matrices(g, all_khop_sets(g, k)):
+                if cpl is None:
                     continue
-                cpl = coupling_matrices(g, nb)
                 omega = tune_omega(*spectrum(cpl), plant, g_gain)
                 rep = verify_gain_inequality(cpl, plant, g_gain * np.eye(n_dim), omega)
                 assert rep.holds, (g, k, a, l_f, omega, rep.lambda_max)
@@ -323,7 +322,7 @@ def test_gains_and_certificate_match_the_per_agent_oracle(problem, err0):
     graph, k, plant, bounds, slack, uhat0_mag = problem
     tuned, nbs, spectra = tune_gains(graph, k, plant, bounds, slack=slack, uhat0_mag=uhat0_mag)
     # The oracles take the matrices and run their own eigensolves.
-    matrices = [coupling_matrices(graph, nb) if nb.eta else None for nb in nbs]
+    matrices = coupling_matrices(graph, nbs)
     for got, want in zip((tuned.omega, tuned.theta, tuned.pi),
                          reference_gains(matrices, plant, tuned.g, bounds, slack, uhat0_mag)):
         assert np.array_equal(got, want, equal_nan=True)

@@ -155,14 +155,14 @@ class TestKhopSet:
 
 class TestCouplingMatrices:
     def test_path_agent2_scalar(self, path4):
-        m = coupling_matrices(path4, khop_set(path4, 2, 3))
+        m = coupling_matrices(path4, all_khop_sets(path4, 3))[1]
         assert np.array_equal(m, [[1.0]])
         assert np.array_equal(sym_eigs([m])[0], [1.0])
 
     def test_path_agent1_full(self, path4):
         # Members 3 and 4 share one edge (L = [[1, -1], [-1, 1]]); agent 3
         # has one common neighbor with agent 1, agent 4 none (H = diag(1, 0)).
-        m = coupling_matrices(path4, khop_set(path4, 1, 3))
+        m = coupling_matrices(path4, all_khop_sets(path4, 3))[0]
         assert np.array_equal(m, [[2.0, -1.0], [-1.0, 1.0]])
         lmin, lmax = sym_eigs([m])[0]
         assert lmin == pytest.approx(GOLDEN_MIN, abs=1e-9)
@@ -175,7 +175,7 @@ class TestCouplingMatrices:
         # neighbor inside the member set (L = 0) and exactly one common
         # neighbor (H = 1).
         g = Graph(3, {(1, 2), (2, 3)})
-        assert np.array_equal(coupling_matrices(g, khop_set(g, 1, 2)), [[1.0]])
+        assert np.array_equal(coupling_matrices(g, all_khop_sets(g, 2))[0], [[1.0]])
 
     def test_coupling_positive_definite_random(self):
         # 200 random connected graphs, every coupling matrix strictly PD
@@ -183,10 +183,9 @@ class TestCouplingMatrices:
         for _ in range(200):
             g = random_connected_graph(rng)
             k = int(rng.integers(2, 5))
-            for nb in all_khop_sets(g, k):
-                if nb.eta == 0:
-                    continue
-                assert sym_eigs([coupling_matrices(g, nb)])[0][0] > 1e-9
+            for m in coupling_matrices(g, all_khop_sets(g, k)):
+                if m is not None:
+                    assert sym_eigs([m])[0][0] > 1e-9
 
     def test_L_is_induced_laplacian(self):
         # M = L + H with L's rows summing to zero, so H is diag(M's row
@@ -197,10 +196,10 @@ class TestCouplingMatrices:
             g = random_connected_graph(rng, n_min=4)
             dist = floyd_warshall(g)
             k = int(rng.integers(2, 4))
-            for nb in all_khop_sets(g, k):
-                if nb.eta == 0:
+            nbs = all_khop_sets(g, k)
+            for nb, m in zip(nbs, coupling_matrices(g, nbs)):
+                if m is None:
                     continue
-                m = coupling_matrices(g, nb)
                 own = {j for j in range(1, g.n + 1) if dist[nb.agent - 1, j - 1] == 1}
                 common = [sum(dist[a - 1, j - 1] == 1 for j in own) for a in nb.members]
                 assert np.array_equal(m.sum(axis=1), common)
@@ -217,7 +216,7 @@ class TestReorderErrors:
 
     def test_path_block_placement(self, path4):
         nbs = all_khop_sets(path4, 3)
-        pairs = pair_layout(nbs, unit_gains(4), 1)
+        pairs = pair_layout(nbs.table, unit_gains(4), 1)
         # pairs estimator-major: (1,3) (1,4) (2,4) (3,1) (4,1) (4,2)
         assert pairs.estimator.tolist() == [0, 0, 1, 2, 3, 3]
         assert pairs.target.tolist() == [2, 3, 3, 0, 0, 1]

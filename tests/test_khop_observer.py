@@ -75,18 +75,17 @@ def structural_identity_max_error(g, k, n_dim, rng):
         ]
     )
     # regroup the pair blocks target-major, estimators ascending per target
-    order = np.argsort(pair_layout(nbs, unit_gains(g.n), 1).target, kind="stable")
+    order = np.argsort(pair_layout(nbs.table, unit_gains(g.n), 1).target, kind="stable")
     xi_by_target, rho_by_target, dev_x_t, dev_u_t = (
         vec.reshape(-1, n_dim)[order].reshape(-1) for vec in (xi_all, rho_all, dev_x, dev_u)
     )
     worst = 0.0
     offset = 0
-    for target in range(1, g.n + 1):
-        nb = nbs[target - 1]
-        if nb.eta == 0:
+    for m in coupling_matrices(g, nbs):
+        if m is None:
             continue
-        size = nb.eta * n_dim
-        m_big = np.kron(coupling_matrices(g, nb), np.eye(n_dim))
+        size = len(m) * n_dim
+        m_big = np.kron(m, np.eye(n_dim))
         sl = slice(offset, offset + size)
         worst = max(worst, np.abs(xi_by_target[sl] + m_big @ dev_x_t[sl]).max())
         worst = max(worst, np.abs(rho_by_target[sl] + m_big @ dev_u_t[sl]).max())

@@ -79,7 +79,7 @@ def both_forms(g, nbs, x, u, obs, plant, gains, boundary_layer):
     x_hat = np.concatenate([o.x_hat for o in obs]).reshape(-1, n_dim)
     u_hat = np.concatenate([o.u_hat for o in obs]).reshape(-1, n_dim)
     z = np.stack((np.concatenate((x_hat, x)), np.concatenate((u_hat, u))))
-    dz = pair_derivative(PairWorkspace(pair_layout(nbs, gains, n_dim), plant, z, boundary_layer))
+    dz = pair_derivative(PairWorkspace(pair_layout(nbs.table, gains, n_dim), plant, z, boundary_layer))
     p = len(x_hat)
     # The truth rows carry the plant; the input rows are the controller's.
     plant_dx = x @ plant.A.T + u
@@ -155,8 +155,8 @@ def message_form_run(config):
     obs = [
         ObserverState(
             i + 1,
-            np.array(config.xhat0[pairs.rows(i + 1)], dtype=float).reshape(-1),
-            np.array(config.uhat0[pairs.rows(i + 1)], dtype=float).reshape(-1),
+            np.array(config.xhat0[slice(*pairs.offsets[i:i + 2])], dtype=float).reshape(-1),
+            np.array(config.uhat0[slice(*pairs.offsets[i:i + 2])], dtype=float).reshape(-1),
         )
         for i, nb in enumerate(nbs)
     ]
@@ -362,7 +362,7 @@ def test_log_blocks_of_any_size_reduce_as_one_block(case, decimate, block_sample
 def test_layout_gains_are_the_targets_in_every_component(net):
     g, k, n_dim, seed = net
     gains = random_gains(np.random.default_rng(seed), g.n, 1.0)
-    layout = pair_layout(all_khop_sets(g, k), gains, n_dim)
+    layout = pair_layout(all_khop_sets(g, k).table, gains, n_dim)
     p = layout.target.size
     assert layout.switch.shape == (2, p, n_dim) and layout.switch.flags.c_contiguous
     assert layout.omega.shape == (p, n_dim) and layout.omega.flags.c_contiguous
@@ -378,7 +378,7 @@ def switching_layout(raw, g_val):
     rng = np.random.default_rng(len(g.edges))
     gains = GainSet(g=g_val, omega=np.zeros(g.n), theta=rng.uniform(0.1, 4.0, g.n),
                     pi=rng.uniform(0.1, 10.0, g.n))
-    return pair_layout(all_khop_sets(g, raw["k"]), gains, 2), g.n
+    return pair_layout(all_khop_sets(g, raw["k"]).table, gains, 2), g.n
 
 
 def switching_terms(layout, z):

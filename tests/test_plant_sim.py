@@ -211,7 +211,7 @@ class TestStep:
         p = config.structure.pairs.target.size
         assert np.abs(z[0, p:] - x_next).max() <= 1e-12
         for i in range(1, 5):
-            rows = config.structure.pairs.rows(i)
+            rows = slice(*config.structure.pairs.offsets[i - 1:i + 1])
             assert np.abs(z[0, rows].reshape(-1) - new_xhat[i]).max() <= 1e-12
             assert np.abs(z[1, rows].reshape(-1) - new_uhat[i]).max() <= 1e-12
 
