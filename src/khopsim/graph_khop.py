@@ -176,9 +176,10 @@ class Neighborhoods(tuple):
         index[estimator, target] = np.arange(len(target))
         index[agents.repeat(degree), hops] = -2
         offsets = estimator.searchsorted(np.arange(n + 1))
-        for arr in (estimator, target, offsets):  # a PairLayout shares these
+        table = PairTable(estimator, target, offsets, index, degree, hops)
+        for arr in table:  # shared by every builder, and by the PairLayout
             arr.setflags(write=False)
-        return PairTable(estimator, target, offsets, index, degree, hops)
+        return table
 
 
 def all_khop_sets(g: Graph, k: int) -> Neighborhoods:
