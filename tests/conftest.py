@@ -44,6 +44,11 @@ def connected_graphs(draw, max_n=30) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def complete_graph(n: int) -> Graph:
+    """Every pair of the ``n`` agents adjacent: no agent has a 2-hop member."""
+    return Graph(n, {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+
+
 def unit_gains(n: int) -> GainSet:
     """All gains 1 and ``g = 1``, for tests that only need a pair layout."""
     ones = np.ones(n)

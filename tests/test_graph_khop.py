@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complete_graph,
     component_count,
     connected_graphs,
     floyd_warshall,
@@ -30,10 +31,6 @@ from khopsim.errors import GraphNotConnected, IndexOutOfRange
 
 GOLDEN_MIN = (3.0 - np.sqrt(5.0)) / 2.0
 GOLDEN_MAX = (3.0 + np.sqrt(5.0)) / 2.0
-
-
-def complete_graph(n):
-    return Graph(n, {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
 def cycle_graph(n):

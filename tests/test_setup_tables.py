@@ -17,16 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, random_connected_graph, unit_gains
+from conftest import complete_graph, connected_graphs, random_connected_graph, unit_gains
 from khopsim import Graph, PlantModel, SimConfig, all_khop_sets, coupling_matrices
 from khopsim.dense_linalg import sym_eigs
 from khopsim.errors import NumericalError, ProtocolError
 from khopsim.plant_sim import _column_layout, csv_header
 from reference_form import control_wiring, coupling_matrix, pair_tables
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
 @st.composite
