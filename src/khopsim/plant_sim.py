@@ -39,10 +39,11 @@ neighbors, so the controller injects ``-v``. The steps and these
 reductions ignore numpy's overflow and invalid-value warnings: divergence
 is checked explicitly.
 
-The telemetry CSV of a large run is written and read on every usable CPU:
-forked children format or parse row ranges and pass them back through
-pipes, and the bytes and values are the same as in one process
-(``SPLIT_MIN_CELLS``).
+The telemetry CSV spells every value as ``repr`` does, formatted in blocks
+by :mod:`khopsim.float_repr`. A large run's CSV is written and read on
+every usable CPU: forked children format or parse row ranges and pass them
+back through pipes, and the bytes and values are the same as in one
+process (``SPLIT_MIN_CELLS``).
 
 Do not regroup these sums. ``sum(estimates) - (deg + c) * own + c * truth``
 is the same sum in exact arithmetic but not in floating point, and because
@@ -73,6 +74,7 @@ from .errors import (
     StateBoxViolation,
     TelemetryError,
 )
+from .float_repr import digit_tables, format_rows, write_rows
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import Graph, Neighborhoods, all_khop_sets
 from .khop_observer import (
@@ -92,12 +94,14 @@ LAPLACIAN_ZERO_TOL = 1e-8
 # that follows the reproduction run (+0.7 MB); 256 KiB did not.
 LOG_BLOCK_BYTES = 1 << 18
 # Values of telemetry CSV per process when ``write_csv`` and ``read_csv``
-# split a file over CPUs. Medians of 9 calls on cuts of the reproduction
-# table, 2-vCPU Xeon VM, one process -> two: writing 100k values took
-# 0.119 -> 0.109 s and 200k 0.287 -> 0.176 s; reading 100k values
-# 0.039 -> 0.047 s (slower) and 200k 0.114 -> 0.072 s. So a file splits from
-# 200k values on, and a 150-agent ring's 49k-value CSV stays in one process.
-SPLIT_MIN_CELLS = 100_000
+# split a file over CPUs. Medians of 9 alternated calls on cuts of the
+# reproduction table, 2-vCPU Xeon VM, one process -> two, writing with
+# float_repr: writing 200k values took 0.051 -> 0.062 s, 250k 0.065 ->
+# 0.078 s, 300k 0.081 -> 0.070 s and 400k 0.159 -> 0.086 s; reading 200k
+# 0.044 -> 0.053 s, 250k 0.056 -> 0.064 s, 300k 0.070 -> 0.074 s and 400k
+# 0.143 -> 0.094 s. So a file splits from 300k values on, and a 150-agent
+# ring's 49k-value CSV stays in one process.
+SPLIT_MIN_CELLS = 150_000
 # Mean bytes of one CSV value with its separator, which sizes a file in
 # values before it is read: 19.6 in the reproduction telemetry, 20.7 in a
 # 150-agent ring's.
@@ -731,33 +735,27 @@ def _forked(jobs, work):
         raise _PartFailed
 
 
-def _write_rows(fh, rows: np.ndarray) -> None:
-    for row in rows:
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
 def _format_part(rows: np.ndarray, out) -> None:
-    text = io.StringIO()
-    _write_rows(text, rows)
-    out.write(text.getvalue().encode("utf-8"))
+    out.write(format_rows(rows))
 
 
 def _write_table(path, header: list, table: np.ndarray, workers: int) -> None:
     """The caller writes the header and the first rows; children format the
-    other row ranges, which the caller appends in order as they arrive."""
+    other row ranges, which the caller appends in order as they arrive.
+    The children share the digit tables the caller builds first."""
+    digit_tables()
     cuts = [len(table) * i // workers for i in range(workers + 1)]
     parts = [table[a:b] for a, b in zip(cuts[1:], cuts[2:]) if a < b]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh, \
-            _forked(parts, _format_part) as texts:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, table[: cuts[1]])
-        fh.flush()
+    with open(path, "wb") as fh, _forked(parts, _format_part) as texts:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        write_rows(fh, table[: cuts[1]])
         for text in texts:
-            shutil.copyfileobj(text, fh.buffer)
+            shutil.copyfileobj(text, fh)
 
 
 def write_csv(tel: Telemetry, path) -> None:
-    """Write telemetry rows; float formatting is shortest round-trip repr.
+    """Write telemetry rows, each value spelled as ``repr`` spells it (the
+    shortest round trip, :mod:`khopsim.float_repr`).
 
     Tables of ``2 * SPLIT_MIN_CELLS`` values or more are formatted on
     several CPUs (:func:`_workers`); the bytes are the same.

@@ -48,6 +48,7 @@ from .gain_tuning import (
     tune_gains,
 )
 from .graph_khop import Graph, Neighborhoods
+# telemetry_columns is re-exported: perfbench and the tests read it from here.
 from .plant_sim import SimConfig, Telemetry, lambda2, telemetry_columns
 
 SCHEMA_VERSION = 1
@@ -641,7 +642,11 @@ def verification_report(ts: TunedScenario, cols: dict) -> dict:
     """Gain report plus criteria and bound audit judged from telemetry
     columns, as :func:`plant_sim.read_csv` or :func:`telemetry_columns`
     give them."""
-    tel = plant_sim.telemetry_from_columns(ts.config, cols)
+    return _judge(ts, plant_sim.telemetry_from_columns(ts.config, cols))
+
+
+def _judge(ts: TunedScenario, tel: Telemetry) -> dict:
+    """:func:`verification_report` of a run's own telemetry record."""
     criteria = evaluate_criteria(ts, tel)
     report = gain_report(ts)
     report["criteria"] = _jsonable(criteria)
@@ -718,7 +723,7 @@ def _simulate(ts: TunedScenario, out_dir: Path):
         print(f"partial telemetry retained: {csv_path}", file=sys.stderr)
         raise
     _write_csv(csv_path, tel)
-    report = verification_report(ts, telemetry_columns(tel))
+    report = _judge(ts, tel)
     report_path = out_dir / sc.values["outputs.report"]
     _write_json(report_path, report)
     return report, csv_path, report_path
@@ -786,7 +791,7 @@ def _sweep_cell(raw: dict, base: Path, cell: dict) -> dict:
         )
         ts = prepare(sc)
         tel = plant_sim.run(ts.config)
-        report = verification_report(ts, telemetry_columns(tel))
+        report = _judge(ts, tel)
         t_x = tel.T_x_obs[np.isfinite(tel.T_x_obs)]
         t_u = tel.T_u_obs[np.isfinite(tel.T_u_obs)]
         row.update(

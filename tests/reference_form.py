@@ -21,6 +21,9 @@ property tests compare it against the functions here, including
 the omega bound certifies, and :func:`sign`, the switching function
 with ``sign(0) = +1`` that the pair kernel applies inline.
 
+:func:`repr_rows` is the telemetry CSV body as ``repr`` spells it, the
+oracle of the vectorized formatter.
+
 :func:`reference_gains` and :func:`reference_certificate` are the gain
 formulas agent by agent, in the order of operations that
 :func:`khopsim.gain_tuning.tune_gains` and
@@ -462,3 +465,10 @@ def control_wiring(graph, target_graph, k: int, nbs, offsets) -> tuple:
         [r + [n_pairs + i] * (width - len(r)) for i, r in enumerate(rows)], dtype=np.intp
     ).T.copy()
     return terms, np.array(disturbance, dtype=np.intp), np.array(owners, dtype=np.intp)
+
+
+def repr_rows(rows: np.ndarray) -> bytes:
+    """A float table's CSV body as the repr join spells it, one value at a
+    time: the oracle of :func:`khopsim.float_repr.format_rows`."""
+    lines = (",".join(map(repr, row)) + "\n" for row in np.asarray(rows).tolist())
+    return "".join(lines).encode("utf-8")

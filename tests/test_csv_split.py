@@ -211,14 +211,14 @@ def test_failing_fork_leaves_the_one_process_bytes(short_run_dir):
 def test_interrupt_reaps_every_child(short_run_dir):
     tel = run(prepare(load_scenario(short_reproduction(1.0))).config)
     caller = os.getpid()
-    write_rows = plant_sim._write_rows
+    write_rows = plant_sim.write_rows
 
     def interrupted(fh, rows):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         write_rows(fh, rows)
 
-    with mock.patch.object(plant_sim, "_write_rows", interrupted), recorded_forks() as pids:
+    with mock.patch.object(plant_sim, "write_rows", interrupted), recorded_forks() as pids:
         with pytest.raises(KeyboardInterrupt):
             written(tel, short_run_dir / "again.csv", SPLIT)
     assert len(pids) == len(os.sched_getaffinity(0)) - 1

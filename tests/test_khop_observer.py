@@ -301,8 +301,6 @@ class TestInputObserver:
         # while e > 0, so e(t) = 1 + sin t - 2t and the reaching time
         # solves 1 + sin(t*) = 2 t* (bisection oracle). After reaching,
         # |e| stays within (pi + sup|u'|) dt.
-        from scipy.optimize import brentq
-
         g = Graph(3, {(1, 2), (2, 3)})
         pi_gain = 2.0
         gains = GainSet(
@@ -312,7 +310,12 @@ class TestInputObserver:
             pi=np.array([pi_gain, pi_gain, pi_gain]),
         )
         nbs = all_khop_sets(g, 2)
-        t_star = brentq(lambda t: 1.0 + np.sin(t) - 2.0 * t, 0.0, 2.0)
+        # 1 + sin t - 2t falls from 1 at t = 0 to sin 2 - 3 < 0 at t = 2.
+        lo, hi = 0.0, 2.0
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if 1.0 + np.sin(mid) - 2.0 * mid > 0.0 else (lo, mid)
+        t_star = 0.5 * (lo + hi)
         dt = 1e-4
         steps = 20000
         x = np.zeros((3, 1))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import short_reproduction
+from conftest import chorded_ring, short_reproduction
 from khopsim import scenario_cli
 from khopsim.plant_sim import read_csv, run, write_csv
 from khopsim.scenario_cli import (
@@ -617,6 +617,18 @@ def _criteria(ts, tel) -> dict:
     return {c["name"]: c for c in scenario_cli.evaluate_criteria(ts, tel)}
 
 
+@pytest.mark.parametrize("raw", [short_reproduction(0.3), chorded_ring(0.3)],
+                         ids=["reproduction", "chorded_ring"])
+def test_run_is_judged_as_its_columns_are(raw):
+    # simulate and sweep judge the run's own Telemetry; verify judges the
+    # columns read back. The reports are the same.
+    ts = prepare(load_scenario(raw))
+    tel = run(ts.config)
+    own = scenario_cli._judge(ts, tel)
+    assert json.dumps(own, sort_keys=True) == json.dumps(
+        scenario_cli.verification_report(ts, telemetry_columns(tel)), sort_keys=True)
+
+
 class TestReportBranches:
     """Each branch of the per-agent verdicts: who is the worst agent, and
     what the bound audit says when a bound or a sample is missing."""
@@ -1036,7 +1048,8 @@ def test_readme_library_layout_names_exist():
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `khopsim\.(\w+)` \| (.*) \|$", section, flags=re.M)
     assert [module for module, _ in rows] == [
-        "graph_khop", "dense_linalg", "gain_tuning", "khop_observer", "plant_sim", "scenario_cli"]
+        "graph_khop", "dense_linalg", "gain_tuning", "khop_observer", "float_repr", "plant_sim",
+        "scenario_cli"]
     for module, text in rows:
         names = [name for name in re.findall(r"`([^`]+)`", text) if name.isidentifier()]
         assert names, module
@@ -1182,13 +1195,11 @@ def _openblas_with_dynamic_arch() -> bool:
 
 @pytest.mark.skipif(not _openblas_with_dynamic_arch(),
                     reason="needs an OpenBLAS that picks its kernels per CPU (DYNAMIC_ARCH)")
-def test_outputs_are_the_same_bytes_under_any_blas_kernel(tmp_path):
+def _digests_under_blas_kernels(tmp_path, scenario, names):
     # OpenBLAS built with DYNAMIC_ARCH picks its kernels for the CPU it runs
     # on, and OPENBLAS_CORETYPE forces one; their dot products round
-    # differently. The gains, the error norms and the consensus distance
-    # take no BLAS call, so a run on a reproduction cut to 2 s writes the
-    # same files under the CPU's own kernels and under Prescott's.
-    scenario, _ = write_scenario(tmp_path, **{"sim.t_end": 2.0})
+    # differently. Runs the tune and simulate commands under the CPU's own
+    # kernels and under Prescott's, and hashes the named outputs.
     src = Path(scenario_cli.__file__).resolve().parents[1]
     digests = []
     for coretype in (None, "Prescott"):
@@ -1202,5 +1213,25 @@ def test_outputs_are_the_same_bytes_under_any_blas_kernel(tmp_path):
                             "--scenario", str(scenario), "--out", str(out)],
                            env=env, check=False, capture_output=True)
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("telemetry.csv", "report.json", "gains.json")})
+                        for name in names})
+    return digests
+
+
+def test_outputs_are_the_same_bytes_under_any_blas_kernel(tmp_path):
+    # The gains, the error norms and the consensus distance take no BLAS
+    # call, so a run on a reproduction cut to 2 s writes the same files.
+    scenario, _ = write_scenario(tmp_path, **{"sim.t_end": 2.0})
+    digests = _digests_under_blas_kernels(
+        tmp_path, scenario, ("telemetry.csv", "report.json", "gains.json"))
+    assert digests[0] == digests[1]
+
+
+def test_chorded_ring_gains_and_csv_are_the_same_under_any_blas_kernel(tmp_path):
+    # The reproduction's 1x1 and 2x2 coupling matrices give the same LAPACK
+    # bits under every kernel; the chorded ring's do not. Its gains come
+    # from the Jacobi solver and its CSV from no BLAS call, so both keep
+    # their bytes. report.json is left out: its lambda2 is LAPACK's.
+    scenario = tmp_path / "ring.json"
+    scenario.write_text(json.dumps(chorded_ring(0.3)), encoding="utf-8")
+    digests = _digests_under_blas_kernels(tmp_path, scenario, ("telemetry.csv", "gains.json"))
     assert digests[0] == digests[1]
