@@ -45,9 +45,10 @@ _M32 = _U(0xFFFFFFFF)
 _M63 = _U((1 << 63) - 1)
 # Field bytes: the sign at 0, "0." at 1-2 and zeros at 3-5; digit j at
 # 6 + 2j with a candidate point after it at 7 + 2j, the separator at 39 in
-# place of the 17th digit's point. Word 0 ends with the first digit's lane.
+# place of the 17th digit's point. Word 0 ends with the first digit's lane,
+# a "0" the digit is added to and a point.
 _WORDS = 5
-_PREFIX = _U(int.from_bytes(b"-0.000\x30.", "little"))
+_PREFIX = _U(int.from_bytes(b"-0.0000.", "little"))
 _POINTS = _U(0x2E30_2E30_2E30_2E30)     # "0" under each digit, "." above
 _SEP = 7 + 2 * 16
 # Code of a fixed spelling: sign * _PER_SIGN + (point + 3) * 17 + the last
@@ -113,20 +114,18 @@ def _g(k: int) -> int:
 
 
 def _keep_masks() -> np.ndarray:
-    """0xFF on each field byte a code keeps; repr's code keeps only the
-    separator, before which the caller puts repr's text."""
-    keep = np.zeros((_BY_REPR + 1, 8 * _WORDS), dtype=bool)
-    keep[:, _SEP] = True
+    """0xFF on each field byte a code keeps; repr's code, the last row,
+    keeps only the separator, before which the caller puts repr's text."""
+    neg, point, last = np.ix_(range(2), range(_MIN_POINT, _MAX_POINT + 1), range(17))
     j = np.arange(17)
-    for neg in (0, 1):
-        for point in range(_MIN_POINT, _MAX_POINT + 1):
-            for last in range(max(point, 0), 17):
-                row = keep[neg * _PER_SIGN + (point - _MIN_POINT) * 17 + last]
-                row[0] = neg
-                row[1:3] = point <= 0
-                row[3:6] = np.arange(3) < -point
-                row[6:_SEP:2] = j <= last
-                row[7:_SEP - 1:2] = j[:16] == point - 1
+    keep = np.zeros((2, _MAX_POINT - _MIN_POINT + 1, 17, 8 * _WORDS), dtype=bool)
+    keep[..., 0] = neg
+    keep[..., 1:3] = (point <= 0)[..., None]
+    keep[..., 3:6] = np.arange(3) < -point[..., None]
+    keep[..., 6:_SEP:2] = j <= last[..., None]
+    keep[..., 7:_SEP - 1:2] = j[:16] == point[..., None] - 1
+    keep = np.concatenate([keep.reshape(_BY_REPR, -1), np.zeros((1, 8 * _WORDS), bool)])
+    keep[:, _SEP] = True
     return np.where(keep, np.uint8(255), np.uint8(0))
 
 
