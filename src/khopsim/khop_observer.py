@@ -114,18 +114,22 @@ def term_table(owner, values, pad) -> np.ndarray:
 
 class PairWorkspace:
     """Everything :func:`pair_derivative` reads for one state array ``z``
-    under one layout, plant and boundary layer (whose width is checked here
-    once): ``z``, a writeable copy of the layout's ``terms``, its ``switch``
-    and ``omega``, the plant's ``f``, and the buffers and views calls reuse.
+    under one layout, plant and boundary layer (of positive width, which
+    :class:`~khopsim.plant_sim.SimConfig` checks): the buffers and views
+    every call reuses, a writeable copy of the layout's ``terms``, and the
+    kernel's body, bound here once as a closure over them, the layout's
+    ``switch`` and ``omega``, the plant's ``f`` and the numpy functions it
+    calls, so a call looks nothing up.
 
     A run builds one next to its state array and drops it with the run;
     nothing in it outlives the run or is shared between runs. The
     derivative it returns is :attr:`dz`, overwritten by the next call.
-    :attr:`drift` holds plane 0's terms before the inputs, and its truth
-    rows stay ``+0.0``; :attr:`switching` views its estimate rows and
-    plane 1's, so the switching terms land where they are added. The
-    kernel's body is bound here once, as a closure over these buffers,
-    views and numpy functions, so a call looks nothing up.
+    Besides ``z``, ``terms`` and ``dz`` it keeps what the kernel leaves
+    behind: :attr:`acc` holds the sums ``[xi; rho]`` (:attr:`xi` views
+    plane 0), :attr:`g` the design gain as a 0-d array, and
+    :attr:`drift_est` the estimate rows of plane 0's terms before the
+    inputs, where the switching terms land; :attr:`may_underflow` says
+    whether ``g xi`` can round to ``-0.0``.
     """
 
     def __init__(
@@ -135,95 +139,83 @@ class PairWorkspace:
         z: np.ndarray,
         boundary_layer: Optional[float] = None,
     ):
-        if boundary_layer is not None and boundary_layer <= 0:
-            raise ValueError("boundary layer width must be positive")
-        self.z, self.boundary_layer, self.f = z, boundary_layer, plant.f
-        self.terms, self.switch, self.omega = layout.terms.copy(), layout.switch, layout.omega
+        terms, switch, omega, f = layout.terms.copy(), layout.switch, layout.omega, plant.f
         p = layout.target.size
-        self.own = z[:, None, :p]
-        self.parts = np.empty((2, layout.terms.shape[0], p, z.shape[2]))
+        own = z[:, None, :p]
+        parts = np.empty((2, terms.shape[0], p, z.shape[2]))
         # Planes [g xi, xi, rho]: the sums land in ``acc`` = [xi; rho], g xi
         # in plane 0, and ``signal`` = [g xi; rho] views both without a copy.
         planes = np.empty((3, p, z.shape[2]))
-        self.acc, self.xi, self.gxi, self.signal = planes[1:], planes[1], planes[0], planes[::2]
+        acc, xi, gxi, signal = planes[1:], planes[1], planes[0], planes[::2]
         # 0-d arrays: numpy would convert the floats 0.0 and g on every call.
-        self.zero, self.g = np.array(0.0), np.array(layout.g)
+        zero, g = np.array(0.0), np.array(layout.g)
         # No sum is -0.0 (each starts from +0.0), but g xi is when g <= 0.5
         # and xi is a negative subnormal that g scales to half its last
         # place or less; for g > 0.5 even g * -5e-324 rounds to -5e-324.
-        self.may_underflow = bool(layout.g <= 0.5)
-        self.AT = plant.A.T if plant.A.any() else None
-        self.x_rows, self.u_rows = z
+        may_underflow = bool(layout.g <= 0.5)
+        AT = plant.A.T if plant.A.any() else None
+        x_rows, u_rows = z
         # Planes [drift, dz]; ``switching`` is the estimate rows of drift and
         # of dz's plane 1. Plane 1's truth rows stay zero: the controller
         # sets the inputs.
         out = np.zeros((3, *z.shape[1:]))
-        self.drift, self.dz = out[0], out[1:]
-        self.drift_est, self.switching = out[0, :p], out[::2, :p]
-        self.dx_rows, self.dx_est, self.plant_rows = out[1], out[1, :p], out[1, p:]
-        self._derivative = _bind_kernel(self)
+        drift, dz = out[0], out[1:]
+        drift_est, switching = out[0, :p], out[::2, :p]
+        dx_rows, dx_est, plant_rows = out[1], out[1, :p], out[1, p:]
+        take, subtract, add_reduce, multiply, add = (
+            z.take, np.subtract, np.add.reduce, np.multiply, np.add)
+        copysign, divide, clip, matmul = np.copysign, np.divide, switching.clip, np.matmul
 
-
-def _bind_kernel(work: PairWorkspace):
-    """:func:`pair_derivative`'s body, bound once to ``work``."""
-    take, terms, parts, own, acc = work.z.take, work.terms, work.parts, work.own, work.acc
-    xi, g, gxi, signal, switching = work.xi, work.g, work.gxi, work.signal, work.switching
-    switch, omega, zero, layer = work.switch, work.omega, work.zero, work.boundary_layer
-    may_underflow, f, AT = work.may_underflow, work.f, work.AT
-    x_rows, u_rows, drift, drift_est = work.x_rows, work.u_rows, work.drift, work.drift_est
-    dx_rows, dx_est, plant_rows, dz = work.dx_rows, work.dx_est, work.plant_rows, work.dz
-    p = len(gxi)
-    subtract, add_reduce, multiply, add = np.subtract, np.add.reduce, np.multiply, np.add
-    copysign, divide, clip, matmul = np.copysign, np.divide, switching.clip, np.matmul
-
-    def derivative() -> np.ndarray:
-        # The indices are the layout's own, all in range, so "clip" only
-        # spares numpy the bounds-checking copy it makes for ``out`` under
-        # "raise".
-        take(terms, 1, parts, "clip")
-        subtract(parts, own, parts)
-        add_reduce(parts, 1, None, acc, False, 0.0)
-        multiply(xi, g, gxi)
-        if layer is None:
-            # gain * sign(v), sign(0) = +1, is the gain (run refuses negative
-            # ones) with v's sign bit, as no v is -0.0: each sum starts from
-            # +0.0, and adding +0.0 clears g xi's -0.0 from underflow, which
-            # only g <= 0.5 can give. An inf - inf NaN has its sign bit set
-            # on x86-64: -gain, as sign(NaN).
-            if may_underflow:
-                add(gxi, zero, gxi)
-            copysign(switch, signal, switching)
-        else:
-            # sign's saturation clip(v / delta, -1, 1), times the gains.
-            divide(signal, layer, switching)
-            clip(-1.0, 1.0, out=switching)
-            multiply(switch, switching, switching)
-        fz = None if f is None else f(x_rows)
-        multiply(gxi, omega, gxi)
-        if AT is None:
-            # x A^T would add ±0 here: f(xh) + omega g xi + switching.
+        def derivative() -> np.ndarray:
+            # The indices are the layout's own, all in range, so "clip" only
+            # spares numpy the bounds-checking copy it makes for ``out`` under
+            # "raise".
+            take(terms, 1, parts, "clip")
+            subtract(parts, own, parts)
+            add_reduce(parts, 1, None, acc, False, 0.0)
+            multiply(xi, g, gxi)
+            if boundary_layer is None:
+                # gain * sign(v), sign(0) = +1, is the gain (run refuses negative
+                # ones) with v's sign bit, as no v is -0.0: each sum starts from
+                # +0.0, and adding +0.0 clears g xi's -0.0 from underflow, which
+                # only g <= 0.5 can give. An inf - inf NaN has its sign bit set
+                # on x86-64: -gain, as sign(NaN).
+                if may_underflow:
+                    add(gxi, zero, gxi)
+                copysign(switch, signal, switching)
+            else:
+                # sign's saturation clip(v / delta, -1, 1), times the gains.
+                divide(signal, boundary_layer, switching)
+                clip(-1.0, 1.0, out=switching)
+                multiply(switch, switching, switching)
+            fz = None if f is None else f(x_rows)
+            multiply(gxi, omega, gxi)
+            if AT is None:
+                # x A^T would add ±0 here: f(xh) + omega g xi + switching.
+                if fz is not None:
+                    add(fz[:p], gxi, gxi)
+                add(gxi, drift_est, drift_est)
+                lead = drift
+            else:
+                # One product over estimate and truth rows alike: each block has
+                # two or more rows (P is even, n >= 2), and such products round
+                # every row as the block's own product would.
+                lead = dx_rows
+                matmul(x_rows, AT, lead)
+                if fz is not None:
+                    add(dx_est, fz[:p], dx_est)
+                add(dx_est, gxi, dx_est)
+                add(dx_est, drift_est, dx_est)
+            # Adds uh to the estimate rows, their last term, and u to the plant
+            # rows, before f.
+            add(lead, u_rows, dx_rows)
             if fz is not None:
-                add(fz[:p], gxi, gxi)
-            add(gxi, drift_est, drift_est)
-            lead = drift
-        else:
-            # One product over estimate and truth rows alike: each block has
-            # two or more rows (P is even, n >= 2), and such products round
-            # every row as the block's own product would.
-            lead = dx_rows
-            matmul(x_rows, AT, lead)
-            if fz is not None:
-                add(dx_est, fz[:p], dx_est)
-            add(dx_est, gxi, dx_est)
-            add(dx_est, drift_est, dx_est)
-        # Adds uh to the estimate rows, their last term, and u to the plant
-        # rows, before f.
-        add(lead, u_rows, dx_rows)
-        if fz is not None:
-            add(plant_rows, fz[p:], plant_rows)
-        return dz
+                add(plant_rows, fz[p:], plant_rows)
+            return dz
 
-    return derivative
+        self.z, self.terms, self.acc, self.xi, self.g = z, terms, acc, xi, g
+        self.drift_est, self.dz, self.may_underflow = drift_est, dz, may_underflow
+        self._derivative = derivative
 
 
 def pair_derivative(work: PairWorkspace) -> np.ndarray:

@@ -112,9 +112,11 @@ _CELL_BYTES = 20
 class SimConfig:
     """One run's inputs plus ``structure``, the wiring built from them once
     (:func:`build_structure`). Scalars are taken as the scenario schema
-    checked them; this checks the rules across fields. ``xhat0``/``uhat0``
-    are per-agent estimate vectors or one ``(P, N)`` array (``None`` means
-    zeros), kept as read-only ``(P, N)`` pair arrays. ``nbs`` may pass in
+    checked them, but for the step ``dt``, the logging stride ``decimate``
+    and the ``boundary_layer`` width, which must be positive; this checks
+    those and the rules across fields. ``xhat0``/``uhat0`` are per-agent
+    estimate vectors or one ``(P, N)`` array (``None`` means zeros), kept
+    as read-only ``(P, N)`` pair arrays. ``nbs`` may pass in
     the neighborhoods of ``graph`` at horizon ``k`` (as
     :func:`~khopsim.gain_tuning.tune_gains` returns them, with their pair
     table); otherwise they are built here.
@@ -145,6 +147,12 @@ class SimConfig:
     nbs: InitVar[Optional[Neighborhoods]] = None
 
     def __post_init__(self, nbs):
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.decimate < 1:
+            raise ValueError(f"decimate must be at least 1, got {self.decimate}")
+        if self.boundary_layer is not None and not self.boundary_layer > 0:
+            raise ValueError(f"boundary_layer must be positive, got {self.boundary_layer}")
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
             raise ValueError(
                 f"t_end must be finite and exceed dt, got t_end={self.t_end}, dt={self.dt}"
@@ -481,8 +489,7 @@ def _conv_eps(config: SimConfig, err: np.ndarray) -> np.ndarray:
     error floored at ``CONV_EPS_FLOOR``."""
     if config.conv_eps is not None:
         return np.full(err.shape[1], config.conv_eps)
-    first = err[0] if len(err) else np.zeros(err.shape[1])
-    return np.fmax(CONV_EPS_FLOOR, CONV_EPS_REL * first)
+    return np.fmax(CONV_EPS_FLOOR, CONV_EPS_REL * err[0])
 
 
 def _bands(config: SimConfig) -> tuple:
@@ -528,7 +535,7 @@ def _assemble_telemetry(
         eps_u=eps_u,
         T_x_obs=detect_convergence(times, errx, eps_x, band_x),
         T_u_obs=detect_convergence(times, erru, eps_u, band_u),
-        X_obs=float(errx.max()) if errx.size else 0.0,
+        X_obs=float(errx.max()),
     )
 
 
@@ -634,9 +641,13 @@ def telemetry_columns(tel: Telemetry) -> dict:
 def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     """Inverse of :func:`telemetry_columns`: rebuild the record from columns
     (as :func:`read_csv` returns them) and apply the same convergence rule
-    :func:`run` applies. Columns with no samples, or whose times are not
-    finite and strictly increasing, raise :class:`TelemetryError`.
+    :func:`run` applies. Columns that are not the scenario's
+    (:func:`csv_header`), hold no samples, or whose times are not finite and
+    strictly increasing raise :class:`TelemetryError`.
     """
+    n, n_dim = config.graph.n, config.plant.N
+    if set(cols) != set(csv_header(n, n_dim)):
+        raise TelemetryError("telemetry schema does not match the scenario")
     t = np.asarray(cols["t"])
     if not t.size:
         raise TelemetryError("telemetry holds no samples")
@@ -647,7 +658,7 @@ def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     rows = len(t)
     logs = {
         field: np.column_stack([cols[name] for name in names]).reshape((rows, *shape))
-        for field, shape, names in _column_layout(config.graph.n, config.plant.N)
+        for field, shape, names in _column_layout(n, n_dim)
     }
     return _assemble_telemetry(config, **logs)
 

@@ -751,16 +751,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc = load_scenario(args.scenario, overrides=_flags(args))
-    ts = prepare(sc)
+    ts = prepare(load_scenario(args.scenario, overrides=_flags(args)))
     try:
         cols = plant_sim.read_csv(args.telemetry)
     except (OSError, ValueError) as exc:
         print(f"cannot read telemetry: {exc}", file=sys.stderr)
-        return 1
-    expected = set(plant_sim.csv_header(sc.graph.n, sc.plant.N))
-    if set(cols.keys()) != expected:
-        print("telemetry schema does not match the scenario", file=sys.stderr)
         return 1
     try:
         report = verification_report(ts, cols)

@@ -9,6 +9,7 @@ consensus.
 
 import dataclasses
 import tracemalloc
+from itertools import accumulate, repeat
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,11 @@ def repro_config(**overrides):
     if overrides:
         return dataclasses.replace(ts.config, **overrides), ts
     return ts.config, ts
+
+
+@pytest.fixture(scope="module")
+def ring_config():
+    return prepare(load_scenario(chorded_ring())).config
 
 
 def path4_gains(plant, g=None):
@@ -325,6 +331,36 @@ class TestRun:
         with pytest.raises(StateBoxViolation) as err:
             run(config)
         assert err.value.time == pytest.approx(0.051, abs=2e-3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dt", 0.0, "dt must be positive, got 0.0"),
+        ("dt", -1e-3, "dt must be positive, got -0.001"),
+        ("decimate", 0, "decimate must be at least 1, got 0"),
+        ("boundary_layer", 0.0, "boundary_layer must be positive, got 0.0"),
+    ])
+    def test_config_refuses_a_step_it_cannot_take(self, field, value, message):
+        # Without the check dt = 0 and decimate = 0 divide by zero, dt < 0
+        # asks numpy for a log of negative length, and a zero boundary
+        # layer would divide the switching signal by zero at every step.
+        config, _ = repro_config()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(config, **{field: value})
+
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.integers(2, 60), offset=st.floats(-0.45, 0.45),
+           dt=st.floats(2e-4, 2e-3), decimate=st.integers(1, 25))
+    def test_run_logs_step_zero_every_decimate_th_step_and_the_last(
+            self, ring_config, steps, offset, dt, decimate):
+        # Every record run returns holds step 0, so the convergence rule
+        # never sees an empty one.
+        config = dataclasses.replace(ring_config, dt=dt, t_end=(steps + offset) * dt,
+                                     decimate=decimate)
+        tel = run(config)
+        assert len(tel.times) == steps // decimate + 1 + (steps % decimate != 0)
+        grid = list(accumulate(repeat(dt, steps), initial=0.0))  # t as run adds it up
+        logged = [*range(0, steps + 1, decimate)] + ([steps] if steps % decimate else [])
+        assert tel.times.tolist() == [grid[k] for k in logged]
+        assert tel.times[0] == 0.0 and np.array_equal(tel.states[0], config.x0)
 
     @pytest.mark.parametrize("decimate", [1, 7])
     def test_partial_telemetry_is_the_run_to_the_last_logged_time(self, decimate, monkeypatch):

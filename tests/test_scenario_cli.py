@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import chorded_ring, short_reproduction
 from khopsim import scenario_cli
+from khopsim.errors import TelemetryError
 from khopsim.plant_sim import read_csv, run, write_csv
 from khopsim.scenario_cli import (
     FLAG_FIELDS,
@@ -629,6 +630,14 @@ def test_run_is_judged_as_its_columns_are(raw):
         scenario_cli.verification_report(ts, telemetry_columns(tel)), sort_keys=True)
 
 
+def test_verification_report_refuses_columns_not_the_scenarios():
+    ts, tel = _judged()
+    cols = telemetry_columns(tel)
+    del cols["v_1_1"]
+    with pytest.raises(TelemetryError, match="^telemetry schema does not match the scenario$"):
+        scenario_cli.verification_report(ts, cols)
+
+
 class TestReportBranches:
     """Each branch of the per-agent verdicts: who is the worst agent, and
     what the bound audit says when a bound or a sample is missing."""
@@ -738,13 +747,13 @@ class TestUnusableTelemetry:
     """``verify`` refuses a record it cannot judge with exit 1 and one line,
     and numpy adds none."""
 
-    def verify(self, tmp_path, capsys, body, extra_header="") -> tuple:
+    def verify(self, tmp_path, capsys, body, header=lambda line: line) -> tuple:
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.05})
         # Too short to converge: the criteria fail, but the CSV is whole.
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
         lines = (tmp_path / "run" / "telemetry.csv").read_text().splitlines()
         hostile = tmp_path / "hostile.csv"
-        hostile.write_text("\n".join([lines[0] + extra_header, *body(lines[1:])]) + "\n")
+        hostile.write_text("\n".join([header(lines[0]), *body(lines[1:])]) + "\n")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -774,9 +783,17 @@ class TestUnusableTelemetry:
     def test_duplicate_column(self, tmp_path, capsys):
         # A dict of columns would keep the later x_1_1 and judge it.
         rc, err = self.verify(tmp_path, capsys, lambda rows: [row + ",0.9" for row in rows],
-                              extra_header=",x_1_1")
+                              header=lambda line: line + ",x_1_1")
         assert rc == 1
         assert err == "cannot read telemetry: telemetry CSV malformed: duplicate column x_1_1\n"
+
+    @pytest.mark.parametrize("edit", [lambda line: line[: line.rindex(",")],
+                                      lambda line: line + ",0.9"], ids=["missing", "extra"])
+    def test_columns_not_the_scenarios(self, tmp_path, capsys, edit):
+        # The last column (v_4_2) dropped, or one named "0.9" added.
+        rc, err = self.verify(tmp_path, capsys, lambda rows: list(map(edit, rows)), edit)
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry schema does not match the scenario\n"
 
 
 class TestSweep:
