@@ -9,8 +9,10 @@ order of the numpy form (``tests/reference_jacobi.py``), bit for bit: the
 gains and, through ``sign`` switching, the convergence times in
 ``perfbench/reference.json`` move with the last bits. LAPACK waits for a
 benchmark-only re-record of that file; the target graph's ``lambda2``,
-which feeds no gain, already uses it. The input checks, the symmetrization
-and the norms run on stacks of equal-size matrices, one stack per size.
+which feeds no gain, already uses it. Each ``M = L + H`` and ``N`` is
+exactly symmetric as built, so the solver refuses only what a scenario can
+reach, a non-finite entry or an overflowing norm; the norms are taken on
+stacks of equal-size matrices, one stack per size.
 
 A sweep skips exactly the entries at or below the threshold, so the first
 sweep that rotates nothing proves convergence, as in classical threshold
@@ -47,7 +49,6 @@ from .errors import NumericalError
 
 # Centralized tolerances. Verification code must reference these named
 # constants rather than re-inventing thresholds.
-SYMMETRY_RTOL = 1e-12       # allowed |a_ij - a_ji|, relative to max(1, |a_ij|)
 JACOBI_RTOL = 1e-12         # off-diagonal threshold, relative to Frobenius norm
 DEFINITENESS_TOL = 1e-9     # eigenvalue margin for definiteness decisions
 
@@ -55,45 +56,19 @@ _MAX_SWEEPS = 64
 _TINY = np.finfo(float).tiny
 
 
-def _checked(matrices) -> tuple:
-    """``(symmetric, norms, error)``: the matrices as floats with their
-    representation-level asymmetry removed, and their Frobenius norms, up
-    to the first that is not square, finite and symmetric within
-    ``SYMMETRY_RTOL`` or has two or more rows and a norm that overflows;
-    and that one's error, else ``None``. Each stack of equal-size matrices
-    is checked at once, with each matrix's own operations and sums."""
-    mats, error, by_size, faults = [], None, {}, {}
-    for m in matrices:
-        try:
-            a = np.asarray(m, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise NumericalError(f"expected a square matrix, got shape {a.shape}")
-        except (TypeError, ValueError, NumericalError) as exc:
-            error = exc
-            break
-        by_size.setdefault(len(a), []).append(len(mats))
-        mats.append(a)
-    sym, norms = [None] * len(mats), [0.0] * len(mats)
+def _norms(mats) -> list:
+    """The Frobenius norm of each matrix, one stack of equal-size matrices
+    at a time, each summed as the matrix's own ``(a * a).sum()``."""
+    by_size, norms = {}, [0.0] * len(mats)
+    for pos, a in enumerate(mats):
+        by_size.setdefault(a.shape, []).append(pos)
     for where in by_size.values():
         a = np.array([mats[pos] for pos in where])
-        at = a.transpose(0, 2, 1)
-        with np.errstate(all="ignore"):  # a matrix that fails is refused below
-            skew = (np.abs(a - at) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))).any((1, 2))
-            s = 0.5 * (a + at)
-            norm = np.sqrt((s * s).reshape(len(where), -1).sum(1))
-        for pos, s_pos, fro, bad in zip(where, s, norm.tolist(), skew.tolist()):
-            sym[pos], norms[pos] = s_pos, fro
-            if bad or not math.isfinite(fro):  # a finite norm has finite entries
-                if not np.isfinite(mats[pos]).all():
-                    faults[pos] = "matrix contains non-finite entries"
-                elif bad:
-                    faults[pos] = "matrix is not symmetric within tolerance"
-                elif a.shape[1] > 1:
-                    faults[pos] = "the Frobenius norm of the matrix overflows"
-    if faults:
-        first = min(faults)
-        return sym[:first], norms[:first], NumericalError(faults[first])
-    return sym, norms, error
+        with np.errstate(all="ignore"):  # sym_eigs refuses a norm that is not finite
+            norm = np.sqrt((a * a).reshape(len(where), -1).sum(1))
+        for pos, fro in zip(where, norm.tolist()):
+            norms[pos] = fro
+    return norms
 
 
 def sym_eigs(matrices) -> list:
@@ -106,8 +81,10 @@ def sym_eigs(matrices) -> list:
     float, as a subnormal threshold would stall where the squares underflow
     the norm. Iteration stops after the first sweep that rotates nothing; at
     most ``_MAX_SWEEPS`` sweeps run, and the last must rotate nothing, else
-    ``NumericalError``. A bad input raises for the first bad matrix, in
-    input order, what a call with that matrix alone raises.
+    ``NumericalError``. The matrices must be square and exactly symmetric,
+    as the gain design builds them; a matrix with a non-finite entry, or
+    with two or more rows and a norm that overflows, raises
+    ``NumericalError``, the first such in input order.
 
     Each irreducible block rotates alone, under the whole matrix's
     threshold, and each distinct block is solved once per call (module
@@ -117,10 +94,15 @@ def sym_eigs(matrices) -> list:
     eigenvalues do not depend on the other matrices of the call.
     """
     solved = {}  # block bytes -> [(largest skipped, smallest rotated, diagonal)]
-    sym, norms, error = _checked(matrices)
+    mats = [np.asarray(m, dtype=float) for m in matrices]
     out = []
-    for a, fro in zip(sym, norms):
+    for a, fro in zip(mats, _norms(mats)):
         n = a.shape[0]
+        if not math.isfinite(fro):  # a finite norm has finite entries
+            if not np.isfinite(a).all():
+                raise NumericalError("matrix contains non-finite entries")
+            if n > 1:
+                raise NumericalError("the Frobenius norm of the matrix overflows")
         d = a.diagonal().tolist()
         if n > 1:
             thresh = max(JACOBI_RTOL * fro, _TINY)
@@ -137,8 +119,6 @@ def sym_eigs(matrices) -> list:
                     d[i] = x
         w = np.array(d)
         out.append(w[w.argsort(kind="stable")])
-    if error is not None:
-        raise error
     return out
 
 

@@ -112,9 +112,10 @@ _CELL_BYTES = 20
 class SimConfig:
     """One run's inputs plus ``structure``, the wiring built from them once
     (:func:`build_structure`). Scalars are taken as the scenario schema
-    checked them, but for the step ``dt``, the logging stride ``decimate``
-    and the ``boundary_layer`` width, which must be positive; this checks
-    those and the rules across fields. ``xhat0``/``uhat0`` are per-agent
+    checked them, but for the step ``dt``, which must be positive, the
+    logging stride ``decimate``, a positive integer, and the
+    ``boundary_layer`` width, positive and finite; this checks those and
+    the rules across fields. ``xhat0``/``uhat0`` are per-agent
     estimate vectors or one ``(P, N)`` array (``None`` means zeros), kept
     as read-only ``(P, N)`` pair arrays. ``nbs`` may pass in
     the neighborhoods of ``graph`` at horizon ``k`` (as
@@ -149,10 +150,14 @@ class SimConfig:
     def __post_init__(self, nbs):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not isinstance(self.decimate, (int, np.integer)):
+            raise ValueError(f"decimate must be an integer, got {self.decimate!r}")
         if self.decimate < 1:
             raise ValueError(f"decimate must be at least 1, got {self.decimate}")
         if self.boundary_layer is not None and not self.boundary_layer > 0:
             raise ValueError(f"boundary_layer must be positive, got {self.boundary_layer}")
+        if self.boundary_layer == np.inf:
+            raise ValueError("boundary_layer must be finite, got inf")
         if not (np.isfinite(self.t_end) and self.t_end > self.dt):
             raise ValueError(
                 f"t_end must be finite and exceed dt, got t_end={self.t_end}, dt={self.dt}"
@@ -771,8 +776,10 @@ def write_csv(tel: Telemetry, path) -> None:
     Tables of ``2 * SPLIT_MIN_CELLS`` values or more are formatted on
     several CPUs (:func:`_workers`); the bytes are the same.
     """
-    cols = telemetry_columns(tel)
-    header, table = list(cols), np.column_stack(list(cols.values()))
+    n_samples, n, n_dim = tel.states.shape
+    header = csv_header(n, n_dim)
+    table = np.hstack([getattr(tel, field).reshape(n_samples, len(names))
+                       for field, _, names in _column_layout(n, n_dim)])
     try:
         _write_table(path, header, table, _workers(table.size))
     except _PartFailed:

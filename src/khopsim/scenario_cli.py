@@ -937,9 +937,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    except CertificateInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except DivergenceDetected as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3

@@ -7,6 +7,7 @@ matrix assembly.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from khopsim import (
     coupling_matrices,
     coupling_spectra,
     design_g,
+    gain_tuning,
     tune_gains,
     tune_omega,
     tune_pi,
@@ -71,6 +73,19 @@ class TestDesignG:
         condition = design_condition(plant2(), g)
         assert negative_definite(condition)
         assert sym_eigs([condition])[0][-1] == pytest.approx(-800.0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_the_solved_drift_part_is_exactly_symmetric(self, n, seed):
+        # sym_eigs neither checks nor restores symmetry: it solves S as built.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-300, 300, size=(n, n))
+        solved = []
+        with mock.patch.object(gain_tuning, "sym_eigs",
+                               lambda ms: solved.extend(ms) or [np.zeros(n)]):
+            design_g(PlantModel(N=n, A=a))
+        s, = solved
+        assert s.tobytes() == s.T.tobytes()
 
     def test_stable_drift_auto(self):
         assert design_g(PlantModel(N=2, A=-np.eye(2))) == 1.0

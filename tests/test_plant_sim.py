@@ -336,12 +336,17 @@ class TestRun:
         ("dt", 0.0, "dt must be positive, got 0.0"),
         ("dt", -1e-3, "dt must be positive, got -0.001"),
         ("decimate", 0, "decimate must be at least 1, got 0"),
+        ("decimate", 2.5, "decimate must be an integer, got 2.5"),
+        ("decimate", 2.0, "decimate must be an integer, got 2.0"),
         ("boundary_layer", 0.0, "boundary_layer must be positive, got 0.0"),
+        ("boundary_layer", np.inf, "boundary_layer must be finite, got inf"),
     ])
     def test_config_refuses_a_step_it_cannot_take(self, field, value, message):
         # Without the check dt = 0 and decimate = 0 divide by zero, dt < 0
-        # asks numpy for a log of negative length, and a zero boundary
-        # layer would divide the switching signal by zero at every step.
+        # asks numpy for a log of negative length, a float decimate fails
+        # inside numpy's array allocation, a zero boundary layer would
+        # divide the switching signal by zero at every step, and an
+        # infinite one silently zeroes every switching term.
         config, _ = repro_config()
         with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(config, **{field: value})

@@ -61,6 +61,15 @@ def test_coupling_matrices_match_the_loop_form_byte_for_byte(net):
 
 @settings(max_examples=150, deadline=None)
 @given(networks())
+def test_coupling_matrices_are_exactly_symmetric(net):
+    # sym_eigs neither checks nor restores symmetry: it solves these as built.
+    g, k, _ = net
+    for m in coupling_matrices(g, all_khop_sets(g, k)):
+        assert m is None or m.tobytes() == m.T.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks())
 def test_pair_and_control_tables_match_the_loop_form(net):
     g, k, tg = net
     nbs = all_khop_sets(g, k)
@@ -96,13 +105,9 @@ def symmetric_matrix(rng, dim):
 
 
 def bad_matrix(rng, dim, kind):
-    if kind == "non-square":
-        return np.ones((dim, dim + 1))
     m = symmetric_matrix(rng, max(dim, 2))
     if kind == "non-finite":
         m[rng.integers(len(m)), rng.integers(len(m))] = rng.choice([np.nan, np.inf, -np.inf])
-    elif kind == "asymmetric":
-        m[0, 1] += 1.0 + abs(m[0, 1])
     else:  # an overflowing Frobenius norm
         m[:] = 1e200
     return m
@@ -121,8 +126,7 @@ def one_by_one(matrices):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.integers(0, 2**32 - 1),
-       st.lists(st.sampled_from(["non-square", "non-finite", "asymmetric", "overflow"]),
-                max_size=2))
+       st.lists(st.sampled_from(["non-finite", "overflow"]), max_size=2))
 def test_grouped_checks_fail_as_one_matrix_calls_do(dims, seed, kinds):
     # Up to two bad matrices, of any kind, each at a random position.
     rng = np.random.default_rng(seed)
