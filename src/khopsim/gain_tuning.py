@@ -271,7 +271,7 @@ def tune_gains(graph: Graph, k: int, plant: PlantModel, bounds: BoundSet,
     """
     g = design_g(plant, g_scale)
     nbs = all_khop_sets(graph, k)
-    spectra = coupling_spectra(coupling_matrices(graph, nbs))
+    spectra = coupling_spectra(coupling_matrices(nbs))
     lmin, lmax, eta = spectra
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = tune_omega(lmin, lmax, plant, g)

@@ -187,9 +187,9 @@ def all_khop_sets(g: Graph, k: int) -> Neighborhoods:
     return Neighborhoods([khop_set(g, i, k) for i in range(1, g.n + 1)])
 
 
-def coupling_matrices(g: Graph, nbs: Neighborhoods) -> list:
+def coupling_matrices(nbs: Neighborhoods) -> list:
     """Every agent's coupling matrix ``M = L + H`` for the neighborhoods
-    ``nbs`` of ``g``, ``None`` where ``eta = 0``; views into one buffer.
+    ``nbs``, ``None`` where ``eta = 0``; views into one buffer.
     ``L`` is the Laplacian of the subgraph the agent's members induce;
     ``H[j, j]`` counts the agent's 1-hop neighbors adjacent to member ``j``.
     For a connected graph ``M`` is positive definite where ``eta > 0``."""

@@ -39,8 +39,11 @@ neighbors, so the controller injects ``-v``. The steps and these
 reductions ignore numpy's overflow and invalid-value warnings: divergence
 is checked explicitly.
 
-The telemetry CSV spells every value as ``repr`` does, formatted in blocks
-by :mod:`khopsim.float_repr`. A large run's CSV is written and read on
+Each reduced block lands in one table laid out as the telemetry CSV, a row
+per sample and the columns in file order; the record keeps that table
+(:class:`Telemetry`) and :func:`write_csv` writes it as it is. The CSV
+spells every value as ``repr`` does, formatted in blocks by
+:mod:`khopsim.float_repr`. A large run's CSV is written and read on
 every usable CPU: forked children format or parse row ranges and pass them
 back through pipes, and the bytes and values are the same as in one
 process (``SPLIT_MIN_CELLS``).
@@ -88,7 +91,6 @@ from .khop_observer import (
 CONV_EPS_FLOOR = 1e-6
 CONV_EPS_REL = 1e-3
 DEFAULT_BAND_SCALE = 5.0
-LAPLACIAN_ZERO_TOL = 1e-8
 # Bytes of logged state arrays :func:`run` holds before reducing them. A
 # 1 MiB block ran no faster and left a higher peak RSS in the verification
 # that follows the reproduction run (+0.7 MB); 256 KiB did not.
@@ -203,6 +205,13 @@ class SimConfig:
 class Telemetry:
     """Sampled run record plus detected convergence times.
 
+    The samples are stored once, as ``table``: one row per sample, the
+    columns of the telemetry CSV in file order (:func:`csv_header` for
+    ``n_dim`` state components). ``times``, ``states``, ``inputs``,
+    ``errx``, ``erru``, ``cons_dist`` and ``v`` are views of its columns,
+    carved when the record is built, so ``dataclasses.replace(tel,
+    table=...)`` gives consistent series and no series is replaced alone.
+
     ``errx``/``erru`` hold, per estimated agent, the norm of the stacked
     error made by all of that agent's estimators (the quantity the
     finite-time certificates bound). ``v`` is the consensus disturbance:
@@ -210,13 +219,8 @@ class Telemetry:
     ones its input reads from estimates, so the controller injects ``-v``.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    errx: np.ndarray
-    erru: np.ndarray
-    cons_dist: np.ndarray
-    v: np.ndarray
+    table: np.ndarray
+    n_dim: int
     eta: np.ndarray
     band_x: np.ndarray
     band_u: np.ndarray
@@ -225,6 +229,17 @@ class Telemetry:
     T_x_obs: np.ndarray
     T_u_obs: np.ndarray
     X_obs: float
+    times: np.ndarray = field(init=False, repr=False)
+    states: np.ndarray = field(init=False, repr=False)
+    inputs: np.ndarray = field(init=False, repr=False)
+    errx: np.ndarray = field(init=False, repr=False)
+    erru: np.ndarray = field(init=False, repr=False)
+    cons_dist: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, series in _series(self.table, self.n_dim).items():
+            object.__setattr__(self, name, series)
 
 
 @dataclass(frozen=True)
@@ -261,18 +276,15 @@ def consensus_distance(x: np.ndarray) -> np.ndarray:
 
 
 def lambda2(graph: Graph) -> float:
-    """Smallest Laplacian eigenvalue above the zero tolerance.
+    """The second Laplacian eigenvalue; a :class:`Graph` is connected with
+    n >= 2, so its eigenvalue 0 is simple and this one is positive.
 
     The spectrum comes from LAPACK (``np.linalg.eigvalsh``): ``lambda2``
     feeds only the ISS envelope check, never a gain, and the Laplacian is
     exactly symmetric with integer entries, so it needs neither the Jacobi
     solver's bits nor its symmetry checks.
     """
-    w = np.linalg.eigvalsh(graph.laplacian())
-    above = w[w > LAPLACIAN_ZERO_TOL]
-    if above.size == 0:
-        raise ValueError("Laplacian has no positive eigenvalue")
-    return float(above[0])
+    return float(np.linalg.eigvalsh(graph.laplacian())[1])
 
 
 def build_structure(config: SimConfig, nbs: Optional[Neighborhoods] = None) -> SimStructure:
@@ -514,34 +526,20 @@ def _bands(config: SimConfig) -> tuple:
     return eta, *bands
 
 
-def _assemble_telemetry(
-    config: SimConfig, *, times, states, inputs, errx, erru, cons_dist, v
-) -> Telemetry:
-    """The logged series plus the convergence rule applied to them.
+def _assemble_telemetry(config: SimConfig, table: np.ndarray) -> Telemetry:
+    """The logged table plus the convergence rule applied to its series.
 
     This is the only place eps, band and detection are decided, whether the
-    series come from :func:`run` or from :func:`telemetry_from_columns`.
+    table comes from :func:`run` or from :func:`telemetry_from_columns`.
     """
+    series = _series(table, config.plant.N)
+    times, errx, erru = series["times"], series["errx"], series["erru"]
     eta, band_x, band_u = _bands(config)
-    eps_x = _conv_eps(config, errx)
-    eps_u = _conv_eps(config, erru)
-    return Telemetry(
-        times=times,
-        states=states,
-        inputs=inputs,
-        errx=errx,
-        erru=erru,
-        cons_dist=cons_dist,
-        v=v,
-        eta=eta,
-        band_x=band_x,
-        band_u=band_u,
-        eps_x=eps_x,
-        eps_u=eps_u,
-        T_x_obs=detect_convergence(times, errx, eps_x, band_x),
-        T_u_obs=detect_convergence(times, erru, eps_u, band_u),
-        X_obs=float(errx.max()),
-    )
+    eps_x, eps_u = _conv_eps(config, errx), _conv_eps(config, erru)
+    return Telemetry(table, config.plant.N, eta, band_x, band_u, eps_x, eps_u,
+                     T_x_obs=detect_convergence(times, errx, eps_x, band_x),
+                     T_u_obs=detect_convergence(times, erru, eps_u, band_u),
+                     X_obs=float(errx.max()))
 
 
 def run(config: SimConfig) -> Telemetry:
@@ -558,16 +556,8 @@ def run(config: SimConfig) -> Telemetry:
     n_steps, decimate = int(round(config.t_end / config.dt)), config.decimate
     # Every ``decimate``-th step is logged, and the last one always.
     n_samples = n_steps // decimate + 1 + (n_steps % decimate != 0)
-    logs = {
-        "times": np.zeros(n_samples),
-        "states": np.zeros((n_samples, n, n_dim)),
-        "inputs": np.zeros((n_samples, n, n_dim)),
-        "errx": np.zeros((n_samples, n)),
-        "erru": np.zeros((n_samples, n)),
-        "cons_dist": np.zeros(n_samples),
-        "v": np.zeros((n_samples, n, n_dim)),
-    }
-    times, states, inputs, errx, erru, cons_dist, v_log = logs.values()
+    table = np.empty((n_samples, sum(map(math.prod, _shapes(n, n_dim).values()))))
+    times, states, inputs, errx, erru, cons_dist, v_log = _series(table, n_dim).values()
     block = np.empty((min(n_samples, max(1, LOG_BLOCK_BYTES // z.nbytes)), *z.shape))
     row = reduced = 0
 
@@ -586,7 +576,7 @@ def run(config: SimConfig) -> Telemetry:
     def telemetry() -> Telemetry:
         if row > reduced:
             reduce_block()
-        return _assemble_telemetry(config, **{name: arr[:row] for name, arr in logs.items()})
+        return _assemble_telemetry(config, table[:row])
 
     control, advance = _bind_control(config, z), _bind_advance(config, z)
     reduce_log = _bind_log_reducer(config, len(block))
@@ -613,34 +603,44 @@ def run(config: SimConfig) -> Telemetry:
         return telemetry()
 
 
+def _shapes(n: int, n_dim: int) -> dict:
+    """Each logged series' per-sample shape, by :class:`Telemetry` field in
+    CSV column order."""
+    agent, cell = (n,), (n, n_dim)
+    return dict(times=(), states=cell, inputs=cell, errx=agent, erru=agent, cons_dist=(), v=cell)
+
+
 def _column_layout(n: int, n_dim: int) -> list:
     """``(Telemetry field, per-sample shape, CSV column names)`` in file
     order; a column is its field's prefix plus 1-based indices, agent-major
     (``x_3_2`` is agent 3's second state component)."""
     agent = [f"_{a}" for a in range(1, n + 1)]
     cell = [f"{a}_{c}" for a in agent for c in range(1, n_dim + 1)]
-    return [(field, shape, [prefix + suffix for suffix in suffixes])
-            for field, prefix, shape, suffixes in (
-                ("times", "t", (), [""]),
-                ("states", "x", (n, n_dim), cell),
-                ("inputs", "u", (n, n_dim), cell),
-                ("errx", "errx", (n,), agent),
-                ("erru", "erru", (n,), agent),
-                ("cons_dist", "consdist", (), [""]),
-                ("v", "v", (n, n_dim), cell))]
+    suffixes = {(): [""], (n,): agent, (n, n_dim): cell}
+    return [(field, shape, [prefix + suffix for suffix in suffixes[shape]])
+            for (field, shape), prefix in zip(_shapes(n, n_dim).items(),
+                                              ("t", "x", "u", "errx", "erru", "consdist", "v"))]
 
 
 def csv_header(n: int, n_dim: int) -> list:
     return [name for _, _, names in _column_layout(n, n_dim) for name in names]
 
 
+def _series(table: np.ndarray, n_dim: int) -> dict:
+    """The :class:`Telemetry` series of a table of CSV rows, by field: views
+    of its columns, shaped per sample as :func:`_shapes` gives them."""
+    n = (table.shape[1] - 2) // (3 * n_dim + 2)  # the row holds 2 + n (3 N + 2) values
+    series, start = {}, 0
+    for name, shape in _shapes(n, n_dim).items():
+        width = math.prod(shape)
+        series[name] = table[:, start:start + width].reshape(len(table), *shape)
+        start += width
+    return series
+
+
 def telemetry_columns(tel: Telemetry) -> dict:
     """In-memory Telemetry -> the column-name -> array form of :func:`read_csv`."""
-    n_samples, n, n_dim = tel.states.shape
-    cols = {}
-    for field, _, names in _column_layout(n, n_dim):
-        cols.update(zip(names, getattr(tel, field).reshape(n_samples, len(names)).T))
-    return cols
+    return dict(zip(csv_header(tel.states.shape[1], tel.n_dim), tel.table.T))
 
 
 def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
@@ -650,8 +650,8 @@ def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     (:func:`csv_header`), hold no samples, or whose times are not finite and
     strictly increasing raise :class:`TelemetryError`.
     """
-    n, n_dim = config.graph.n, config.plant.N
-    if set(cols) != set(csv_header(n, n_dim)):
+    header = csv_header(config.graph.n, config.plant.N)
+    if set(cols) != set(header):
         raise TelemetryError("telemetry schema does not match the scenario")
     t = np.asarray(cols["t"])
     if not t.size:
@@ -660,12 +660,7 @@ def telemetry_from_columns(config: SimConfig, cols: Mapping) -> Telemetry:
     for bad, problem in ((~np.isfinite(t), "is not finite"), (stalled, "does not increase")):
         if bad.any():
             raise TelemetryError(f"telemetry time t {problem} at sample {int(np.argmax(bad)) + 1}")
-    rows = len(t)
-    logs = {
-        field: np.column_stack([cols[name] for name in names]).reshape((rows, *shape))
-        for field, shape, names in _column_layout(n, n_dim)
-    }
-    return _assemble_telemetry(config, **logs)
+    return _assemble_telemetry(config, np.column_stack([cols[name] for name in header]))
 
 
 def _usable_cpus() -> int:
@@ -776,14 +771,11 @@ def write_csv(tel: Telemetry, path) -> None:
     Tables of ``2 * SPLIT_MIN_CELLS`` values or more are formatted on
     several CPUs (:func:`_workers`); the bytes are the same.
     """
-    n_samples, n, n_dim = tel.states.shape
-    header = csv_header(n, n_dim)
-    table = np.hstack([getattr(tel, field).reshape(n_samples, len(names))
-                       for field, _, names in _column_layout(n, n_dim)])
+    header = csv_header(tel.states.shape[1], tel.n_dim)
     try:
-        _write_table(path, header, table, _workers(table.size))
+        _write_table(path, header, tel.table, _workers(tel.table.size))
     except _PartFailed:
-        _write_table(path, header, table, 1)
+        _write_table(path, header, tel.table, 1)
 
 
 def _parse_rows(stream, width: int) -> np.ndarray:

@@ -669,9 +669,14 @@ def _write_csv(path: Path, tel: Telemetry) -> None:
     plant_sim.write_csv(tel, path)
 
 
-def _print_criteria(criteria) -> None:
-    for c in criteria:
+def _verdict(report: dict, /, **paths: Path) -> int:
+    """Print the report's criteria and the written ``paths`` by label; the
+    exit code of the verdict, 0 when all pass, else 2."""
+    for c in report["criteria"]:
         print(f"[{c['status'].upper():>13}] {c['name']}")
+    for label, path in paths.items():
+        print(f"{label + ':':<10} {path}")
+    return 0 if report["all_pass"] else 2
 
 
 # ---------------------------------------------------------------------------
@@ -744,28 +749,18 @@ def cmd_simulate(args) -> int:
         )
         return 2
     report, csv_path, report_path = _simulate(ts, out_dir)
-    _print_criteria(report["criteria"])
-    print(f"telemetry: {csv_path}")
-    print(f"report:    {report_path}")
-    return 0 if report["all_pass"] else 2
+    return _verdict(report, telemetry=csv_path, report=report_path)
 
 
 def cmd_verify(args) -> int:
     ts = prepare(load_scenario(args.scenario, overrides=_flags(args)))
     try:
-        cols = plant_sim.read_csv(args.telemetry)
-    except (OSError, ValueError) as exc:
+        report = verification_report(ts, plant_sim.read_csv(args.telemetry))
+    except (OSError, ValueError, TelemetryError) as exc:
         print(f"cannot read telemetry: {exc}", file=sys.stderr)
         return 1
-    try:
-        report = verification_report(ts, cols)
-    except TelemetryError as exc:
-        print(f"cannot read telemetry: {exc}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out)
-    _write_json(out_dir / "verify.json", report)
-    _print_criteria(report["criteria"])
-    return 0 if report["all_pass"] else 2
+    _write_json(Path(args.out) / "verify.json", report)
+    return _verdict(report)
 
 
 _SWEEP_FIELDS = {"dt": "sim.dt", "theta_scale": "gains.theta_scale",
@@ -867,11 +862,7 @@ def cmd_reproduce_paper(args) -> int:
         print(f"infeasible gains: {ts.infeasible['inequality']}", file=sys.stderr)
         return 2
     report, csv_path, report_path = _simulate(ts, out_dir)
-    _print_criteria(report["criteria"])
-    print(f"scenario:  {scenario_path}")
-    print(f"telemetry: {csv_path}")
-    print(f"report:    {report_path}")
-    return 0 if report["all_pass"] else 2
+    return _verdict(report, scenario=scenario_path, telemetry=csv_path, report=report_path)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -169,4 +169,4 @@ def path4() -> Graph:
 @pytest.fixture
 def path4_couplings(path4):
     nbs = all_khop_sets(path4, 3)
-    return nbs, coupling_matrices(path4, nbs)
+    return nbs, coupling_matrices(nbs)

@@ -89,7 +89,7 @@ def test_criterion_gain_reproduction():
 def test_criterion_coupling_spectrum():
     graph = Graph(4, {(1, 2), (2, 3), (3, 4)})
     nbs = all_khop_sets(graph, 3)
-    m1, m2, _, _ = coupling_matrices(graph, nbs)
+    m1, m2, _, _ = coupling_matrices(nbs)
     (lmin, _), (lmax, _), _ = coupling_spectra([m1, m2])
     exact_scalar = np.array_equal(m2, [[1.0]])
     eigs_ok = abs(lmin - GOLDEN[0]) < 1e-9 and abs(lmax - GOLDEN[1]) < 1e-9
@@ -108,7 +108,7 @@ def test_criterion_coupling_pd_property_suite():
     for _ in range(200):
         g = random_connected_graph(rng, n_min=2, n_max=8)
         k = int(rng.integers(2, 5))
-        lmin, _, eta = coupling_spectra(coupling_matrices(g, all_khop_sets(g, k)))
+        lmin, _, eta = coupling_spectra(coupling_matrices(all_khop_sets(g, k)))
         worst = min(worst, lmin[eta > 0].min(initial=np.inf))
         checked += int((eta > 0).sum())
     elapsed = time.perf_counter() - t0

@@ -24,7 +24,6 @@ from conftest import short_reproduction
 from khopsim import plant_sim
 from khopsim.plant_sim import (
     Telemetry,
-    _column_layout,
     read_csv,
     run,
     telemetry_columns,
@@ -44,16 +43,11 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 2.2250738585072014e-308, np.i
            1e16, 9999999999999998.0, -1.0000000000000002e16, 0.1, 1.7976931348623157e308]
 
 
-def telemetry_of(table: np.ndarray, n: int, n_dim: int) -> Telemetry:
-    """A Telemetry whose CSV columns are ``table``'s, in order."""
-    fields, start = {}, 0
-    for field, shape, names in _column_layout(n, n_dim):
-        cols = table[:, start:start + len(names)]
-        fields[field] = cols.reshape(len(table), *shape)
-        start += len(names)
+def telemetry_of(table: np.ndarray, n_dim: int) -> Telemetry:
+    """A Telemetry whose CSV table is ``table``."""
     empty = np.empty(0)
-    return Telemetry(eta=empty, band_x=empty, band_u=empty, eps_x=empty, eps_u=empty,
-                     T_x_obs=empty, T_u_obs=empty, X_obs=0.0, **fields)
+    return Telemetry(table=table, n_dim=n_dim, eta=empty, band_x=empty, band_u=empty,
+                     eps_x=empty, eps_u=empty, T_x_obs=empty, T_u_obs=empty, X_obs=0.0)
 
 
 @st.composite
@@ -99,7 +93,7 @@ def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch):
 @given(tables())
 def test_split_write_and_read_match_one_process(case):
     table, n, n_dim = case
-    tel = telemetry_of(table, n, n_dim)
+    tel = telemetry_of(table, n_dim)
     with tempfile.TemporaryDirectory() as tmp:
         one, split = Path(tmp) / "one.csv", Path(tmp) / "split.csv"
         assert written(tel, split, SPLIT) == written(tel, one, SERIAL)

@@ -177,20 +177,17 @@ def test_tables_build_on_first_use():
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     # Below the split threshold, so the caller formats everything. The long
     # table repeats the short one ten times, so both hold the same values.
-    # Past the table write_csv stacks, the peak is the chunk workspace and
-    # one chunk's text, whatever the row count.
+    # write_csv writes the record's table as it is, so the peak is the chunk
+    # workspace and one chunk's text, whatever the row count.
     tel = plant_sim.run(prepare(load_scenario(short_reproduction(0.5))).config)
-    logged = ("times", "states", "inputs", "errx", "erru", "cons_dist", "v")
     peaks = []
     for repeats in (1, 10):
-        cut = dataclasses.replace(tel, **{
-            name: np.concatenate([getattr(tel, name)[-200:]] * repeats) for name in logged})
-        table_bytes = 8 * 200 * repeats * len(plant_sim.csv_header(4, 2))
+        cut = dataclasses.replace(tel, table=np.concatenate([tel.table[-200:]] * repeats))
         plant_sim.write_csv(cut, tmp_path / "warm.csv")
         tracemalloc.start()
         try:
             plant_sim.write_csv(cut, tmp_path / f"{repeats}.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1] - table_bytes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 16_384, peaks

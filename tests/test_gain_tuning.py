@@ -122,7 +122,7 @@ class TestTuneOmega:
         rng = np.random.default_rng(17)
         for _ in range(20):
             g = random_connected_graph(rng, n_min=3)
-            for m in coupling_matrices(g, all_khop_sets(g, 2)):
+            for m in coupling_matrices(all_khop_sets(g, 2)):
                 if m is None:
                     continue
                 lmin, lmax = spectrum(m)
@@ -181,7 +181,7 @@ class TestGainInequality:
             l_f = float(rng.uniform(0.0, 1.0))
             plant = PlantModel(N=n_dim, A=a, l_f=l_f)
             g_gain = design_g(plant)
-            for cpl in coupling_matrices(g, all_khop_sets(g, k)):
+            for cpl in coupling_matrices(all_khop_sets(g, k)):
                 if cpl is None:
                     continue
                 omega = tune_omega(*spectrum(cpl), plant, g_gain)
@@ -337,7 +337,7 @@ def test_gains_and_certificate_match_the_per_agent_oracle(problem, err0):
     graph, k, plant, bounds, slack, uhat0_mag = problem
     tuned, nbs, spectra = tune_gains(graph, k, plant, bounds, slack=slack, uhat0_mag=uhat0_mag)
     # The oracles take the matrices and run their own eigensolves.
-    matrices = coupling_matrices(graph, nbs)
+    matrices = coupling_matrices(nbs)
     for got, want in zip((tuned.omega, tuned.theta, tuned.pi),
                          reference_gains(matrices, plant, tuned.g, bounds, slack, uhat0_mag)):
         assert np.array_equal(got, want, equal_nan=True)

@@ -55,6 +55,11 @@ class TestGraph:
         with pytest.raises(GraphNotConnected):
             Graph(4, {(1, 2), (3, 4)})
 
+    def test_rejects_disconnected_with_enough_edges(self):
+        # n - 1 edges pass the edge count; the search finds agent 4 alone.
+        with pytest.raises(GraphNotConnected, match="graph on 4 agents is not connected"):
+            Graph(4, {(1, 2), (2, 3), (1, 3)})
+
     def test_rejects_trivial(self):
         with pytest.raises(ValueError):
             Graph(1, set())
@@ -152,14 +157,14 @@ class TestKhopSet:
 
 class TestCouplingMatrices:
     def test_path_agent2_scalar(self, path4):
-        m = coupling_matrices(path4, all_khop_sets(path4, 3))[1]
+        m = coupling_matrices(all_khop_sets(path4, 3))[1]
         assert np.array_equal(m, [[1.0]])
         assert np.array_equal(sym_eigs([m])[0], [1.0])
 
     def test_path_agent1_full(self, path4):
         # Members 3 and 4 share one edge (L = [[1, -1], [-1, 1]]); agent 3
         # has one common neighbor with agent 1, agent 4 none (H = diag(1, 0)).
-        m = coupling_matrices(path4, all_khop_sets(path4, 3))[0]
+        m = coupling_matrices(all_khop_sets(path4, 3))[0]
         assert np.array_equal(m, [[2.0, -1.0], [-1.0, 1.0]])
         lmin, lmax = sym_eigs([m])[0]
         assert lmin == pytest.approx(GOLDEN_MIN, abs=1e-9)
@@ -172,7 +177,7 @@ class TestCouplingMatrices:
         # neighbor inside the member set (L = 0) and exactly one common
         # neighbor (H = 1).
         g = Graph(3, {(1, 2), (2, 3)})
-        assert np.array_equal(coupling_matrices(g, all_khop_sets(g, 2))[0], [[1.0]])
+        assert np.array_equal(coupling_matrices(all_khop_sets(g, 2))[0], [[1.0]])
 
     def test_coupling_positive_definite_random(self):
         # 200 random connected graphs, every coupling matrix strictly PD
@@ -180,7 +185,7 @@ class TestCouplingMatrices:
         for _ in range(200):
             g = random_connected_graph(rng)
             k = int(rng.integers(2, 5))
-            for m in coupling_matrices(g, all_khop_sets(g, k)):
+            for m in coupling_matrices(all_khop_sets(g, k)):
                 if m is not None:
                     assert sym_eigs([m])[0][0] > 1e-9
 
@@ -194,7 +199,7 @@ class TestCouplingMatrices:
             dist = floyd_warshall(g)
             k = int(rng.integers(2, 4))
             nbs = all_khop_sets(g, k)
-            for nb, m in zip(nbs, coupling_matrices(g, nbs)):
+            for nb, m in zip(nbs, coupling_matrices(nbs)):
                 if m is None:
                     continue
                 own = {j for j in range(1, g.n + 1) if dist[nb.agent - 1, j - 1] == 1}

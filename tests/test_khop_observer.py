@@ -81,7 +81,7 @@ def structural_identity_max_error(g, k, n_dim, rng):
     )
     worst = 0.0
     offset = 0
-    for m in coupling_matrices(g, nbs):
+    for m in coupling_matrices(nbs):
         if m is None:
             continue
         size = len(m) * n_dim

@@ -223,9 +223,10 @@ def message_form_telemetry(config):
     if rows[-1] != n_steps:
         rows.append(n_steps)
     logged = {name: arr[rows] for name, arr in series.items()}
-    return plant_sim._assemble_telemetry(
-        config, cons_dist=consensus_distance(logged["states"]), **logged
-    )
+    logged["cons_dist"] = consensus_distance(logged["states"])
+    layout = plant_sim._column_layout(config.graph.n, config.plant.N)
+    table = np.hstack([logged[name].reshape(len(rows), -1) for name, *_ in layout])
+    return plant_sim._assemble_telemetry(config, table)
 
 
 def assert_same_telemetry(got, want):

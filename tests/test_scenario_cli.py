@@ -64,6 +64,13 @@ class TestScenarioParsing:
         path, _ = write_scenario(tmp_path, schema_version=99)
         assert main(["tune", "--scenario", str(path), "--out", str(tmp_path)]) == 1
 
+    def test_scenario_not_an_object_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[]")
+        assert main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "scenario error: a scenario must be a JSON object, got list\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "patch, path",
         [({"sim.conv_esp": 0.5}, "sim.conv_esp"), ({"seed": 3}, "seed"),
@@ -459,6 +466,11 @@ class TestSimulate:
             ({"sim.consensus_tol": float("nan")}, "sim.consensus_tol must be positive and finite"),
             ({"sim.consensus_tol": 0}, "sim.consensus_tol must be positive and finite"),
             ({"sim.consensus_tol": -1}, "sim.consensus_tol must be positive and finite"),
+            ({"sim.state_box": [-0.1, 0.1]}, "invalid scenario: x0 outside the state box"),
+            ({"plant.f": {"kind": "user-table", "x": [0.0, 1.0], "y": [0.0]}},
+             "user-table f needs matching 1-D x/y arrays"),
+            ({"plant.f": {"kind": "user-table", "x": [1.0, 0.0], "y": [0.0, 1.0]}},
+             "user-table x values must be strictly increasing"),
         ],
         ids=[
             "unknown_kind", "generic_feedback", "no_target_graph", "target_n_differs",
@@ -467,6 +479,7 @@ class TestSimulate:
             "uhat0_nan", "x0_nan", "k_inf", "state_dim_inf", "decimate_inf", "g_inf",
             "band_scale_nan", "band_scale_zero", "band_scale_negative",
             "consensus_tol_nan", "consensus_tol_zero", "consensus_tol_negative",
+            "x0_outside_box", "f_table_shapes_differ", "f_table_x_not_increasing",
         ],
     )
     def test_bad_scenario_values_exit_1_with_one_line(self, tmp_path, capsys, patch, reason):
@@ -488,6 +501,41 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{field} must be an integer, got {value!r}" in err
+
+    def test_target_neighbor_beyond_the_horizon_exits_1(self, tmp_path, capsys):
+        # Agent 1's target neighbor 4 is three hops away.
+        path, _ = write_scenario(tmp_path, k=2, **{"sim.t_end": 0.05})
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "protocol error: agent 1: target neighbor 4 is neither 1-hop nor within the "
+            "2-hop horizon\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_infeasible_gains_without_overrides_exit_2(self, tmp_path, capsys):
+        # A slack of 1e-300 leaves phi at 0, so theta certifies nothing.
+        path, _ = write_scenario(tmp_path, **{"gains.slack": 1e-300, "sim.t_end": 0.05})
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("infeasible gains and no explicit overrides: "
+                                           "theta lower bound (phi must be positive) (agent 1)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_reproduction_with_infeasible_gains_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["reproduce-paper", "--slack", "1e-300", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("infeasible gains: "
+                                           "theta lower bound (phi must be positive)\n")
+        assert sorted(os.listdir(out)) == ["gains.json", "scenario.json"]
+        assert json.loads((out / "gains.json").read_text())["certified"] is False
+
+    def test_estimates_starting_at_the_truth_have_no_initial_error(self):
+        raw = json.loads(json.dumps(REPRODUCTION_SCENARIO))
+        raw["sim"].update(xhat0="truth", t_end=0.05)
+        ts = prepare(load_scenario(raw))
+        tel = run(ts.config)
+        assert not ts.x_err0.any() and not tel.errx[0].any()
+        assert np.array_equal(ts.config.xhat0, ts.scenario.x0[ts.nbs.table.target])
 
     def test_boundary_layer_flag(self, tmp_path):
         path, _ = write_scenario(tmp_path, **{"sim.t_end": 0.3})
@@ -703,8 +751,7 @@ class TestReportBranches:
 
     def test_one_sample_has_no_input_derivative(self, judged):
         ts, tel = judged
-        one = dataclasses.replace(tel, times=tel.times[:1], inputs=tel.inputs[:1],
-                                  erru=tel.erru[:1])
+        one = dataclasses.replace(tel, table=tel.table[:1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             audit = scenario_cli.bound_audit(ts, one)
@@ -779,6 +826,11 @@ class TestUnusableTelemetry:
         rc, err = self.verify(tmp_path, capsys, nan_time)
         assert rc == 1
         assert err == "cannot read telemetry: telemetry time t is not finite at sample 3\n"
+
+    def test_rows_wider_than_the_header(self, tmp_path, capsys):
+        rc, err = self.verify(tmp_path, capsys, lambda rows: [row + ",0.9" for row in rows])
+        assert rc == 1
+        assert err == "cannot read telemetry: telemetry CSV malformed: column count mismatch\n"
 
     def test_duplicate_column(self, tmp_path, capsys):
         # A dict of columns would keep the later x_1_1 and judge it.
@@ -983,6 +1035,16 @@ class TestSweep:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--jobs must be >= 1" in err
+
+    def test_missing_grid_file_exits_1_with_one_line(self, tmp_path, capsys):
+        path, _ = write_scenario(tmp_path)
+        grid = tmp_path / "grid.json"
+        rc = main(["sweep", "--scenario", str(path), "--grid", str(grid),
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"cannot read inputs: [Errno 2] No such file or directory: {str(grid)!r}\n")
+        assert not (tmp_path / "sweep").exists()
 
     def test_unknown_grid_key_rejected(self, tmp_path):
         path, _ = write_scenario(tmp_path)

@@ -48,7 +48,7 @@ def build(g, k, tg, n_dim=2):
 def test_coupling_matrices_match_the_loop_form_byte_for_byte(net):
     g, k, _ = net
     nbs = all_khop_sets(g, k)
-    got = coupling_matrices(g, nbs)
+    got = coupling_matrices(nbs)
     assert len(got) == g.n
     for nb, m in zip(nbs, got):
         if nb.eta == 0:
@@ -64,7 +64,7 @@ def test_coupling_matrices_match_the_loop_form_byte_for_byte(net):
 def test_coupling_matrices_are_exactly_symmetric(net):
     # sym_eigs neither checks nor restores symmetry: it solves these as built.
     g, k, _ = net
-    for m in coupling_matrices(g, all_khop_sets(g, k)):
+    for m in coupling_matrices(all_khop_sets(g, k)):
         assert m is None or m.tobytes() == m.T.tobytes()
 
 

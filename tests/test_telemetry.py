@@ -19,6 +19,7 @@ from conftest import chorded_ring, short_reproduction
 from khopsim.plant_sim import (
     Telemetry,
     consensus_distance,
+    csv_header,
     read_csv,
     run,
     telemetry_from_columns,
@@ -60,3 +61,25 @@ def test_csv_round_trip_rebuilds_the_run(raw, decimate, tmp_path):
         want, got = getattr(tel, field.name), getattr(back, field.name)
         assert np.shape(got) == np.shape(want), field.name
         assert np.array_equal(got, want, equal_nan=True), field.name
+
+
+SERIES = ("times", "states", "inputs", "errx", "erru", "cons_dist", "v")
+
+
+def test_the_series_are_views_of_the_one_table():
+    tel = run(prepare(load_scenario(short_reproduction(0.05))).config)
+    for name in SERIES:
+        assert np.shares_memory(getattr(tel, name), tel.table), name
+    columns = dict(zip(csv_header(4, 2), tel.table.T))
+    for name, series in (("t", tel.times), ("x_3_2", tel.states[:, 2, 1]),
+                         ("u_1_1", tel.inputs[:, 0, 0]), ("errx_2", tel.errx[:, 1]),
+                         ("erru_4", tel.erru[:, 3]), ("consdist", tel.cons_dist),
+                         ("v_1_2", tel.v[:, 0, 1])):
+        assert np.array_equal(columns[name], series), name
+    assert tel.v[:, 0].any()  # agent 1 reads agent 4 from estimates
+    # A new table brings its own series; a series cannot be swapped alone.
+    cut = dataclasses.replace(tel, table=tel.table[3:7])
+    for name in SERIES:
+        assert np.array_equal(getattr(cut, name), getattr(tel, name)[3:7]), name
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tel, times=tel.times[:1])
