@@ -21,20 +21,25 @@ The package runs one form of these laws, the pair form (:class:`PairLayout`,
 :func:`pair_derivative`); the message form, one message object per sender,
 lives in ``tests/reference_form.py`` as the oracle. The wiring never
 changes during a run, so every (estimator, target) pair's message sum is
-written down once, from the network's pair table, as an ordered column of
+written down once, from the network's pair table, as an ordered list of
 source rows of ``[estimates; truth]`` (:func:`pair_layout`). A run's state
 array ``z``, ``(2, P + n, N)``, holds ``[x_hat; x]`` in plane 0 and
 ``[u_hat; u]`` in plane 1, so one gather yields the terms of ``xi`` and
-``rho`` together, and one ``copysign`` switches both. Each sum starts from
-``+0.0`` and adds in inbox order, so it rounds as the message form does. A
-run's :class:`PairWorkspace` holds the buffers every call reuses and binds
-the kernel's body to them once; it and :func:`pair_derivative` say which
-steps the kernel skips where they change no bit.
+``rho`` together, and one ``copysign`` switches both. Its pair rows run by
+descending term count, so the rows with an ``s``-th term are a prefix:
+jagged-diagonal storage, whose short slots the kernel pads into one head
+where that is cheaper than a call per slot, as sliced ELLPACK pads. Each
+sum starts from ``+0.0`` and adds in inbox order, so it rounds as the
+message form does. A run's :class:`PairWorkspace` holds the buffers every
+call reuses and binds the kernel's body to them once; it and
+:func:`pair_derivative` say which steps the kernel skips where they change
+no bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -42,25 +47,36 @@ import numpy as np
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import PairTable
 
+# Padding values a slot of the observers' term table may add to the padded
+# head before it goes to the tail instead, where its two calls cost about
+# as much as gathering, subtracting and adding this many values more.
+HEAD_PAD_VALUES = 1024
+
 
 @dataclass(frozen=True)
 class PairLayout:
     """Every (estimator, target) pair of a network, built once per run.
 
-    Pairs are estimator-major with each agent's members ascending, so agent
-    ``i``'s stacked estimate is the row block from ``offsets[i]`` to
-    ``offsets[i + 1]`` (0-based ``i``), and ``(P, N)`` estimate arrays are
-    the per-agent stacks concatenated. Each pair carries its target's gains
-    (estimators of agent ``l`` apply ``omega_l``, ``theta_l`` and ``pi_l``)
-    in every component, so a missing gain shows as NaN and a step multiplies
-    contiguous arrays: ``omega`` is ``(P, N)`` and ``switch`` stacks
-    ``[theta; pi]`` as ``(2, P, N)``. ``g`` is the design gain of
-    ``G = g I``, shared by every pair.
+    ``estimator`` and ``target`` list the pairs in pair-table order:
+    estimator-major with each agent's members ascending, the order of the
+    ``(P, N)`` estimate arrays a run starts from. A run's state array holds
+    the pairs in row order instead, by descending term count, ties in
+    table order: table pair ``q`` is row ``rows[q]``. Every other array is
+    per row. Each row carries its target's gains (estimators of agent
+    ``l`` apply ``omega_l``, ``theta_l`` and ``pi_l``) in every component,
+    so a missing gain shows as NaN and a step multiplies contiguous arrays:
+    ``omega`` is ``(P, N)`` and ``switch`` stacks ``[theta; pi]`` as
+    ``(2, P, N)``. ``g`` is the design gain of ``G = g I``, shared by every
+    pair.
 
-    Column ``terms[:, p]`` lists, in the message form's summation order,
-    the rows of ``[estimates; truth]`` whose differences to pair ``p``'s
-    own estimate make up its correction signal (:func:`pair_layout`),
-    term-major, ``(D, P)``, so each term of every pair is one contiguous
+    ``terms`` lists, in the message form's summation order, the rows of
+    ``[estimates; truth]`` whose differences to a row's own estimate make
+    up its correction signal (:func:`pair_layout`), slot by slot: slot
+    ``s`` holds each row's ``s``-th term, and the ``widths[s]`` rows that
+    have one are a prefix. The first ``head`` slots span all ``P`` rows,
+    a row short of a term padded with itself, whose term adds ``+0.0``;
+    each later slot, the tail, spans its prefix only. So ``terms`` is
+    ``head * P + sum(widths[head:])`` long, and each slot is one contiguous
     gather. Every array is read-only: one layout serves every run of its
     :class:`~khopsim.plant_sim.SimConfig`.
     """
@@ -68,35 +84,53 @@ class PairLayout:
     n: int
     estimator: np.ndarray
     target: np.ndarray
-    offsets: np.ndarray
+    rows: np.ndarray
     terms: np.ndarray
+    head: int
+    widths: tuple
     g: float
     omega: np.ndarray
     switch: np.ndarray
 
 
 def pair_layout(table: PairTable, gains: GainSet, n_dim: int) -> PairLayout:
-    """Pair wiring, ordered term table and per-pair gains from a network's
-    pair table, for agents with ``n_dim`` states.
+    """Pair wiring, ordered terms and per-row gains from a network's pair
+    table, for agents with ``n_dim`` states.
 
-    Pair ``p = (i, l)``'s terms walk ``i``'s 1-hop neighbors ``j`` in
-    ascending order, as agent ``i`` walks its inbox: ``j``'s pair ``(j, l)``
-    if ``j`` estimates ``l``, else ``l``'s true row if ``j`` relays it (never
-    both). Each column is padded with ``p`` itself, whose term adds ``+0.0``.
-    The order must be kept; :mod:`khopsim.plant_sim` says why.
+    Pair ``(i, l)``'s terms walk ``i``'s 1-hop neighbors ``j`` in ascending
+    order, as agent ``i`` walks its inbox: ``j``'s pair ``(j, l)`` if ``j``
+    estimates ``l``, else ``l``'s true row if ``j`` relays it (never both).
+    The order must be kept; :mod:`khopsim.plant_sim` says why. Slot ``s``
+    joins the padded head while the padding it would add, ``2 N (P -
+    widths[s])`` values, costs less than a tail slot's two calls
+    (``HEAD_PAD_VALUES``).
     """
-    estimator, target, offsets, index = table[:4]
+    estimator, target, _, index = table[:4]
     size = len(target)
     p, j = table.links(estimator)
     l = target[p]
     code = index[j, l]
     keep = code != -1
-    terms = term_table(p[keep], np.where(code >= 0, code, l + size)[keep], np.arange(size))
-    # [omega; theta; pi] of each pair's target, in each of its components.
-    full = np.array((gains.omega, gains.theta, gains.pi))[:, target].repeat(n_dim)
+    owner, source = p[keep], np.where(code >= 0, code, l + size)[keep]
+    # Row r holds table pair order[r], and table pair q lies in row rows[q].
+    order = np.argsort(-np.bincount(owner, minlength=size), kind="stable")
+    rows = np.empty_like(order)
+    rows[order] = np.arange(size)
+    # Each row's terms in their order, as rows of the state array.
+    rename = np.concatenate((rows, np.arange(size, size + len(index))))
+    owner = rows[owner]
+    by_row = owner.argsort(kind="stable")
+    padded = term_table(owner[by_row], rename[source[by_row]], np.arange(size))
+    widths = np.count_nonzero(padded != np.arange(size), axis=1)  # no term reads its own row
+    head = int(np.count_nonzero(2 * n_dim * (size - widths) < HEAD_PAD_VALUES))
+    terms = np.concatenate([padded[:head].reshape(-1),
+                            *(padded[s, :w] for s, w in enumerate(widths[head:], head))])
+    # [omega; theta; pi] of each row's target, in each of its components.
+    full = np.array((gains.omega, gains.theta, gains.pi))[:, target[order]].repeat(n_dim)
     full = full.reshape(3, size, n_dim)
-    layout = PairLayout(len(index), estimator, target, offsets, terms, gains.g, full[0], full[1:])
-    for arr in (terms, layout.omega, layout.switch):
+    layout = PairLayout(len(index), estimator, target, rows, terms, head, tuple(widths.tolist()),
+                        gains.g, full[0], full[1:])
+    for arr in (rows, terms, layout.omega, layout.switch):
         arr.setflags(write=False)
     return layout
 
@@ -119,7 +153,13 @@ class PairWorkspace:
     every call reuses, a writeable copy of the layout's ``terms``, and the
     kernel's body, bound here once as a closure over them, the layout's
     ``switch`` and ``omega``, the plant's ``f`` and the numpy functions it
-    calls, so a call looks nothing up.
+    calls, so a call looks nothing up. ``z``'s pair rows are in the
+    layout's row order.
+
+    The sums take one gather of every term, then one subtract and one
+    reduce over the padded head, then per tail slot one subtract of its
+    rows' own estimates and one in-place add into their sums, so every sum
+    adds its terms in order from ``+0.0``.
 
     A run builds one next to its state array and drops it with the run;
     nothing in it outlives the run or is shared between runs. The
@@ -140,13 +180,17 @@ class PairWorkspace:
         boundary_layer: Optional[float] = None,
     ):
         terms, switch, omega, f = layout.terms.copy(), layout.switch, layout.omega, plant.f
-        p = layout.target.size
-        own = z[:, None, :p]
-        parts = np.empty((2, terms.shape[0], p, z.shape[2]))
+        p, n_dim, head = layout.target.size, z.shape[2], layout.head
+        parts = np.empty((2, terms.size, n_dim))
         # Planes [g xi, xi, rho]: the sums land in ``acc`` = [xi; rho], g xi
         # in plane 0, and ``signal`` = [g xi; rho] views both without a copy.
-        planes = np.empty((3, p, z.shape[2]))
+        planes = np.empty((3, p, n_dim))
         acc, xi, gxi, signal = planes[1:], planes[1], planes[0], planes[::2]
+        # The head's terms as (2, head, P, N) against each row's own estimate;
+        # per tail slot its terms, and the own estimates and sums of its rows.
+        own, padded = z[:, None, :p], parts[:, :head * p].reshape(2, head, p, n_dim)
+        ends = list(accumulate(layout.widths[head:], initial=head * p))
+        tail = [(parts[:, a:b], z[:, :b - a], acc[:, :b - a]) for a, b in zip(ends, ends[1:])]
         # 0-d arrays: numpy would convert the floats 0.0 and g on every call.
         zero, g = np.array(0.0), np.array(layout.g)
         # No sum is -0.0 (each starts from +0.0), but g xi is when g <= 0.5
@@ -171,8 +215,11 @@ class PairWorkspace:
             # spares numpy the bounds-checking copy it makes for ``out`` under
             # "raise".
             take(terms, 1, parts, "clip")
-            subtract(parts, own, parts)
-            add_reduce(parts, 1, None, acc, False, 0.0)
+            subtract(padded, own, padded)
+            add_reduce(padded, 1, None, acc, False, 0.0)
+            for part, mine, sums in tail:
+                subtract(part, mine, part)
+                add(sums, part, sums)
             multiply(xi, g, gxi)
             if boundary_layer is None:
                 # gain * sign(v), sign(0) = +1, is the gain (run refuses negative

@@ -14,19 +14,24 @@ the chattering band, never as an exact zero.
 The round runs on arrays, in the pair form of :mod:`khopsim.khop_observer`;
 the per-agent message form lives in ``tests/reference_form.py`` as the
 oracle. A run keeps one state array ``z`` of shape ``(2, P + n, N)``, plane
-0 ``[x_hat; x]`` and plane 1 ``[u_hat; u]``. :func:`build_structure` builds
-the wiring once per config from the network's pair table: the observers'
-term table (:func:`~khopsim.khop_observer.pair_layout`) and the consensus
-input's, whose rows of plane 0 are summed in table order like the
-observers' sums. :func:`run` is the only way to take a step: per round it
+0 ``[x_hat; x]`` and plane 1 ``[u_hat; u]``, its pair rows ordered by term
+count. Everything outside the run keeps pair-table order, and the layout's
+``rows`` map it in: the initial estimates :func:`init_world` places, the
+pairs the control law reads, the log reducer's estimates and the pair an
+error names. :func:`build_structure` builds the wiring once per config from
+the network's pair table: the observers' terms
+(:func:`~khopsim.khop_observer.pair_layout`) and the consensus input's
+padded term table, whose rows of plane 0 are summed in table order like
+the observers' sums. :func:`run` is the only way to take a step: per round it
 sets the inputs and advances ``z`` in place through the closures
 :func:`_bind_control` and :func:`_bind_advance` bind once per run to ``z``,
 its buffers and views, the kernel's :class:`PairWorkspace`, writeable copies
 of the index tables (``take`` copies read-only ones on every call) and the
 numpy functions a step calls. A step allocates one ufunc buffer at most,
 plus, with a state box, the two byte strings its box check compares. Every
-sum is one ``np.add.reduce(..., initial=0.0)`` over the term axis, which
-starts from ``+0.0`` and adds the terms in table order.
+sum starts from ``+0.0`` and adds its terms in table order: an
+``np.add.reduce(..., initial=0.0)`` over the padded term axis, then, for
+the observers' tail slots, one in-place add per slot.
 
 The Euler loop only copies each logged ``z`` into a bounded block. The
 logged error norms and disturbance are reduced per block by a reducer
@@ -248,11 +253,12 @@ class SimStructure:
     gains (:func:`build_structure`). ``control_terms`` has one column per
     agent: the rows of ``[x_hat; x]``, plane 0 of the state array, that its
     consensus input sums, in the order one agent adds them (communication-
-    and-target neighbors, then estimates of target-only neighbors), padded
-    with its own row, term-major like ``PairLayout.terms``; with no target
-    graph it has no rows. ``disturbance_pairs`` are the pairs those
-    estimates come from, ``disturbance_bins`` their flat ``(estimator,
-    component)`` cells in an ``(n, N)`` array. All arrays are read-only."""
+    and-target neighbors, then estimates of target-only neighbors, at their
+    rows of the state array), padded with its own row, term-major; with no
+    target graph it has no rows. ``disturbance_pairs`` are the pairs those
+    estimates come from, in pair-table order, ``disturbance_bins`` their
+    flat ``(estimator, component)`` cells in an ``(n, N)`` array. All arrays
+    are read-only."""
 
     nbs: Neighborhoods
     pairs: PairLayout
@@ -306,10 +312,11 @@ def build_structure(config: SimConfig, nbs: Optional[Neighborhoods] = None) -> S
     # Per agent its communication-and-target neighbors' truth rows, then the
     # pairs estimating its target-only neighbors, padded with its own row.
     one_hop = pair == -2
-    order = (2 * i + ~one_hop).argsort(kind="stable")
-    control_terms = term_table(i[order], np.where(one_hop, n_pairs + j, pair)[order],
-                               n_pairs + np.arange(g.n))
     disturbance = pair[~one_hop]
+    source = n_pairs + j
+    source[~one_hop] = pairs.rows[disturbance]
+    order = (2 * i + ~one_hop).argsort(kind="stable")
+    control_terms = term_table(i[order], source[order], n_pairs + np.arange(g.n))
     bins = (pairs.estimator[disturbance, None] * n_dim + np.arange(n_dim)).reshape(-1)
     for arr in (control_terms, disturbance, bins):
         arr.setflags(write=False)
@@ -318,14 +325,15 @@ def build_structure(config: SimConfig, nbs: Optional[Neighborhoods] = None) -> S
 
 def init_world(config: SimConfig) -> np.ndarray:
     """The state array at t = 0, ``(2, P + n, N)``: plane 0 is
-    ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, the pair estimates laid
-    out by ``config.structure.pairs`` first. The inputs start at zero; each
-    round's control sets them."""
-    p = config.structure.pairs.target.size
+    ``[x_hat; x]`` and plane 1 is ``[u_hat; u]``, the pair estimates first,
+    in the rows ``config.structure.pairs`` orders them in. The inputs start
+    at zero; each round's control sets them."""
+    rows = config.structure.pairs.rows
+    p = rows.size
     z = np.zeros((2, p + config.graph.n, config.plant.N))
-    z[0, :p] = config.xhat0
+    z[0, rows] = config.xhat0
     z[0, p:] = config.x0
-    z[1, :p] = config.uhat0
+    z[1, rows] = config.uhat0
     return z
 
 
@@ -336,10 +344,11 @@ def _check_startable(config: SimConfig) -> None:
     pairs = config.structure.pairs
     for which, gain, low in zip(("omega", "theta", "pi"), (pairs.omega, *pairs.switch),
                                 (-np.inf, 0.0, 0.0)):
-        bad = ~(np.isfinite(gain[:, 0]) & (gain[:, 0] >= low))
+        gain = gain[pairs.rows, 0]  # in table order, so the first bad pair is named
+        bad = ~(np.isfinite(gain) & (gain >= low))
         if bad.any():
             p = np.argmax(bad)
-            raise NumericalError(f"{which} gain {'negative' if gain[p, 0] < low else 'missing'} "
+            raise NumericalError(f"{which} gain {'negative' if gain[p] < low else 'missing'} "
                                  f"for a member of agent {pairs.estimator[p] + 1}'s neighborhood")
 
 
@@ -416,7 +425,7 @@ def _check_state(config: SimConfig, z: np.ndarray, t: float) -> None:
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise DivergenceDetected(t, int(np.argmax(bad)) + 1)
-    bad = ~np.isfinite(z[:, :p]).all(axis=(0, 2))
+    bad = ~np.isfinite(z[:, pairs.rows]).all(axis=(0, 2))  # in table order
     if bad.any():
         agent = int(pairs.estimator[np.argmax(bad)]) + 1
         raise DivergenceDetected(t, agent, "non-finite estimate")
@@ -437,10 +446,12 @@ def _bind_log_reducer(config: SimConfig, size: int):
     and the consensus disturbance ``(S, n, N)``, per agent the sum of the
     estimate errors ``x - x_hat`` its input uses.
 
-    The reducer owns an error buffer, writeable copies of the gather
-    indices, and ``np.bincount`` bin tables for a full block that run
+    The reducer owns error and estimate buffers, writeable copies of the
+    gather indices, and ``np.bincount`` bin tables for a full block that run
     sample-major, so a block of ``S`` samples uses their prefix and every
-    cell adds its terms in the order a per-sample reduction would. A norm's
+    cell adds its terms in the order a per-sample reduction would. It
+    gathers the estimates back into pair-table order first, so each
+    target's bins add its estimators in that order. A norm's
     bin adds its squared error components from ``0.0``, pair by pair and
     component by component, so no BLAS kernel takes part and the bits are
     the same on every CPU.
@@ -448,9 +459,9 @@ def _bind_log_reducer(config: SimConfig, size: int):
     s = config.structure
     pairs = s.pairs
     p, n, n_dim = pairs.target.size, pairs.n, config.plant.N
-    err = np.empty((size, 2, p, n_dim))
+    err, est = np.empty((2, size, 2, p, n_dim))
     # Writeable, so ``take`` uses them as they are.
-    target, dist_pairs = pairs.target.copy(), s.disturbance_pairs.copy()
+    target, rows, dist_pairs = pairs.target.copy(), pairs.rows.copy(), s.disturbance_pairs.copy()
     dist = np.empty((size, len(dist_pairs), n_dim))
     norm_bins = np.repeat(np.arange(2 * size)[:, None] * n + pairs.target, n_dim)
     dist_bins = (np.arange(size)[:, None] * n * n_dim + s.disturbance_bins).reshape(-1)
@@ -461,7 +472,8 @@ def _bind_log_reducer(config: SimConfig, size: int):
         e, d = err[:m], dist[:m]
         # The indices are the layout's own, all in range; see pair_derivative.
         logged[:, :, p:].take(target, 2, e, "clip")
-        subtract(e, logged[:, :, :p], e)
+        logged.take(rows, 2, est[:m], "clip")
+        subtract(e, est[:m], e)
         e[:, 0].take(dist_pairs, 1, d, "clip")
         v = bincount(dist_bins[: d.size], d.reshape(-1), m * n * n_dim).reshape(m, n, n_dim)
         multiply(e, e, e)

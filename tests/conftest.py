@@ -55,6 +55,52 @@ def unit_gains(n: int) -> GainSet:
     return GainSet(g=1.0, omega=ones, theta=ones, pi=ones)
 
 
+def in_row_order(layout, z: np.ndarray) -> np.ndarray:
+    """A state array ``(2, P + n, N)`` with its pair rows in table order,
+    as ``layout`` orders a run's rows: table pair ``q`` moves to row
+    ``layout.rows[q]``."""
+    out = z.copy()
+    out[:, layout.rows] = z[:, : layout.rows.size]
+    return out
+
+
+def in_table_order(layout, z: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`in_row_order`."""
+    out = z.copy()
+    out[:, : layout.rows.size] = z[:, layout.rows]
+    return out
+
+
+def term_slots(layout) -> list:
+    """``layout.terms`` cut into its slots: slot ``s`` lists the ``s``-th
+    term of rows ``0, 1, ...``, all ``P`` rows in the head and the rows
+    that have one in the tail."""
+    p, slots, start = layout.rows.size, [], 0
+    for s, width in enumerate(layout.widths):
+        span = p if s < layout.head else width
+        slots.append(layout.terms[start:start + span])
+        start += span
+    assert start == layout.terms.size
+    return slots
+
+
+def table_rows(layout) -> np.ndarray:
+    """The map from rows of ``[estimates; truth]`` in ``layout``'s row order
+    to the same rows in pair-table order."""
+    p = layout.rows.size
+    return np.concatenate((np.argsort(layout.rows), np.arange(p, p + layout.n)))
+
+
+def table_terms(layout) -> np.ndarray:
+    """``layout``'s terms as the padded term-major ``(D, P)`` table in
+    pair-table order, a pair short of a term padded with itself."""
+    p, rename = layout.rows.size, table_rows(layout)
+    table = np.tile(np.arange(p), (len(layout.widths), 1))
+    for s, slot in enumerate(term_slots(layout)):
+        table[s, rename[: slot.size]] = rename[slot]
+    return table
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """Brute-force all-pairs shortest paths, independent of the BFS code."""
     n = g.n

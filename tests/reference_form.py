@@ -436,6 +436,49 @@ def pair_tables(nbs) -> tuple:
     return estimator, target, offsets, terms
 
 
+def padded_pair_derivative(terms, g: float, omega, switch, plant: PlantModel, z: np.ndarray,
+                           boundary_layer: Optional[float] = None) -> tuple:
+    """``(dz, acc)``, the pair kernel's derivative and sums ``[xi; rho]``,
+    from the padded term table: the kernel as the simulator ran it before
+    it ordered its rows by term count.
+
+    ``z`` is a state array ``(2, P + n, N)`` with its pair rows in table
+    order, ``terms`` the ``(D, P)`` table of :func:`pair_tables`, and
+    ``omega`` ``(P, N)`` and ``switch`` ``(2, P, N)`` the per-pair gains.
+    Every sum adds all ``D`` terms of its column, in order, from ``+0.0``;
+    a padding term adds ``own - own = +0.0`` (NaN where ``own`` is
+    infinite). The later steps keep the kernel's operations and operand
+    order, so the bits agree.
+    """
+    p = terms.shape[1]
+    parts = z.take(terms, 1)
+    np.subtract(parts, z[:, None, :p], parts)
+    acc = np.add.reduce(parts, 1, initial=0.0)
+    xi, rho = acc
+    gxi = np.multiply(xi, g)
+    if boundary_layer is None:
+        # sign(0) = +1 as the gain with the signal's sign bit; adding +0.0
+        # clears the -0.0 that g xi underflows to.
+        switching = np.copysign(switch, np.stack((gxi + 0.0, rho)))
+    else:
+        switching = switch * np.clip(np.stack((gxi, rho)) / boundary_layer, -1.0, 1.0)
+    gxi = np.multiply(gxi + 0.0 if boundary_layer is None else gxi, omega)
+    fz = None if plant.f is None else plant.f(z[0])
+    dz = np.zeros_like(z)
+    dz[1, :p] = switching[1]
+    if plant.A.any():
+        lead = z[0] @ plant.A.T
+        est = lead[:p] if fz is None else lead[:p] + fz[:p]
+        lead[:p] = est + gxi + switching[0]
+    else:
+        lead = np.zeros_like(z[0])
+        lead[:p] = (gxi if fz is None else fz[:p] + gxi) + switching[0]
+    dz[0] = lead + z[1]
+    if fz is not None:
+        dz[0, p:] += fz[p:]
+    return dz, acc
+
+
 def control_wiring(graph, target_graph, k: int, nbs, offsets) -> tuple:
     """``(control_terms, disturbance_pairs, disturbance_bins / n_dim)`` agent
     by agent: its communication-and-target neighbors' truth rows, then the

@@ -18,7 +18,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_messages, chorded_ring, inbox, short_reproduction
+from conftest import (
+    build_messages,
+    chorded_ring,
+    connected_graphs,
+    in_row_order,
+    in_table_order,
+    inbox,
+    short_reproduction,
+    term_slots,
+)
 from khopsim import (
     Graph,
     PlantModel,
@@ -30,9 +39,17 @@ from khopsim import (
     run,
 )
 from khopsim.gain_tuning import GainSet
+from khopsim import khop_observer
 from khopsim.khop_observer import PairWorkspace, pair_derivative, pair_layout
 from khopsim.scenario_cli import load_scenario, prepare
-from reference_form import ObserverState, consensus_control, observer_derivative, sign
+from reference_form import (
+    ObserverState,
+    consensus_control,
+    observer_derivative,
+    padded_pair_derivative,
+    pair_tables,
+    sign,
+)
 
 
 @st.composite
@@ -78,8 +95,10 @@ def both_forms(g, nbs, x, u, obs, plant, gains, boundary_layer):
     ref_du = np.concatenate([r.du_hat for r in ref]).reshape(-1, n_dim)
     x_hat = np.concatenate([o.x_hat for o in obs]).reshape(-1, n_dim)
     u_hat = np.concatenate([o.u_hat for o in obs]).reshape(-1, n_dim)
+    layout = pair_layout(nbs.table, gains, n_dim)
     z = np.stack((np.concatenate((x_hat, x)), np.concatenate((u_hat, u))))
-    dz = pair_derivative(PairWorkspace(pair_layout(nbs.table, gains, n_dim), plant, z, boundary_layer))
+    dz = in_table_order(layout, pair_derivative(
+        PairWorkspace(layout, plant, in_row_order(layout, z), boundary_layer)))
     p = len(x_hat)
     # The truth rows carry the plant; the input rows are the controller's.
     plant_dx = x @ plant.A.T + u
@@ -151,12 +170,12 @@ def message_form_run(config):
     g, plant, dt = config.graph, config.plant, config.dt
     nbs = all_khop_sets(g, config.k)
     tg = config.target_graph
-    pairs = config.structure.pairs
+    offsets = nbs.table.offsets
     obs = [
         ObserverState(
             i + 1,
-            np.array(config.xhat0[slice(*pairs.offsets[i:i + 2])], dtype=float).reshape(-1),
-            np.array(config.uhat0[slice(*pairs.offsets[i:i + 2])], dtype=float).reshape(-1),
+            np.array(config.xhat0[slice(*offsets[i:i + 2])], dtype=float).reshape(-1),
+            np.array(config.uhat0[slice(*offsets[i:i + 2])], dtype=float).reshape(-1),
         )
         for i, nb in enumerate(nbs)
     ]
@@ -369,7 +388,7 @@ def test_layout_gains_are_the_targets_in_every_component(net):
     assert layout.omega.shape == (p, n_dim) and layout.omega.flags.c_contiguous
     for name, full in zip(("omega", "theta", "pi"), (layout.omega, *layout.switch)):
         for c in range(n_dim):
-            assert np.array_equal(full[:, c], getattr(gains, name)[layout.target]), name
+            assert np.array_equal(full[layout.rows, c], getattr(gains, name)[layout.target]), name
 
 
 def switching_layout(raw, g_val):
@@ -444,15 +463,90 @@ def test_switching_on_an_inf_minus_inf_signal_is_minus_gain():
     # its sums are inf - inf = NaN in both planes, and sign(NaN) = -1. Its
     # state row adds omega g xi = NaN, so the input row shows the switching.
     layout, n = switching_layout(chorded_ring(), 1.0)
-    terms = layout.terms
-    p = next(p for p in range(terms.shape[1]) if len({*terms[:3, p], p}) == 4)
+    slots = term_slots(layout)
+    p, terms = next((r, t) for r in range(layout.rows.size)
+                    if len({*(t := [s[r] for s in slots[:3] if r < s.size]), r}) == 4)
     z = np.zeros((2, layout.target.size + n, 2))
     z[:, p] = 5e307
-    z[:, terms[:2, p]] = 1.7e308  # each minus 5e307 is 1.2e308
-    z[:, terms[2, p]] = -1.3e308  # minus 5e307 overflows to -inf
+    z[:, terms[:2]] = 1.7e308  # each minus 5e307 is 1.2e308
+    z[:, terms[2]] = -1.3e308  # minus 5e307 overflows to -inf
     with np.errstate(over="ignore", invalid="ignore"):
         got, want, work = switching_terms(layout, z)
     assert np.isnan(work.acc[:, p]).all() and (want[1, p] < 0).all()  # -pi, as bits
     assert np.array_equal(got[1, p], want[1, p]), (
         "copysign gives the gains the sign bit of NaN, and inf - inf gave a "
         "NaN without it on this platform, so sign(NaN) = -1 no longer holds")
+
+
+# Signed zeros, subnormals, a normal below and above 1 and large values, so
+# sums cancel exactly, underflow and overflow.
+ORACLE_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2e-308, 0.3, -1.5, 1e308, -1e308])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A network, from ``connected_graphs`` or a random chorded ring, k, N
+    and the kernel's inputs: a state array drawn from ``ORACLE_POOL`` and
+    normals, sometimes with an ``inf - inf`` term, positive gains with
+    ``g`` at, below or just above 0.5 or larger, with or without a boundary
+    layer, ``A = 0`` or not, and no ``f`` or a tabulated one."""
+    if draw(st.booleans()):
+        g = draw(connected_graphs(14))
+    else:
+        n = draw(st.integers(5, 12))
+        chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+        raw = chorded_ring(n=n, chords=sorted({(min(a, b), max(a, b)) for a, b in chords
+                                               if (b - a) % n not in (0, 1, n - 1)}))
+        g = Graph(n, frozenset(map(tuple, raw["graph"]["edges"])))
+    k, n_dim = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g_val = draw(st.sampled_from([0.125, 0.5, np.nextafter(0.5, 1.0), 1.0, 7.5]))
+    gains = random_gains(rng, g.n, g_val)
+    a = rng.normal(size=(n_dim, n_dim)) if draw(st.booleans()) else np.zeros((n_dim, n_dim))
+    f = None
+    if draw(st.booleans()):
+        knots, values = np.sort(rng.normal(size=6)), rng.normal(size=6)
+        f = lambda v: np.interp(v, knots, values)  # noqa: E731
+    plant = PlantModel(N=n_dim, A=a, f=f, l_f=0.0 if f is None else 10.0)
+    boundary_layer = draw(st.sampled_from([None, 0.05]))
+    nbs = all_khop_sets(g, k)
+    p = len(nbs.table.target)
+    z = np.where(rng.random((2, p + g.n, n_dim)) < 0.5,
+                 rng.choice(ORACLE_POOL, (2, p + g.n, n_dim)), rng.normal(size=(2, p + g.n, n_dim)))
+    if p and draw(st.booleans()):
+        # A pair with a truth term: its estimate and that truth row +inf.
+        terms = pair_tables(nbs)[3]
+        q = int(np.argmax((terms >= p).any(axis=0)))
+        z[:, q] = z[:, terms[terms[:, q] >= p, q][0]] = np.inf
+    return nbs, gains, plant, boundary_layer, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases(), st.sampled_from([0, 1, 16, khop_observer.HEAD_PAD_VALUES]))
+def test_pair_derivative_matches_the_padded_kernel_bit_for_bit(case, head_pad_values):
+    # Small graphs pad every slot at the default HEAD_PAD_VALUES; the lower
+    # limits give them tails, and 0 an empty head. A run never steps an
+    # estimate that is not finite, so no pair's own estimate is infinite but
+    # the inf - inf pair's, which is NaN either way: with an infinite own
+    # estimate a padded slot adds NaN where the tail adds nothing.
+    nbs, gains, plant, boundary_layer, z = case
+    with mock.patch.object(khop_observer, "HEAD_PAD_VALUES", head_pad_values):
+        layout = pair_layout(nbs.table, gains, plant.N)
+    _, target, _, terms = pair_tables(nbs)
+    full = np.array((gains.omega, gains.theta, gains.pi))[:, target, None].repeat(plant.N, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_dz, want_acc = padded_pair_derivative(terms, gains.g, full[0], full[1:], plant, z,
+                                                   boundary_layer)
+        work = PairWorkspace(layout, plant, in_row_order(layout, z), boundary_layer)
+        dz = in_table_order(layout, pair_derivative(work))
+    assert dz.view(np.int64).tobytes() == want_dz.view(np.int64).tobytes()
+    assert work.acc[:, layout.rows].tobytes() == want_acc.tobytes()
+
+
+def test_the_reproduction_layout_has_no_tail():
+    # Six pairs, two with a second term: padding four rows costs less than
+    # a tail slot's two calls, so the step keeps one take, one subtract and
+    # one reduce.
+    pairs = config_of(short_reproduction()).structure.pairs
+    assert pairs.widths == (6, 2) and pairs.head == 2
+    assert pairs.terms.size == pairs.head * pairs.rows.size == 12

@@ -214,10 +214,12 @@ class TestStep:
             new_uhat[i] = uhat[i] + dt * duh
         x_next = x + dt * u
 
-        p = config.structure.pairs.target.size
+        pairs = config.structure.pairs
+        p = pairs.target.size
         assert np.abs(z[0, p:] - x_next).max() <= 1e-12
         for i in range(1, 5):
-            rows = slice(*config.structure.pairs.offsets[i - 1:i + 1])
+            # Agent i's estimates, in the rows the run keeps them in.
+            rows = pairs.rows[slice(*nbs.table.offsets[i - 1:i + 1])]
             assert np.abs(z[0, rows].reshape(-1) - new_xhat[i]).max() <= 1e-12
             assert np.abs(z[1, rows].reshape(-1) - new_uhat[i]).max() <= 1e-12
 
@@ -482,7 +484,7 @@ class TestRun:
         # wiring but never write it, so a second run repeats the first.
         config, _ = repro_config(t_end=0.3)
         s = config.structure
-        for arr in (s.pairs.estimator, s.pairs.target, s.pairs.offsets, s.pairs.terms,
+        for arr in (s.pairs.estimator, s.pairs.target, s.pairs.rows, s.pairs.terms,
                     s.pairs.omega, s.pairs.switch,
                     s.control_terms, s.disturbance_pairs, s.disturbance_bins):
             assert not arr.flags.writeable
@@ -494,12 +496,14 @@ class TestRun:
                                   equal_nan=True), f.name
 
     def test_a_step_copies_no_index_array(self):
-        # Agent 1 is a hub, so a pair sums D > 2N terms, and a copy of the
-        # read-only D x P term table, which ``take`` makes of read-only
-        # indices on every call, would outweigh numpy's largest ufunc buffer.
-        # The steps gather from writeable copies and may allocate that buffer
-        # only: the broadcast subtract's copy of ``own``.
-        n = 160
+        # Agent 1 is a hub, so a pair sums D > 2N terms, and the ring is long
+        # enough that a copy of the read-only terms, which ``take`` makes of
+        # read-only indices on every call, would outweigh numpy's largest
+        # ufunc buffer, though the tail slots hold no padding. The steps
+        # gather from writeable copies and may allocate that buffer only:
+        # the head's broadcast subtract's copy of ``own``. The tail slots
+        # subtract and add views of equal shape, which need no buffer.
+        n = 800
         chords = [(1, h) for h in range(4, 20, 2)] + [(a, a + n // 2) for a in range(19, n // 2, 3)]
         config = prepare(load_scenario(chorded_ring(n=n, chords=chords))).config
         s = config.structure
@@ -511,8 +515,8 @@ class TestRun:
         for arr in (s.pairs.terms, s.pairs.switch, s.pairs.omega, s.control_terms):
             assert not arr.flags.writeable
         limit = np.getbufsize() * z.itemsize + 4096
-        d, p = s.pairs.terms.shape
-        assert d > 2 * config.plant.N and d * p * s.pairs.terms.itemsize > limit
+        assert len(s.pairs.widths) > 2 * config.plant.N and s.pairs.terms.nbytes > limit
+        assert len(s.pairs.widths) > s.pairs.head  # the tail runs
         with np.errstate(over="ignore", invalid="ignore"):
             control()
             advance(config.dt)

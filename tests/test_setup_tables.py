@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, connected_graphs, random_connected_graph, unit_gains
+from conftest import (
+    complete_graph,
+    connected_graphs,
+    random_connected_graph,
+    table_rows,
+    table_terms,
+    unit_gains,
+)
 from khopsim import Graph, PlantModel, SimConfig, all_khop_sets, coupling_matrices
 from khopsim.dense_linalg import sym_eigs
 from khopsim.errors import NumericalError, ProtocolError
@@ -80,16 +87,22 @@ def test_pair_and_control_tables_match_the_loop_form(net):
             build(g, k, tg)
         return
     s = build(g, k, tg).structure
-    for got, want in zip((s.pairs.estimator, s.pairs.target, s.pairs.offsets, s.pairs.terms),
+    pairs, table = s.pairs, s.nbs.table
+    # Compared in pair-table order: the layout's rows map back through ``rows``.
+    for got, want in zip((pairs.estimator, pairs.target, table.offsets, table_terms(pairs)),
                          pair_tables(nbs)):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.array_equal(got, want)
+    for arr in (pairs.estimator, pairs.target, table.offsets, pairs.rows, pairs.terms):
+        assert not arr.flags.writeable
     terms, disturbance, owners = want_control
     want_bins = (owners[:, None] * 2 + np.arange(2)).reshape(-1)
-    for got, want in zip((s.control_terms, s.disturbance_pairs, s.disturbance_bins),
-                         (terms, disturbance, want_bins)):
+    for got, want in zip((table_rows(pairs)[s.control_terms], s.disturbance_pairs,
+                          s.disturbance_bins), (terms, disturbance, want_bins)):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.array_equal(got, want)
+    for arr in (s.control_terms, s.disturbance_pairs, s.disturbance_bins):
+        assert not arr.flags.writeable
 
 
 def test_no_target_graph_means_no_control_terms():
