@@ -47,10 +47,14 @@ import numpy as np
 from .gain_tuning import GainSet, PlantModel
 from .graph_khop import PairTable
 
-# Padding values a slot of the observers' term table may add to the padded
-# head before it goes to the tail instead, where its two calls cost about
-# as much as gathering, subtracting and adding this many values more.
-HEAD_PAD_VALUES = 1024
+# A slot of the observers' terms joins the padded head if it pads fewer
+# values than this; one that pads more goes to the tail, at two calls. On
+# seeded rings with n/4 chords (n = 20 to 150, k = 3), moving slot 1 from the
+# tail into the head changed the sums by -4.4 to 0.0 us at 168 padding
+# values, -3.5 to +1.3 us at 524, -1.0 to +6.8 us at 1104, +3.8 to +5.9 us
+# at 1728 and +6.6 to +11.4 us at 3680 (four runs, medians of 31
+# alternated rounds, 2-vCPU Xeon VM).
+HEAD_PAD_VALUES = 512
 
 
 @dataclass(frozen=True)
@@ -111,18 +115,16 @@ def pair_layout(table: PairTable, gains: GainSet, n_dim: int) -> PairLayout:
     l = target[p]
     code = index[j, l]
     keep = code != -1
-    owner, source = p[keep], np.where(code >= 0, code, l + size)[keep]
+    by_pair = term_table(p[keep], np.where(code >= 0, code, l + size)[keep], np.arange(size))
+    real = by_pair != np.arange(size)  # no term reads its own pair
     # Row r holds table pair order[r], and table pair q lies in row rows[q].
-    order = np.argsort(-np.bincount(owner, minlength=size), kind="stable")
-    rows = np.empty_like(order)
-    rows[order] = np.arange(size)
-    # Each row's terms in their order, as rows of the state array.
-    rename = np.concatenate((rows, np.arange(size, size + len(index))))
-    owner = rows[owner]
-    by_row = owner.argsort(kind="stable")
-    padded = term_table(owner[by_row], rename[source[by_row]], np.arange(size))
-    widths = np.count_nonzero(padded != np.arange(size), axis=1)  # no term reads its own row
-    head = int(np.count_nonzero(2 * n_dim * (size - widths) < HEAD_PAD_VALUES))
+    order = np.argsort(-np.add.reduce(real, 0), kind="stable")
+    rows = order.argsort()
+    # Each row's terms in their order, as rows of the state array; a pair's
+    # padding, the pair itself, becomes its row.
+    padded = np.concatenate((rows, np.arange(size, size + len(index))))[by_pair[:, order]]
+    widths = np.add.reduce(real, 1)
+    head = int(np.count_nonzero(widths > size - HEAD_PAD_VALUES / (2 * n_dim)))
     terms = np.concatenate([padded[:head].reshape(-1),
                             *(padded[s, :w] for s, w in enumerate(widths[head:], head))])
     # [omega; theta; pi] of each row's target, in each of its components.

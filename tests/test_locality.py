@@ -62,16 +62,33 @@ def closed_loop(config, steps: int) -> list:
 STEPS = 6
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**16), st.sampled_from(["x0", "xhat0", "uhat0"]), st.integers(0, 11),
-       st.sampled_from([0.1, -1e-3, 1e-9]))
-def test_a_change_spreads_one_hop_per_step(seed, which, agent, delta):
+@st.composite
+def perturbed_rings(draw):
+    """A chorded ring (the default one or a random one), and one agent's
+    state, state estimates or input estimates to move by ``delta``."""
+    if draw(st.booleans()):
+        raw = chorded_ring(t_end=0.05, seed=draw(st.integers(0, 2**16)))
+    else:
+        n = draw(st.integers(5, 12))
+        chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+        raw = chorded_ring(t_end=0.05, n=n, seed=draw(st.integers(0, 2**16)),
+                           chords=sorted({(min(a, b), max(a, b)) for a, b in chords
+                                          if (b - a) % n not in (0, 1, n - 1)}))
+    which = draw(st.sampled_from(["x0", "xhat0", "uhat0"]))
+    agent = draw(st.integers(0, raw["graph"]["n"] - 1))
+    return raw, which, agent, draw(st.sampled_from([0.1, -1e-3, 1e-9]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_rings())
+def test_a_change_spreads_one_hop_per_step(case):
     # Perturb one agent's state, or its block of state or input estimates.
     # After s steps, no state, input or state estimate row of an agent more
     # than s + 1 hops away may differ by a bit, and no input estimate row of
     # one more than s + 2 away: a round's relayed true inputs are set in that
     # round from 1-hop states, and reach estimators two hops further.
-    config = prepare(load_scenario(chorded_ring(t_end=0.05, seed=seed))).config
+    raw, which, agent, delta = case
+    config = prepare(load_scenario(raw)).config
     table = config.structure.nbs.table
     value = np.array(getattr(config, which))
     value[slice(*table.offsets[agent:agent + 2]) if which != "x0" else agent] += delta
