@@ -48,7 +48,7 @@ from .gain_tuning import GainSet, PlantModel
 from .graph_khop import PairTable
 
 # A slot of the observers' terms joins the padded head if it pads fewer
-# values than this; one that pads more goes to the tail, at two calls. On
+# values than this; any other goes to the tail, at two calls. On
 # seeded rings with n/4 chords (n = 20 to 150, k = 3), moving slot 1 from the
 # tail into the head changed the sums by -4.4 to 0.0 us at 168 padding
 # values, -3.5 to +1.3 us at 524, -1.0 to +6.8 us at 1104, +3.8 to +5.9 us
@@ -106,8 +106,8 @@ def pair_layout(table: PairTable, gains: GainSet, n_dim: int) -> PairLayout:
     estimates ``l``, else ``l``'s true row if ``j`` relays it (never both).
     The order must be kept; :mod:`khopsim.plant_sim` says why. Slot ``s``
     joins the padded head while the padding it would add, ``2 N (P -
-    widths[s])`` values, costs less than a tail slot's two calls
-    (``HEAD_PAD_VALUES``).
+    widths[s])`` values, is below ``HEAD_PAD_VALUES``, which prices a tail
+    slot's two calls.
     """
     estimator, target, _, index = table[:4]
     size = len(target)

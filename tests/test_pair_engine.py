@@ -464,8 +464,9 @@ def test_switching_on_an_inf_minus_inf_signal_is_minus_gain():
     # state row adds omega g xi = NaN, so the input row shows the switching.
     layout, n = switching_layout(chorded_ring(), 1.0)
     slots = term_slots(layout)
-    p, terms = next((r, t) for r in range(layout.rows.size)
-                    if len({*(t := [s[r] for s in slots[:3] if r < s.size]), r}) == 4)
+    firsts = [[s[r] for s in slots[:3] if r < s.size] for r in range(layout.rows.size)]
+    p = next(r for r, t in enumerate(firsts) if len({*t, r}) == 4)
+    terms = firsts[p]
     z = np.zeros((2, layout.target.size + n, 2))
     z[:, p] = 5e307
     z[:, terms[:2]] = 1.7e308  # each minus 5e307 is 1.2e308

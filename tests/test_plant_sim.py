@@ -500,9 +500,9 @@ class TestRun:
         # enough that a copy of the read-only terms, which ``take`` makes of
         # read-only indices on every call, would outweigh numpy's largest
         # ufunc buffer, though the tail slots hold no padding. The steps
-        # gather from writeable copies and may allocate that buffer only:
-        # the head's broadcast subtract's copy of ``own``. The tail slots
-        # subtract and add views of equal shape, which need no buffer.
+        # gather from writeable copies and may allocate that buffer only,
+        # which numpy's buffered reductions use (a 150-agent ring's head sum
+        # does); the tail slots subtract and add views, which need none.
         n = 800
         chords = [(1, h) for h in range(4, 20, 2)] + [(a, a + n // 2) for a in range(19, n // 2, 3)]
         config = prepare(load_scenario(chorded_ring(n=n, chords=chords))).config
